@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .core import Label, SampleSpace
-from .distribution import Dist, dirac, multinomial
+from .distribution import Dist, _mix, dirac, multinomial
 from .errors import SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
@@ -69,11 +69,8 @@ def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y)."""
     if omega.space != c.dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
-    weights = [
-        sum(omega.weights[i] * row.weights[j] for i, row in enumerate(c.rows))
-        for j in range(len(c.cod))
-    ]
-    return Dist(c.cod, weights)
+    ints = None if omega._nums is None else (omega._nums, omega._den)
+    return _mix(c.cod, omega._seq, ints, c.rows)
 
 
 def pull(c: Channel, q: Factor) -> Factor:

@@ -10,11 +10,10 @@ import argparse
 import sys
 
 from .core import format_decimal12, format_scalar, is_exact
-from .errors import MultibayesError, UnknownSuiteError
+from .errors import MultibayesError
 from .evidence import Evidence
 from .models import GRID_MODES, grid_values, medical_grid_spec, medical_model
 from .modelfile import eval_expression, format_result, load_model
-from .properties import run_suite
 from .update import bayes_update, iterated_pearl_validity, jeffrey_update, pearl_update
 from .validity import jeffrey_validity, pearl_validity, validity
 from .distribution import Dist
@@ -70,6 +69,10 @@ def cmd_grid(mode: str, imax: int, jmax: int, out_path: str) -> int:
 
 
 def cmd_check(suite: str, trials: int, seed: int, out=None) -> int:
+    # imported here: the property registry is the largest module and only
+    # this command needs it
+    from .properties import run_suite
+
     out = out if out is not None else sys.stdout
     results = run_suite(suite, trials, seed)
     failures = 0
@@ -87,6 +90,13 @@ def cmd_eval(model_path: str, expr: str, out=None) -> int:
     result = eval_expression(model, expr)
     print(format_result(result), file=out)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run seeded property suites")
     check.add_argument("--suite", default="all")
-    check.add_argument("--trials", type=int, default=200)
+    check.add_argument("--trials", type=_positive_int, default=200)
     check.add_argument("--seed", type=int, default=42)
 
     evaluate = sub.add_parser("eval", help="evaluate an expression against a model file")
@@ -128,9 +138,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_check(args.suite, args.trials, args.seed)
         if args.command == "eval":
             return cmd_eval(args.model, args.expr)
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MultibayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import NonPositiveLogError, SizeLimitError, UnknownElementError
 
@@ -33,19 +33,16 @@ def is_exact(value: Scalar) -> bool:
 
 def as_scalar(value: Scalar | int | str) -> Scalar:
     """Coerce to a scalar: ints become Fractions, strings are parsed."""
+    # float first: a failed isinstance check against Fraction, an ABC, is slow
+    if isinstance(value, (float, Fraction)):
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, float)):
-        return value
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
-
-
-def to_float(value: Scalar) -> float:
-    return float(value)
 
 
 def scalar_ln(value: Scalar) -> float:
@@ -63,6 +60,8 @@ def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
         return float(text)
@@ -159,6 +158,103 @@ class SampleSpace:
         import itertools
 
         return SampleSpace(itertools.product(self._elements, repeat=n))
+
+
+def _exact_ints(values: Sequence[Scalar]) -> tuple[tuple[int, ...], int] | None:
+    """All-exact values as int numerators over their least common
+    denominator, which leaves ``gcd(den, *nums) == 1``; None when any
+    value is a float."""
+    try:
+        den = math.lcm(*[v.denominator for v in values])
+    except AttributeError:  # floats have no denominator
+        return None
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _checked_ints(
+    values: Sequence[Scalar], error: type[Exception], negative: str, non_finite: str
+) -> tuple[tuple[int, ...], int] | None:
+    """:func:`_exact_ints` of values that must be non-negative and finite.
+
+    The first value that is not raises ``error`` with the ``negative``
+    or ``non_finite`` template, formatted with the value.
+    """
+    ints = _exact_ints(values)
+    if ints is None or min(ints[0], default=0) < 0:
+        inf = math.inf
+        for v in values:
+            if not 0 <= v < inf:
+                raise error((negative if v < 0 else non_finite).format(v))
+    return ints
+
+
+class _Vector:
+    """Scalars indexed by the elements of a sample space.
+
+    All-exact values are stored as int numerators ``_nums`` over one
+    denominator ``_den`` in lowest common terms, ``gcd(den, *nums) == 1``,
+    so equal vectors hold equal tuples and exact kernels run on ints.
+    Their Fraction tuple ``_seq`` is built only when read.  Float and
+    mixed values keep their tuple in ``_seq``, with ``_nums`` None.
+    """
+
+    __slots__ = ("_space", "_nums", "_den", "_seq")
+
+    def _init(self, space: SampleSpace, values: tuple[Scalar, ...], ints) -> None:
+        self._space = space
+        self._seq = values
+        self._nums, self._den = ints if ints is not None else (None, 1)
+
+    @classmethod
+    def _from_ints(cls, space: SampleSpace, nums: Iterable[int], den: int):
+        """Trusted constructor for kernel results: only the gcd reduction."""
+        nums = tuple(nums)
+        divisor = math.gcd(den, *nums)
+        if divisor != 1:
+            den //= divisor
+            nums = tuple([n // divisor for n in nums])
+        vector = cls.__new__(cls)
+        vector._space, vector._nums, vector._den, vector._seq = space, nums, den, None
+        return vector
+
+    @property
+    def space(self) -> SampleSpace:
+        return self._space
+
+    def _scalars(self) -> tuple[Scalar, ...]:
+        seq = self._seq
+        if seq is None:
+            den = self._den
+            seq = self._seq = tuple([Fraction(n, den) for n in self._nums])
+        return seq
+
+    def _raw(self) -> tuple:
+        """The ints when exact, the scalars otherwise: either has the
+        values' zero pattern."""
+        return self._seq if self._nums is None else self._nums
+
+    def _floats(self) -> list[float]:
+        """Each value as the nearest float.  Integer true division is
+        correctly rounded, so ``n / den`` equals ``float(Fraction(n, den))``."""
+        if self._nums is None:
+            return [float(v) for v in self._seq]
+        den = self._den
+        return [n / den for n in self._nums]
+
+    def _same_values(self, other: "_Vector") -> bool:
+        """Pointwise equality of the values, for vectors on one space."""
+        if self._nums is not None and other._nums is not None:
+            return self._den == other._den and self._nums == other._nums
+        return self._scalars() == other._scalars()
+
+    def __call__(self, element: Label) -> Scalar:
+        index = self._space.index(element)
+        if self._seq is not None:
+            return self._seq[index]
+        return Fraction(self._nums[index], self._den)
+
+    def items(self) -> Iterator[tuple[Label, Scalar]]:
+        return zip(self._space.elements, self._scalars())
 
 
 def label_str(label: Label) -> str:

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
-from .core import FLOAT_SUM_TOL, Label, SampleSpace, Scalar, as_scalar, format_scalar, is_exact, label_str
+from .core import (
+    FLOAT_SUM_TOL,
+    Label,
+    SampleSpace,
+    Scalar,
+    _checked_ints,
+    _Vector,
+    as_scalar,
+    format_scalar,
+    label_str,
+)
 from .errors import (
     EmptyMultisetError,
     NonConvexWeightsError,
@@ -18,7 +30,26 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class Dist:
+def _probabilities(
+    weights: tuple[Scalar, ...], error: type[Exception] = ValueError, what: str = "weights"
+) -> tuple[tuple[int, ...], int] | None:
+    """The one normalisation check, for distributions and mixture weights.
+
+    Weights must be finite, non-negative and sum to one: exactly when all
+    are exact, within FLOAT_SUM_TOL otherwise.  Returns all-exact weights
+    as ``(nums, den)``, None for float or mixed ones.
+    """
+    ints = _checked_ints(weights, error, "negative probability {!r}", "non-finite probability {!r}")
+    if ints is None:
+        total = sum(weights)
+        if abs(total - 1.0) > FLOAT_SUM_TOL:
+            raise error(f"{what} sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
+    elif sum(ints[0]) != ints[1]:
+        raise error(f"{what} sum to {Fraction(sum(ints[0]), ints[1])}, expected 1")
+    return ints
+
+
+class Dist(_Vector):
     """Probability distribution with finite support.
 
     Weights are stored explicitly for every declared element (zero
@@ -28,23 +59,13 @@ class Dist:
     does not affect equality.
     """
 
-    __slots__ = ("_space", "_weights")
+    __slots__ = ()
 
     def __init__(self, space: SampleSpace, weights: Sequence[Scalar]):
         weights = tuple(as_scalar(w) for w in weights)
         if len(weights) != len(space):
             raise ValueError("weights must align with the sample space")
-        for w in weights:
-            if w < 0:
-                raise ValueError(f"negative probability {w!r}")
-        total = sum(weights, _ZERO)
-        if is_exact(total):
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected 1")
-        elif abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
-        self._space = space
-        self._weights = weights
+        self._init(space, weights, _probabilities(weights))
 
     @classmethod
     def from_weights(cls, space: SampleSpace, weights: dict[Label, Scalar]) -> "Dist":
@@ -54,38 +75,28 @@ class Dist:
         return cls(space, tuple(weights.get(x, _ZERO) for x in space))
 
     @property
-    def space(self) -> SampleSpace:
-        return self._space
-
-    @property
     def weights(self) -> tuple[Scalar, ...]:
-        return self._weights
+        return self._scalars()
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(w) for w in self._weights)
-
-    def __call__(self, element: Label) -> Scalar:
-        return self._weights[self._space.index(element)]
+        return self._nums is not None
 
     def get(self, element: Label) -> Scalar:
         """Weight of an element, zero when outside the declared space."""
-        return self._weights[self._space.index(element)] if element in self._space else _ZERO
+        return self(element) if element in self._space else _ZERO
 
     def support(self) -> tuple[Label, ...]:
-        return tuple(x for x, w in zip(self._space.elements, self._weights) if w != 0)
-
-    def items(self):
-        return zip(self._space.elements, self._weights)
+        return tuple(x for x, w in zip(self._space.elements, self._raw()) if w != 0)
 
     def to_float(self) -> "Dist":
-        return Dist(self._space, tuple(float(w) for w in self._weights))
+        return Dist(self._space, tuple(self._floats()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
         if self._space == other._space:
-            return self._weights == other._weights
+            return self._same_values(other)
         elements = dict.fromkeys(self._space.elements)
         elements.update(dict.fromkeys(other._space.elements))
         return all(self.get(x) == other.get(x) for x in elements)
@@ -117,25 +128,40 @@ def flrn(phi: Multiset) -> Dist:
     return Dist(phi.space, tuple(Fraction(c, size) for c in phi.counts))
 
 
+def _mixture_weights(weights: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple | None]:
+    """Mixture weights as scalars, and as ``(nums, den)`` when all exact;
+    raises NonConvexWeightsError unless they are convex."""
+    weights = tuple(as_scalar(w) for w in weights)
+    return weights, _probabilities(weights, NonConvexWeightsError, "mixture weights")
+
+
+def _mix(space: SampleSpace, weights: Sequence[Scalar] | None, ints, dists: Sequence[Dist]) -> Dist:
+    """``sum_k weights[k] * dists[k]`` on ``space``, for convex weights and
+    components on ``space``.  ``ints`` is the exact form ``(nums, den)``
+    of the weights, or None; ``weights`` may be None when it is given."""
+    if ints is not None:
+        nums, den = ints
+        if all(d._nums is not None for d in dists):
+            common = math.lcm(*(d._den for d in dists))
+            scales = [n * (common // d._den) for n, d in zip(nums, dists)]
+            columns = zip(*(d._nums for d in dists))
+            return Dist._from_ints(space, [sum(map(mul, scales, col)) for col in columns], den * common)
+        if weights is None:
+            weights = [Fraction(n, den) for n in nums]
+    rows = [d.weights for d in dists]
+    return Dist(space, [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(space))])
+
+
 def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     """Mixture sum_i r_i * omega_i of distributions on one space."""
     if len(weights) != len(dists) or not dists:
         raise NonConvexWeightsError("need matching, nonempty weights and distributions")
-    weights = tuple(as_scalar(w) for w in weights)
-    if any(w < 0 for w in weights):
-        raise NonConvexWeightsError("mixture weights must be non-negative")
-    total = sum(weights, _ZERO)
-    if is_exact(total):
-        if total != 1:
-            raise NonConvexWeightsError(f"mixture weights sum to {total}")
-    elif abs(total - 1.0) > FLOAT_SUM_TOL:
-        raise NonConvexWeightsError(f"mixture weights sum to {total!r}")
+    weights, ints = _mixture_weights(weights)
     space = dists[0].space
     for d in dists[1:]:
         if d.space != space:
             raise SpaceMismatchError("mixture components live on different spaces")
-    mixed = [sum((r * d.weights[i] for r, d in zip(weights, dists)), _ZERO) for i in range(len(space))]
-    return Dist(space, mixed)
+    return _mix(space, weights, ints, dists)
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:

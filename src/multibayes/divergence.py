@@ -19,14 +19,19 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     weights before any float conversion.  ``base`` switches the
     logarithm base (e.g. 2 for bits); the default is the natural log.
     """
-    for x in sigma.support():
-        if rho.get(x) == 0:
+    if rho.space == sigma.space:
+        rho_raw, rho_floats = rho._raw(), rho._floats()
+    else:
+        rho_raw = [rho.get(x) for x in sigma.space]
+        rho_floats = [float(w) for w in rho_raw]
+    sigma_raw = sigma._raw()
+    for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
+        if w != 0 and r == 0:
             raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
     total = 0.0
-    for x, w in sigma.items():
-        if w == 0:
-            continue
-        total += float(w) * math.log(float(w) / float(rho.get(x)))
+    for w, fw, fr in zip(sigma_raw, sigma._floats(), rho_floats):
+        if w != 0:
+            total += fw * math.log(fw / fr)
     if base is not None:
         total /= math.log(base)
     return total

@@ -6,7 +6,16 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import Label, SampleSpace, Scalar, as_scalar, format_scalar, label_str
+from .core import (
+    Label,
+    SampleSpace,
+    Scalar,
+    _checked_ints,
+    _Vector,
+    as_scalar,
+    format_scalar,
+    label_str,
+)
 from .errors import (
     EmptyEvidenceError,
     NotAPredicateError,
@@ -19,7 +28,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class Factor:
+class Factor(_Vector):
     """Non-negative function on a sample space; the unit of evidence.
 
     A factor bounded by one is a predicate; a predicate with values in
@@ -28,17 +37,16 @@ class Factor:
     evidence key.
     """
 
-    __slots__ = ("_space", "_values")
+    __slots__ = ()
 
     def __init__(self, space: SampleSpace, values: Sequence[Scalar]):
         values = tuple(as_scalar(v) for v in values)
         if len(values) != len(space):
             raise ValueError("values must align with the sample space")
-        for v in values:
-            if v < 0:
-                raise ValueError(f"factor values must be non-negative, got {v!r}")
-        self._space = space
-        self._values = values
+        ints = _checked_ints(
+            values, ValueError, "factor values must be non-negative, got {!r}", "factor values must be finite, got {!r}"
+        )
+        self._init(space, values, ints)
 
     @classmethod
     def from_values(cls, space: SampleSpace, values: dict[Label, Scalar]) -> "Factor":
@@ -48,34 +56,26 @@ class Factor:
         return cls(space, tuple(values.get(x, _ZERO) for x in space))
 
     @property
-    def space(self) -> SampleSpace:
-        return self._space
-
-    @property
     def values(self) -> tuple[Scalar, ...]:
-        return self._values
+        return self._scalars()
 
     @property
     def is_predicate(self) -> bool:
-        return all(v <= 1 for v in self._values)
+        den = self._den
+        return all(v <= den for v in self._raw())
 
     @property
     def is_sharp(self) -> bool:
-        return all(v == 0 or v == 1 for v in self._values)
-
-    def __call__(self, element: Label) -> Scalar:
-        return self._values[self._space.index(element)]
-
-    def items(self) -> Iterator[tuple[Label, Scalar]]:
-        return zip(self._space.elements, self._values)
+        den = self._den
+        return all(v == 0 or v == den for v in self._raw())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Factor):
             return NotImplemented
-        return self._space == other._space and self._values == other._values
+        return self._space == other._space and self._same_values(other)
 
     def __hash__(self) -> int:
-        return hash((self._space, self._values))
+        return hash((self._space, self.values))
 
     # operator sugar; the named module functions are the primary surface
     def __and__(self, other: "Factor") -> "Factor":
@@ -93,11 +93,11 @@ class Factor:
     def __pow__(self, exponent) -> "Factor":
         """Iterated conjunction; fractional exponents give a float-mode factor."""
         if isinstance(exponent, int) and not isinstance(exponent, bool):
-            return Factor(self._space, tuple(v**exponent for v in self._values))
+            return Factor(self._space, tuple(v**exponent for v in self.values))
         exponent = float(exponent)
         return Factor(
             self._space,
-            tuple(0.0 if v == 0 else float(v) ** exponent for v in self._values),
+            tuple(0.0 if v == 0 else float(v) ** exponent for v in self.values),
         )
 
     def __str__(self) -> str:
@@ -184,13 +184,14 @@ class Evidence:
                 raise SpaceMismatchError("evidence factors must share one space")
             if count == 0:
                 continue
-            try:
-                pos = factors.index(factor)
-            except ValueError:
+            # not list.index: its ValueError formats the whole factor
+            for pos, seen in enumerate(factors):
+                if seen == factor:
+                    counts[pos] += count
+                    break
+            else:
                 factors.append(factor)
                 counts.append(count)
-            else:
-                counts[pos] += count
         self._factors = tuple(factors)
         self._counts = tuple(counts)
 
@@ -266,11 +267,18 @@ def _require_nonempty(psi: Evidence) -> None:
 def and_conj(psi: Evidence) -> Factor:
     """Iterated sequential conjunction: x -> prod_p p(x)^count(p)."""
     _require_nonempty(psi)
-    values = []
-    for x in psi.space:
-        v: Scalar = _ONE
+    if all(f._nums is not None for f in psi.factors):
+        nums, den = [1] * len(psi.space), 1
         for factor, count in psi.items():
-            v = v * factor(x) ** count
+            nums = [n * m**count for n, m in zip(nums, factor._nums)]
+            den *= factor._den**count
+        return Factor._from_ints(psi.space, nums, den)
+    columns = [(factor.values, count) for factor, count in psi.items()]
+    values = []
+    for i in range(len(psi.space)):
+        v: Scalar = _ONE
+        for column, count in columns:
+            v = v * column[i] ** count
         values.append(v)
     return Factor(psi.space, values)
 
@@ -303,15 +311,16 @@ def frac_conj(psi: Evidence) -> Factor:
     """
     _require_nonempty(psi)
     total = psi.size
+    columns = [(factor._floats(), count / total) for factor, count in psi.items()]
     values = []
-    for x in psi.space:
+    for i in range(len(psi.space)):
         v = 1.0
-        for factor, count in psi.items():
-            base = factor(x)
+        for column, exponent in columns:
+            base = column[i]
             if base == 0:
                 v = 0.0
                 break
-            v *= float(base) ** (count / total)
+            v *= base**exponent
         values.append(v)
     return Factor(psi.space, values)
 

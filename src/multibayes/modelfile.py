@@ -30,19 +30,6 @@ class Model:
     evidence: dict[str, Evidence] = field(default_factory=dict)
     channels: dict[str, Channel] = field(default_factory=dict)
 
-    def lookup(self, name: str):
-        for section in (
-            self.spaces,
-            self.distributions,
-            self.factors,
-            self.multisets,
-            self.evidence,
-            self.channels,
-        ):
-            if name in section:
-                return section[name]
-        raise ModelError(f"unknown entity {name!r}")
-
 
 def _scalar_from_json(value: Any) -> Scalar:
     if isinstance(value, str):

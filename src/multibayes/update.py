@@ -11,23 +11,54 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-from .core import Scalar, as_scalar, is_exact, FLOAT_SUM_TOL
-from .distribution import Dist, convex_sum
+from .core import Scalar
+from .distribution import Dist, _mix, _mixture_weights, convex_sum
 from .divergence import kl_divergence
-from .errors import NonConvexWeightsError, ZeroValidityError
+from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
 from .multiset import Multiset
 from .validity import validity
 
 
-def bayes_update(omega: Dist, p: Factor) -> Dist:
-    """Condition a distribution on a factor: x -> omega(x)*p(x) / (omega |= p)."""
+def _posterior(omega: Dist, p: Factor) -> Dist | None:
+    """Bayes update of ``omega`` with ``p``, None when ``p`` has zero validity."""
+    if omega._nums is not None and p._nums is not None:
+        if omega.space != p.space:
+            raise SpaceMismatchError("validity needs a distribution and factor on one space")
+        products = list(map(mul, omega._nums, p._nums))
+        total = sum(products)
+        return Dist._from_ints(omega.space, products, total) if total else None
     norm = validity(omega, p)
     if norm == 0:
-        raise ZeroValidityError(f"cannot update: validity of {p} is zero")
+        return None
     return Dist(omega.space, tuple(w * v / norm for w, v in zip(omega.weights, p.values)))
+
+
+def bayes_update(omega: Dist, p: Factor) -> Dist:
+    """Condition a distribution on a factor: x -> omega(x)*p(x) / (omega |= p)."""
+    posterior = _posterior(omega, p)
+    if posterior is None:
+        raise ZeroValidityError(f"cannot update: validity of {p} is zero")
+    return posterior
+
+
+def _per_factor(omega: Dist, psi: Evidence, evaluate: Callable) -> list:
+    """``evaluate(omega, factor)`` for each evidence factor, in order.
+
+    A zero or None result means the factor has zero validity, which
+    raises ZeroValidityError naming the factor.
+    """
+    _require_nonempty(psi)
+    results = []
+    for index, factor in enumerate(psi.factors):
+        result = evaluate(omega, factor)
+        if result is None or result == 0:
+            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
+        results.append(result)
+    return results
 
 
 def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
@@ -56,15 +87,9 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
-    _require_nonempty(psi)
+    posteriors = _per_factor(omega, psi, _posterior)
     total = psi.size
-    posteriors = []
-    for index, (factor, _) in enumerate(psi.items()):
-        if validity(omega, factor) == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
-        posteriors.append(bayes_update(omega, factor))
-    weights = [Fraction(count, total) for count in psi.counts]
-    return convex_sum(weights, posteriors)
+    return convex_sum([Fraction(count, total) for count in psi.counts], posteriors)
 
 
 def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:
@@ -75,14 +100,9 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     """
     if not weighted_factors:
         raise NonConvexWeightsError("need at least one weighted factor")
-    weights = [as_scalar(w) for _, w in weighted_factors]
-    total = sum(weights)
-    if any(w < 0 for w in weights) or (
-        total != 1 if all(is_exact(w) for w in weights) else abs(total - 1.0) > FLOAT_SUM_TOL
-    ):
-        raise NonConvexWeightsError("weights must be non-negative and sum to one")
+    weights, ints = _mixture_weights([w for _, w in weighted_factors])
     posteriors = [bayes_update(omega, factor) for factor, _ in weighted_factors]
-    return convex_sum(weights, posteriors)
+    return _mix(omega.space, weights, ints, posteriors)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:
@@ -100,10 +120,7 @@ def vfe_update(omega: Dist, psi: Evidence) -> Dist:
     Preconditions: every support factor has nonzero validity, and so
     does the fractional conjunction itself.
     """
-    _require_nonempty(psi)
-    for index, (factor, _) in enumerate(psi.items()):
-        if validity(omega, factor) == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
+    _per_factor(omega, psi, validity)
     return bayes_update(omega.to_float(), frac_conj(psi))
 
 
@@ -114,13 +131,8 @@ def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:
     Agrees with :func:`vfe_update` up to float rounding; kept as an
     independent route for cross-checking.
     """
-    _require_nonempty(psi)
+    posteriors = _per_factor(omega, psi, _posterior)
     total = psi.size
-    posteriors = []
-    for index, (factor, _) in enumerate(psi.items()):
-        if validity(omega, factor) == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
-        posteriors.append(bayes_update(omega, factor))
     raw = []
     for x in omega.space:
         if omega(x) == 0:

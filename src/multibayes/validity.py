@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .core import Scalar
 from .distribution import Dist
@@ -17,6 +18,8 @@ def validity(omega: Dist, p: Factor) -> Scalar:
     """Expected value sum_x omega(x) * p(x); exact when the inputs are."""
     if omega.space != p.space:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
+    if omega._nums is not None and p._nums is not None:
+        return Fraction(sum(map(mul, omega._nums, p._nums)), omega._den * p._den)
     return sum((w * v for w, v in zip(omega.weights, p.values)), _ZERO)
 
 

@@ -90,6 +90,12 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "0.059/0.061" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_input_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "core", "--trials", trials])
+        assert exc.value.code == 2
+
     def test_deterministic_given_seed(self, capsys):
         main(["check", "--suite", "validity", "--trials", "25", "--seed", "3"])
         first = capsys.readouterr().out
@@ -134,6 +140,20 @@ class TestEval:
         path.write_text("{not json", encoding="utf-8")
         assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,entries",
+        [("distributions", "weights", ["1/0", "1"]), ("distributions", "weights", [float("nan"), 0.5]),
+         ("factors", "values", [float("inf"), "1"])],
+    )
+    def test_non_finite_scalars_are_input_errors(self, section, key, entries, tmp_path, capsys):
+        model = json.loads(serialize_model(builtin_medical_model()))
+        name = next(iter(model[section]))
+        model[section][name][key] = entries
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
+        assert "invalid model file" in capsys.readouterr().err
 
     def test_missing_model_file_is_input_error(self, tmp_path):
         assert (

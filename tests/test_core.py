@@ -86,6 +86,10 @@ class TestScalarFormat:
         assert parsed == value
         assert is_exact(parsed) == is_exact(value)
 
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError):
+            parse_scalar("1/0")
+
     def test_format_roundtrip(self):
         for value in (Fraction(431, 5865), Fraction(7), Fraction(-1, 2), 0.425, 1e-12):
             assert parse_scalar(format_scalar(value)) == value

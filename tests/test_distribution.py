@@ -38,6 +38,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Dist(AB, (Fraction(3, 2), Fraction(-1, 2)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Dist(AB, (bad, 0.5))
+
     def test_float_mode_tolerance(self):
         Dist(AB, (0.5, 0.5 + 1e-12))
         with pytest.raises(ValueError):

@@ -55,6 +55,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Factor(D, (Fraction(-1, 2), Fraction(1, 2)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Factor(D, (bad, 1))
+
     def test_predicate_and_sharp_flags(self):
         assert PT.is_predicate and not PT.is_sharp
         assert indicator(("d",), D).is_sharp
