@@ -19,11 +19,19 @@ from .errors import NonPositiveLogError, SizeLimitError, UnknownElementError
 Scalar = Union[Fraction, float]
 Label = Hashable
 
-#: Product spaces larger than this are refused (desk-scale guard).
+#: Product spaces, multiset enumerations and grids larger than this are
+#: refused (desk-scale guard).
 MAX_PRODUCT_ELEMENTS = 10**6
 
 #: Absolute tolerance for float-mode normalisation checks.
 FLOAT_SUM_TOL = 1e-9
+
+
+def _require_size(size: int, what: str) -> None:
+    """Refuse to build ``what`` when it would have more than
+    MAX_PRODUCT_ELEMENTS elements."""
+    if size > MAX_PRODUCT_ELEMENTS:
+        raise SizeLimitError(f"{what} with {size} elements refused")
 
 
 def is_exact(value: Scalar) -> bool:
@@ -143,18 +151,14 @@ class SampleSpace:
 
     def product(self, other: "SampleSpace") -> "SampleSpace":
         """Space of pairs ``(x, y)``, x-major in this space's order."""
-        size = len(self) * len(other)
-        if size > MAX_PRODUCT_ELEMENTS:
-            raise SizeLimitError(f"product space with {size} elements refused")
+        _require_size(len(self) * len(other), "product space")
         return SampleSpace((x, y) for x in self._elements for y in other._elements)
 
     def power(self, n: int) -> "SampleSpace":
         """Space of ``n``-tuples in lexicographic (first-coordinate-major) order."""
         if n < 0:
             raise ValueError("power requires n >= 0")
-        size = len(self) ** n if len(self) else (1 if n == 0 else 0)
-        if size > MAX_PRODUCT_ELEMENTS:
-            raise SizeLimitError(f"power space with {size} elements refused")
+        _require_size(len(self) ** n if len(self) else int(n == 0), "power space")
         import itertools
 
         return SampleSpace(itertools.product(self._elements, repeat=n))

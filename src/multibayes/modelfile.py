@@ -55,6 +55,13 @@ def _space_ref(model: Model, name: Any) -> SampleSpace:
     return model.spaces[name]
 
 
+def _section(raw: dict, name: str) -> dict:
+    body = raw.get(name, {})
+    if not isinstance(body, dict):
+        raise ModelError(f"section {name!r} must be a JSON object")
+    return body
+
+
 def parse_model(text: str) -> Model:
     """Parse model JSON; malformed input raises ExprParseError with position."""
     try:
@@ -65,19 +72,19 @@ def parse_model(text: str) -> Model:
         raise ModelError("model file must be a JSON object")
     model = Model()
     try:
-        for name, body in raw.get("spaces", {}).items():
+        for name, body in _section(raw, "spaces").items():
             model.spaces[name] = SampleSpace(body["elements"])
-        for name, body in raw.get("distributions", {}).items():
+        for name, body in _section(raw, "distributions").items():
             space = _space_ref(model, body["space"])
             model.distributions[name] = Dist(space, [_scalar_from_json(w) for w in body["weights"]])
-        for name, body in raw.get("factors", {}).items():
+        for name, body in _section(raw, "factors").items():
             space = _space_ref(model, body["space"])
             model.factors[name] = Factor(space, [_scalar_from_json(v) for v in body["values"]])
-        for name, body in raw.get("multisets", {}).items():
+        for name, body in _section(raw, "multisets").items():
             space = _space_ref(model, body["space"])
             counts = {entry["element"]: entry["count"] for entry in body["counts"]}
             model.multisets[name] = Multiset.from_counts(space, counts)
-        for name, body in raw.get("evidence", {}).items():
+        for name, body in _section(raw, "evidence").items():
             pairs = []
             for entry in body:
                 ref = entry["factor"]
@@ -85,7 +92,7 @@ def parse_model(text: str) -> Model:
                     raise ModelError(f"unknown factor {ref!r} in evidence {name!r}")
                 pairs.append((model.factors[ref], entry["count"]))
             model.evidence[name] = Evidence(pairs)
-        for name, body in raw.get("channels", {}).items():
+        for name, body in _section(raw, "channels").items():
             dom = _space_ref(model, body["dom"])
             cod = _space_ref(model, body["cod"])
             rows = [
@@ -102,7 +109,11 @@ def parse_model(text: str) -> Model:
 
 def load_model(path: str) -> Model:
     with open(path, encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"model file is not valid UTF-8: {exc}") from exc
+    return parse_model(text)
 
 
 def serialize_model(model: Model) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import Channel, pull, push, triple_pull
-from .core import SampleSpace, Scalar
+from .core import SampleSpace, Scalar, _require_size
 from .distribution import Dist, flrn
 from .divergence import kl_divergence
 from .errors import ModelError
@@ -96,6 +96,7 @@ class GridSpec:
             raise ModelError(f"unknown grid mode {self.mode!r}")
         if self.imax < 1 or self.jmax < 1:
             raise ModelError("grid bounds must be at least 1")
+        _require_size(self.imax * self.jmax, "grid")
 
 
 def medical_grid_spec(mode: str, imax: int = 10, jmax: int = 10) -> GridSpec:

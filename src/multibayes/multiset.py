@@ -6,7 +6,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Label, SampleSpace, label_str
+from .core import Label, SampleSpace, _require_size, label_str
 from .errors import UnknownElementError
 
 
@@ -131,6 +131,8 @@ def enumerate_multisets(space: SampleSpace, size: int) -> list[Multiset]:
     """
     if size < 0:
         raise ValueError("size must be a natural number")
+    count = math.comb(len(space) + size - 1, size) if len(space) else int(size == 0)
+    _require_size(count, "multiset enumeration")
     return [Multiset(space, v) for v in _count_vectors(len(space), size)]
 
 

@@ -19,7 +19,6 @@ from .distribution import Dist, _mix, _mixture_weights, convex_sum
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
-from .multiset import Multiset
 from .validity import validity
 
 
@@ -167,16 +166,3 @@ def free_energy_objective(rho: Dist, omega: Dist, psi: Evidence) -> float:
         objective += (count / total) * kl_divergence(rho, posterior)
     return objective
 
-
-def point_evidence_of_dist(omega: Dist, scale: int) -> Multiset:
-    """Multiset ``scale * omega`` for a distribution with fractional weights.
-
-    Requires every ``scale * omega(x)`` to be a natural number.
-    """
-    counts = []
-    for w in omega.weights:
-        c = Fraction(w) * scale
-        if c.denominator != 1:
-            raise ValueError(f"{scale} * {w} is not a natural number")
-        counts.append(int(c))
-    return Multiset(omega.space, counts)

@@ -69,6 +69,15 @@ class TestGrid:
     def test_unwritable_output_is_input_error(self, tmp_path):
         assert main(["grid", "--mode", "jeffrey-update", "--out", str(tmp_path / "no" / "x.csv")]) == 2
 
+    def test_oversized_grid_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # the limit is lowered so that no test builds a large grid
+        monkeypatch.setattr("multibayes.core.MAX_PRODUCT_ELEMENTS", 15)
+        out = tmp_path / "grid.csv"
+        argv = ["grid", "--mode", "jeffrey-update", "--imax", "4", "--jmax", "4", "--out", str(out)]
+        assert main(argv) == 2
+        assert "16 elements refused" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_core_suite_passes(self, capsys):
@@ -155,6 +164,15 @@ class TestEval:
         assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
         assert "invalid model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content", [b'{"spaces": []}', b'{"spaces": {"\xff": {"elements": ["a"]}}}']
+    )
+    def test_unreadable_model_is_input_error(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_model_file_is_input_error(self, tmp_path):
         assert (
             main(["eval", "--model", str(tmp_path / "nope.json"), "--expr", "validity(a, b)"])
@@ -181,6 +199,15 @@ class TestGridSpec:
 
         with pytest.raises(ModelError):
             medical_grid_spec("jeffrey-update", imax=0)
+
+    def test_size_limit(self, monkeypatch):
+        from multibayes import SizeLimitError
+        from multibayes.models import medical_grid_spec
+
+        monkeypatch.setattr("multibayes.core.MAX_PRODUCT_ELEMENTS", 15)
+        assert medical_grid_spec("jeffrey-update", imax=5, jmax=3).imax == 5
+        with pytest.raises(SizeLimitError):
+            medical_grid_spec("jeffrey-update", imax=4, jmax=4)
 
     def test_unknown_mode_rejected(self):
         from multibayes import ModelError

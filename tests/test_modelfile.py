@@ -63,6 +63,20 @@ class TestParsing:
         with pytest.raises(ModelError):
             parse_model(json.dumps(broken))
 
+    @pytest.mark.parametrize(
+        "section", ["spaces", "distributions", "factors", "multisets", "evidence", "channels"]
+    )
+    @pytest.mark.parametrize("body", [[], "abc", 3])
+    def test_section_that_is_not_an_object(self, section, body):
+        with pytest.raises(ModelError, match=section):
+            parse_model(json.dumps({section: body}))
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"spaces": {"\xff": {"elements": ["a"]}}}')
+        with pytest.raises(ModelError, match="UTF-8"):
+            load_model(str(path))
+
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(builtin_medical_model(), str(path))

@@ -8,17 +8,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multibayes import (
+    Channel,
     Dist,
     EmptyMultisetError,
     Multiset,
     SampleSpace,
+    SizeLimitError,
     UnknownElementError,
     acc,
     coefm,
     dirac,
     enumerate_multisets,
     flrn,
+    multinomial,
+    multinomial_channel,
+    multiset_space,
+    uniform,
 )
+from multibayes import core
 
 ABC = SampleSpace("abc")
 
@@ -107,6 +114,32 @@ class TestEnumerate:
     def test_two_element_listing(self):
         space = SampleSpace("ab")
         assert [phi.counts for phi in enumerate_multisets(space, 2)] == [(2, 0), (1, 1), (0, 2)]
+
+    def test_empty_space(self):
+        empty = SampleSpace(())
+        assert enumerate_multisets(empty, 0) == [Multiset(empty, ())]
+        assert enumerate_multisets(empty, 3) == []
+
+
+class TestSizeGuard:
+    # the limit is lowered so that no test ever starts a large enumeration
+
+    def test_enumeration_above_the_limit_refused(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_PRODUCT_ELEMENTS", 10)
+        assert len(enumerate_multisets(ABC, 3)) == math.comb(5, 3) == 10
+        with pytest.raises(SizeLimitError):
+            enumerate_multisets(ABC, 4)
+
+    def test_draw_spaces_refused_above_the_limit(self, monkeypatch):
+        # spaces and sizes used nowhere else, so the multiset_space cache is cold
+        monkeypatch.setattr(core, "MAX_PRODUCT_ELEMENTS", 9)
+        space = SampleSpace("pqrs")
+        with pytest.raises(SizeLimitError):
+            multiset_space(space, 2)
+        with pytest.raises(SizeLimitError):
+            multinomial(3, uniform(space))
+        with pytest.raises(SizeLimitError):
+            multinomial_channel(Channel(ABC, space, [uniform(space)] * 3), 4)
 
 
 class TestMultinomialTheorem:

@@ -1,8 +1,11 @@
 """Smoke-run every registered property and check runner behaviour."""
 
+import hashlib
+
 import pytest
 
 from multibayes import UnknownSuiteError
+from multibayes.cli import main
 from multibayes.properties import PROPERTIES, groups, resolve_suite, run_suite
 
 
@@ -45,3 +48,10 @@ def test_runs_are_deterministic_given_seed():
 @pytest.mark.parametrize("seed", [0, 1, 99])
 def test_other_seeds_stay_green(seed):
     assert all(r.passed for r in run_suite("update", trials=15, seed=seed))
+
+
+def test_check_output_is_pinned(capsys):
+    # ids, order, trial counts and details of every property, as printed
+    assert main(["check", "--suite", "all", "--trials", "50", "--seed", "42"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "7293a6e2597f4c0f4b263164fed959076f41b7d3f72aecfe39a5333ea9304fe4"
