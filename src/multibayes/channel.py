@@ -69,8 +69,7 @@ def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y)."""
     if omega.space != c.dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
-    ints = None if omega._nums is None else (omega._nums, omega._den)
-    return _mix(c.cod, omega._seq, ints, c.rows)
+    return _mix(c.cod, omega, c.rows)
 
 
 def pull(c: Channel, q: Factor) -> Factor:

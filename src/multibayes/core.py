@@ -1,10 +1,14 @@
 """Dual-mode scalars (exact rational / float) and finite sample spaces.
 
 Scalars are plain Python numbers: :class:`fractions.Fraction` for exact
-mode and :class:`float` for float mode.  Python's numeric tower already
-gives the contagion rule we need -- arithmetic between two Fractions
-stays exact, anything touching a float becomes float -- so there is no
-wrapper class, only helpers for parsing, formatting and logarithms.
+mode and :class:`float` for float mode, so there is no wrapper class,
+only helpers for parsing, formatting and logarithms.  Distributions and
+factors share the storage in :class:`_Vector`: int numerators over one
+denominator when every value is exact, a float tuple otherwise.  Each
+kernel picks its path by that form: exact only when every operand is
+exact, float as soon as one is, with every value converted to float
+once (as ``float(Fraction)`` rounds) instead of by numeric-tower
+contagion element by element.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
-from .errors import NonPositiveLogError, SizeLimitError, UnknownElementError
+from .errors import FloatRangeError, NonPositiveLogError, SizeLimitError, UnknownElementError
 
 Scalar = Union[Fraction, float]
 Label = Hashable
@@ -200,13 +204,19 @@ class _Vector:
     so equal vectors hold equal tuples and exact kernels run on ints.
     Their Fraction tuple ``_seq`` is built only when read.  Float and
     mixed values keep their tuple in ``_seq``, with ``_nums`` None.
+    ``_flt`` caches the float view that float kernels run on; for an
+    all-float vector it is ``_seq`` itself.
     """
 
-    __slots__ = ("_space", "_nums", "_den", "_seq")
+    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt")
+
+    #: Whether float kernel results must sum to one (distributions).
+    _NORMALISED = False
 
     def _init(self, space: SampleSpace, values: tuple[Scalar, ...], ints) -> None:
         self._space = space
         self._seq = values
+        self._flt = None
         self._nums, self._den = ints if ints is not None else (None, 1)
 
     @classmethod
@@ -218,7 +228,29 @@ class _Vector:
             den //= divisor
             nums = tuple([n // divisor for n in nums])
         vector = cls.__new__(cls)
-        vector._space, vector._nums, vector._den, vector._seq = space, nums, den, None
+        vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, nums, den, None, None
+        return vector
+
+    @classmethod
+    def _from_floats(cls, space: SampleSpace, values: Iterable[float]):
+        """Trusted constructor for float kernel results.
+
+        Instead of a per-element walk, one ``min`` and one ``sum`` check
+        that the values are finite and non-negative and, for a
+        distribution, that they sum to one within FLOAT_SUM_TOL; a
+        result that fails raises FloatRangeError.
+        """
+        values = tuple(values)
+        total = sum(values)
+        # a NaN or inf makes the sum NaN or inf; without them min is exact
+        if not (total < math.inf and min(values, default=0.0) >= 0.0):
+            for v in values:
+                if not 0.0 <= v < math.inf:
+                    raise FloatRangeError(f"float result {v!r} is not finite and non-negative")
+        if cls._NORMALISED and abs(total - 1.0) > FLOAT_SUM_TOL:
+            raise FloatRangeError(f"float result sums to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
+        vector = cls.__new__(cls)
+        vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, None, 1, values, values
         return vector
 
     @property
@@ -237,13 +269,27 @@ class _Vector:
         values' zero pattern."""
         return self._seq if self._nums is None else self._nums
 
-    def _floats(self) -> list[float]:
-        """Each value as the nearest float.  Integer true division is
-        correctly rounded, so ``n / den`` equals ``float(Fraction(n, den))``."""
-        if self._nums is None:
-            return [float(v) for v in self._seq]
-        den = self._den
-        return [n / den for n in self._nums]
+    def _floats(self) -> tuple[float, ...]:
+        """Each value as the nearest float, built once and cached.
+
+        Integer true division is correctly rounded, so ``n / den`` equals
+        ``float(Fraction(n, den))``.  A value too large for a float
+        raises FloatRangeError.
+        """
+        flt = self._flt
+        if flt is None:
+            try:
+                if self._nums is not None:
+                    den = self._den
+                    flt = tuple([n / den for n in self._nums])
+                elif set(map(type, self._seq)) == {float}:
+                    flt = self._seq
+                else:
+                    flt = tuple(map(float, self._seq))
+            except OverflowError:
+                raise FloatRangeError("value too large for a float") from None
+            self._flt = flt
+        return flt
 
     def _same_values(self, other: "_Vector") -> bool:
         """Pointwise equality of the values, for vectors on one space."""

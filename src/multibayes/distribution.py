@@ -60,6 +60,7 @@ class Dist(_Vector):
     """
 
     __slots__ = ()
+    _NORMALISED = True
 
     def __init__(self, space: SampleSpace, weights: Sequence[Scalar]):
         weights = tuple(as_scalar(w) for w in weights)
@@ -90,7 +91,7 @@ class Dist(_Vector):
         return tuple(x for x, w in zip(self._space.elements, self._raw()) if w != 0)
 
     def to_float(self) -> "Dist":
-        return Dist(self._space, tuple(self._floats()))
+        return Dist._from_floats(self._space, self._floats())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dist):
@@ -128,40 +129,38 @@ def flrn(phi: Multiset) -> Dist:
     return Dist(phi.space, tuple(Fraction(c, size) for c in phi.counts))
 
 
-def _mixture_weights(weights: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], tuple | None]:
-    """Mixture weights as scalars, and as ``(nums, den)`` when all exact;
+def _mixture_weights(weights: Sequence[Scalar]) -> _Vector:
+    """Mixture weights as a vector (on no space), for :func:`_mix`;
     raises NonConvexWeightsError unless they are convex."""
     weights = tuple(as_scalar(w) for w in weights)
-    return weights, _probabilities(weights, NonConvexWeightsError, "mixture weights")
+    vector = _Vector.__new__(_Vector)
+    vector._init(None, weights, _probabilities(weights, NonConvexWeightsError, "mixture weights"))
+    return vector
 
 
-def _mix(space: SampleSpace, weights: Sequence[Scalar] | None, ints, dists: Sequence[Dist]) -> Dist:
+def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[Dist]) -> Dist:
     """``sum_k weights[k] * dists[k]`` on ``space``, for convex weights and
-    components on ``space``.  ``ints`` is the exact form ``(nums, den)``
-    of the weights, or None; ``weights`` may be None when it is given."""
-    if ints is not None:
-        nums, den = ints
-        if all(d._nums is not None for d in dists):
-            common = math.lcm(*(d._den for d in dists))
-            scales = [n * (common // d._den) for n, d in zip(nums, dists)]
-            columns = zip(*(d._nums for d in dists))
-            return Dist._from_ints(space, [sum(map(mul, scales, col)) for col in columns], den * common)
-        if weights is None:
-            weights = [Fraction(n, den) for n in nums]
-    rows = [d.weights for d in dists]
-    return Dist(space, [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(space))])
+    components on ``space``: on ints when all are exact, else on floats."""
+    if weights._nums is not None and all(d._nums is not None for d in dists):
+        common = math.lcm(*(d._den for d in dists))
+        scales = [n * (common // d._den) for n, d in zip(weights._nums, dists)]
+        columns = zip(*(d._nums for d in dists))
+        return Dist._from_ints(space, [sum(map(mul, scales, col)) for col in columns], weights._den * common)
+    floats = weights._floats()
+    columns = zip(*(d._floats() for d in dists))
+    return Dist._from_floats(space, [sum(map(mul, floats, col)) for col in columns])
 
 
 def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     """Mixture sum_i r_i * omega_i of distributions on one space."""
     if len(weights) != len(dists) or not dists:
         raise NonConvexWeightsError("need matching, nonempty weights and distributions")
-    weights, ints = _mixture_weights(weights)
+    weights = _mixture_weights(weights)
     space = dists[0].space
     for d in dists[1:]:
         if d.space != space:
             raise SpaceMismatchError("mixture components live on different spaces")
-    return _mix(space, weights, ints, dists)
+    return _mix(space, weights, dists)
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import mul, truediv
 from typing import TYPE_CHECKING
 
 from .distribution import Dist
-from .errors import SupportMismatchError
+from .errors import LogBaseError, SupportMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
@@ -18,7 +20,11 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     Support inclusion supp(sigma) <= supp(rho) is checked on the exact
     weights before any float conversion.  ``base`` switches the
     logarithm base (e.g. 2 for bits); the default is the natural log.
+    A base that is not a finite positive number other than one raises
+    LogBaseError.
     """
+    if base is not None and not (0 < base < math.inf and base != 1):
+        raise LogBaseError(f"logarithm base must be positive, finite and not 1, got {base!r}")
     if rho.space == sigma.space:
         rho_raw, rho_floats = rho._raw(), rho._floats()
     else:
@@ -28,10 +34,10 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
         if w != 0 and r == 0:
             raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
-    total = 0.0
-    for w, fw, fr in zip(sigma_raw, sigma._floats(), rho_floats):
-        if w != 0:
-            total += fw * math.log(fw / fr)
+    # the terms of sigma's support, in order
+    sigma_floats = list(compress(sigma._floats(), sigma_raw))
+    ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))
+    total = sum(map(mul, sigma_floats, map(math.log, ratios)), 0.0)
     if base is not None:
         total /= math.log(base)
     return total

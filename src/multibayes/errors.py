@@ -35,6 +35,15 @@ class NonPositiveLogError(MultibayesError):
     """Logarithm requested for a value that is zero or negative."""
 
 
+class LogBaseError(MultibayesError):
+    """A logarithm base that is not a finite positive number other than one."""
+
+
+class FloatRangeError(MultibayesError):
+    """A float-mode result overflowed, or is otherwise not a finite
+    non-negative value (or, for a distribution, no longer sums to one)."""
+
+
 class ZeroValidityError(MultibayesError):
     """Conditioning on a factor whose expected value is zero."""
 

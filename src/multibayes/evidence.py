@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -18,6 +20,7 @@ from .core import (
 )
 from .errors import (
     EmptyEvidenceError,
+    FloatRangeError,
     NotAPredicateError,
     SpaceMismatchError,
     UnknownElementError,
@@ -265,22 +268,36 @@ def _require_nonempty(psi: Evidence) -> None:
 
 
 def and_conj(psi: Evidence) -> Factor:
-    """Iterated sequential conjunction: x -> prod_p p(x)^count(p)."""
+    """Iterated sequential conjunction: x -> prod_p p(x)^count(p).
+
+    Exact factors before the first float one multiply exactly; from
+    there on the product runs on floats, an exact factor's power
+    rounded once as a Fraction would be.  A float overflow raises
+    FloatRangeError.
+    """
     _require_nonempty(psi)
-    if all(f._nums is not None for f in psi.factors):
-        nums, den = [1] * len(psi.space), 1
-        for factor, count in psi.items():
-            nums = [n * m**count for n, m in zip(nums, factor._nums)]
-            den *= factor._den**count
+    items = list(psi.items())
+    nums, den, exact = [1] * len(psi.space), 1, 0
+    for factor, count in items:
+        if factor._nums is None:
+            break
+        nums = [n * m**count for n, m in zip(nums, factor._nums)]
+        den *= factor._den**count
+        exact += 1
+    if exact == len(items):
         return Factor._from_ints(psi.space, nums, den)
-    columns = [(factor.values, count) for factor, count in psi.items()]
-    values = []
-    for i in range(len(psi.space)):
-        v: Scalar = _ONE
-        for column, count in columns:
-            v = v * column[i] ** count
-        values.append(v)
-    return Factor(psi.space, values)
+    try:
+        values = [n / den for n in nums] if exact else None
+        for factor, count in items[exact:]:
+            if factor._nums is None:
+                powers = map(pow, factor._floats(), repeat(count))
+            else:
+                den_power = factor._den**count
+                powers = [m**count / den_power for m in factor._nums]
+            values = list(powers) if values is None else list(map(mul, values, powers))
+    except OverflowError:
+        raise FloatRangeError("and_conj overflows the float range") from None
+    return Factor._from_floats(psi.space, values)
 
 
 def tensor_conj(psi: Evidence) -> Factor:
@@ -311,18 +328,11 @@ def frac_conj(psi: Evidence) -> Factor:
     """
     _require_nonempty(psi)
     total = psi.size
-    columns = [(factor._floats(), count / total) for factor, count in psi.items()]
-    values = []
-    for i in range(len(psi.space)):
-        v = 1.0
-        for column, exponent in columns:
-            base = column[i]
-            if base == 0:
-                v = 0.0
-                break
-            v *= base**exponent
-        values.append(v)
-    return Factor(psi.space, values)
+    values = None
+    for factor, count in psi.items():
+        powers = map(pow, factor._floats(), repeat(count / total))
+        values = list(powers) if values is None else list(map(mul, values, powers))
+    return Factor._from_floats(psi.space, values)
 
 
 class MatchStatus(enum.Enum):
@@ -339,7 +349,7 @@ def match_status(psi: Evidence) -> MatchStatus:
     """
     if not psi.factors:
         return MatchStatus.MATCH
-    totals = [sum((f(x) for f in psi.factors), _ZERO) for x in psi.space]
+    totals = [sum(column) for column in zip(*(f.values for f in psi.factors))]
     if all(t == 1 for t in totals):
         return MatchStatus.PERFECT_MATCH
     if all(t <= 1 for t in totals):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import mul, truediv
 from typing import Callable, Sequence
 
 from .core import Scalar
@@ -24,16 +25,17 @@ from .validity import validity
 
 def _posterior(omega: Dist, p: Factor) -> Dist | None:
     """Bayes update of ``omega`` with ``p``, None when ``p`` has zero validity."""
+    if omega.space != p.space:
+        raise SpaceMismatchError("validity needs a distribution and factor on one space")
     if omega._nums is not None and p._nums is not None:
-        if omega.space != p.space:
-            raise SpaceMismatchError("validity needs a distribution and factor on one space")
         products = list(map(mul, omega._nums, p._nums))
         total = sum(products)
         return Dist._from_ints(omega.space, products, total) if total else None
-    norm = validity(omega, p)
+    products = list(map(mul, omega._floats(), p._floats()))
+    norm = sum(products)
     if norm == 0:
         return None
-    return Dist(omega.space, tuple(w * v / norm for w, v in zip(omega.weights, p.values)))
+    return Dist._from_floats(omega.space, map(truediv, products, repeat(norm)))
 
 
 def bayes_update(omega: Dist, p: Factor) -> Dist:
@@ -99,9 +101,9 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     """
     if not weighted_factors:
         raise NonConvexWeightsError("need at least one weighted factor")
-    weights, ints = _mixture_weights([w for _, w in weighted_factors])
+    weights = _mixture_weights([w for _, w in weighted_factors])
     posteriors = [bayes_update(omega, factor) for factor, _ in weighted_factors]
-    return _mix(omega.space, weights, ints, posteriors)
+    return _mix(omega.space, weights, posteriors)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:

@@ -5,13 +5,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
+from typing import Iterable
 
 from .core import Scalar
 from .distribution import Dist
-from .errors import SpaceMismatchError, ZeroValidityError
+from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
-
-_ZERO = Fraction(0)
 
 
 def validity(omega: Dist, p: Factor) -> Scalar:
@@ -20,24 +19,36 @@ def validity(omega: Dist, p: Factor) -> Scalar:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
     if omega._nums is not None and p._nums is not None:
         return Fraction(sum(map(mul, omega._nums, p._nums)), omega._den * p._den)
-    return sum((w * v for w, v in zip(omega.weights, p.values)), _ZERO)
+    return sum(map(mul, omega._floats(), p._floats()))
+
+
+def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
+    """The multinomial coefficient of ``psi`` times ``prod base**count``;
+    exact when every base is.  A float product that overflows raises
+    FloatRangeError."""
+    result = psi.coefficient()
+    try:
+        for base, count in powers:
+            result = result * base**count
+    except OverflowError:
+        result = math.inf
+    if isinstance(result, float) and not result < math.inf:
+        raise FloatRangeError("validity of the evidence overflows the float range")
+    return result
 
 
 def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
     _require_nonempty(psi)
-    result: Scalar = Fraction(psi.coefficient())
-    for factor, count in psi.items():
-        result = result * validity(omega, factor) ** count
-    return result
+    return _coefficient_times(psi, [(validity(omega, factor), count) for factor, count in psi.items()])
 
 
 def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Dependent likelihood of evidence: multinomial coefficient times
     the validity of the iterated conjunction of all factors."""
     _require_nonempty(psi)
-    return Fraction(psi.coefficient()) * validity(omega, and_conj(psi))
+    return _coefficient_times(psi, [(validity(omega, and_conj(psi)), 1)])
 
 
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:

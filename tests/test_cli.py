@@ -1,11 +1,17 @@
 """Command-line interface: report, grid, check, eval."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from multibayes.cli import main
 from multibayes.modelfile import builtin_medical_model, serialize_model
+from multibayes.models import GRID_MODES
+
+#: sha256 digests of the paper outputs, shared with the benchmark's gate
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.fixture
@@ -34,6 +40,23 @@ class TestReport:
         first = capsys.readouterr().out
         main(["report", "medical"])
         assert capsys.readouterr().out == first
+
+
+class TestPinnedOutputs:
+    """`report medical` and every 60x60 grid CSV, byte for byte."""
+
+    DIGESTS = json.loads(REFERENCE.read_text(encoding="utf-8"))["sha256"]
+
+    def test_report_digest(self, capsys):
+        assert main(["report", "medical"]) == 0
+        output = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(output).hexdigest() == self.DIGESTS["report"]
+
+    @pytest.mark.parametrize("mode", GRID_MODES)
+    def test_grid_digest(self, mode, tmp_path):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["grid", "--mode", mode, "--imax", "60", "--jmax", "60", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[mode]
 
 
 class TestGrid:
@@ -190,6 +213,23 @@ class TestEval:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(model, handle)
         assert main(["eval", "--model", path, "--expr", "pearl_update(prior, bad)"]) == 2
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["and_conj(e2)", "pearl_update(prior, e2)", "pearl_validity(prior, e2)", "jeffrey_validity(prior, e2)",
+         "and_conj(e11)", "pearl_update(prior, e11)", "jeffrey_validity(prior, e11)"],
+    )
+    def test_float_overflow_is_input_error(self, expr, tmp_path, capsys):
+        model = json.loads(serialize_model(builtin_medical_model()))
+        model["factors"]["big"] = {"space": "D", "values": [1e200, 1.0]}
+        model["factors"]["big2"] = {"space": "D", "values": [1e199, 1.0]}
+        model["evidence"]["e2"] = [{"factor": "big", "count": 2}]
+        model["evidence"]["e11"] = [{"factor": "big", "count": 1}, {"factor": "big2", "count": 1}]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float" in err
 
 
 class TestGridSpec:

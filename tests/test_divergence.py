@@ -8,6 +8,7 @@ from multibayes import (
     Channel,
     Dist,
     Evidence,
+    LogBaseError,
     SampleSpace,
     SupportMismatchError,
     dirac,
@@ -66,6 +67,23 @@ class TestKlDivergence:
         assert kl_divergence(sigma, rho, base=2) == pytest.approx(
             kl_divergence(sigma, rho) / math.log(2), abs=1e-15
         )
+
+    @pytest.mark.parametrize("base", [1, 1.0, 0, -2, float("inf"), float("nan")])
+    def test_bad_base_rejected(self, base):
+        sigma = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
+        with pytest.raises(LogBaseError):
+            kl_divergence(sigma, sigma, base=base)
+        c = Channel(AB, AB, (sigma, sigma))
+        with pytest.raises(LogBaseError):
+            expected_channel_divergence(sigma, sigma, c, base=base)
+
+    @pytest.mark.parametrize("base", [0.5, Fraction(1, 2), 10])
+    def test_bases_below_and_above_one_accepted(self, base):
+        import math
+
+        sigma = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
+        rho = Dist(AB, (Fraction(2, 5), Fraction(3, 5)))
+        assert kl_divergence(sigma, rho, base=base) == kl_divergence(sigma, rho) / math.log(base)
 
 
 class TestExpectedChannelDivergence:

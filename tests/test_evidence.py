@@ -10,6 +10,7 @@ from multibayes import (
     EmptyEvidenceError,
     Evidence,
     Factor,
+    FloatRangeError,
     MatchStatus,
     NotAPredicateError,
     SampleSpace,
@@ -19,8 +20,11 @@ from multibayes import (
     falsity,
     frac_conj,
     indicator,
+    jeffrey_validity,
     match_status,
     ortho,
+    pearl_update,
+    pearl_validity,
     point_pred,
     tensor_conj,
     tensor_factor,
@@ -172,6 +176,41 @@ class TestConjunctions:
     def test_frac_conj_zero_stays_zero(self):
         psi = Evidence(((point_pred("d", D), 1), (truth(D), 1)))
         assert frac_conj(psi)("~d") == 0.0
+
+
+BIG = Factor(D, (1e200, 1.0))
+OVERFLOWING = {
+    "power": Evidence(((BIG, 2),)),
+    "product": Evidence(((BIG, 1), (Factor(D, (1e199, 1.0)), 1))),
+    "exact prefix": Evidence(((Factor(D, (10**200, 1)), 1), (BIG, 1))),
+}
+
+
+class TestFloatOverflow:
+    """Float overflow is a typed error, never a traceback or an inf result."""
+
+    OMEGA = Dist(D, (Fraction(1, 2), Fraction(1, 2)))
+
+    @pytest.mark.parametrize("case", OVERFLOWING)
+    def test_conjunction_and_validities(self, case):
+        psi = OVERFLOWING[case]
+        for operation in (
+            and_conj,
+            lambda e: pearl_update(self.OMEGA, e),
+            lambda e: pearl_validity(self.OMEGA, e),
+            lambda e: jeffrey_validity(self.OMEGA, e),
+        ):
+            with pytest.raises(FloatRangeError):
+                operation(psi)
+
+    def test_exact_value_too_large_for_a_float(self):
+        with pytest.raises(FloatRangeError):
+            frac_conj(Evidence(((Factor(D, (10**400, 1)), 1),)))
+
+    def test_large_but_finite_results_pass(self):
+        psi = Evidence(((Factor(D, (1e100, 1.0)), 3),))
+        assert and_conj(psi).values == (1e300, 1.0)
+        assert jeffrey_validity(self.OMEGA, psi) == (0.5e100 + 0.5) ** 3
 
 
 class TestMatchStatus:

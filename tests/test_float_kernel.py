@@ -1,0 +1,390 @@
+"""The float kernel against plain per-element arithmetic.
+
+A float or mixed exact/float distribution or factor is read through one
+cached float tuple.  Every kernel that runs on that view must give, bit
+for bit, what per-element arithmetic on the scalars gives (an exact
+value rounded once, as ``float(Fraction)`` does); every float result
+must be finite and non-negative, and a distribution must sum to one;
+the float route must agree with the exact one within 1e-9; and a query
+on float inputs must not fall back to mixed Fraction/float arithmetic.
+"""
+
+import cProfile
+import math
+import pstats
+import random
+from fractions import Fraction
+
+import pytest
+
+from multibayes import (
+    Channel,
+    Dist,
+    Evidence,
+    Factor,
+    FloatRangeError,
+    SampleSpace,
+    and_conj,
+    bayes_update,
+    convex_sum,
+    frac_conj,
+    jeffrey_update,
+    jeffrey_update_weighted,
+    jeffrey_validity,
+    kl_divergence,
+    pearl_update,
+    pearl_validity,
+    point_pred,
+    pull,
+    push,
+    validity,
+    vfe_update,
+)
+from multibayes.core import FLOAT_SUM_TOL, _Vector
+
+SEEDS = range(40)
+
+
+# -- seeded inputs ------------------------------------------------------------
+
+
+def space(rng, low=1, high=7, prefix="x"):
+    return SampleSpace(f"{prefix}{i}" for i in range(rng.randint(low, high)))
+
+
+def exact_weights(rng, size):
+    counts = [rng.choice((0, 0, 1, 2, 5, 7, 12)) for _ in range(size)]
+    if not any(counts):
+        counts[rng.randrange(size)] = 1
+    total = sum(counts)
+    return [Fraction(c, total) for c in counts]
+
+
+def float_weights(rng, size):
+    """Float probabilities with zeros, not roundings of small fractions."""
+    raw = [rng.choice((0.0, rng.random(), rng.random())) for _ in range(size)]
+    if not any(raw):
+        raw[rng.randrange(size)] = 1.0
+    total = sum(raw)
+    return [r / total for r in raw]
+
+
+def exact_dist(rng, s):
+    return Dist(s, exact_weights(rng, len(s)))
+
+
+def float_dist(rng, s):
+    return Dist(s, float_weights(rng, len(s)))
+
+
+def exact_factor(rng, s):
+    return Factor(s, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in s])
+
+
+def float_factor(rng, s):
+    return Factor(s, [rng.choice((0.0, rng.random(), 3 * rng.random())) for _ in s])
+
+
+def float_evidence(rng, s):
+    return Evidence((float_factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
+
+
+def mixed_evidence(rng, s):
+    """An exact prefix, a float factor, then exact and float factors."""
+    factors = [exact_factor(rng, s), float_factor(rng, s), exact_factor(rng, s), float_factor(rng, s)]
+    return Evidence((f, rng.randint(1, 3)) for f in factors[: rng.randint(2, 4)])
+
+
+def operand_pairs(rng, s):
+    """(distribution, factor) with at least one float operand."""
+    return [
+        (float_dist(rng, s), float_factor(rng, s)),
+        (exact_dist(rng, s), float_factor(rng, s)),
+        (float_dist(rng, s), exact_factor(rng, s)),
+    ]
+
+
+# -- plain per-element references (Python's numeric tower) --------------------
+
+
+def bits(values):
+    """Floats by their exact bit pattern (the sign of zero included)."""
+    return tuple(float(v).hex() for v in values)
+
+
+def ref_validity(ws, vs):
+    total = 0.0
+    for w, v in zip(ws, vs):
+        total += w * v
+    return total
+
+
+def ref_bayes(ws, vs):
+    norm = ref_validity(ws, vs)
+    return tuple(w * v / norm for w, v in zip(ws, vs))
+
+
+def ref_and_conj(psi):
+    result = []
+    for i in range(len(psi.space)):
+        v = 1
+        for f, count in psi.items():
+            v = v * f.values[i] ** count
+        result.append(v)
+    return tuple(result)
+
+
+def ref_frac_conj(psi):
+    result = []
+    for i in range(len(psi.space)):
+        v = 1.0
+        for f, count in psi.items():
+            base = f.values[i]
+            if base == 0:
+                v = 0.0
+                break
+            v *= float(base) ** (count / psi.size)
+        result.append(v)
+    return tuple(result)
+
+
+def ref_mix(rs, rows):
+    result = []
+    for j in range(len(rows[0])):
+        total = 0.0
+        for r, row in zip(rs, rows):
+            total += r * row[j]
+        result.append(total)
+    return tuple(result)
+
+
+def ref_coefficient_times(psi, powers):
+    result = Fraction(psi.coefficient())
+    for base, count in powers:
+        result = result * base**count
+    return result
+
+
+def ref_kl(sigma, rho):
+    total = 0.0
+    for w, r in zip(sigma, rho):
+        if w != 0:
+            total += float(w) * math.log(float(w) / float(r))
+    return total
+
+
+# -- float kernels against the references ---------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_validity_and_bayes_update(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    for omega, p in operand_pairs(rng, s):
+        value = validity(omega, p)
+        assert type(value) is float
+        assert bits([value]) == bits([ref_validity(omega.weights, p.values)])
+        if value:
+            assert bits(bayes_update(omega, p).weights) == bits(ref_bayes(omega.weights, p.values))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conjunctions(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+        assert bits(and_conj(psi).values) == bits(ref_and_conj(psi))
+        assert bits(frac_conj(psi).values) == bits(ref_frac_conj(psi))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixtures_and_push(seed):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    k = rng.randint(1, 5)
+    for rs, maker in (
+        (exact_weights(rng, k), float_dist),
+        (float_weights(rng, k), exact_dist),
+        (float_weights(rng, k), float_dist),
+    ):
+        components = [maker(rng, t) for _ in rs]
+        rows = [d.weights for d in components]
+        assert bits(convex_sum(rs, components).weights) == bits(ref_mix(rs, rows))
+    for omega_maker, row_maker in ((float_dist, exact_dist), (exact_dist, float_dist), (float_dist, float_dist)):
+        omega = omega_maker(rng, s)
+        c = Channel(s, t, [row_maker(rng, t) for _ in s])
+        assert bits(push(c, omega).weights) == bits(ref_mix(omega.weights, [r.weights for r in c.rows]))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_update_rules_and_validities(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    omega = float_dist(rng, s)
+    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+        valids = [ref_validity(omega.weights, f.values) for f in psi.factors]
+        assert bits([jeffrey_validity(omega, psi)]) == bits([ref_coefficient_times(psi, zip(valids, psi.counts))])
+        conj = ref_and_conj(psi)
+        pearl = ref_validity(omega.weights, conj)
+        assert bits([pearl_validity(omega, psi)]) == bits([ref_coefficient_times(psi, [(pearl, 1)])])
+        if not all(valids):
+            continue
+        posteriors = [ref_bayes(omega.weights, f.values) for f in psi.factors]
+        jeffrey = ref_mix([Fraction(c, psi.size) for c in psi.counts], posteriors)
+        assert bits(jeffrey_update(omega, psi).weights) == bits(jeffrey)
+        rs = float_weights(rng, len(psi))
+        weighted = jeffrey_update_weighted(omega, list(zip(psi.factors, rs)))
+        assert bits(weighted.weights) == bits(ref_mix(rs, posteriors))
+        if pearl:
+            assert bits(pearl_update(omega, psi).weights) == bits(ref_bayes(omega.weights, conj))
+        geometric = ref_frac_conj(psi)
+        if ref_validity(omega.weights, geometric):
+            assert bits(vfe_update(omega, psi).weights) == bits(ref_bayes(omega.weights, geometric))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_to_float_and_kl_divergence(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    for omega in (exact_dist(rng, s), float_dist(rng, s)):
+        assert bits(omega.to_float().weights) == bits(float(w) for w in omega.weights)
+        full = Dist(s, [w / 2 + 1 / (2 * len(s)) for w in float_weights(rng, len(s))])
+        assert bits([kl_divergence(omega, full)]) == bits([ref_kl(omega.weights, full.weights)])
+        assert kl_divergence(omega, full, base=2) == ref_kl(omega.weights, full.weights) / math.log(2)
+
+
+# -- the float view and the trusted constructor ---------------------------------
+
+
+def test_float_view_is_built_once():
+    s = SampleSpace("abc")
+    floats = Dist(s, (0.25, 0.5, 0.25))
+    assert floats._floats() is floats._seq
+    mixed = Dist(s, (Fraction(1, 4), 0.5, 0.25))
+    assert mixed._floats() == (0.25, 0.5, 0.25) and mixed._floats() is mixed._floats()
+    exact = Dist(s, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+    assert exact._floats() is exact._floats()
+    assert exact.to_float()._floats() is exact._floats()
+
+
+@pytest.fixture
+def float_results(monkeypatch):
+    """Every vector made by the trusted float constructor while active."""
+    made = []
+    original = _Vector._from_floats.__func__
+
+    def recording(cls, space, values):
+        vector = original(cls, space, values)
+        made.append(vector)
+        return vector
+
+    monkeypatch.setattr(_Vector, "_from_floats", classmethod(recording))
+    return made
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_float_results_are_in_range(seed, float_results):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    omega = float_dist(rng, s)
+    c = Channel(s, t, [float_dist(rng, t) for _ in s])
+    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+        and_conj(psi)
+        frac_conj(psi)
+        push(c, omega)
+        if all(validity(omega, f) for f in psi.factors) and validity(omega, frac_conj(psi)):
+            jeffrey_update(omega, psi)
+            vfe_update(omega, psi)
+        if validity(omega, and_conj(psi)):
+            pearl_update(omega, psi)
+    assert float_results
+    for vector in float_results:
+        values = vector._floats()
+        assert values is vector._seq and vector._nums is None
+        assert all(type(v) is float and 0.0 <= v < math.inf for v in values)
+        if isinstance(vector, Dist):
+            assert abs(sum(values) - 1.0) <= FLOAT_SUM_TOL
+
+
+@pytest.mark.parametrize(
+    "cls,values",
+    [(Factor, (1.0, math.inf)), (Factor, (math.nan, 1.0)), (Factor, (1.0, math.nan)), (Factor, (-1.0, 2.0)),
+     (Dist, (0.5, 0.25)), (Dist, (1.5, -0.5))],
+)
+def test_trusted_constructor_rejects_bad_results(cls, values):
+    with pytest.raises(FloatRangeError):
+        cls._from_floats(SampleSpace("ab"), values)
+
+
+def test_trusted_constructor_accepts_a_sum_beyond_the_float_range():
+    big = Factor._from_floats(SampleSpace("ab"), (1e308, 1e308))
+    assert big.values == (1e308, 1e308)
+
+
+# -- the float route against the exact one --------------------------------------
+
+
+def close(a, b):
+    return all(abs(x - y) <= 1e-9 for x, y in zip(a.weights, b.weights, strict=True))
+
+
+def close_rel(a, b):
+    return abs(float(a) - float(b)) <= 1e-9 * abs(float(b))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_float_route_agrees_with_exact_route(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    omega, p = exact_dist(rng, s), exact_factor(rng, s)
+    psi = Evidence((exact_factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
+    fomega = omega.to_float()
+    fpsi = Evidence((Factor(f.space, [float(v) for v in f.values]), n) for f, n in psi.items())
+    fp = Factor(s, [float(v) for v in p.values])
+    assert close_rel(validity(fomega, fp), validity(omega, p))
+    if validity(omega, p):
+        assert close(bayes_update(fomega, fp), bayes_update(omega, p))
+    assert close_rel(jeffrey_validity(fomega, fpsi), jeffrey_validity(omega, psi))
+    assert close_rel(pearl_validity(fomega, fpsi), pearl_validity(omega, psi))
+    if all(validity(omega, f) for f in psi.factors):
+        assert close(jeffrey_update(fomega, fpsi), jeffrey_update(omega, psi))
+        if validity(omega, frac_conj(psi)):
+            assert close(vfe_update(fomega, fpsi), vfe_update(omega, psi))
+    if validity(omega, and_conj(psi)):
+        assert close(pearl_update(fomega, fpsi), pearl_update(omega, psi))
+
+
+# -- no Fraction fallbacks on float inputs ---------------------------------------
+
+
+def fraction_fallbacks(run):
+    """Calls of the mixed Fraction/float operator fallbacks in fractions.py."""
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    return sum(
+        calls
+        for (filename, _, name), (_, calls, *_rest) in pstats.Stats(profile).stats.items()
+        if filename.endswith("fractions.py") and name in ("forward", "reverse")
+    )
+
+
+def test_float_query_makes_no_fraction_fallbacks():
+    rng = random.Random(7)
+    xs, ys = SampleSpace(f"x{i}" for i in range(64)), SampleSpace(f"y{j}" for j in range(6))
+    prior = exact_dist(rng, xs).to_float()
+    c = Channel(xs, ys, [Dist(ys, exact_weights(rng, len(ys))).to_float() for _ in xs])
+    predicates = [pull(c, point_pred(y, ys)) for y in ys]
+    psi = Evidence((q, n) for q, n in zip(predicates[:4], (1, 2, 3, 4)))
+
+    def query():
+        jeffrey = jeffrey_update(prior, psi)
+        pearl_update(prior, psi)
+        vfe_update(prior, psi)
+        jeffrey_validity(prior, psi)
+        pearl_validity(prior, psi)
+        push(c, jeffrey)
+        kl_divergence(jeffrey, prior)
+
+    assert fraction_fallbacks(query) == 0
+    # the count is live: a mixed Fraction/float product is counted
+    assert fraction_fallbacks(lambda: Fraction(1, 3) * 0.5) == 1
