@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Label, SampleSpace
 from .distribution import Dist, _mix, dirac, multinomial
@@ -28,10 +28,6 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
-
-    @classmethod
-    def from_function(cls, f: Callable[[Label], Dist], dom: SampleSpace, cod: SampleSpace) -> "Channel":
-        return cls(dom, cod, tuple(f(x) for x in dom))
 
     @property
     def dom(self) -> SampleSpace:

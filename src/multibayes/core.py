@@ -2,17 +2,20 @@
 
 Scalars are plain Python numbers: :class:`fractions.Fraction` for exact
 mode and :class:`float` for float mode, so there is no wrapper class,
-only helpers for parsing, formatting and logarithms.  Distributions and
-factors share the storage in :class:`_Vector`: int numerators over one
-denominator when every value is exact, a float tuple otherwise.  Each
-kernel picks its path by that form: exact only when every operand is
-exact, float as soon as one is, with every value converted to float
-once (as ``float(Fraction)`` rounds) instead of by numeric-tower
+only helpers for parsing, formatting and logarithms.  Distributions,
+factors and mixture weights share one constructor and one range check
+in :class:`_Vector`, which is exact or float: int numerators over one
+denominator when every value is exact, one float tuple as soon as one
+value is a float, each exact value rounded once (as ``float(Fraction)``
+rounds).  Each kernel picks its path by that form: exact only when
+every operand is exact, float as soon as one is, with an exact
+operand's values converted to float once instead of by numeric-tower
 contagion element by element.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
@@ -163,61 +166,82 @@ class SampleSpace:
         if n < 0:
             raise ValueError("power requires n >= 0")
         _require_size(len(self) ** n if len(self) else int(n == 0), "power space")
-        import itertools
-
         return SampleSpace(itertools.product(self._elements, repeat=n))
 
 
-def _exact_ints(values: Sequence[Scalar]) -> tuple[tuple[int, ...], int] | None:
-    """All-exact values as int numerators over their least common
-    denominator, which leaves ``gcd(den, *nums) == 1``; None when any
-    value is a float."""
-    try:
-        den = math.lcm(*[v.denominator for v in values])
-    except AttributeError:  # floats have no denominator
-        return None
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+def _check_range(values: tuple, den: int | None, normalised: bool, error: type[Exception], what: str) -> None:
+    """The one range check of vector values: int numerators over ``den``,
+    or floats when ``den`` is None.
 
-
-def _checked_ints(
-    values: Sequence[Scalar], error: type[Exception], negative: str, non_finite: str
-) -> tuple[tuple[int, ...], int] | None:
-    """:func:`_exact_ints` of values that must be non-negative and finite.
-
-    The first value that is not raises ``error`` with the ``negative``
-    or ``non_finite`` template, formatted with the value.
+    One ``min`` and one ``sum`` prove the values finite and non-negative
+    (a NaN or inf makes a float sum NaN or inf; without them ``min`` is
+    exact), and only a failure walks them, to name the bad one.  When
+    ``normalised``, the sum must be one: exactly for ints, within
+    FLOAT_SUM_TOL for floats.  Failures raise ``error``.
     """
-    ints = _exact_ints(values)
-    if ints is None or min(ints[0], default=0) < 0:
-        inf = math.inf
+    total = sum(values)
+    if not (total < math.inf and min(values, default=0) >= 0):
         for v in values:
-            if not 0 <= v < inf:
-                raise error((negative if v < 0 else non_finite).format(v))
-    return ints
+            if not 0 <= v < math.inf:
+                raise error(f"{what}: {v if den is None else Fraction(v, den)} is not finite and non-negative")
+    if not normalised:
+        return
+    if den is None:
+        if abs(total - 1.0) > FLOAT_SUM_TOL:
+            raise error(f"{what}: sum is {total}, expected 1 within {FLOAT_SUM_TOL}")
+    elif total != den:
+        raise error(f"{what}: sum is {Fraction(total, den)}, expected 1")
 
 
 class _Vector:
-    """Scalars indexed by the elements of a sample space.
+    """Scalars indexed by the elements of a sample space, exact or float.
 
     All-exact values are stored as int numerators ``_nums`` over one
     denominator ``_den`` in lowest common terms, ``gcd(den, *nums) == 1``,
     so equal vectors hold equal tuples and exact kernels run on ints.
-    Their Fraction tuple ``_seq`` is built only when read.  Float and
-    mixed values keep their tuple in ``_seq``, with ``_nums`` None.
-    ``_flt`` caches the float view that float kernels run on; for an
-    all-float vector it is ``_seq`` itself.
+    Their Fraction tuple ``_seq`` is built only when read, and their
+    float view ``_flt``, which float kernels run on, when first needed.
+    Values that hold any float are one float tuple, both ``_seq`` and
+    ``_flt``, with ``_nums`` None.
     """
 
     __slots__ = ("_space", "_nums", "_den", "_seq", "_flt")
 
-    #: Whether float kernel results must sum to one (distributions).
+    #: Whether the values must sum to one (distributions, mixture weights).
     _NORMALISED = False
+    #: The error class and the name of the values in constructor errors.
+    _ERROR: type[Exception] = ValueError
+    _WHAT = "values"
 
-    def _init(self, space: SampleSpace, values: tuple[Scalar, ...], ints) -> None:
+    def __init__(self, space: SampleSpace | None, values: Iterable[Scalar | int | str]):
+        """Read ``values`` as :func:`as_scalar` does and check them.
+
+        All-exact values are stored as ints; values that hold any float
+        are stored as floats, each exact one rounded once as
+        ``float(Fraction)`` rounds (FloatRangeError when it is too large
+        for a float).  Values out of range raise the class's error.
+        """
+        values = tuple(values)
+        if not set(map(type, values)) <= {Fraction, int, float}:  # these are read as they are
+            values = tuple(map(as_scalar, values))
+        if space is not None and len(values) != len(space):
+            raise ValueError(f"{self._WHAT} must align with the sample space")
+        try:
+            den = math.lcm(*[v.denominator for v in values])
+        except AttributeError:  # floats have no denominator
+            den = None
+            try:
+                values = tuple(map(float, values))
+            except OverflowError:
+                raise FloatRangeError(f"{self._WHAT}: an exact value too large for a float") from None
+        else:
+            values = tuple([v.numerator * (den // v.denominator) for v in values])
+        _check_range(values, den, self._NORMALISED, self._ERROR, self._WHAT)
         self._space = space
-        self._seq = values
-        self._flt = None
-        self._nums, self._den = ints if ints is not None else (None, 1)
+        if den is None:
+            self._nums, self._den, self._seq, self._flt = None, 1, values, values
+        else:
+            self._nums, self._den, self._seq, self._flt = values, den, None, None
 
     @classmethod
     def _from_ints(cls, space: SampleSpace, nums: Iterable[int], den: int):
@@ -233,25 +257,23 @@ class _Vector:
 
     @classmethod
     def _from_floats(cls, space: SampleSpace, values: Iterable[float]):
-        """Trusted constructor for float kernel results.
-
-        Instead of a per-element walk, one ``min`` and one ``sum`` check
-        that the values are finite and non-negative and, for a
-        distribution, that they sum to one within FLOAT_SUM_TOL; a
-        result that fails raises FloatRangeError.
-        """
+        """Trusted constructor for float kernel results: no conversion,
+        the one range check, and FloatRangeError for a result out of range."""
         values = tuple(values)
-        total = sum(values)
-        # a NaN or inf makes the sum NaN or inf; without them min is exact
-        if not (total < math.inf and min(values, default=0.0) >= 0.0):
-            for v in values:
-                if not 0.0 <= v < math.inf:
-                    raise FloatRangeError(f"float result {v!r} is not finite and non-negative")
-        if cls._NORMALISED and abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise FloatRangeError(f"float result sums to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
+        _check_range(values, None, cls._NORMALISED, FloatRangeError, "float result")
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, None, 1, values, values
         return vector
+
+    @classmethod
+    def _outer(cls, space: SampleSpace, vectors: Sequence["_Vector"]):
+        """Products of one value of each vector, in ``itertools.product``
+        order over ``space``: on the ints when all are exact, else on the
+        float views."""
+        if all(v._nums is not None for v in vectors):
+            nums = map(math.prod, itertools.product(*[v._nums for v in vectors]))
+            return cls._from_ints(space, nums, math.prod([v._den for v in vectors]))
+        return cls._from_floats(space, map(math.prod, itertools.product(*[v._floats() for v in vectors])))
 
     @property
     def space(self) -> SampleSpace:
@@ -265,12 +287,13 @@ class _Vector:
         return seq
 
     def _raw(self) -> tuple:
-        """The ints when exact, the scalars otherwise: either has the
+        """The ints when exact, the floats otherwise: either has the
         values' zero pattern."""
         return self._seq if self._nums is None else self._nums
 
     def _floats(self) -> tuple[float, ...]:
-        """Each value as the nearest float, built once and cached.
+        """Each value as the nearest float: an all-float vector's own
+        tuple, or built once and cached.
 
         Integer true division is correctly rounded, so ``n / den`` equals
         ``float(Fraction(n, den))``.  A value too large for a float
@@ -278,17 +301,11 @@ class _Vector:
         """
         flt = self._flt
         if flt is None:
+            den = self._den
             try:
-                if self._nums is not None:
-                    den = self._den
-                    flt = tuple([n / den for n in self._nums])
-                elif set(map(type, self._seq)) == {float}:
-                    flt = self._seq
-                else:
-                    flt = tuple(map(float, self._seq))
+                flt = self._flt = tuple([n / den for n in self._nums])
             except OverflowError:
                 raise FloatRangeError("value too large for a float") from None
-            self._flt = flt
         return flt
 
     def _same_values(self, other: "_Vector") -> bool:

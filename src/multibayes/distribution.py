@@ -7,17 +7,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .core import (
-    FLOAT_SUM_TOL,
-    Label,
-    SampleSpace,
-    Scalar,
-    _checked_ints,
-    _Vector,
-    as_scalar,
-    format_scalar,
-    label_str,
-)
+from .core import Label, SampleSpace, Scalar, _Vector, format_scalar, label_str
 from .errors import (
     EmptyMultisetError,
     NonConvexWeightsError,
@@ -30,50 +20,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _probabilities(
-    weights: tuple[Scalar, ...], error: type[Exception] = ValueError, what: str = "weights"
-) -> tuple[tuple[int, ...], int] | None:
-    """The one normalisation check, for distributions and mixture weights.
-
-    Weights must be finite, non-negative and sum to one: exactly when all
-    are exact, within FLOAT_SUM_TOL otherwise.  Returns all-exact weights
-    as ``(nums, den)``, None for float or mixed ones.
-    """
-    ints = _checked_ints(weights, error, "negative probability {!r}", "non-finite probability {!r}")
-    if ints is None:
-        total = sum(weights)
-        if abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise error(f"{what} sum to {total!r}, expected 1 within {FLOAT_SUM_TOL}")
-    elif sum(ints[0]) != ints[1]:
-        raise error(f"{what} sum to {Fraction(sum(ints[0]), ints[1])}, expected 1")
-    return ints
-
-
 class Dist(_Vector):
     """Probability distribution with finite support.
 
-    Weights are stored explicitly for every declared element (zero
-    entries included); ``support()`` skips the zeros.  Two
-    distributions are equal when they assign the same weight to every
-    element of either space, so declaring extra zero-weight elements
-    does not affect equality.
+    ``Dist(space, weights)`` takes one weight per element; they must be
+    finite, non-negative and sum to one (within FLOAT_SUM_TOL when any
+    is a float), else ValueError.  Weights are stored explicitly for
+    every declared element (zero entries included); ``support()`` skips
+    the zeros.  Two distributions are equal when they assign the same
+    weight to every element of either space, so declaring extra
+    zero-weight elements does not affect equality.
     """
 
     __slots__ = ()
     _NORMALISED = True
-
-    def __init__(self, space: SampleSpace, weights: Sequence[Scalar]):
-        weights = tuple(as_scalar(w) for w in weights)
-        if len(weights) != len(space):
-            raise ValueError("weights must align with the sample space")
-        self._init(space, weights, _probabilities(weights))
-
-    @classmethod
-    def from_weights(cls, space: SampleSpace, weights: dict[Label, Scalar]) -> "Dist":
-        for elem in weights:
-            if elem not in space:
-                raise UnknownElementError(f"{elem!r} is not in the sample space")
-        return cls(space, tuple(weights.get(x, _ZERO) for x in space))
+    _WHAT = "weights"
 
     @property
     def weights(self) -> tuple[Scalar, ...]:
@@ -129,13 +90,15 @@ def flrn(phi: Multiset) -> Dist:
     return Dist(phi.space, tuple(Fraction(c, size) for c in phi.counts))
 
 
-def _mixture_weights(weights: Sequence[Scalar]) -> _Vector:
-    """Mixture weights as a vector (on no space), for :func:`_mix`;
-    raises NonConvexWeightsError unless they are convex."""
-    weights = tuple(as_scalar(w) for w in weights)
-    vector = _Vector.__new__(_Vector)
-    vector._init(None, weights, _probabilities(weights, NonConvexWeightsError, "mixture weights"))
-    return vector
+class _Weights(_Vector):
+    """Mixture weights, for :func:`_mix`: ``_Weights(None, weights)`` is
+    a vector on no space that raises NonConvexWeightsError unless the
+    weights are convex."""
+
+    __slots__ = ()
+    _NORMALISED = True
+    _ERROR = NonConvexWeightsError
+    _WHAT = "mixture weights"
 
 
 def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[Dist]) -> Dist:
@@ -155,7 +118,7 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     """Mixture sum_i r_i * omega_i of distributions on one space."""
     if len(weights) != len(dists) or not dists:
         raise NonConvexWeightsError("need matching, nonempty weights and distributions")
-    weights = _mixture_weights(weights)
+    weights = _Weights(None, weights)
     space = dists[0].space
     for d in dists[1:]:
         if d.space != space:
@@ -165,21 +128,12 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
 
 def tensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pairs: (x, y) -> omega(x) * rho(y)."""
-    space = omega.space.product(rho.space)
-    weights = [wx * wy for wx in omega.weights for wy in rho.weights]
-    return Dist(space, weights)
+    return Dist._outer(omega.space.product(rho.space), (omega, rho))
 
 
 def tensor_power(omega: Dist, n: int) -> Dist:
     """n-fold product of a distribution with itself, on n-tuples."""
-    space = omega.space.power(n)
-    weights = []
-    for combo in space.elements:
-        w: Scalar = _ONE
-        for x in combo:
-            w = w * omega(x)
-        weights.append(w)
-    return Dist(space, weights)
+    return Dist._outer(omega.space.power(n), (omega,) * n)
 
 
 def push_function(f: Callable[[Label], Label], omega: Dist, cod: SampleSpace | None = None) -> Dist:
@@ -228,7 +182,7 @@ def multinomial(size: int, omega: Dist) -> Dist:
     space = multiset_space(omega.space, size)
     weights = []
     for phi in space.elements:
-        w: Scalar = Fraction(coefm(phi))
+        w: Scalar = coefm(phi)
         for x, c in phi.items():
             if c:
                 w = w * omega(x) ** c

@@ -6,24 +6,14 @@ import enum
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .core import (
-    Label,
-    SampleSpace,
-    Scalar,
-    _checked_ints,
-    _Vector,
-    as_scalar,
-    format_scalar,
-    label_str,
-)
+from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, label_str
 from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
     NotAPredicateError,
     SpaceMismatchError,
-    UnknownElementError,
 )
 from .multiset import Multiset, coefm_counts
 
@@ -34,29 +24,15 @@ _ONE = Fraction(1)
 class Factor(_Vector):
     """Non-negative function on a sample space; the unit of evidence.
 
-    A factor bounded by one is a predicate; a predicate with values in
-    {0, 1} is sharp.  Factors compare and hash by pointwise values, so
-    two factors built differently but extensionally equal are the same
-    evidence key.
+    ``Factor(space, values)`` takes one finite, non-negative value per
+    element, else ValueError.  A factor bounded by one is a predicate;
+    a predicate with values in {0, 1} is sharp.  Factors compare and
+    hash by pointwise values, so two factors built differently but
+    extensionally equal are the same evidence key.
     """
 
     __slots__ = ()
-
-    def __init__(self, space: SampleSpace, values: Sequence[Scalar]):
-        values = tuple(as_scalar(v) for v in values)
-        if len(values) != len(space):
-            raise ValueError("values must align with the sample space")
-        ints = _checked_ints(
-            values, ValueError, "factor values must be non-negative, got {!r}", "factor values must be finite, got {!r}"
-        )
-        self._init(space, values, ints)
-
-    @classmethod
-    def from_values(cls, space: SampleSpace, values: dict[Label, Scalar]) -> "Factor":
-        for elem in values:
-            if elem not in space:
-                raise UnknownElementError(f"{elem!r} is not in the sample space")
-        return cls(space, tuple(values.get(x, _ZERO) for x in space))
+    _WHAT = "factor values"
 
     @property
     def values(self) -> tuple[Scalar, ...]:
@@ -135,13 +111,14 @@ def conj(p: Factor, q: Factor) -> Factor:
     """Pointwise product; the sequential conjunction of factors."""
     if p.space != q.space:
         raise SpaceMismatchError("conjunction needs factors on one space")
-    return Factor(p.space, tuple(a * b for a, b in zip(p.values, q.values)))
+    if p._nums is not None and q._nums is not None:
+        return Factor._from_ints(p.space, map(mul, p._nums, q._nums), p._den * q._den)
+    return Factor._from_floats(p.space, map(mul, p._floats(), q._floats()))
 
 
 def tensor_factor(p: Factor, q: Factor) -> Factor:
     """Parallel conjunction on the product space: (x, y) -> p(x) * q(y)."""
-    space = p.space.product(q.space)
-    return Factor(space, tuple(a * b for a in p.values for b in q.values))
+    return Factor._outer(p.space.product(q.space), (p, q))
 
 
 def add(p: Factor, q: Factor) -> Factor:
@@ -197,10 +174,6 @@ class Evidence:
                 counts.append(count)
         self._factors = tuple(factors)
         self._counts = tuple(counts)
-
-    @classmethod
-    def from_factors(cls, factors: Iterable[Factor]) -> "Evidence":
-        return cls((f, 1) for f in factors)
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -307,17 +280,7 @@ def tensor_conj(psi: Evidence) -> Factor:
     repeated by its multiplicity.
     """
     _require_nonempty(psi)
-    sequence: list[Factor] = []
-    for factor, count in psi.items():
-        sequence.extend([factor] * count)
-    space = psi.space.power(len(sequence))
-    values = []
-    for combo in space.elements:
-        v: Scalar = _ONE
-        for factor, x in zip(sequence, combo):
-            v = v * factor(x)
-        values.append(v)
-    return Factor(space, values)
+    return Factor._outer(psi.space.power(psi.size), [f for f, count in psi.items() for _ in range(count)])
 
 
 def frac_conj(psi: Evidence) -> Factor:
@@ -346,10 +309,12 @@ def match_status(psi: Evidence) -> MatchStatus:
 
     The sum runs over the support only; multiplicities do not enter.
     A perfect match sums to one everywhere, a match stays below one.
+    The sums are exact when every factor is, else on the float views.
     """
     if not psi.factors:
         return MatchStatus.MATCH
-    totals = [sum(column) for column in zip(*(f.values for f in psi.factors))]
+    exact = all(f._nums is not None for f in psi.factors)
+    totals = [sum(column) for column in zip(*(f.values if exact else f._floats() for f in psi.factors))]
     if all(t == 1 for t in totals):
         return MatchStatus.PERFECT_MATCH
     if all(t <= 1 for t in totals):

@@ -16,7 +16,7 @@ from operator import mul, truediv
 from typing import Callable, Sequence
 
 from .core import Scalar
-from .distribution import Dist, _mix, _mixture_weights, convex_sum
+from .distribution import Dist, _mix, _Weights, convex_sum
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
@@ -73,7 +73,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
     if not ps:
         raise ValueError("need at least one factor")
     current = omega
-    result: Scalar = Fraction(1)
+    result: Scalar = 1
     for index, p in enumerate(ps):
         val = validity(current, p)
         if val == 0:
@@ -101,7 +101,7 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     """
     if not weighted_factors:
         raise NonConvexWeightsError("need at least one weighted factor")
-    weights = _mixture_weights([w for _, w in weighted_factors])
+    weights = _Weights(None, [w for _, w in weighted_factors])
     posteriors = [bayes_update(omega, factor) for factor, _ in weighted_factors]
     return _mix(omega.space, weights, posteriors)
 

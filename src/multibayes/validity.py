@@ -52,8 +52,12 @@ def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
 
 
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:
-    """Covariance of two factors under a distribution."""
-    return validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2)
+    """Covariance of two factors under a distribution.  A float result
+    that is not finite raises FloatRangeError."""
+    result = validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2)
+    if isinstance(result, float) and not math.isfinite(result):
+        raise FloatRangeError(f"covariance {result} is not a finite float")
+    return result
 
 
 def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float:

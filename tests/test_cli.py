@@ -231,6 +231,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "float" in err
 
+    @pytest.mark.parametrize(
+        "pt,nt,expr",
+        [([1e200, "2/5"], [1e200, "3/5"], "covariance(prior, pt, nt)"),  # the conjunction overflows
+         ([1e308, "2/5"], ["1/10", 1e308], "covariance(prior, pt, nt)"),  # the product of validities overflows
+         ([0.5, 0.5], [str(10**400), "0"], "match_status(e)")],  # an exact value beyond the float range
+    )
+    def test_float_range_is_input_error(self, pt, nt, expr, tmp_path, capsys):
+        model = json.loads(serialize_model(builtin_medical_model()))
+        model["factors"]["pt"]["values"] = pt
+        model["factors"]["nt"]["values"] = nt
+        model["evidence"]["e"] = [{"factor": "pt", "count": 1}, {"factor": "nt", "count": 1}]
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "float" in captured.err
+
 
 class TestGridSpec:
     def test_bounds_must_be_positive(self):

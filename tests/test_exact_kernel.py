@@ -3,7 +3,8 @@
 Exact distributions and factors hold int numerators over one shared
 denominator.  Every kernel that works on that form must give the value
 that per-element Fraction arithmetic gives, keep the form canonical,
-and leave float and mixed exact/float operands on their old results.
+and leave float operands, and exact ones mixed with float ones, on
+their old results.
 """
 
 import math

@@ -1,7 +1,9 @@
 """The float kernel against plain per-element arithmetic.
 
-A float or mixed exact/float distribution or factor is read through one
-cached float tuple.  Every kernel that runs on that view must give, bit
+A distribution or factor is exact or float, never both: a float one
+is its own float tuple, an exact one is read through a float view built
+once, and a kernel on mixed operands (exact and float vectors) runs on
+these views.  Every kernel that runs on a view must give, bit
 for bit, what per-element arithmetic on the scalars gives (an exact
 value rounded once, as ``float(Fraction)`` does); every float result
 must be finite and non-negative, and a distribution must sum to one;
@@ -28,15 +30,21 @@ from multibayes import (
     bayes_update,
     convex_sum,
     frac_conj,
+    iterated_pearl_validity,
     jeffrey_update,
     jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
+    multinomial,
     pearl_update,
     pearl_validity,
     point_pred,
     pull,
     push,
+    tensor,
+    tensor_conj,
+    tensor_factor,
+    tensor_power,
     validity,
     vfe_update,
 )
@@ -388,3 +396,22 @@ def test_float_query_makes_no_fraction_fallbacks():
     assert fraction_fallbacks(query) == 0
     # the count is live: a mixed Fraction/float product is counted
     assert fraction_fallbacks(lambda: Fraction(1, 3) * 0.5) == 1
+
+
+def float_products():
+    s = SampleSpace("abc")
+    omega = Dist(s, (0.2, 0.3, 0.5))
+    p, q = Factor(s, (0.25, 0.9, 1.7)), Factor(s, (0.6, 0.1, 1.0))
+    return {
+        "tensor": lambda: tensor(omega, omega),
+        "tensor_power": lambda: tensor_power(omega, 4),
+        "tensor_factor": lambda: tensor_factor(p, q),
+        "tensor_conj": lambda: tensor_conj(Evidence(((p, 2), (q, 2)))),
+        "multinomial": lambda: multinomial(4, omega),
+        "iterated_pearl_validity": lambda: iterated_pearl_validity(omega, (p, q, p)),
+    }
+
+
+@pytest.mark.parametrize("name", list(float_products()))
+def test_float_products_make_no_fraction_fallbacks(name):
+    assert fraction_fallbacks(float_products()[name]) == 0

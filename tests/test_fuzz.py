@@ -1,0 +1,135 @@
+"""Seeded fuzzing of ``eval``: every bad model file is an input error.
+
+The built-in medical model file is mutated: scalars become NaN, +-inf,
+negative, ``"1/0"``, values at or beyond the float range, huge exact
+fractions, booleans, null, strings or lists; sections and entities
+become non-objects; the JSON text is cut short.  Each mutant runs
+through all 17 ``eval`` operations.  Every run must exit 0 or 2,
+raise nothing, and print no ``nan`` or ``inf``.  Multiplicities are
+not mutated: a huge count makes exact results grow without bound.
+"""
+
+import json
+import random
+
+import pytest
+
+from multibayes.cli import main
+from multibayes.modelfile import _OPERATIONS, builtin_medical_model, serialize_model
+
+#: One call of each eval operation on the base model below.
+EXPRESSIONS = [
+    "validity(prior, pt)",
+    "jeffrey_validity(prior, three_tests)",
+    "pearl_validity(prior, three_tests)",
+    "covariance(prior, pt, nt)",
+    "bayes_update(prior, pt)",
+    "jeffrey_update(prior, three_tests)",
+    "pearl_update(prior, three_tests)",
+    "vfe_update(prior, three_tests)",
+    "flrn(draws)",
+    "coefm(draws)",
+    "and_conj(three_tests)",
+    "match_status(three_tests)",
+    "push(test, prior)",
+    "pull(test, q)",
+    "triple_pull(test, readings)",
+    "dagger(test, prior)",
+    "kl_divergence(prior, posterior)",
+]
+
+#: A number written into the JSON text as is: json.dumps cannot write 1e400.
+BEYOND_FLOAT = "1e400"
+
+#: Bad scalars, and valid ones (floats next to exact values, values near
+#: the float range) that make bad results; the large ones are listed
+#: twice, as it takes two of them to overflow a product.
+BAD_SCALARS = [
+    float("nan"), float("inf"), -float("inf"), -0.5, "-1/3", "1/0", -1e308, 5e-324, 0.5,
+    1e200, 1e200, 1e308, 1e308, BEYOND_FLOAT, 10**400, str(10**400), str(10**400),
+    f"{10**400}/{3**700}", f"1/{10**400}", True, False, None, "abc", "", "1.5.2", [0.5], {"p": 1},
+]
+
+#: Entities whose scalars are mutated: (section, name, key), the key
+#: naming the list of scalars (channel rows are handled separately).
+SCALAR_LISTS = [
+    ("distributions", "prior", "weights"),
+    ("distributions", "posterior", "weights"),
+    ("factors", "pt", "values"),
+    ("factors", "nt", "values"),
+    ("factors", "q", "values"),
+]
+
+
+def base_model() -> dict:
+    """The built-in medical model, with the entities that the operations
+    on multisets and on the codomain need."""
+    model = json.loads(serialize_model(builtin_medical_model()))
+    model["distributions"]["posterior"] = {"space": "D", "weights": ["431/5865", "5434/5865"]}
+    model["factors"]["q"] = {"space": "T", "values": ["1", "1/2"]}
+    model["evidence"]["readings"] = [{"factor": "q", "count": 2}]
+    model["multisets"] = {"draws": {"space": "T", "counts": [{"element": "p", "count": 2},
+                                                            {"element": "n", "count": 1}]}}
+    return model
+
+
+def scalar_slots(model: dict) -> list[list]:
+    """Every list of scalars in the model, channel rows included."""
+    slots = [model[section][name][key] for section, name, key in SCALAR_LISTS]
+    slots.extend(row["weights"] for row in model["channels"]["test"]["rows"])
+    return slots
+
+
+def mutant(rng: random.Random) -> str:
+    """The JSON text of one mutated model."""
+    model = base_model()
+    kind = rng.random()
+    if kind < 0.4:
+        for _ in range(rng.randint(1, 4)):
+            slot = rng.choice(scalar_slots(model))
+            slot[rng.randrange(len(slot))] = rng.choice(BAD_SCALARS)
+    elif kind < 0.75:
+        # conjunctions and sums combine the evidence factors element by element
+        element = rng.randrange(2)
+        for name in ("pt", "nt"):
+            model["factors"][name]["values"][element] = rng.choice(BAD_SCALARS)
+    elif kind < 0.9:
+        section = rng.choice(list(model))
+        if rng.random() < 0.5:
+            model[section] = rng.choice([[], 3, "x", None, True])
+        else:
+            name = rng.choice(list(model[section]))
+            model[section][name] = rng.choice([[], 3, "x", None, {}])
+    text = json.dumps(model).replace(json.dumps(BEYOND_FLOAT), BEYOND_FLOAT)
+    if kind >= 0.9:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_every_operation_is_exercised():
+    assert sorted(expr.partition("(")[0] for expr in EXPRESSIONS) == sorted(_OPERATIONS)
+
+
+def test_base_model_evaluates(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base_model()), encoding="utf-8")
+    for expr in EXPRESSIONS:
+        assert main(["eval", "--model", str(path), "--expr", expr]) == 0, expr
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_models_are_input_errors(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    path = tmp_path / "mutant.json"
+    for _ in range(10):
+        text = mutant(rng)
+        path.write_text(text, encoding="utf-8")
+        for expr in EXPRESSIONS:
+            try:
+                code = main(["eval", "--model", str(path), "--expr", expr])
+            except Exception as exc:  # noqa: BLE001 - the mutant is the report
+                pytest.fail(f"{expr} raised {exc!r} on {text}")
+            out = capsys.readouterr().out.lower()
+            assert code in (0, 2), (expr, text)
+            assert "nan" not in out and "inf" not in out, (expr, text, out)

@@ -1,0 +1,227 @@
+"""The exact-or-float vector: one constructor, one range check, one
+outer-product kernel.
+
+Distributions, factors and mixture weights are built by one
+constructor that stores all-exact values as ints and values holding
+any float as one float tuple; it and the trusted float constructor
+share one range check, which raises each caller's error class.  The
+tensor products all run on one outer-product kernel.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from multibayes import (
+    Dist,
+    Evidence,
+    Factor,
+    FloatRangeError,
+    NonConvexWeightsError,
+    SampleSpace,
+    convex_sum,
+    jeffrey_update_weighted,
+    tensor,
+    tensor_conj,
+    tensor_factor,
+    tensor_power,
+)
+from multibayes.modelfile import parse_model, serialize_model
+
+AB = SampleSpace("ab")
+NAN, INF = math.nan, math.inf
+
+# -- one table of bad inputs ------------------------------------------------------
+
+#: Values on AB that are not finite and non-negative: exact, float, mixed.
+OUT_OF_RANGE = [
+    (Fraction(3, 2), Fraction(-1, 2)),
+    (1.5, -0.5),
+    (Fraction(3, 2), -0.5),
+    (NAN, 0.5),
+    (Fraction(1, 2), NAN),
+    (INF, 0.0),
+    (-INF, 1.0),
+    (Fraction(1, 2), INF),
+]
+#: Finite, non-negative values on AB that do not sum to one.
+NOT_NORMALISED = [(Fraction(1, 3), Fraction(1, 3)), (0.5, 0.25), (Fraction(1, 2), 0.25), (0, 0)]
+#: Values that do not match AB in length.
+WRONG_LENGTH = [(Fraction(1),), (0.5, 0.25, 0.25)]
+
+
+def build_dist(values):
+    return Dist(AB, values)
+
+
+def build_factor(values):
+    return Factor(AB, values)
+
+
+def mix(values):
+    return convex_sum(values, [Dist(AB, (1, 0)), Dist(AB, (0, 1))])
+
+
+def mix_updates(values):
+    omega = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
+    factors = [Factor(AB, (1, Fraction(1, 2))), Factor(AB, (0.25, 1.0))]
+    return jeffrey_update_weighted(omega, list(zip(factors, values)))
+
+
+def floats(values):
+    return tuple(float(v) for v in values)
+
+
+BAD_INPUTS = (
+    [(build_dist, v, ValueError) for v in OUT_OF_RANGE + NOT_NORMALISED + WRONG_LENGTH]
+    + [(build_factor, v, ValueError) for v in OUT_OF_RANGE + WRONG_LENGTH]
+    + [(mix, v, NonConvexWeightsError) for v in OUT_OF_RANGE + NOT_NORMALISED + WRONG_LENGTH]
+    + [(mix_updates, v, NonConvexWeightsError) for v in OUT_OF_RANGE + NOT_NORMALISED]
+    + [(lambda v: Dist._from_floats(AB, floats(v)), v, FloatRangeError) for v in OUT_OF_RANGE + NOT_NORMALISED]
+    + [(lambda v: Factor._from_floats(AB, floats(v)), v, FloatRangeError) for v in OUT_OF_RANGE]
+)
+
+
+@pytest.mark.parametrize("build,values,error", BAD_INPUTS)
+def test_bad_input_raises_the_callers_error(build, values, error):
+    with pytest.raises(error):
+        build(values)
+
+
+def test_good_input_passes_every_route():
+    for values in ((Fraction(1, 4), Fraction(3, 4)), (0.25, 0.75), (Fraction(1, 4), 0.75)):
+        assert build_dist(values).weights == build_factor(values).values == (0.25, 0.75)
+        assert mix(values).weights == (0.25, 0.75)
+        assert sum(mix_updates(values).weights) == pytest.approx(1)
+    assert Factor._from_floats(AB, (0.5, 3.0)).values == (0.5, 3.0)
+    assert Dist._from_floats(AB, (0.5, 0.5 + 1e-10)).weights == (0.5, 0.5 + 1e-10)
+
+
+# -- exact or float storage ---------------------------------------------------------
+
+
+def test_mixed_input_is_stored_as_floats():
+    abc = SampleSpace("abc")
+    omega = Dist(abc, (Fraction(1, 3), 0.5, "1/6"))
+    assert omega._nums is None and omega.is_exact is False
+    assert all(type(w) is float for w in omega.weights)
+    assert omega.weights == (1 / 3, 0.5, 1 / 6)  # each exact value rounded once
+    assert omega == Dist(abc, (1 / 3, 0.5, 1 / 6))
+    assert str(omega) == "0.3333333333333333|a> + 0.5|b> + 0.16666666666666666|c>"
+    assert Factor(AB, (2, 0.5)).values == (2.0, 0.5)
+
+
+def test_mixed_model_entry_is_read_in_float_mode():
+    text = '{"spaces": {"S": {"elements": ["a", "b"]}},' ' "distributions": {"w": {"space": "S", "weights": ["1/2", 0.5]}}}'
+    model = parse_model(text)
+    assert model.distributions["w"].weights == (0.5, 0.5)
+    assert '"weights": [\n        0.5,\n        0.5\n      ]' in serialize_model(model)
+
+
+def test_exact_input_stays_exact():
+    omega = Dist(AB, ("1/3", 2 * Fraction(1, 3)))
+    assert omega._nums == (1, 2) and omega._den == 3 and omega.weights == (Fraction(1, 3), Fraction(2, 3))
+    big = Factor(AB, (10**400, 1))  # exact values need not fit a float
+    assert big.values == (10**400, 1)
+
+
+@pytest.mark.parametrize("build", [build_dist, build_factor])
+@pytest.mark.parametrize("values", [(10**400, 0.5), (0.5, Fraction(10**400, 3))])
+def test_mixed_input_beyond_the_float_range(build, values):
+    with pytest.raises(FloatRangeError):
+        build(values)
+
+
+# -- the outer-product kernel ---------------------------------------------------------
+
+
+def exact_dist(rng, s):
+    counts = [rng.choice((0, 1, 2, 5, 7)) for _ in s]
+    if not any(counts):
+        counts[0] = 1
+    return Dist(s, [Fraction(c, sum(counts)) for c in counts])
+
+
+def float_dist(rng, s):
+    raw = [rng.choice((0.0, rng.random())) for _ in s]
+    if not any(raw):
+        raw[0] = 1.0
+    return Dist(s, [r / sum(raw) for r in raw])
+
+
+def exact_factor(rng, s):
+    return Factor(s, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6))) for _ in s])
+
+
+def float_factor(rng, s):
+    return Factor(s, [rng.choice((0.0, rng.random(), 3 * rng.random())) for _ in s])
+
+
+def values_of(vector):
+    return vector.weights if isinstance(vector, Dist) else vector.values
+
+
+def reference(vectors, exact):
+    """Per-element products in itertools.product order."""
+    result = []
+    for combo in itertools.product(*map(values_of, vectors)):
+        value = Fraction(1) if exact else 1.0
+        for x in combo:
+            value = value * x
+        result.append(value)
+    return tuple(result)
+
+
+def assert_canonical(vector):
+    nums, den = vector._nums, vector._den
+    assert nums is not None and den > 0 and math.gcd(den, *nums) == 1
+    assert len(nums) == len(vector.space)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("seed", range(20))
+def test_outer_matches_per_element_products(seed, exact):
+    rng = random.Random(seed)
+    s = SampleSpace(f"x{i}" for i in range(rng.randint(1, 4)))
+    t = SampleSpace(f"y{i}" for i in range(rng.randint(1, 3)))
+    make_dist = exact_dist if exact else float_dist
+    make_factor = exact_factor if exact else float_factor
+    omega, rho, p, q = make_dist(rng, s), make_dist(rng, t), make_factor(rng, s), make_factor(rng, t)
+    n = rng.randint(1, 3)
+    psi = Evidence((make_factor(rng, s), rng.randint(1, 2)) for _ in range(rng.randint(1, 2)))
+    sequence = [f for f, count in psi.items() for _ in range(count)]
+    cases = [
+        (tensor(omega, rho), [omega, rho], s.product(t)),
+        (tensor_power(omega, n), [omega] * n, s.power(n)),
+        (tensor_factor(p, q), [p, q], s.product(t)),
+        (tensor_conj(psi), sequence, s.power(len(sequence))),
+    ]
+    for result, operands, space in cases:
+        assert result.space == space
+        expected = reference(operands, exact)
+        if exact:
+            assert values_of(result) == expected
+            assert_canonical(result)
+        else:
+            assert tuple(v.hex() for v in values_of(result)) == tuple(v.hex() for v in expected)
+            assert result._nums is None and result._seq is result._floats()
+
+
+def test_outer_product_reduces_to_lowest_terms():
+    half = Dist(AB, (Fraction(1, 2), Fraction(1, 2)))
+    third = Factor(AB, (Fraction(2, 3), Fraction(4, 3)))
+    product = tensor_factor(third, third)  # (4, 8, 8, 16) / 9
+    assert product._nums == (4, 8, 8, 16) and product._den == 9
+    assert tensor(half, half)._nums == (1, 1, 1, 1) and tensor(half, half)._den == 4
+    assert tensor_power(half, 0).weights == (1,)
+
+
+def test_outer_float_overflow_is_typed():
+    big = Factor(AB, (1e200, 1.0))
+    with pytest.raises(FloatRangeError):
+        tensor_factor(big, big)
+    with pytest.raises(FloatRangeError):
+        tensor_conj(Evidence(((big, 2),)))
