@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
 
 from .core import Label, SampleSpace
@@ -9,7 +11,7 @@ from .distribution import Dist, _mix, dirac, multinomial
 from .errors import SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
-from .update import bayes_update
+from .update import _posterior
 from .validity import validity
 
 
@@ -69,10 +71,20 @@ def push(c: Channel, omega: Dist) -> Dist:
 
 
 def pull(c: Channel, q: Factor) -> Factor:
-    """Pullback of a factor: x -> sum_y c(x)(y) * q(y)."""
+    """Pullback of a factor: x -> sum_y c(x)(y) * q(y).
+
+    On exact operands, one int dot product per row over the common
+    denominator of the rows; else each value is ``validity(row, q)``
+    as a float.
+    """
     if q.space != c.cod:
         raise SpaceMismatchError("factor must live on the channel codomain")
-    return Factor(c.dom, tuple(validity(row, q) for row in c.rows))
+    rows = c.rows
+    if q._nums is not None and all(row._nums is not None for row in rows):
+        den = math.lcm(*(row._den for row in rows))
+        nums = [sum(map(mul, row._nums, q._nums)) * (den // row._den) for row in rows]
+        return Factor._from_ints(c.dom, nums, den * q._den)
+    return Factor._from_floats(c.dom, [validity(row, q) for row in rows])
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:
@@ -93,10 +105,10 @@ def dagger(c: Channel, omega: Dist) -> Channel:
     """
     rows = []
     for y in c.cod:
-        pulled = pull(c, point_pred(y, c.cod))
-        if validity(omega, pulled) == 0:
+        row = _posterior(omega, pull(c, point_pred(y, c.cod)))
+        if row is None:
             raise ZeroValidityError(f"prediction gives zero probability to {y!r}")
-        rows.append(bayes_update(omega, pulled))
+        rows.append(row)
     return Channel(c.cod, c.dom, rows)
 
 

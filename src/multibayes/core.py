@@ -30,6 +30,13 @@ Label = Hashable
 #: refused (desk-scale guard).
 MAX_PRODUCT_ELEMENTS = 10**6
 
+#: Exact results (conjunctions, evidence validities, multinomial
+#: coefficients and weights) estimated to need more bits than this are
+#: refused before they are computed.  10,000 bits are about 3,000
+#: decimal digits, within Python's default limit of 4,300 digits for
+#: printing an int.
+MAX_EXACT_BITS = 10_000
+
 #: Absolute tolerance for float-mode normalisation checks.
 FLOAT_SUM_TOL = 1e-9
 
@@ -39,6 +46,34 @@ def _require_size(size: int, what: str) -> None:
     MAX_PRODUCT_ELEMENTS elements."""
     if size > MAX_PRODUCT_ELEMENTS:
         raise SizeLimitError(f"{what} with {size} elements refused")
+
+
+def _require_bits(bits: float, what: str) -> None:
+    """Refuse to compute ``what`` when its exact ints are estimated to
+    need more than MAX_EXACT_BITS bits."""
+    if bits > MAX_EXACT_BITS:
+        raise SizeLimitError(f"{what} with about {int(bits)} bits refused")
+
+
+def _power_bits(base: int, count: int) -> int:
+    """The bits of ``m**count`` for any ``1 <= m <= base``, generously:
+    ``count * ceil(log2(base))``, at most one bit short of the size."""
+    return count * (base - 1).bit_length()
+
+
+def _require_coefficient_bits(counts: Sequence[int], what: str, bits: float = 0) -> None:
+    """Refuse to compute ``what``, the multinomial coefficient of
+    ``counts`` times exact ints of ``bits`` bits, when it would need
+    more than MAX_EXACT_BITS bits.  The coefficient is below
+    ``len(counts)**sum(counts)``; only when that bound is too large is
+    the coefficient's size taken from ``lgamma``."""
+    bound = bits + _power_bits(len(counts), sum(counts))
+    if bound > MAX_EXACT_BITS:
+        try:
+            bound = bits + (math.lgamma(sum(counts) + 1) - sum(math.lgamma(c + 1) for c in counts)) / math.log(2)
+        except OverflowError:  # counts beyond the float range
+            pass
+    _require_bits(bound, what)
 
 
 def is_exact(value: Scalar) -> bool:
@@ -169,6 +204,15 @@ class SampleSpace:
         return SampleSpace(itertools.product(self._elements, repeat=n))
 
 
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum``: the correctly rounded sum, so the same on every
+    Python; inf, as ``sum`` gives, where a sum of finite values overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _check_range(values: tuple, den: int | None, normalised: bool, error: type[Exception], what: str) -> None:
     """The one range check of vector values: int numerators over ``den``,
     or floats when ``den`` is None.
@@ -285,6 +329,11 @@ class _Vector:
             den = self._den
             seq = self._seq = tuple([Fraction(n, den) for n in self._nums])
         return seq
+
+    def _power_bits(self, count: int) -> int:
+        """The bits of any of this exact vector's ints raised to
+        ``count``, generously (see :func:`_power_bits`)."""
+        return _power_bits(max(max(self._nums, default=0), self._den), count)
 
     def _raw(self) -> tuple:
         """The ints when exact, the floats otherwise: either has the

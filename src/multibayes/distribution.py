@@ -7,17 +7,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .core import Label, SampleSpace, Scalar, _Vector, format_scalar, label_str
+from .core import Label, SampleSpace, Scalar, _fsum, _require_bits, _Vector, format_scalar, label_str
 from .errors import (
     EmptyMultisetError,
+    FloatRangeError,
     NonConvexWeightsError,
     SpaceMismatchError,
     UnknownElementError,
 )
 from .multiset import Multiset, coefm, multiset_space
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Dist(_Vector):
@@ -46,7 +44,7 @@ class Dist(_Vector):
 
     def get(self, element: Label) -> Scalar:
         """Weight of an element, zero when outside the declared space."""
-        return self(element) if element in self._space else _ZERO
+        return self(element) if element in self._space else Fraction(0)
 
     def support(self) -> tuple[Label, ...]:
         return tuple(x for x, w in zip(self._space.elements, self._raw()) if w != 0)
@@ -54,14 +52,22 @@ class Dist(_Vector):
     def to_float(self) -> "Dist":
         return Dist._from_floats(self._space, self._floats())
 
+    def _padded(self, elements: Sequence[Label]) -> _Vector:
+        """The weights on ``elements``, zero outside this distribution's
+        space: a vector on no space, and not normalised, since
+        ``elements`` need not cover the support."""
+        raw = dict(zip(self._space.elements, self._raw()))
+        if self._nums is None:
+            return _Vector._from_floats(None, [raw.get(x, 0.0) for x in elements])
+        return _Vector._from_ints(None, [raw.get(x, 0) for x in elements], self._den)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
         if self._space == other._space:
             return self._same_values(other)
-        elements = dict.fromkeys(self._space.elements)
-        elements.update(dict.fromkeys(other._space.elements))
-        return all(self.get(x) == other.get(x) for x in elements)
+        elements = tuple(dict.fromkeys(self._space.elements + other._space.elements))
+        return self._padded(elements)._same_values(other._padded(elements))
 
     __hash__ = None  # equality ranges over weights on either space; not hashable
 
@@ -75,11 +81,11 @@ class Dist(_Vector):
 def dirac(element: Label, space: SampleSpace) -> Dist:
     """Point distribution concentrated on one element."""
     index = space.index(element)
-    return Dist(space, tuple(_ONE if i == index else _ZERO for i in range(len(space))))
+    return Dist._from_ints(space, [int(i == index) for i in range(len(space))], 1)
 
 
 def uniform(space: SampleSpace) -> Dist:
-    return Dist(space, (Fraction(1, len(space)),) * len(space))
+    return Dist._from_ints(space, (1,) * len(space), len(space))
 
 
 def flrn(phi: Multiset) -> Dist:
@@ -87,7 +93,7 @@ def flrn(phi: Multiset) -> Dist:
     size = phi.size
     if size == 0:
         raise EmptyMultisetError("cannot normalise the empty multiset")
-    return Dist(phi.space, tuple(Fraction(c, size) for c in phi.counts))
+    return Dist._from_ints(phi.space, phi.counts, size)
 
 
 class _Weights(_Vector):
@@ -111,7 +117,7 @@ def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[Dist]) -> Dist:
         return Dist._from_ints(space, [sum(map(mul, scales, col)) for col in columns], weights._den * common)
     floats = weights._floats()
     columns = zip(*(d._floats() for d in dists))
-    return Dist._from_floats(space, [sum(map(mul, floats, col)) for col in columns])
+    return Dist._from_floats(space, [_fsum(map(mul, floats, col)) for col in columns])
 
 
 def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
@@ -143,19 +149,20 @@ def push_function(f: Callable[[Label], Label], omega: Dist, cod: SampleSpace | N
     evaluated.  Without a declared codomain the result space lists the
     images in first-occurrence order.
     """
-    merged: dict[Label, Scalar] = {}
-    for x, w in omega.items():
-        if w == 0:
-            continue
-        y = f(x)
-        merged[y] = merged.get(y, _ZERO) + w
+    zero = 0 if omega._nums is not None else 0.0
+    merged: dict[Label, int | float] = {}
+    for x, w in zip(omega.space.elements, omega._raw()):
+        if w:
+            y = f(x)
+            merged[y] = merged.get(y, zero) + w
     if cod is None:
         cod = SampleSpace(merged.keys())
     else:
         for y in merged:
             if y not in cod:
                 raise UnknownElementError(f"image {y!r} is not in the declared codomain")
-    return Dist(cod, tuple(merged.get(y, _ZERO) for y in cod))
+    values = [merged.get(y, zero) for y in cod]
+    return Dist._from_floats(cod, values) if omega._nums is None else Dist._from_ints(cod, values, omega._den)
 
 
 def marginal(tau: Dist, index: int) -> Dist:
@@ -177,14 +184,17 @@ def multinomial(size: int, omega: Dist) -> Dist:
     """Distribution of draws-with-replacement of a fixed size.
 
     Assigns coefm(phi) * prod_x omega(x)^phi(x) to every multiset phi
-    of the given size; the weights sum to one exactly in exact mode.
+    of the given size; the weights sum to one exactly in exact mode,
+    where each is an int over the common denominator ``den**size``.
     """
     space = multiset_space(omega.space, size)
-    weights = []
-    for phi in space.elements:
-        w: Scalar = coefm(phi)
-        for x, c in phi.items():
-            if c:
-                w = w * omega(x) ** c
-        weights.append(w)
-    return Dist(space, weights)
+    if omega._nums is None:
+        floats = omega._floats()
+        try:
+            return Dist._from_floats(space, [math.prod(map(pow, floats, phi.counts), start=coefm(phi)) for phi in space])
+        except OverflowError:
+            raise FloatRangeError("a multinomial coefficient is too large for a float") from None
+    _require_bits(omega._power_bits(size), "multinomial")
+    nums = omega._nums
+    weights = [math.prod(map(pow, nums, phi.counts), start=coefm(phi)) for phi in space]
+    return Dist._from_ints(space, weights, omega._den**size)

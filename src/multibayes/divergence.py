@@ -7,6 +7,7 @@ from itertools import compress
 from operator import mul, truediv
 from typing import TYPE_CHECKING
 
+from .core import _fsum
 from .distribution import Dist
 from .errors import LogBaseError, SupportMismatchError
 
@@ -25,11 +26,9 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     """
     if base is not None and not (0 < base < math.inf and base != 1):
         raise LogBaseError(f"logarithm base must be positive, finite and not 1, got {base!r}")
-    if rho.space == sigma.space:
-        rho_raw, rho_floats = rho._raw(), rho._floats()
-    else:
-        rho_raw = [rho.get(x) for x in sigma.space]
-        rho_floats = [float(w) for w in rho_raw]
+    if rho.space != sigma.space:
+        rho = rho._padded(sigma.space.elements)
+    rho_raw, rho_floats = rho._raw(), rho._floats()
     sigma_raw = sigma._raw()
     for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
         if w != 0 and r == 0:
@@ -37,7 +36,7 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     # the terms of sigma's support, in order
     sigma_floats = list(compress(sigma._floats(), sigma_raw))
     ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))
-    total = sum(map(mul, sigma_floats, map(math.log, ratios)), 0.0)
+    total = _fsum(map(mul, sigma_floats, map(math.log, ratios)))
     if base is not None:
         total /= math.log(base)
     return total
@@ -50,8 +49,7 @@ def expected_channel_divergence(sigma: Dist, rho: Dist, c: "Channel", base: floa
     from the pushforward KL(rho, c >> sigma) from above.
     """
     total = 0.0
-    for z, w in sigma.items():
-        if w == 0:
-            continue
-        total += float(w) * kl_divergence(rho, c.row(z), base=base)
+    for z, w, weight in zip(sigma.space, sigma._raw(), sigma._floats()):
+        if w:
+            total += weight * kl_divergence(rho, c.row(z), base=base)
     return total

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from operator import add as _add, mul
 from typing import Iterable, Iterator
 
 from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, label_str
+from .core import _fsum, _require_bits
 from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
@@ -16,9 +18,6 @@ from .errors import (
     SpaceMismatchError,
 )
 from .multiset import Multiset, coefm_counts
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Factor(_Vector):
@@ -70,14 +69,31 @@ class Factor(_Vector):
         return ortho(self)
 
     def __pow__(self, exponent) -> "Factor":
-        """Iterated conjunction; fractional exponents give a float-mode factor."""
+        """Iterated conjunction; fractional exponents give a float-mode
+        factor, negative integers the powers of the reciprocals (a zero
+        value raises ZeroDivisionError).  A float overflow raises
+        FloatRangeError, and an exact power of more than MAX_EXACT_BITS
+        bits SizeLimitError."""
         if isinstance(exponent, int) and not isinstance(exponent, bool):
-            return Factor(self._space, tuple(v**exponent for v in self.values))
-        exponent = float(exponent)
-        return Factor(
-            self._space,
-            tuple(0.0 if v == 0 else float(v) ** exponent for v in self.values),
-        )
+            if self._nums is not None:
+                base = self
+                if exponent < 0:
+                    if 0 in self._nums:
+                        raise ZeroDivisionError("negative power of a factor with a zero value")
+                    # the reciprocals den / n over the lcm of the numerators
+                    common = math.lcm(*self._nums)
+                    base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
+                    exponent = -exponent
+                _require_bits(base._power_bits(exponent), "factor power")
+                return Factor._from_ints(self._space, [n**exponent for n in base._nums], base._den**exponent)
+            powers = map(pow, self._floats(), repeat(exponent))
+        else:
+            exponent = float(exponent)
+            powers = (0.0 if v == 0 else v**exponent for v in self._floats())
+        try:
+            return Factor._from_floats(self._space, powers)
+        except OverflowError:
+            raise FloatRangeError("factor power overflows the float range") from None
 
     def __str__(self) -> str:
         return " + ".join(f"{format_scalar(v)}*1{{{label_str(x)}}}" for x, v in self.items())
@@ -87,11 +103,11 @@ class Factor(_Vector):
 
 
 def truth(space: SampleSpace) -> Factor:
-    return Factor(space, (_ONE,) * len(space))
+    return Factor._from_ints(space, (1,) * len(space), 1)
 
 
 def falsity(space: SampleSpace) -> Factor:
-    return Factor(space, (_ZERO,) * len(space))
+    return Factor._from_ints(space, (0,) * len(space), 1)
 
 
 def indicator(subset: Iterable[Label], space: SampleSpace) -> Factor:
@@ -100,7 +116,7 @@ def indicator(subset: Iterable[Label], space: SampleSpace) -> Factor:
     for elem in subset:
         space.index(elem)
         members.add(elem)
-    return Factor(space, tuple(_ONE if x in members else _ZERO for x in space))
+    return Factor._from_ints(space, [int(x in members) for x in space], 1)
 
 
 def point_pred(element: Label, space: SampleSpace) -> Factor:
@@ -122,23 +138,37 @@ def tensor_factor(p: Factor, q: Factor) -> Factor:
 
 
 def add(p: Factor, q: Factor) -> Factor:
+    """Pointwise sum; a float overflow raises FloatRangeError."""
     if p.space != q.space:
         raise SpaceMismatchError("sum needs factors on one space")
-    return Factor(p.space, tuple(a + b for a, b in zip(p.values, q.values)))
+    if p._nums is not None and q._nums is not None:
+        den = math.lcm(p._den, q._den)
+        ps, qs = den // p._den, den // q._den
+        return Factor._from_ints(p.space, [a * ps + b * qs for a, b in zip(p._nums, q._nums)], den)
+    return Factor._from_floats(p.space, map(_add, p._floats(), q._floats()))
 
 
 def scale(s: Scalar, p: Factor) -> Factor:
+    """Pointwise multiple; a float overflow raises FloatRangeError."""
     s = as_scalar(s)
-    if s < 0:
-        raise ValueError("factor scaling needs a non-negative scalar")
-    return Factor(p.space, tuple(s * v for v in p.values))
+    if not 0 <= s < math.inf:
+        raise ValueError("factor scaling needs a finite non-negative scalar")
+    if isinstance(s, Fraction) and p._nums is not None:
+        return Factor._from_ints(p.space, [n * s.numerator for n in p._nums], p._den * s.denominator)
+    try:
+        s = float(s)
+    except OverflowError:
+        raise FloatRangeError("scalar too large for a float") from None
+    return Factor._from_floats(p.space, map(mul, repeat(s), p._floats()))
 
 
 def ortho(p: Factor) -> Factor:
     """Orthosupplement 1 - p; defined for predicates only."""
     if not p.is_predicate:
         raise NotAPredicateError("orthosupplement needs values bounded by one")
-    return Factor(p.space, tuple(1 - v for v in p.values))
+    if p._nums is not None:
+        return Factor._from_ints(p.space, [p._den - n for n in p._nums], p._den)
+    return Factor._from_floats(p.space, [1.0 - v for v in p._floats()])
 
 
 class Evidence:
@@ -146,10 +176,11 @@ class Evidence:
 
     Factors that are pointwise equal are merged on construction; the
     remaining distinct factors keep their first-seen order, which fixes
-    the factor order used by parallel conjunctions.
+    the factor order used by parallel conjunctions.  The iterated
+    conjunction is computed once, by the first :func:`and_conj`.
     """
 
-    __slots__ = ("_factors", "_counts")
+    __slots__ = ("_factors", "_counts", "_conj")
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
         factors: list[Factor] = []
@@ -174,6 +205,7 @@ class Evidence:
                 counts.append(count)
         self._factors = tuple(factors)
         self._counts = tuple(counts)
+        self._conj: Factor | None = None
 
     @property
     def factors(self) -> tuple[Factor, ...]:
@@ -246,10 +278,19 @@ def and_conj(psi: Evidence) -> Factor:
     Exact factors before the first float one multiply exactly; from
     there on the product runs on floats, an exact factor's power
     rounded once as a Fraction would be.  A float overflow raises
-    FloatRangeError.
+    FloatRangeError, and exact powers of more than MAX_EXACT_BITS bits
+    in all raise SizeLimitError before they are computed.  The result
+    is kept in ``psi``, so later calls return the same object.
     """
+    if psi._conj is None:
+        psi._conj = _and_conj(psi)
+    return psi._conj
+
+
+def _and_conj(psi: Evidence) -> Factor:
     _require_nonempty(psi)
     items = list(psi.items())
+    _require_bits(sum(f._power_bits(count) for f, count in items if f._nums is not None), "conjunction")
     nums, den, exact = [1] * len(psi.space), 1, 0
     for factor, count in items:
         if factor._nums is None:
@@ -313,10 +354,14 @@ def match_status(psi: Evidence) -> MatchStatus:
     """
     if not psi.factors:
         return MatchStatus.MATCH
-    exact = all(f._nums is not None for f in psi.factors)
-    totals = [sum(column) for column in zip(*(f.values if exact else f._floats() for f in psi.factors))]
-    if all(t == 1 for t in totals):
+    if all(f._nums is not None for f in psi.factors):
+        one = math.lcm(*(f._den for f in psi.factors))
+        totals = [sum(column) for column in zip(*([n * (one // f._den) for n in f._nums] for f in psi.factors))]
+    else:
+        one = 1.0
+        totals = [_fsum(column) for column in zip(*(f._floats() for f in psi.factors))]
+    if all(t == one for t in totals):
         return MatchStatus.PERFECT_MATCH
-    if all(t <= 1 for t in totals):
+    if all(t <= one for t in totals):
         return MatchStatus.MATCH
     return MatchStatus.NO_MATCH

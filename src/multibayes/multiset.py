@@ -6,7 +6,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Label, SampleSpace, _require_size, label_str
+from .core import Label, SampleSpace, _require_coefficient_bits, _require_size, label_str
 from .errors import UnknownElementError
 
 
@@ -95,11 +95,18 @@ def acc(seq: Iterable[Label], space: SampleSpace) -> Multiset:
 
 
 def coefm_counts(counts: Iterable[int]) -> int:
-    """Multinomial coefficient K!/prod(c!) of a multiplicity vector."""
+    """Multinomial coefficient K!/prod(c!) of a multiplicity vector.
+
+    Computed as a product of binomials, so no intermediate exceeds the
+    result; a coefficient of more than MAX_EXACT_BITS bits is refused.
+    """
     counts = tuple(counts)
-    result = math.factorial(sum(counts))
+    _require_coefficient_bits(counts, "multinomial coefficient")
+    total = sum(counts)
+    result = 1
     for c in counts:
-        result //= math.factorial(c)
+        result *= math.comb(total, c)
+        total -= c
     return result
 
 

@@ -175,7 +175,7 @@ def _dist(rng: random.Random, space: SampleSpace, full_support: bool = True, uni
 
 def _factor(rng: random.Random, space: SampleSpace, positive: bool = False, unit: int = 12, bound: int = 1) -> Factor:
     low = 1 if positive else 0
-    return Factor(space, [Fraction(rng.randint(low, bound * unit), unit) for _ in space])
+    return Factor._from_ints(space, [rng.randint(low, bound * unit) for _ in space], unit)
 
 
 def _evidence(
@@ -203,8 +203,8 @@ def _perfect_pack(rng: random.Random, space: SampleSpace, parts: int, unit: int 
         for _x in space:
             cuts = sorted(rng.randint(0, unit) for _ in range(parts - 1))
             cells = [b - a for a, b in zip([0] + cuts, cuts + [unit])]
-            columns.append([Fraction(c, unit) for c in cells])
-        factors = [Factor(space, [col[i] for col in columns]) for i in range(parts)]
+            columns.append(cells)
+        factors = [Factor._from_ints(space, [col[i] for col in columns], unit) for i in range(parts)]
         if len(set(factors)) == parts:
             return factors
     raise AssertionError("could not build a distinct perfect pack")
@@ -943,7 +943,7 @@ def _vfe_argmin(trials, rng):
     posterior = vfe_update(model.prior, psi)
     minimum = free_energy_objective(posterior, model.prior, psi)
     space = model.prior.space
-    candidates = [Dist(space, (Fraction(k, 100), Fraction(100 - k, 100))) for k in range(101)]
+    candidates = [Dist._from_ints(space, (k, 100 - k), 100) for k in range(101)]
     for _ in range(trials):
         candidates.append(_dist(rng, space, full_support=False, unit=60))
     for cand in candidates:
@@ -958,11 +958,7 @@ def _vfe_argmin(trials, rng):
     psi3 = _evidence(rng, space3)
     posterior3 = vfe_update(omega3, psi3)
     minimum3 = free_energy_objective(posterior3, omega3, psi3)
-    grid3 = [
-        Dist(space3, (Fraction(i, 100), Fraction(j, 100), Fraction(100 - i - j, 100)))
-        for i in range(101)
-        for j in range(101 - i)
-    ]
+    grid3 = [Dist._from_ints(space3, (i, j, 100 - i - j), 100) for i in range(101) for j in range(101 - i)]
     for cand in grid3:
         if free_energy_objective(cand, omega3, psi3) < minimum3 - FLOAT_SLACK:
             return False, trials, f"grid candidate {cand} beat the VFE update"

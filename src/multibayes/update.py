@@ -10,13 +10,12 @@ the VFE rule, which is inherently float.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
 from typing import Callable, Sequence
 
-from .core import Scalar
-from .distribution import Dist, _mix, _Weights, convex_sum
+from .core import Scalar, _fsum
+from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
@@ -32,7 +31,7 @@ def _posterior(omega: Dist, p: Factor) -> Dist | None:
         total = sum(products)
         return Dist._from_ints(omega.space, products, total) if total else None
     products = list(map(mul, omega._floats(), p._floats()))
-    norm = sum(products)
+    norm = _fsum(products)
     if norm == 0:
         return None
     return Dist._from_floats(omega.space, map(truediv, products, repeat(norm)))
@@ -89,8 +88,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
     posteriors = _per_factor(omega, psi, _posterior)
-    total = psi.size
-    return convex_sum([Fraction(count, total) for count in psi.counts], posteriors)
+    return _mix(omega.space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
 
 
 def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:
@@ -134,23 +132,21 @@ def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:
     """
     posteriors = _per_factor(omega, psi, _posterior)
     total = psi.size
+    frequencies = [count / total for count in psi.counts]
+    columns = zip(zip(*(p._raw() for p in posteriors)), zip(*(p._floats() for p in posteriors)))
     raw = []
-    for x in omega.space:
-        if omega(x) == 0:
+    for w, (weights, floats) in zip(omega._raw(), columns):
+        if w == 0 or 0 in weights:
             raw.append(0.0)
             continue
         log_sum = 0.0
-        for (_, count), posterior in zip(psi.items(), posteriors):
-            weight = posterior(x)
-            if weight == 0:
-                log_sum = -math.inf
-                break
-            log_sum += (count / total) * math.log(float(weight))
-        raw.append(math.exp(log_sum) if log_sum > -math.inf else 0.0)
-    norm = sum(raw)
+        for frequency, weight in zip(frequencies, floats):
+            log_sum += frequency * math.log(weight)
+        raw.append(math.exp(log_sum))
+    norm = _fsum(raw)
     if norm == 0:
         raise ZeroValidityError("softmax normalisation vanished")
-    return Dist(omega.space, tuple(v / norm for v in raw))
+    return Dist._from_floats(omega.space, [v / norm for v in raw])
 
 
 def free_energy_objective(rho: Dist, omega: Dist, psi: Evidence) -> float:

@@ -7,25 +7,33 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .core import Scalar
+from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits
 from .distribution import Dist
 from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 
 
 def validity(omega: Dist, p: Factor) -> Scalar:
-    """Expected value sum_x omega(x) * p(x); exact when the inputs are."""
+    """Expected value sum_x omega(x) * p(x); exact when the inputs are.
+    A float validity beyond the float range raises FloatRangeError."""
     if omega.space != p.space:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
     if omega._nums is not None and p._nums is not None:
         return Fraction(sum(map(mul, omega._nums, p._nums)), omega._den * p._den)
-    return sum(map(mul, omega._floats(), p._floats()))
+    total = _fsum(map(mul, omega._floats(), p._floats()))
+    if total == math.inf:
+        raise FloatRangeError("validity overflows the float range")
+    return total
 
 
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
     """The multinomial coefficient of ``psi`` times ``prod base**count``;
     exact when every base is.  A float product that overflows raises
-    FloatRangeError."""
+    FloatRangeError; an exact one estimated at more than MAX_EXACT_BITS
+    bits raises SizeLimitError before it is computed."""
+    powers = list(powers)
+    bits = sum([_power_bits(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction])
+    _require_coefficient_bits(psi.counts, "validity of the evidence", bits)
     result = psi.coefficient()
     try:
         for base, count in powers:

@@ -249,6 +249,18 @@ class TestEval:
         assert captured.out == "" and captured.err.startswith("error: ") and "float" in captured.err
 
 
+    def test_validity_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
+        # the weights sum to 1 + 1e-10, within the float tolerance
+        model = json.loads(serialize_model(builtin_medical_model()))
+        model["distributions"]["prior"]["weights"] = [0.5000000001, 0.5]
+        model["factors"]["pt"]["values"] = [1.7976931348623157e308] * 2
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "float" in captured.err
+
+
 class TestGridSpec:
     def test_bounds_must_be_positive(self):
         from multibayes import ModelError

@@ -1,5 +1,6 @@
 """Kullback-Leibler divergence and the channel lower bound."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ class TestKlDivergence:
         narrow = dirac("a", AB)
         wide = uniform(AB)
         assert kl_divergence(narrow, wide) == pytest.approx(0.6931471805599453, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [(0.25, 0.25, 0.5), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))])
+    def test_second_distribution_on_a_larger_space(self, weights):
+        rho = Dist(SampleSpace("abc"), weights)
+        assert kl_divergence(Dist(AB, (0.5, 0.5)), rho) == math.log(2)
+        assert kl_divergence(uniform(AB), rho) == math.log(2)
+        with pytest.raises(SupportMismatchError):
+            kl_divergence(uniform(SampleSpace("abd")), rho)
 
     def test_support_violation(self):
         with pytest.raises(SupportMismatchError):

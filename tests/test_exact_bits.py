@@ -1,0 +1,103 @@
+"""The bit-length guard: exact results too large to compute are refused.
+
+The guard estimates the size of an exact conjunction, evidence validity,
+multinomial coefficient or multinomial distribution before computing it
+and raises SizeLimitError (CLI exit 2) above ``core.MAX_EXACT_BITS``.
+Every test lowers the limit, so nothing large is ever computed.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from multibayes import (
+    Dist,
+    Evidence,
+    Factor,
+    Multiset,
+    SampleSpace,
+    SizeLimitError,
+    and_conj,
+    coefm,
+    jeffrey_update,
+    jeffrey_validity,
+    multinomial,
+    pearl_update,
+    pearl_validity,
+)
+from multibayes.cli import main
+from multibayes.modelfile import builtin_medical_model, serialize_model
+
+D = SampleSpace(("d", "~d"))
+PRIOR = Dist(D, (Fraction(1, 20), Fraction(19, 20)))
+PT = Factor(D, (Fraction(9, 10), Fraction(2, 5)))  # counted as ceil(log2(10)) = 4 bits a power
+NT = Factor(D, (Fraction(1, 10), Fraction(3, 5)))
+
+
+@pytest.fixture
+def limit(monkeypatch):
+    monkeypatch.setattr("multibayes.core.MAX_EXACT_BITS", 100)
+
+
+def test_conjunction_is_refused_above_the_limit(limit):
+    assert and_conj(Evidence(((PT, 15), (NT, 10)))).values[0] == Fraction(9**15, 10**25)  # 100 bits
+    psi = Evidence(((PT, 15), (NT, 11)))
+    with pytest.raises(SizeLimitError, match="conjunction with about 104 bits"):
+        and_conj(psi)
+    with pytest.raises(SizeLimitError):
+        pearl_update(PRIOR, psi)
+    with pytest.raises(SizeLimitError):
+        pearl_validity(PRIOR, psi)
+    assert (PT**25).values[1] == Fraction(2**25, 5**25)
+    with pytest.raises(SizeLimitError, match="factor power"):
+        PT**26
+
+
+def test_float_factors_are_not_counted(limit):
+    floats = Factor(D, (0.9, 0.4))
+    assert and_conj(Evidence(((floats, 10**6), (PT, 25)))).values[1] == 0.0
+
+
+def test_evidence_validity_is_refused_above_the_limit(limit):
+    # the validities 17/40 and 23/40 count as ceil(log2(40)) = 6 bits a
+    # power; the coefficient C(14, 7) takes 11.8 bits (98 counted at most),
+    # C(16, 8) 13.7 bits (109.7 in all)
+    assert jeffrey_validity(PRIOR, Evidence(((PT, 7), (NT, 7)))) > 0
+    psi = Evidence(((PT, 8), (NT, 8)))
+    with pytest.raises(SizeLimitError, match="validity of the evidence"):
+        jeffrey_validity(PRIOR, psi)
+    assert jeffrey_update(PRIOR, psi).is_exact  # needs no powers
+
+
+def test_coefficient_is_refused_before_the_factorial(limit):
+    s = SampleSpace("ab")
+    assert coefm(Multiset(s, (10**9, 0))) == 1
+    assert coefm(Multiset(s, (10**9, 1))) == 10**9 + 1
+    assert coefm(Multiset(s, (50, 50))) == 100891344545564193334812497256  # C(100, 50), 96 bits
+    with pytest.raises(SizeLimitError, match="multinomial coefficient"):
+        coefm(Multiset(s, (55, 55)))
+    with pytest.raises(SizeLimitError):
+        Evidence(((PT, 10**9), (NT, 10**9))).coefficient()
+    with pytest.raises(SizeLimitError):  # beyond the float range of the estimate
+        coefm(Multiset(s, (10**400, 10**400)))
+
+
+def test_multinomial_is_refused_above_the_limit(limit):
+    omega = Dist(SampleSpace("ab"), (Fraction(1, 3), Fraction(2, 3)))
+    assert multinomial(50, omega).is_exact  # 3**50 counts as 2 bits a draw
+    with pytest.raises(SizeLimitError, match="multinomial"):
+        multinomial(51, omega)
+
+
+def test_eval_exits_2_on_a_refused_result(limit, tmp_path, capsys):
+    model = json.loads(serialize_model(builtin_medical_model()))
+    model["evidence"]["many"] = [{"factor": "pt", "count": 40}, {"factor": "nt", "count": 1}]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    for expr in ("pearl_validity(prior, many)", "jeffrey_validity(prior, many)", "and_conj(many)",
+                 "pearl_update(prior, many)"):
+        assert main(["eval", "--model", str(path), "--expr", expr]) == 2, expr
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bits refused" in captured.err
+    assert main(["eval", "--model", str(path), "--expr", "jeffrey_update(prior, many)"]) == 0

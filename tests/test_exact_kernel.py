@@ -18,21 +18,40 @@ from multibayes import (
     Dist,
     Evidence,
     Factor,
+    MatchStatus,
+    Multiset,
     SampleSpace,
     and_conj,
     bayes_update,
     convex_sum,
+    copy_dist,
+    dagger,
+    dirac,
+    falsity,
+    flrn,
     frac_conj,
+    indicator,
     jeffrey_update,
     jeffrey_update_weighted,
     kl_divergence,
+    marginal,
+    match_status,
+    multinomial,
+    multiset_space,
+    ortho,
     pearl_update,
     point_pred,
     pull,
     push,
+    tensor,
+    truth,
+    uniform,
     validity,
     vfe_update,
 )
+from multibayes.distribution import push_function
+from multibayes.evidence import add, scale
+from multibayes.multiset import coefm
 
 SEEDS = range(40)
 ZERO = Fraction(0)
@@ -81,8 +100,15 @@ def as_floats(f):
 # -- plain-Fraction references ------------------------------------------------
 
 
+def ref_sum(terms):
+    """Exact terms add exactly; float terms add as ``math.fsum`` does,
+    correctly rounded."""
+    terms = list(terms)
+    return sum(terms, ZERO) if all(type(t) is Fraction for t in terms) else math.fsum(terms)
+
+
 def ref_validity(ws, vs):
-    return sum((w * v for w, v in zip(ws, vs)), ZERO)
+    return ref_sum(w * v for w, v in zip(ws, vs))
 
 
 def ref_bayes(ws, vs):
@@ -101,7 +127,7 @@ def ref_and_conj(psi):
 
 
 def ref_mix(rs, rows):
-    return tuple(sum((r * row[j] for r, row in zip(rs, rows)), ZERO) for j in range(len(rows[0])))
+    return tuple(ref_sum(r * row[j] for r, row in zip(rs, rows)) for j in range(len(rows[0])))
 
 
 def ref_frac_conj(psi):
@@ -120,11 +146,7 @@ def ref_frac_conj(psi):
 
 
 def ref_kl(sigma, rho):
-    total = 0.0
-    for w, r in zip(sigma, rho):
-        if w != 0:
-            total += float(w) * math.log(float(w) / float(r))
-    return total
+    return math.fsum(float(w) * math.log(float(w) / float(r)) for w, r in zip(sigma, rho) if w != 0)
 
 
 def assert_canonical(vector):
@@ -173,6 +195,13 @@ def test_and_conj(seed):
     assert_canonical(conj)
 
 
+def test_and_conj_is_computed_once_per_evidence():
+    rng = random.Random(5)
+    psi = evidence(rng, space(rng))
+    assert and_conj(psi) is and_conj(psi)
+    assert and_conj(Evidence(psi.items())) is not and_conj(psi)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_convex_sum_and_push(seed):
     rng = random.Random(seed)
@@ -218,6 +247,9 @@ def test_float_readouts_are_bit_identical(seed):
     full = Dist(s, [w / 2 + Fraction(1, 2 * len(s)) for w in rho.weights])
     assert kl_divergence(omega, full) == ref_kl(omega.weights, full.weights)
     assert kl_divergence(omega, full, base=2) == ref_kl(omega.weights, full.weights) / math.log(2)
+    # a second distribution on a larger space, with mass outside the first's
+    wider = Dist(SampleSpace(list(s) + ["extra"]), [w / 2 for w in full.weights] + [Fraction(1, 2)])
+    assert kl_divergence(omega, wider) == ref_kl(omega.weights, wider.weights[:-1])
 
 
 def test_huge_denominators_round_like_fractions():
@@ -306,3 +338,143 @@ def test_float_evidence_updates_match_exact_ones(seed):
     assert vfe_update(omega, psi) == vfe_update(omega, fpsi)
     jeffrey, fjeffrey = jeffrey_update(omega, psi), jeffrey_update(omega.to_float(), fpsi)
     assert all(abs(a - b) <= 1e-12 for a, b in zip(jeffrey.weights, fjeffrey.weights))
+
+
+# -- constructors and operations built on the ints ------------------------------
+#
+# Each is compared with the per-element Fraction arithmetic that built it
+# before it moved onto the ints.
+
+
+def ref_pull(c, q):
+    return tuple(ref_validity(row.weights, q.values) for row in c.rows)
+
+
+def ref_push_function(f, omega, cod):
+    merged = {}
+    for x, w in omega.items():
+        if w:
+            merged[f(x)] = merged.get(f(x), ZERO) + w
+    return tuple(merged.get(y, ZERO) for y in cod)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_constructors_from_literals(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    x = rng.choice(s.elements)
+    subset = [y for y in s if rng.random() < 0.5]
+    counts = [rng.randint(0, 5) for _ in s]
+    counts[0] += 1
+    n = len(s)
+    cases = [
+        (dirac(x, s), tuple(Fraction(int(y == x)) for y in s)),
+        (uniform(s), (Fraction(1, n),) * n),
+        (flrn(Multiset(s, counts)), tuple(Fraction(c, sum(counts)) for c in counts)),
+        (truth(s), (Fraction(1),) * n),
+        (falsity(s), (ZERO,) * n),
+        (indicator(subset, s), tuple(Fraction(int(y in subset)) for y in s)),
+        (point_pred(x, s), tuple(Fraction(int(y == x)) for y in s)),
+    ]
+    for vector, expected in cases:
+        assert (vector.weights if isinstance(vector, Dist) else vector.values) == expected
+        assert_canonical(vector)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pull_and_dagger(seed):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    c = Channel(s, t, [dist(rng, t) for _ in s])
+    q = factor(rng, t)
+    pulled = pull(c, q)
+    assert pulled.values == ref_pull(c, q)
+    assert_canonical(pulled)
+    omega = dist(rng, s)
+    predicted = push(c, omega)
+    if all(predicted.weights):
+        inverse = dagger(c, omega)
+        for y, row in zip(t, inverse.rows):
+            assert row.weights == ref_bayes(omega.weights, ref_pull(c, point_pred(y, t)))
+            assert_canonical(row)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multinomial(seed):
+    rng = random.Random(seed)
+    omega = dist(rng, space(rng, high=4))
+    size = rng.randint(0, 4)
+    draws = multinomial(size, omega)
+    expected = tuple(
+        coefm(phi) * math.prod((w**c for w, c in zip(omega.weights, phi.counts)), start=Fraction(1))
+        for phi in multiset_space(omega.space, size)
+    )
+    assert draws.weights == expected
+    assert_canonical(draws)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_factor_algebra(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    p, q = factor(rng, s), factor(rng, s)
+    predicate = Factor(s, [min(v, 1) for v in factor_values(rng, len(s))])
+    r, k = Fraction(rng.randint(0, 9), rng.randint(1, 6)), rng.randint(0, 3)
+    e = rng.randint(0, 4)
+    cases = [
+        (add(p, q), tuple(a + b for a, b in zip(p.values, q.values))),
+        (scale(r, p), tuple(r * v for v in p.values)),
+        (scale(k, p), tuple(k * v for v in p.values)),
+        (ortho(predicate), tuple(1 - v for v in predicate.values)),
+        (p**e, tuple(v**e for v in p.values)),
+    ]
+    # negative powers are the powers of the reciprocals
+    positive = Factor(s, [v + Fraction(1, rng.randint(1, 6)) for v in p.values])
+    n = -rng.randint(1, 3)
+    cases.append((positive**n, tuple(v**n for v in positive.values)))
+    for result, expected in cases:
+        assert result.values == expected
+        assert_canonical(result)
+    with pytest.raises(ZeroDivisionError):
+        Factor(s, [0] + [1] * (len(s) - 1)) ** -1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_push_function_marginal_and_copy(seed):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    omega, rho = dist(rng, s), dist(rng, t)
+    parity = SampleSpace((0, 1))
+    images = [
+        (push_function(lambda x: int(x[1:]) % 2, omega, cod=parity), lambda x: int(x[1:]) % 2, omega, parity),
+        (marginal(tensor(omega, rho), 1), lambda pair: pair[1], tensor(omega, rho), t),
+        (copy_dist(omega, 3), lambda x: (x,) * 3, omega, s.power(3)),
+    ]
+    for result, f, source, cod in images:
+        assert result.space == cod
+        assert result.weights == ref_push_function(f, source, cod)
+        assert_canonical(result)
+    unnamed = push_function(lambda x: int(x[1:]) % 3, omega)
+    assert unnamed.weights == ref_push_function(lambda x: int(x[1:]) % 3, omega, unnamed.space)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_match_status_and_cross_space_equality(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    predicates = [Factor(s, [min(v, 1) for v in factor_values(rng, len(s))]) for _ in range(rng.randint(1, 3))]
+    predicates.append(ortho(predicates[0]))
+    psi = Evidence((f, 1) for f in predicates[rng.randint(0, 1):])
+    totals = [sum(column, ZERO) for column in zip(*(f.values for f in psi.factors))]
+    expected = (
+        MatchStatus.PERFECT_MATCH if all(t == 1 for t in totals)
+        else MatchStatus.MATCH if all(t <= 1 for t in totals) else MatchStatus.NO_MATCH
+    )
+    assert match_status(psi) == expected
+    omega = dist(rng, s)
+    wider = SampleSpace(list(s) + ["extra"])
+    padded = Dist(wider, list(omega.weights) + [0])
+    assert omega == padded and padded == omega
+    moved = Dist(wider, [w / 2 for w in omega.weights] + [Fraction(1, 2)])
+    assert omega != moved and moved != omega
+    assert (omega == padded.to_float()) == (omega.to_float().weights == omega.weights)

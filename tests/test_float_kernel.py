@@ -25,17 +25,25 @@ from multibayes import (
     Evidence,
     Factor,
     FloatRangeError,
+    MatchStatus,
     SampleSpace,
     and_conj,
     bayes_update,
     convex_sum,
+    copy_dist,
+    dagger,
+    expected_channel_divergence,
     frac_conj,
     iterated_pearl_validity,
     jeffrey_update,
     jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
+    marginal,
+    match_status,
     multinomial,
+    multiset_space,
+    ortho,
     pearl_update,
     pearl_validity,
     point_pred,
@@ -47,8 +55,12 @@ from multibayes import (
     tensor_power,
     validity,
     vfe_update,
+    vfe_update_softmax,
 )
 from multibayes.core import FLOAT_SUM_TOL, _Vector
+from multibayes.distribution import push_function
+from multibayes.evidence import add, scale
+from multibayes.multiset import coefm
 
 SEEDS = range(40)
 
@@ -121,10 +133,7 @@ def bits(values):
 
 
 def ref_validity(ws, vs):
-    total = 0.0
-    for w, v in zip(ws, vs):
-        total += w * v
-    return total
+    return math.fsum(w * v for w, v in zip(ws, vs))
 
 
 def ref_bayes(ws, vs):
@@ -157,13 +166,7 @@ def ref_frac_conj(psi):
 
 
 def ref_mix(rs, rows):
-    result = []
-    for j in range(len(rows[0])):
-        total = 0.0
-        for r, row in zip(rs, rows):
-            total += r * row[j]
-        result.append(total)
-    return tuple(result)
+    return tuple(math.fsum(r * row[j] for r, row in zip(rs, rows)) for j in range(len(rows[0])))
 
 
 def ref_coefficient_times(psi, powers):
@@ -174,11 +177,7 @@ def ref_coefficient_times(psi, powers):
 
 
 def ref_kl(sigma, rho):
-    total = 0.0
-    for w, r in zip(sigma, rho):
-        if w != 0:
-            total += float(w) * math.log(float(w) / float(r))
-    return total
+    return math.fsum(float(w) * math.log(float(w) / float(r)) for w, r in zip(sigma, rho) if w != 0)
 
 
 # -- float kernels against the references ---------------------------------------
@@ -259,6 +258,9 @@ def test_to_float_and_kl_divergence(seed):
         full = Dist(s, [w / 2 + 1 / (2 * len(s)) for w in float_weights(rng, len(s))])
         assert bits([kl_divergence(omega, full)]) == bits([ref_kl(omega.weights, full.weights)])
         assert kl_divergence(omega, full, base=2) == ref_kl(omega.weights, full.weights) / math.log(2)
+        # a second distribution on a larger space, with mass outside the first's
+        wider = Dist(SampleSpace(list(s) + ["extra"]), [w / 2 for w in full.weights] + [0.5])
+        assert bits([kl_divergence(omega, wider)]) == bits([ref_kl(omega.weights, wider.weights[:-1])])
 
 
 # -- the float view and the trusted constructor ---------------------------------
@@ -402,6 +404,7 @@ def float_products():
     s = SampleSpace("abc")
     omega = Dist(s, (0.2, 0.3, 0.5))
     p, q = Factor(s, (0.25, 0.9, 1.7)), Factor(s, (0.6, 0.1, 1.0))
+    c = Channel(s, s, [omega, Dist(s, (0.5, 0.25, 0.25)), Dist(s, (0.1, 0.1, 0.8))])
     return {
         "tensor": lambda: tensor(omega, omega),
         "tensor_power": lambda: tensor_power(omega, 4),
@@ -409,9 +412,180 @@ def float_products():
         "tensor_conj": lambda: tensor_conj(Evidence(((p, 2), (q, 2)))),
         "multinomial": lambda: multinomial(4, omega),
         "iterated_pearl_validity": lambda: iterated_pearl_validity(omega, (p, q, p)),
+        "pull": lambda: pull(c, p),
+        "dagger": lambda: dagger(c, omega),
+        "add": lambda: add(p, q),
+        "scale": lambda: scale(0.5, p),
+        "ortho": lambda: ortho(q),
+        "power": lambda: (p**3, p**0.5),
+        "push_function": lambda: push_function(lambda x: x == "a", omega),
+        "marginal": lambda: marginal(tensor(omega, omega), 0),
+        "copy_dist": lambda: copy_dist(omega),
+        "match_status": lambda: match_status(Evidence(((q, 1), (ortho(q), 1)))),
+        "vfe_update_softmax": lambda: vfe_update_softmax(omega, Evidence(((p, 2), (q, 1)))),
+        "cross_space_equality": lambda: omega == Dist(SampleSpace("abcd"), (0.2, 0.3, 0.5, 0.0)),
+        "expected_channel_divergence": lambda: expected_channel_divergence(omega, omega, c),
     }
 
 
 @pytest.mark.parametrize("name", list(float_products()))
 def test_float_products_make_no_fraction_fallbacks(name):
     assert fraction_fallbacks(float_products()[name]) == 0
+
+
+# -- operations moved onto the float views ----------------------------------------
+#
+# Each is compared with the per-element arithmetic that computed it before
+# (validities with math.fsum), on float inputs and on exact operands mixed
+# with float ones.
+
+
+def ref_pull(c, q):
+    """Per row, the float validity; or the exact one on exact operands."""
+    if q._nums is None or any(row._nums is None for row in c.rows):
+        return tuple(ref_validity(row.weights, q.values) for row in c.rows)
+    return tuple(sum(w * v for w, v in zip(row.weights, q.values)) for row in c.rows)
+
+
+def either(rng, maker_exact, maker_float, s):
+    return rng.choice((maker_exact, maker_float))(rng, s)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pull_and_dagger(seed):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    for row_maker, q_maker in ((float_dist, float_factor), (exact_dist, float_factor), (float_dist, exact_factor)):
+        c = Channel(s, t, [row_maker(rng, t) for _ in s])
+        q = q_maker(rng, t)
+        assert bits(pull(c, q).values) == bits(ref_pull(c, q))
+        assert bits(pull(c, q).values) == bits(validity(row, q) for row in c.rows)
+        omega = float_dist(rng, s) if c.rows[0]._nums is not None else either(rng, exact_dist, float_dist, s)
+        predicted = [ref_validity(omega.weights, ref_pull(c, point_pred(y, t))) for y in t]
+        if all(predicted):
+            for y, row in zip(t, dagger(c, omega).rows):
+                assert bits(row.weights) == bits(ref_bayes(omega.weights, ref_pull(c, point_pred(y, t))))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multinomial(seed):
+    rng = random.Random(seed)
+    omega = float_dist(rng, space(rng, high=4))
+    size = rng.randint(1, 4)
+    expected = []
+    for phi in multiset_space(omega.space, size):
+        w = coefm(phi)
+        for x, count in phi.items():
+            if count:
+                w = w * omega(x) ** count
+        expected.append(w)
+    assert bits(multinomial(size, omega).weights) == bits(expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_factor_algebra(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    for p, q in ((float_factor(rng, s), float_factor(rng, s)), (exact_factor(rng, s), float_factor(rng, s)),
+                 (float_factor(rng, s), exact_factor(rng, s))):
+        assert bits(add(p, q).values) == bits(a + b for a, b in zip(p.values, q.values))
+        for r in (rng.random() * 3, Fraction(rng.randint(0, 9), rng.randint(1, 6))):
+            if (p._nums is None) or isinstance(r, float):
+                assert bits(scale(r, p).values) == bits(r * v for v in p.values)
+        predicate = Factor(s, [min(v, 1.0) for v in p._floats()])
+        assert bits(ortho(predicate).values) == bits(1 - v for v in predicate.values)
+        e, g = rng.randint(0, 4), rng.choice((0.5, 1.5, 2.25))
+        if p._nums is None:
+            assert bits((p**e).values) == bits(v**e for v in p.values)
+            positive = Factor(s, [v + 0.5 for v in p.values])
+            assert bits((positive ** -(e + 1)).values) == bits(v ** -(e + 1) for v in positive.values)
+        assert bits((p**g).values) == bits(0.0 if v == 0 else float(v) ** g for v in p.values)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_push_function_marginal_and_copy(seed):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    omega, rho = float_dist(rng, s), either(rng, exact_dist, float_dist, t)
+
+    def ref(f, source, cod):
+        merged = {}
+        for x, w in source.items():
+            if w != 0:
+                merged[f(x)] = merged.get(f(x), Fraction(0)) + w
+        return [float(merged.get(y, 0)) for y in cod]
+
+    parity = SampleSpace((0, 1))
+    pushed = push_function(lambda x: int(x[1:]) % 2, omega, cod=parity)
+    assert bits(pushed.weights) == bits(ref(lambda x: int(x[1:]) % 2, omega, parity))
+    joint = tensor(omega, rho)
+    assert bits(marginal(joint, 1).weights) == bits(ref(lambda pair: pair[1], joint, t))
+    assert bits(copy_dist(omega).weights) == bits(ref(lambda x: (x, x), omega, s.power(2)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_match_status_softmax_and_equality(seed):
+    rng = random.Random(seed)
+    s = space(rng)
+    predicates = [Factor(s, [min(v, 1.0) for v in float_factor(rng, s).values]) for _ in range(rng.randint(1, 3))]
+    predicates.append(ortho(predicates[0]))
+    if rng.random() < 0.5:
+        predicates.append(Factor(s, [Fraction(rng.randint(0, 2), 4) for _ in s]))
+    psi = Evidence((f, 1) for f in predicates)
+    totals = [math.fsum(column) for column in zip(*(f._floats() for f in psi.factors))]
+    expected = (
+        MatchStatus.PERFECT_MATCH if all(t == 1 for t in totals)
+        else MatchStatus.MATCH if all(t <= 1 for t in totals) else MatchStatus.NO_MATCH
+    )
+    assert match_status(psi) == expected
+
+    omega = either(rng, exact_dist, float_dist, s)
+    positive = Evidence((Factor(s, [v + 0.5 for v in float_factor(rng, s).values]), rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 3)))
+    posteriors = [ref_bayes(omega.weights, f.values) for f in positive.factors]
+    raw = []
+    for i, w in enumerate(omega.weights):
+        if w == 0:
+            raw.append(0.0)
+            continue
+        log_sum = 0.0
+        for count, posterior in zip(positive.counts, posteriors):
+            log_sum += (count / positive.size) * math.log(float(posterior[i]))
+        raw.append(math.exp(log_sum))
+    norm = math.fsum(raw)
+    assert bits(vfe_update_softmax(omega, positive).weights) == bits(v / norm for v in raw)
+
+    wider = SampleSpace(list(s) + ["extra"])
+    for other in (Dist(wider, list(omega._floats()) + [0.0]), Dist(wider, [0.5 * w for w in omega._floats()] + [0.5])):
+        assert (omega == other) == all(omega.get(x) == other.get(x) for x in wider)
+        assert (other == omega) == (omega == other)
+
+
+# -- a float overflow in factor algebra is a FloatRangeError ----------------------
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: Factor(SampleSpace("ab"), (10**400, 1)) ** 0.5,
+        lambda: Factor(SampleSpace("ab"), (1e200, 1.0)) ** 2,
+        lambda: Factor(SampleSpace("ab"), (1e300, 1.0)) ** 1.5,
+        lambda: add(Factor(SampleSpace("ab"), (1e308, 1.0)), Factor(SampleSpace("ab"), (1e308, 0.0))),
+        lambda: scale(1e300, Factor(SampleSpace("ab"), (1e10, 1.0))),
+        lambda: scale(Fraction(10**400), Factor(SampleSpace("ab"), (0.5, 1.0))),
+    ],
+    ids=["exact-power", "int-power", "fractional-power", "add", "scale", "scale-exact-scalar"],
+)
+def test_factor_algebra_overflow_is_typed(operation):
+    with pytest.raises(FloatRangeError):
+        operation()
+
+
+def test_sums_beyond_the_float_range():
+    s = SampleSpace("ab")
+    big = Factor(s, (1e308, 1e308))
+    assert match_status(Evidence(((big, 1), (Factor(s, (1e308, 0.0)), 1)))) is MatchStatus.NO_MATCH
+    heavy, largest = Dist(s, (0.5 + 1e-10, 0.5)), Factor(s, (1.7976931348623157e308,) * 2)
+    for operation in (validity, bayes_update):
+        with pytest.raises(FloatRangeError):
+            operation(heavy, largest)

@@ -5,8 +5,10 @@ negative, ``"1/0"``, values at or beyond the float range, huge exact
 fractions, booleans, null, strings or lists; sections and entities
 become non-objects; the JSON text is cut short.  Each mutant runs
 through all 17 ``eval`` operations.  Every run must exit 0 or 2,
-raise nothing, and print no ``nan`` or ``inf``.  Multiplicities are
-not mutated: a huge count makes exact results grow without bound.
+raise nothing, and print no ``nan`` or ``inf``.  A second set of
+mutants changes only multiplicities: a count so large that an exact
+result would outgrow ``core.MAX_EXACT_BITS`` is refused before any
+work is done.
 """
 
 import json
@@ -50,6 +52,9 @@ BAD_SCALARS = [
     f"{10**400}/{3**700}", f"1/{10**400}", True, False, None, "abc", "", "1.5.2", [0.5], {"p": 1},
 ]
 
+#: Bad multiplicities, and valid ones from small to far too large.
+BAD_COUNTS = [0, 1, 60, 10**3, 10**4, 10**6, 10**9, 10**18, 10**400, -1, 1.5, "2", None, True, [1]]
+
 #: Entities whose scalars are mutated: (section, name, key), the key
 #: naming the list of scalars (channel rows are handled separately).
 SCALAR_LISTS = [
@@ -80,6 +85,12 @@ def scalar_slots(model: dict) -> list[list]:
     return slots
 
 
+def count_slots(model: dict) -> list[dict]:
+    """Every evidence and multiset entry that holds a count."""
+    return [*(entry for entries in model["evidence"].values() for entry in entries),
+            *model["multisets"]["draws"]["counts"]]
+
+
 def mutant(rng: random.Random) -> str:
     """The JSON text of one mutated model."""
     model = base_model()
@@ -106,6 +117,28 @@ def mutant(rng: random.Random) -> str:
     return text
 
 
+def count_mutant(rng: random.Random) -> str:
+    """The JSON text of a model with one to three counts mutated."""
+    model = base_model()
+    for _ in range(rng.randint(1, 3)):
+        rng.choice(count_slots(model))["count"] = rng.choice(BAD_COUNTS)
+    return json.dumps(model).replace(json.dumps(BEYOND_FLOAT), BEYOND_FLOAT)
+
+
+def run_mutant(text: str, path, capsys) -> None:
+    """Every operation on the model ``text`` exits 0 or 2, raises
+    nothing and prints no ``nan`` or ``inf``."""
+    path.write_text(text, encoding="utf-8")
+    for expr in EXPRESSIONS:
+        try:
+            code = main(["eval", "--model", str(path), "--expr", expr])
+        except Exception as exc:  # noqa: BLE001 - the mutant is the report
+            pytest.fail(f"{expr} raised {exc!r} on {text}")
+        out = capsys.readouterr().out.lower()
+        assert code in (0, 2), (expr, text)
+        assert "nan" not in out and "inf" not in out, (expr, text, out)
+
+
 def test_every_operation_is_exercised():
     assert sorted(expr.partition("(")[0] for expr in EXPRESSIONS) == sorted(_OPERATIONS)
 
@@ -121,15 +154,12 @@ def test_base_model_evaluates(tmp_path, capsys):
 @pytest.mark.parametrize("seed", range(20))
 def test_mutated_models_are_input_errors(seed, tmp_path, capsys):
     rng = random.Random(seed)
-    path = tmp_path / "mutant.json"
     for _ in range(10):
-        text = mutant(rng)
-        path.write_text(text, encoding="utf-8")
-        for expr in EXPRESSIONS:
-            try:
-                code = main(["eval", "--model", str(path), "--expr", expr])
-            except Exception as exc:  # noqa: BLE001 - the mutant is the report
-                pytest.fail(f"{expr} raised {exc!r} on {text}")
-            out = capsys.readouterr().out.lower()
-            assert code in (0, 2), (expr, text)
-            assert "nan" not in out and "inf" not in out, (expr, text, out)
+        run_mutant(mutant(rng), tmp_path / "mutant.json", capsys)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mutated_counts_are_input_errors(seed, tmp_path, capsys):
+    rng = random.Random(f"counts {seed}")
+    for _ in range(5):
+        run_mutant(count_mutant(rng), tmp_path / "mutant.json", capsys)
