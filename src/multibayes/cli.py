@@ -13,20 +13,17 @@ from .core import format_decimal12, format_scalar, is_exact
 from .errors import MultibayesError
 from .evidence import Evidence
 from .models import GRID_MODES, grid_values, medical_grid_spec, medical_model
-from .modelfile import eval_expression, format_result, load_model
 from .update import bayes_update, iterated_pearl_validity, jeffrey_update, pearl_update
 from .validity import jeffrey_validity, pearl_validity, validity
-from .distribution import Dist
+
+# `check` and `eval` import their own modules (`properties`, the largest,
+# and `modelfile`) when they run, so the other commands never load them.
 
 
 def _fraction_line(name: str, value) -> str:
     if is_exact(value):
         return f"{name} = {format_scalar(value)} = {format_decimal12(value)}"
     return f"{name} = {format_decimal12(value)}"
-
-
-def _dist_line(name: str, dist: Dist) -> str:
-    return f"{name} = {dist}"
 
 
 def cmd_report_medical(out=None) -> int:
@@ -38,15 +35,15 @@ def cmd_report_medical(out=None) -> int:
     posterior_j = jeffrey_update(omega, psi)
     posterior_p = pearl_update(omega, psi)
     lines = [
-        _dist_line("prior", omega),
+        f"prior = {omega}",
         _fraction_line("positive_test_validity", validity(omega, pt)),
         _fraction_line("negative_test_validity", validity(omega, nt)),
         _fraction_line("jeffrey_prior_validity", jeffrey_validity(omega, psi)),
         _fraction_line("pearl_prior_validity", pearl_validity(omega, psi)),
-        _dist_line("posterior_positive", bayes_update(omega, pt)),
-        _dist_line("posterior_negative", bayes_update(omega, nt)),
-        _dist_line("jeffrey_posterior", posterior_j),
-        _dist_line("pearl_posterior", posterior_p),
+        f"posterior_positive = {bayes_update(omega, pt)}",
+        f"posterior_negative = {bayes_update(omega, nt)}",
+        f"jeffrey_posterior = {posterior_j}",
+        f"pearl_posterior = {posterior_p}",
         _fraction_line("jeffrey_posterior_validity", jeffrey_validity(posterior_j, psi)),
         _fraction_line("pearl_posterior_validity", pearl_validity(posterior_p, psi)),
         _fraction_line("cross_pearl_update_jeffrey_validity", jeffrey_validity(posterior_p, psi)),
@@ -69,8 +66,6 @@ def cmd_grid(mode: str, imax: int, jmax: int, out_path: str) -> int:
 
 
 def cmd_check(suite: str, trials: int, seed: int, out=None) -> int:
-    # imported here: the property registry is the largest module and only
-    # this command needs it
     from .properties import run_suite
 
     out = out if out is not None else sys.stdout
@@ -85,6 +80,8 @@ def cmd_check(suite: str, trials: int, seed: int, out=None) -> int:
 
 
 def cmd_eval(model_path: str, expr: str, out=None) -> int:
+    from .modelfile import eval_expression, format_result, load_model
+
     out = out if out is not None else sys.stdout
     model = load_model(model_path)
     result = eval_expression(model, expr)

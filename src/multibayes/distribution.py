@@ -85,7 +85,8 @@ def dirac(element: Label, space: SampleSpace) -> Dist:
 
 
 def uniform(space: SampleSpace) -> Dist:
-    return Dist._from_ints(space, (1,) * len(space), len(space))
+    """Equal weights; an empty space raises the ValueError of ``Dist``."""
+    return Dist._from_ints(space, (1,) * len(space), len(space)) if len(space) else Dist(space, ())
 
 
 def flrn(phi: Multiset) -> Dist:

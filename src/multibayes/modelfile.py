@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Any
 
 from .channel import Channel, dagger, pull, push, triple_pull
@@ -19,16 +18,16 @@ from .update import bayes_update, jeffrey_update, pearl_update, vfe_update
 from .validity import covariance, jeffrey_validity, pearl_validity, validity
 
 
-@dataclass
 class Model:
     """In-memory form of a model file; every entity keyed by identifier."""
 
-    spaces: dict[str, SampleSpace] = field(default_factory=dict)
-    distributions: dict[str, Dist] = field(default_factory=dict)
-    factors: dict[str, Factor] = field(default_factory=dict)
-    multisets: dict[str, Multiset] = field(default_factory=dict)
-    evidence: dict[str, Evidence] = field(default_factory=dict)
-    channels: dict[str, Channel] = field(default_factory=dict)
+    def __init__(self):
+        self.spaces: dict[str, SampleSpace] = {}
+        self.distributions: dict[str, Dist] = {}
+        self.factors: dict[str, Factor] = {}
+        self.multisets: dict[str, Multiset] = {}
+        self.evidence: dict[str, Evidence] = {}
+        self.channels: dict[str, Channel] = {}
 
 
 def _scalar_from_json(value: Any) -> Scalar:

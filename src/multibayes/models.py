@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .channel import Channel, pull, push, triple_pull
 from .core import SampleSpace, Scalar, _require_size
@@ -16,8 +16,7 @@ from .update import jeffrey_update, pearl_update, vfe_update
 from .validity import jeffrey_validity, pearl_validity
 
 
-@dataclass(frozen=True)
-class MedicalModel:
+class MedicalModel(NamedTuple):
     """Disease test scenario: 5% prevalence, 90% sensitivity, 60% specificity."""
 
     disease_space: SampleSpace
@@ -45,8 +44,7 @@ def medical_model() -> MedicalModel:
     return MedicalModel(disease, tests, prior, channel, pos_test, neg_test)
 
 
-@dataclass(frozen=True)
-class PhysicsModel:
+class PhysicsModel(NamedTuple):
     """Water pump with three pipes; blocking and throttling as factors."""
 
     pipe_space: SampleSpace
@@ -73,7 +71,6 @@ GRID_MODES = (
 )
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Evidence grid i|pos> + j|neg> over a channel and prior.
 
@@ -83,33 +80,22 @@ class GridSpec:
     published figures are directly comparable).
     """
 
-    mode: str
-    imax: int
-    jmax: int
-    channel: Channel
-    prior: Dist
-    pos_outcome: object
-    neg_outcome: object
+    __slots__ = ("mode", "imax", "jmax", "channel", "prior", "pos_outcome", "neg_outcome")
 
-    def __post_init__(self):
-        if self.mode not in GRID_MODES:
-            raise ModelError(f"unknown grid mode {self.mode!r}")
-        if self.imax < 1 or self.jmax < 1:
+    def __init__(self, mode: str, imax: int, jmax: int, channel: Channel, prior: Dist,
+                 pos_outcome: object, neg_outcome: object):
+        if mode not in GRID_MODES:
+            raise ModelError(f"unknown grid mode {mode!r}")
+        if imax < 1 or jmax < 1:
             raise ModelError("grid bounds must be at least 1")
-        _require_size(self.imax * self.jmax, "grid")
+        _require_size(imax * jmax, "grid")
+        self.mode, self.imax, self.jmax, self.channel, self.prior = mode, imax, jmax, channel, prior
+        self.pos_outcome, self.neg_outcome = pos_outcome, neg_outcome
 
 
 def medical_grid_spec(mode: str, imax: int = 10, jmax: int = 10) -> GridSpec:
     model = medical_model()
-    return GridSpec(
-        mode=mode,
-        imax=imax,
-        jmax=jmax,
-        channel=model.test_channel,
-        prior=model.prior,
-        pos_outcome="p",
-        neg_outcome="n",
-    )
+    return GridSpec(mode, imax, jmax, model.test_channel, model.prior, "p", "n")
 
 
 def grid_cell(spec: GridSpec, i: int, j: int) -> Scalar:

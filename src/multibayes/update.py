@@ -130,9 +130,7 @@ def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:
     Agrees with :func:`vfe_update` up to float rounding; kept as an
     independent route for cross-checking.
     """
-    posteriors = _per_factor(omega, psi, _posterior)
-    total = psi.size
-    frequencies = [count / total for count in psi.counts]
+    frequencies, posteriors = zip(*_factor_posteriors(omega, psi))
     columns = zip(zip(*(p._raw() for p in posteriors)), zip(*(p._floats() for p in posteriors)))
     raw = []
     for w, (weights, floats) in zip(omega._raw(), columns):
@@ -156,11 +154,19 @@ def free_energy_objective(rho: Dist, omega: Dist, psi: Evidence) -> float:
     argmin over rho, and the objective exceeds the minimum by exactly
     KL(rho, vfe_update(omega, psi)).
     """
-    _require_nonempty(psi)
-    total = psi.size
-    objective = 0.0
-    for factor, count in psi.items():
-        posterior = bayes_update(omega, factor)
-        objective += (count / total) * kl_divergence(rho, posterior)
-    return objective
+    return _free_energy(rho, _factor_posteriors(omega, psi))
 
+
+def _factor_posteriors(omega: Dist, psi: Evidence) -> list[tuple[float, Dist]]:
+    """(freq(p), omega|p) for each factor p of psi, in its order."""
+    posteriors = _per_factor(omega, psi, _posterior)
+    total = psi.size
+    return [(count / total, posterior) for count, posterior in zip(psi.counts, posteriors)]
+
+
+def _free_energy(rho: Dist, posteriors: list[tuple[float, Dist]]) -> float:
+    """The objective from :func:`_factor_posteriors`, added left to right."""
+    objective = 0.0
+    for freq, posterior in posteriors:
+        objective += freq * kl_divergence(rho, posterior)
+    return objective

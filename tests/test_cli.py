@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from multibayes.models import GRID_MODES
 
 #: sha256 digests of the paper outputs, shared with the benchmark's gate
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -284,3 +288,55 @@ class TestGridSpec:
 
         with pytest.raises(ModelError):
             medical_grid_spec("bogus")
+
+    def test_keyword_construction(self):
+        from multibayes.models import GridSpec, grid_values, medical_model
+
+        model = medical_model()
+        spec = GridSpec(
+            mode="pearl-update",
+            imax=2,
+            jmax=3,
+            channel=model.test_channel,
+            prior=model.prior,
+            pos_outcome="p",
+            neg_outcome="n",
+        )
+        assert (spec.mode, spec.pos_outcome, spec.neg_outcome) == ("pearl-update", "p", "n")
+        assert [(i, j) for i, j, _ in grid_values(spec)] == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
+
+
+class TestColdStart:
+    """A fresh `import multibayes.cli` loads only what its commands share."""
+
+    #: loaded on demand by `check` and `eval`, or not at all
+    DEFERRED = {"dataclasses", "inspect", "multibayes.modelfile", "multibayes.properties"}
+
+    def _added_modules(self, statements: str) -> set[str]:
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            f"{statements}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return set(result.stdout.split())
+
+    def test_import_skips_deferred_modules(self):
+        added = self._added_modules("import multibayes.cli")
+        assert "multibayes.cli" in added
+        assert not added & self.DEFERRED
+
+    def test_eval_loads_modelfile_on_demand(self, medical_path):
+        added = self._added_modules(
+            "from multibayes.cli import main\n"
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['eval', '--model', {medical_path!r}, '--expr', 'validity(prior, pt)']) == 0"
+        )
+        assert "multibayes.modelfile" in added
+        assert "multibayes.properties" not in added

@@ -22,6 +22,7 @@ from multibayes import (
     push_function,
     tensor,
     tensor_power,
+    uniform,
 )
 
 AB = SampleSpace("ab")
@@ -47,6 +48,12 @@ class TestInvariants:
         Dist(AB, (0.5, 0.5 + 1e-12))
         with pytest.raises(ValueError):
             Dist(AB, (0.5, 0.51))
+
+    def test_empty_space_rejected(self):
+        with pytest.raises(ValueError, match="sum is 0"):
+            Dist(SampleSpace([]), [])
+        with pytest.raises(ValueError, match="sum is 0"):
+            uniform(SampleSpace([]))
 
     def test_equality_on_union_of_spaces(self):
         wide = Dist(SampleSpace("abc"), (Fraction(1), Fraction(0), Fraction(0)))
