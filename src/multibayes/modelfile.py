@@ -5,103 +5,140 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from typing import Any
 
 from .channel import Channel, dagger, pull, push, triple_pull
-from .core import SampleSpace, Scalar, format_scalar, parse_scalar
+from .core import SampleSpace, format_scalar
 from .distribution import Dist, flrn
 from .divergence import kl_divergence
 from .errors import ExprParseError, ModelError, MultibayesError
-from .evidence import Evidence, Factor, and_conj, match_status
+from .evidence import Evidence, Factor, MatchStatus, and_conj, match_status
 from .multiset import Multiset, coefm
 from .update import bayes_update, jeffrey_update, pearl_update, vfe_update
 from .validity import covariance, jeffrey_validity, pearl_validity, validity
 
 
 class Model:
-    """In-memory form of a model file; every entity keyed by identifier."""
+    """In-memory form of a model file: for each section of ``_SECTIONS``,
+    an attribute of that name holding a dict from identifier to entity."""
 
     def __init__(self):
-        self.spaces: dict[str, SampleSpace] = {}
-        self.distributions: dict[str, Dist] = {}
-        self.factors: dict[str, Factor] = {}
-        self.multisets: dict[str, Multiset] = {}
-        self.evidence: dict[str, Evidence] = {}
-        self.channels: dict[str, Channel] = {}
+        for section in _SECTIONS:
+            setattr(self, section, {})
 
 
-def _scalar_from_json(value: Any) -> Scalar:
-    if isinstance(value, str):
-        return parse_scalar(value)
-    if isinstance(value, bool):
-        raise ModelError(f"invalid scalar {value!r}")
-    if isinstance(value, int):
-        return parse_scalar(str(value))
-    if isinstance(value, float):
-        return value
-    raise ModelError(f"invalid scalar {value!r}")
+def _array(value: Any, what: str) -> list:
+    """``value``, which a model file must give as a JSON array."""
+    if not isinstance(value, list):
+        raise ModelError(f"{what} must be a JSON array")
+    return value
 
 
-def _scalar_to_json(value: Scalar) -> Any:
-    if isinstance(value, float):
-        return value
-    return format_scalar(value)
+def _lookup(model: Model, kind: str, name: Any):
+    """The entity of ``kind`` (a kind of ``_SECTIONS``) named ``name``."""
+    entities = getattr(model, _SECTION_OF_KIND[kind])
+    if not isinstance(name, str) or name not in entities:
+        raise ModelError(f"unknown {kind} {name!r}")
+    return entities[name]
 
 
-def _space_ref(model: Model, name: Any) -> SampleSpace:
-    if not isinstance(name, str) or name not in model.spaces:
-        raise ModelError(f"unknown space {name!r}")
-    return model.spaces[name]
+# Readers take the model read so far and one JSON entry; Dist and Factor
+# read the scalars themselves.  Writers take one entity and ``name_of``.
 
 
-def _section(raw: dict, name: str) -> dict:
-    body = raw.get(name, {})
-    if not isinstance(body, dict):
-        raise ModelError(f"section {name!r} must be a JSON object")
-    return body
+def _vector(cls, key: str):
+    """Reader and writer of a Dist or Factor, whose scalars ``cls.<key>``
+    are the JSON array ``key``: exact ones as strings, floats as numbers."""
+
+    def read(model: Model, body: Any):
+        return cls(_lookup(model, "space", body["space"]), _array(body[key], key))
+
+    def write(vector, name_of) -> dict:
+        values = [v if isinstance(v, float) else format_scalar(v) for v in getattr(vector, key)]
+        return {"space": name_of("space", vector.space), key: values}
+
+    return read, write
+
+
+_read_dist, _write_dist = _vector(Dist, "weights")
+
+
+def _read_multiset(model: Model, body: Any) -> Multiset:
+    space = _lookup(model, "space", body["space"])
+    counts = {}
+    for entry in _array(body["counts"], "counts"):
+        if entry["element"] in counts:
+            raise ModelError(f"duplicate element {entry['element']!r} in multiset counts")
+        counts[entry["element"]] = entry["count"]
+    return Multiset.from_counts(space, counts)
+
+
+def _read_channel(model: Model, body: Any) -> Channel:
+    dom, cod = _lookup(model, "space", body["dom"]), _lookup(model, "space", body["cod"])
+    return Channel(dom, cod, [_read_dist(model, row) for row in _array(body["rows"], "rows")])
+
+
+#: section -> (entity kind, reader, writer), in dependency order: spaces
+#: first, factors before evidence.  Evidence that names a factor twice
+#: adds the counts, as Evidence merges equal factors.
+_SECTIONS = {
+    "spaces": (
+        "space",
+        lambda model, body: SampleSpace(_array(body["elements"], "elements")),
+        lambda space, name_of: {"elements": list(space.elements)},
+    ),
+    "distributions": ("dist", _read_dist, _write_dist),
+    "factors": ("factor", *_vector(Factor, "values")),
+    "multisets": (
+        "multiset",
+        _read_multiset,
+        lambda phi, name_of: {
+            "space": name_of("space", phi.space),
+            "counts": [{"element": x, "count": c} for x, c in phi.items()],
+        },
+    ),
+    "evidence": (
+        "evidence",
+        lambda model, body: Evidence(
+            [(_lookup(model, "factor", entry["factor"]), entry["count"]) for entry in _array(body, "evidence")]
+        ),
+        lambda psi, name_of: [{"factor": name_of("factor", f), "count": c} for f, c in psi.items()],
+    ),
+    "channels": (
+        "channel",
+        _read_channel,
+        lambda channel, name_of: {
+            "dom": name_of("space", channel.dom),
+            "cod": name_of("space", channel.cod),
+            "rows": [_write_dist(row, name_of) for row in channel.rows],
+        },
+    ),
+}
+_SECTION_OF_KIND = {kind: section for section, (kind, _, _) in _SECTIONS.items()}
 
 
 def parse_model(text: str) -> Model:
     """Parse model JSON; malformed input raises ExprParseError with position."""
     try:
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ModelError("model file must be a JSON object")
+        model = Model()
+        for section, (_, read, _) in _SECTIONS.items():
+            body = raw.get(section, {})
+            if not isinstance(body, dict):
+                raise ModelError(f"section {section!r} must be a JSON object")
+            entities = getattr(model, section)
+            for name, entry in body.items():
+                entities[name] = read(model, entry)
     except json.JSONDecodeError as exc:
         raise ExprParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    if not isinstance(raw, dict):
-        raise ModelError("model file must be a JSON object")
-    model = Model()
-    try:
-        for name, body in _section(raw, "spaces").items():
-            model.spaces[name] = SampleSpace(body["elements"])
-        for name, body in _section(raw, "distributions").items():
-            space = _space_ref(model, body["space"])
-            model.distributions[name] = Dist(space, [_scalar_from_json(w) for w in body["weights"]])
-        for name, body in _section(raw, "factors").items():
-            space = _space_ref(model, body["space"])
-            model.factors[name] = Factor(space, [_scalar_from_json(v) for v in body["values"]])
-        for name, body in _section(raw, "multisets").items():
-            space = _space_ref(model, body["space"])
-            counts = {entry["element"]: entry["count"] for entry in body["counts"]}
-            model.multisets[name] = Multiset.from_counts(space, counts)
-        for name, body in _section(raw, "evidence").items():
-            pairs = []
-            for entry in body:
-                ref = entry["factor"]
-                if ref not in model.factors:
-                    raise ModelError(f"unknown factor {ref!r} in evidence {name!r}")
-                pairs.append((model.factors[ref], entry["count"]))
-            model.evidence[name] = Evidence(pairs)
-        for name, body in _section(raw, "channels").items():
-            dom = _space_ref(model, body["dom"])
-            cod = _space_ref(model, body["cod"])
-            rows = [
-                Dist(_space_ref(model, row["space"]), [_scalar_from_json(w) for w in row["weights"]])
-                for row in body["rows"]
-            ]
-            model.channels[name] = Channel(dom, cod, rows)
     except MultibayesError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    # json.loads raises ValueError on an int of too many digits and
+    # RecursionError on arrays nested too deep
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelError(f"invalid model file: {exc}") from exc
     return model
 
@@ -118,71 +155,17 @@ def load_model(path: str) -> Model:
 def serialize_model(model: Model) -> str:
     """Canonical JSON rendering; parsing then serialising is the identity."""
 
-    def space_name(space: SampleSpace) -> str:
-        for name, candidate in model.spaces.items():
-            if candidate == space:
+    def name_of(kind: str, entity) -> str:
+        for name, candidate in getattr(model, _SECTION_OF_KIND[kind]).items():
+            if candidate == entity:
                 return name
-        raise ModelError("entity refers to a space that is not declared")
-
-    def factor_name(factor: Factor) -> str:
-        for name, candidate in model.factors.items():
-            if candidate == factor:
-                return name
-        raise ModelError("evidence refers to a factor that is not declared")
+        raise ModelError(f"entity refers to a {kind} that is not declared")
 
     doc: dict[str, Any] = {}
-    if model.spaces:
-        doc["spaces"] = {
-            name: {"elements": list(space.elements)} for name, space in sorted(model.spaces.items())
-        }
-    if model.distributions:
-        doc["distributions"] = {
-            name: {
-                "space": space_name(dist.space),
-                "weights": [_scalar_to_json(w) for w in dist.weights],
-            }
-            for name, dist in sorted(model.distributions.items())
-        }
-    if model.factors:
-        doc["factors"] = {
-            name: {
-                "space": space_name(factor.space),
-                "values": [_scalar_to_json(v) for v in factor.values],
-            }
-            for name, factor in sorted(model.factors.items())
-        }
-    if model.multisets:
-        doc["multisets"] = {
-            name: {
-                "space": space_name(phi.space),
-                "counts": [
-                    {"element": x, "count": c} for x, c in phi.items()
-                ],
-            }
-            for name, phi in sorted(model.multisets.items())
-        }
-    if model.evidence:
-        doc["evidence"] = {
-            name: [
-                {"factor": factor_name(factor), "count": count} for factor, count in psi.items()
-            ]
-            for name, psi in sorted(model.evidence.items())
-        }
-    if model.channels:
-        doc["channels"] = {
-            name: {
-                "dom": space_name(channel.dom),
-                "cod": space_name(channel.cod),
-                "rows": [
-                    {
-                        "space": space_name(row.space),
-                        "weights": [_scalar_to_json(w) for w in row.weights],
-                    }
-                    for row in channel.rows
-                ],
-            }
-            for name, channel in sorted(model.channels.items())
-        }
+    for section, (_, _, write) in _SECTIONS.items():
+        entities = getattr(model, section)
+        if entities:
+            doc[section] = {name: write(entity, name_of) for name, entity in sorted(entities.items())}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -229,13 +212,6 @@ _OPERATIONS = {
 }
 
 _EXPR_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^()]*)\s*\)\s*$")
-_SECTION_OF_KIND = {
-    "dist": "distributions",
-    "factor": "factors",
-    "evidence": "evidence",
-    "multiset": "multisets",
-    "channel": "channels",
-}
 
 
 def eval_expression(model: Model, expr: str):
@@ -259,21 +235,13 @@ def eval_expression(model: Model, expr: str):
         raise ExprParseError(
             f"{op_name} expects {len(kinds)} argument(s), got {len(args)}", 1, len(expr)
         )
-    resolved = []
-    for name, kind in zip(args, kinds):
-        section = getattr(model, _SECTION_OF_KIND[kind])
-        if name not in section:
-            raise ModelError(f"unknown {kind} {name!r}")
-        resolved.append(section[name])
-    return func(*resolved)
+    return func(*[_lookup(model, kind, name) for name, kind in zip(args, kinds)])
 
 
 def format_result(value) -> str:
     """Render an eval result: scalars in exact-fraction form when exact."""
-    if isinstance(value, (Dist, Factor, Evidence, Multiset, Channel)):
-        return str(value)
-    if hasattr(value, "value"):  # MatchStatus
-        return str(value.value)
-    if isinstance(value, (int, float)) or hasattr(value, "denominator"):
+    if isinstance(value, MatchStatus):
+        return value.value
+    if isinstance(value, (int, float, Fraction)):
         return format_scalar(value)
     return str(value)

@@ -200,6 +200,22 @@ class TestEval:
         assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"spaces": ' + "1" * 5000 + "}",  # more digits than int() converts
+         '{"spaces": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nested past the recursion limit
+         '{"spaces": {"T": {"elements": ["p", "n"]}}, "multisets": {"m": {"space": "T", "counts": '
+         '[{"element": "p", "count": 5}, {"element": "p", "count": 2}]}}}',  # duplicate element
+         '{"spaces": {"T": {"elements": "pn"}}, "multisets": {"m": {"space": "T", "counts": '
+         '[{"element": "p", "count": 5}]}}}'],  # a string where an array belongs
+        ids=["long-int", "deep-arrays", "duplicate-element", "string-for-array"],
+    )
+    def test_model_file_reading_rules_are_input_errors(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", "flrn(m)"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_model_file_is_input_error(self, tmp_path):
         assert (
             main(["eval", "--model", str(tmp_path / "nope.json"), "--expr", "validity(a, b)"])

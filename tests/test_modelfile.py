@@ -1,12 +1,16 @@
 """Model files: schema, round-trips and expression evaluation."""
 
 import json
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from multibayes import Dist, ExprParseError, ModelError, SampleSpace
+from multibayes import Channel, Dist, Evidence, ExprParseError, Factor, ModelError, SampleSpace
 from multibayes.modelfile import (
+    Model,
     builtin_medical_model,
     eval_expression,
     format_result,
@@ -16,6 +20,10 @@ from multibayes.modelfile import (
     serialize_model,
 )
 from multibayes.multiset import Multiset
+from multibayes.validity import validity
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SECTIONS = ["spaces", "distributions", "factors", "multisets", "evidence", "channels"]
 
 URN_MODEL = {
     "spaces": {"C": {"elements": ["R", "B", "G"]}},
@@ -63,9 +71,7 @@ class TestParsing:
         with pytest.raises(ModelError):
             parse_model(json.dumps(broken))
 
-    @pytest.mark.parametrize(
-        "section", ["spaces", "distributions", "factors", "multisets", "evidence", "channels"]
-    )
+    @pytest.mark.parametrize("section", SECTIONS)
     @pytest.mark.parametrize("body", [[], "abc", 3])
     def test_section_that_is_not_an_object(self, section, body):
         with pytest.raises(ModelError, match=section):
@@ -84,6 +90,99 @@ class TestParsing:
         assert model.distributions["prior"] == Dist(
             SampleSpace(("d", "~d")), (Fraction(1, 20), Fraction(19, 20))
         )
+
+
+def medical_with_multiset() -> dict:
+    """The built-in medical model file, with a multiset: all six sections."""
+    model = json.loads(serialize_model(builtin_medical_model()))
+    model["multisets"] = {"draws": {"space": "T", "counts": [{"element": "p", "count": 2}]}}
+    return model
+
+
+def random_scalars(rng: random.Random, n: int, exact: bool, normalised: bool) -> list:
+    ints = [rng.randint(0, 9) for _ in range(n - 1)] + [rng.randint(1, 9)]
+    if normalised:
+        return [Fraction(v, sum(ints)) if exact else v / sum(ints) for v in ints]
+    return [Fraction(v, rng.randint(1, 9)) if exact else rng.random() * 3 for v in ints]
+
+
+def random_model(rng: random.Random) -> Model:
+    """A model with every section, each entity exact or float at random."""
+    model = Model()
+    for k in range(rng.randint(2, 3)):
+        model.spaces[f"S{k}"] = SampleSpace([f"x{k}.{i}" for i in range(rng.randint(2, 4))])
+    spaces = list(model.spaces.values())
+    for k in range(rng.randint(1, 3)):
+        space = rng.choice(spaces)
+        model.distributions[f"d{k}"] = Dist(space, random_scalars(rng, len(space), rng.random() < 0.5, True))
+    factor_space = rng.choice(spaces)
+    for k in range(rng.randint(1, 3)):
+        values = random_scalars(rng, len(factor_space), rng.random() < 0.5, False)
+        model.factors[f"f{k}"] = Factor(factor_space, values)
+    space = rng.choice(spaces)
+    model.multisets["m"] = Multiset(space, [rng.randint(0, 5) for _ in space])
+    factors = list(model.factors.values())
+    model.evidence["e"] = Evidence((rng.choice(factors), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+    dom, cod = spaces[0], spaces[-1]
+    # the first row float, the second exact, the rest either
+    rows = [Dist(cod, random_scalars(rng, len(cod), i == 1 or (i > 1 and rng.random() < 0.5), True))
+            for i in range(len(dom))]
+    model.channels["c"] = Channel(dom, cod, rows)
+    return model
+
+
+class TestReadingRules:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_seeded_round_trip(self, seed):
+        model = random_model(random.Random(seed))
+        text = serialize_model(model)
+        assert list(json.loads(text)) == SECTIONS
+        parsed = parse_model(text)
+        assert serialize_model(parsed) == text
+        assert vars(parsed) == vars(model)
+
+    def test_readme_example(self):
+        block = re.search(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+        model = parse_model(block)
+        assert validity(model.distributions["prior"], model.factors["pt"]) == Fraction(17, 40)
+
+    @pytest.mark.parametrize(
+        "path,text",
+        [(("spaces", "T", "elements"), "pn"), (("distributions", "prior", "weights"), "10"),
+         (("factors", "pt", "values"), "11"), (("multisets", "draws", "counts"), "pn"),
+         (("channels", "test", "rows"), "TT"), (("evidence", "three_tests"), "pt")],
+        ids=["elements", "weights", "values", "counts", "rows", "evidence"],
+    )
+    def test_string_where_an_array_belongs(self, path, text):
+        # the first three, read one character at a time, would be valid
+        model = medical_with_multiset()
+        *parents, field = path
+        target = model
+        for key in parents:
+            target = target[key]
+        target[field] = text
+        with pytest.raises(ModelError, match="must be a JSON array"):
+            parse_model(json.dumps(model))
+
+    def test_duplicate_multiset_element(self):
+        model = medical_with_multiset()
+        model["multisets"]["draws"]["counts"] = [
+            {"element": "p", "count": 5}, {"element": "p", "count": 2}
+        ]
+        with pytest.raises(ModelError, match="duplicate element 'p'"):
+            parse_model(json.dumps(model))
+
+    def test_evidence_naming_a_factor_twice_adds_counts(self):
+        model = medical_with_multiset()
+        model["evidence"]["three_tests"] = [{"factor": "pt", "count": 2}, {"factor": "pt", "count": 1}]
+        psi = parse_model(json.dumps(model)).evidence["three_tests"]
+        assert list(psi.items()) == [(builtin_medical_model().factors["pt"], 3)]
+
+    def test_boolean_scalar(self):
+        model = medical_with_multiset()
+        model["distributions"]["prior"]["weights"] = [True, "0"]
+        with pytest.raises(ModelError, match="booleans are not scalars"):
+            parse_model(json.dumps(model))
 
 
 class TestEval:
