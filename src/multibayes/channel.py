@@ -6,19 +6,24 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .core import Label, SampleSpace
-from .distribution import Dist, _mix, dirac, multinomial
-from .errors import SpaceMismatchError, ZeroValidityError
+from .core import Label, SampleSpace, _fsum
+from .distribution import Dist, dirac, multinomial
+from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
 from .update import _posterior
-from .validity import validity
 
 
 class Channel:
-    """Map from domain elements to distributions on a codomain."""
+    """Map from domain elements to distributions on a codomain.
 
-    __slots__ = ("_dom", "_cod", "_rows")
+    A channel is immutable, so the matrices that :func:`push` and
+    :func:`pull` run on are built once, on first use: the exact rows
+    over their common denominator with the columns of that matrix, and
+    the columns of the rows' float views.
+    """
+
+    __slots__ = ("_dom", "_cod", "_rows", "_exact", "_float_columns")
 
     def __init__(self, dom: SampleSpace, cod: SampleSpace, rows: Sequence[Dist]):
         rows = tuple(rows)
@@ -30,6 +35,8 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
+        self._exact = None
+        self._float_columns = None
 
     @property
     def dom(self) -> SampleSpace:
@@ -49,6 +56,26 @@ class Channel:
     def __call__(self, x: Label) -> Dist:
         return self.row(x)
 
+    def _exact_matrix(self) -> tuple[int, tuple, tuple] | None:
+        """``(den, rows, columns)``: the rows' ints over their common
+        denominator ``den`` and the columns of that matrix; None when a
+        row is float."""
+        if self._exact is None:
+            rows = self._rows
+            if all(row._nums is not None for row in rows):
+                den = math.lcm(*(row._den for row in rows))
+                scaled = tuple([tuple([n * (den // row._den) for n in row._nums]) for row in rows])
+                self._exact = (den, scaled, tuple(zip(*scaled)))
+            else:
+                self._exact = ()
+        return self._exact or None
+
+    def _floats_by_column(self) -> tuple[tuple[float, ...], ...]:
+        """The columns of the rows' float views."""
+        if self._float_columns is None:
+            self._float_columns = tuple(zip(*(row._floats() for row in self._rows)))
+        return self._float_columns
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Channel):
             return NotImplemented
@@ -64,27 +91,39 @@ def identity_channel(space: SampleSpace) -> Channel:
 
 
 def push(c: Channel, omega: Dist) -> Dist:
-    """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y)."""
+    """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y).
+
+    On exact operands, one int dot product per column of the channel's
+    common-denominator matrix; else one float sum per column.
+    """
     if omega.space != c.dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
-    return _mix(c.cod, omega, c.rows)
+    matrix = c._exact_matrix() if omega._nums is not None else None
+    if matrix is not None:
+        den, _, columns = matrix
+        return Dist._from_ints(c.cod, [sum(map(mul, omega._nums, col)) for col in columns], omega._den * den)
+    floats = omega._floats()
+    return Dist._from_floats(c.cod, [_fsum(map(mul, floats, col)) for col in c._floats_by_column()])
 
 
 def pull(c: Channel, q: Factor) -> Factor:
     """Pullback of a factor: x -> sum_y c(x)(y) * q(y).
 
-    On exact operands, one int dot product per row over the common
-    denominator of the rows; else each value is ``validity(row, q)``
-    as a float.
+    On exact operands, one int dot product per row of the channel's
+    common-denominator matrix; else one float sum per row on the float
+    views, as a float validity is (an overflow raises FloatRangeError).
     """
     if q.space != c.cod:
         raise SpaceMismatchError("factor must live on the channel codomain")
-    rows = c.rows
-    if q._nums is not None and all(row._nums is not None for row in rows):
-        den = math.lcm(*(row._den for row in rows))
-        nums = [sum(map(mul, row._nums, q._nums)) * (den // row._den) for row in rows]
-        return Factor._from_ints(c.dom, nums, den * q._den)
-    return Factor._from_floats(c.dom, [validity(row, q) for row in rows])
+    matrix = c._exact_matrix() if q._nums is not None else None
+    if matrix is not None:
+        den, rows, _ = matrix
+        return Factor._from_ints(c.dom, [sum(map(mul, row, q._nums)) for row in rows], den * q._den)
+    floats = q._floats()
+    values = [_fsum(map(mul, row._floats(), floats)) for row in c.rows]
+    if math.inf in values:
+        raise FloatRangeError("validity overflows the float range")
+    return Factor._from_floats(c.dom, values)
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence, Union
@@ -82,7 +83,8 @@ def is_exact(value: Scalar) -> bool:
 
 
 def as_scalar(value: Scalar | int | str) -> Scalar:
-    """Coerce to a scalar: ints become Fractions, strings are parsed."""
+    """Coerce to a scalar: ints become Fractions, strings are parsed.
+    Anything else raises TypeError, which shows the value abridged."""
     # float first: a failed isinstance check against Fraction, an ABC, is slow
     if isinstance(value, (float, Fraction)):
         return value
@@ -92,7 +94,8 @@ def as_scalar(value: Scalar | int | str) -> Scalar:
         return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
+    # reprlib: a large list or object is named, not echoed in full
+    raise TypeError(f"cannot interpret {reprlib.repr(value)} as a scalar")
 
 
 def scalar_ln(value: Scalar) -> float:
@@ -106,15 +109,19 @@ def scalar_ln(value: Scalar) -> float:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse ``"p/q"`` and integer literals as exact, decimals as float."""
+    """Parse ``"p/q"`` and integer literals as exact, decimals as float.
+    Other text raises ValueError, which shows the text abridged."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
         if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {reprlib.repr(text)}")
         return Fraction(int(num), int(den))
     if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
-        return float(text)
+        try:
+            return float(text)
+        except ValueError:  # its message holds the whole text
+            raise ValueError(f"could not convert string to float: {reprlib.repr(text)}") from None
     return Fraction(int(text))
 
 

@@ -177,10 +177,12 @@ class Evidence:
     Factors that are pointwise equal are merged on construction; the
     remaining distinct factors keep their first-seen order, which fixes
     the factor order used by parallel conjunctions.  The iterated
-    conjunction is computed once, by the first :func:`and_conj`.
+    conjunction is computed once, by the first :func:`and_conj`, and
+    what the update rules share for one prior is kept for the last
+    prior the evidence was evaluated against (``validity._memo``).
     """
 
-    __slots__ = ("_factors", "_counts", "_conj")
+    __slots__ = ("_factors", "_counts", "_conj", "_memo")
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
         factors: list[Factor] = []
@@ -206,6 +208,7 @@ class Evidence:
         self._factors = tuple(factors)
         self._counts = tuple(counts)
         self._conj: Factor | None = None
+        self._memo = None
 
     @property
     def factors(self) -> tuple[Factor, ...]:

@@ -10,31 +10,21 @@ the VFE rule, which is inherently float.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import mul, truediv
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Scalar, _fsum
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
-from .validity import validity
+from .validity import _memo, _read, _shared, _update, validity
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist | None:
     """Bayes update of ``omega`` with ``p``, None when ``p`` has zero validity."""
     if omega.space != p.space:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
-    if omega._nums is not None and p._nums is not None:
-        products = list(map(mul, omega._nums, p._nums))
-        total = sum(products)
-        return Dist._from_ints(omega.space, products, total) if total else None
-    products = list(map(mul, omega._floats(), p._floats()))
-    norm = _fsum(products)
-    if norm == 0:
-        return None
-    return Dist._from_floats(omega.space, map(truediv, products, repeat(norm)))
+    return _update(omega, p)[0]
 
 
 def bayes_update(omega: Dist, p: Factor) -> Dist:
@@ -45,19 +35,21 @@ def bayes_update(omega: Dist, p: Factor) -> Dist:
     return posterior
 
 
-def _per_factor(omega: Dist, psi: Evidence, evaluate: Callable) -> list:
-    """``evaluate(omega, factor)`` for each evidence factor, in order.
+def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
+    """Each evidence factor's posterior when ``posteriors``, else its
+    normaliser, in order, shared through the memo of ``psi``.
 
-    A zero or None result means the factor has zero validity, which
-    raises ZeroValidityError naming the factor.
+    A factor with zero validity raises ZeroValidityError naming the
+    factor, and a float validity beyond the float range FloatRangeError.
     """
     _require_nonempty(psi)
     results = []
-    for index, factor in enumerate(psi.factors):
-        result = evaluate(omega, factor)
-        if result is None or result == 0:
+    for index, (factor, norm, posterior) in enumerate(_shared(omega, psi, posteriors)):
+        if not posteriors and type(norm) is float:
+            _read(omega, factor, norm)  # the range check of a float validity
+        if norm == 0:
             raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
-        results.append(result)
+        results.append(posterior if posteriors else norm)
     return results
 
 
@@ -87,7 +79,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
-    posteriors = _per_factor(omega, psi, _posterior)
+    posteriors = _per_factor(omega, psi, True)
     return _mix(omega.space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
 
 
@@ -110,7 +102,12 @@ def pearl_update(omega: Dist, psi: Evidence) -> Dist:
     A zero validity of the conjunction signals inconsistent evidence.
     """
     _require_nonempty(psi)
-    return bayes_update(omega, and_conj(psi))
+    conj = and_conj(psi)
+    memo = _memo(omega, psi)
+    posterior, memo.conj_norm = _update(omega, conj)
+    if posterior is None:
+        raise ZeroValidityError(f"cannot update: validity of {conj} is zero")
+    return posterior
 
 
 def vfe_update(omega: Dist, psi: Evidence) -> Dist:
@@ -119,8 +116,8 @@ def vfe_update(omega: Dist, psi: Evidence) -> Dist:
     Preconditions: every support factor has nonzero validity, and so
     does the fractional conjunction itself.
     """
-    _per_factor(omega, psi, validity)
-    return bayes_update(omega.to_float(), frac_conj(psi))
+    _per_factor(omega, psi, False)
+    return bayes_update(omega, frac_conj(psi))
 
 
 def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:
@@ -159,7 +156,7 @@ def free_energy_objective(rho: Dist, omega: Dist, psi: Evidence) -> float:
 
 def _factor_posteriors(omega: Dist, psi: Evidence) -> list[tuple[float, Dist]]:
     """(freq(p), omega|p) for each factor p of psi, in its order."""
-    posteriors = _per_factor(omega, psi, _posterior)
+    posteriors = _per_factor(omega, psi, True)
     total = psi.size
     return [(count / total, posterior) for count, posterior in zip(psi.counts, posteriors)]
 

@@ -1,11 +1,19 @@
-"""Validity (expected value) of factors and of multiset evidence."""
+"""Validity (expected value) of factors and of multiset evidence.
+
+The update rules and the evidence validities applied to one prior and
+one evidence share what they compute per factor: an evidence keeps, for
+the last prior it was evaluated against, each factor's normaliser
+``omega |= p``, each factor's posterior once a rule has built it, and
+the normaliser of the conjunction (see :func:`_shared`).
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Iterable
+from itertools import repeat
+from operator import mul, truediv
+from typing import Iterable, Iterator
 
 from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits
 from .distribution import Dist
@@ -13,17 +21,88 @@ from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 
 
+def _norm(omega: Dist, p: Factor) -> int | float:
+    """The normaliser of ``omega`` and ``p`` on one space: the validity
+    as the kernels compute it, an int over ``omega._den * p._den`` when
+    both are exact, else a float (inf when the sum overflows)."""
+    if omega._nums is not None and p._nums is not None:
+        return sum(map(mul, omega._nums, p._nums))
+    return _fsum(map(mul, omega._floats(), p._floats()))
+
+
+def _read(omega: Dist, p: Factor, norm: int | float) -> Scalar:
+    """The validity whose normaliser is ``norm``: a Fraction when exact;
+    a float beyond the float range raises FloatRangeError."""
+    if type(norm) is int:
+        return Fraction(norm, omega._den * p._den)
+    if norm == math.inf:
+        raise FloatRangeError("validity overflows the float range")
+    return norm
+
+
+def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
+    """Bayes update of ``omega`` with ``p`` on one space and its
+    normaliser; the update is None when the normaliser is zero."""
+    if omega._nums is not None and p._nums is not None:
+        products = list(map(mul, omega._nums, p._nums))
+        total = sum(products)
+        return (Dist._from_ints(omega.space, products, total) if total else None), total
+    products = list(map(mul, omega._floats(), p._floats()))
+    norm = _fsum(products)
+    if norm == 0:
+        return None, norm
+    return Dist._from_floats(omega.space, map(truediv, products, repeat(norm))), norm
+
+
 def validity(omega: Dist, p: Factor) -> Scalar:
     """Expected value sum_x omega(x) * p(x); exact when the inputs are.
     A float validity beyond the float range raises FloatRangeError."""
     if omega.space != p.space:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
-    if omega._nums is not None and p._nums is not None:
-        return Fraction(sum(map(mul, omega._nums, p._nums)), omega._den * p._den)
-    total = _fsum(map(mul, omega._floats(), p._floats()))
-    if total == math.inf:
-        raise FloatRangeError("validity overflows the float range")
-    return total
+    return _read(omega, p, _norm(omega, p))
+
+
+class _Memo:
+    """What the rules share for one prior and one evidence, filled as
+    they need it: per factor the normaliser and the posterior (None
+    until built), and the normaliser of the conjunction."""
+
+    __slots__ = ("prior", "norms", "posteriors", "conj_norm")
+
+    def __init__(self, prior: Dist, size: int):
+        self.prior = prior
+        self.norms: list = [None] * size
+        self.posteriors: list = [None] * size
+        self.conj_norm = None
+
+
+def _memo(omega: Dist, psi: Evidence) -> _Memo:
+    """The memo of nonempty ``psi`` for ``omega``, a new one unless
+    ``omega`` is the very prior it was last evaluated against."""
+    memo = psi._memo
+    if memo is None or memo.prior is not omega:
+        if omega.space != psi.space:
+            raise SpaceMismatchError("validity needs a distribution and factor on one space")
+        memo = psi._memo = _Memo(omega, len(psi.factors))
+    return memo
+
+
+def _shared(omega: Dist, psi: Evidence, posteriors: bool = False) -> Iterator[tuple[Factor, int | float, Dist | None]]:
+    """For each factor ``p`` of nonempty ``psi``, in order: ``p``, its
+    normaliser and the update ``omega|p`` once built, which it always
+    is when ``posteriors`` unless the normaliser is zero (else None).
+    Each is computed when first asked for, factor by factor, and kept
+    in the memo of ``psi``: a caller that stops at a factor computes no
+    later one, and an error raised at a factor is raised again by the
+    next caller."""
+    memo = _memo(omega, psi)
+    norms, built = memo.norms, memo.posteriors
+    for index, p in enumerate(psi.factors):
+        if posteriors and built[index] is None and norms[index] != 0:
+            built[index], norms[index] = _update(omega, p)
+        elif norms[index] is None:
+            norms[index] = _norm(omega, p)
+        yield p, norms[index], built[index]
 
 
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
@@ -49,14 +128,19 @@ def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
     _require_nonempty(psi)
-    return _coefficient_times(psi, [(validity(omega, factor), count) for factor, count in psi.items()])
+    validities = [_read(omega, factor, norm) for factor, norm, _ in _shared(omega, psi)]
+    return _coefficient_times(psi, zip(validities, psi.counts))
 
 
 def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Dependent likelihood of evidence: multinomial coefficient times
     the validity of the iterated conjunction of all factors."""
     _require_nonempty(psi)
-    return _coefficient_times(psi, [(validity(omega, and_conj(psi)), 1)])
+    conj = and_conj(psi)
+    memo = _memo(omega, psi)
+    if memo.conj_norm is None:
+        memo.conj_norm = _norm(omega, conj)
+    return _coefficient_times(psi, [(_read(omega, conj, memo.conj_norm), 1)])
 
 
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:

@@ -216,6 +216,22 @@ class TestEval:
         assert main(["eval", "--model", str(path), "--expr", "flrn(m)"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [list(range(20_000)), {str(i): i for i in range(20_000)}, "0." + "x" * 20_000, "1" * 3_000 + "/0"],
+        ids=["list", "object", "long-decimal", "long-zero-denominator"],
+    )
+    def test_rejected_scalar_is_abridged(self, bad, tmp_path, capsys):
+        model = json.loads(serialize_model(builtin_medical_model()))
+        name = next(iter(model["distributions"]))
+        model["distributions"][name]["weights"][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid model file: ")
+        assert len(err) < 200
+
     def test_missing_model_file_is_input_error(self, tmp_path):
         assert (
             main(["eval", "--model", str(tmp_path / "nope.json"), "--expr", "validity(a, b)"])

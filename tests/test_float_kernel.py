@@ -27,6 +27,7 @@ from multibayes import (
     FloatRangeError,
     MatchStatus,
     SampleSpace,
+    ZeroValidityError,
     and_conj,
     bayes_update,
     convex_sum,
@@ -53,6 +54,7 @@ from multibayes import (
     tensor_conj,
     tensor_factor,
     tensor_power,
+    triple_pull,
     validity,
     vfe_update,
     vfe_update_softmax,
@@ -405,6 +407,7 @@ def float_products():
     omega = Dist(s, (0.2, 0.3, 0.5))
     p, q = Factor(s, (0.25, 0.9, 1.7)), Factor(s, (0.6, 0.1, 1.0))
     c = Channel(s, s, [omega, Dist(s, (0.5, 0.25, 0.25)), Dist(s, (0.1, 0.1, 0.8))])
+    exact_c = Channel(s, s, [Dist(s, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))] * 3)
     return {
         "tensor": lambda: tensor(omega, omega),
         "tensor_power": lambda: tensor_power(omega, 4),
@@ -413,6 +416,9 @@ def float_products():
         "multinomial": lambda: multinomial(4, omega),
         "iterated_pearl_validity": lambda: iterated_pearl_validity(omega, (p, q, p)),
         "pull": lambda: pull(c, p),
+        "push_and_pull_on_a_reused_channel": lambda: [
+            (push(ch, omega), pull(ch, p)) for ch in (c, exact_c) for _ in range(2)
+        ],
         "dagger": lambda: dagger(c, omega),
         "add": lambda: add(p, q),
         "scale": lambda: scale(0.5, p),
@@ -465,6 +471,79 @@ def test_pull_and_dagger(seed):
         if all(predicted):
             for y, row in zip(t, dagger(c, omega).rows):
                 assert bits(row.weights) == bits(ref_bayes(omega.weights, ref_pull(c, point_pred(y, t))))
+
+
+# -- the channel's cached matrices ----------------------------------------------
+#
+# push and pull run on matrices a channel builds once; on a reused channel
+# they must give, bit for bit, the per-row (per-column for push) dot
+# products, exact on exact operands and with math.fsum otherwise.
+
+
+def ref_dot(ws, vs, exact):
+    """sum w*v: on Fractions when ``exact``, else on the values rounded
+    to floats, with math.fsum."""
+    if exact:
+        return sum((w * v for w, v in zip(ws, vs)), Fraction(0))
+    return ref_validity(map(float, ws), map(float, vs))
+
+
+def ref_push(c, omega):
+    exact = omega.is_exact and all(row.is_exact for row in c.rows)
+    return tuple(ref_dot(omega.weights, col, exact) for col in zip(*(row.weights for row in c.rows)))
+
+
+def ref_pull_values(c, values, exact):
+    exact = exact and all(row.is_exact for row in c.rows)
+    return [ref_dot(row.weights, values, exact) for row in c.rows]
+
+
+def exact_bits(values):
+    """Fractions as they are, floats by their bit pattern."""
+    return tuple(v if type(v) is Fraction else float(v).hex() for v in values)
+
+
+def channel_of(rng, kind, s, t):
+    rows = {"exact": [exact_dist] * len(s), "float": [float_dist] * len(s)}.get(kind)
+    if rows is None:  # mixed: exact and float rows, at least one of each when there are two
+        rows = [rng.choice((exact_dist, float_dist)) for _ in s]
+        rows[0] = exact_dist
+        rows[-1] = float_dist if len(s) > 1 else rows[-1]
+    return Channel(s, t, [make(rng, t) for make in rows])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_channel_matrices(seed, kind):
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    c = channel_of(rng, kind, s, t)
+    unused = Channel(s, t, c.rows)
+    for _ in range(2):  # the second round runs on the cached matrices
+        for omega in (exact_dist(rng, s), float_dist(rng, s)):
+            assert exact_bits(push(c, omega).weights) == exact_bits(ref_push(c, omega))
+        for q in (exact_factor(rng, t), float_factor(rng, t)):
+            assert exact_bits(pull(c, q).values) == exact_bits(ref_pull_values(c, q.values, q._nums is not None))
+        psi = Evidence((either(rng, exact_factor, float_factor, t), rng.randint(1, 3)) for _ in range(3))
+        pulled = triple_pull(c, psi)
+        expected = Evidence((Factor(s, ref_pull_values(c, q.values, q._nums is not None)), n) for q, n in psi.items())
+        assert pulled == expected
+        assert [exact_bits(f.values) for f in pulled.factors] == [exact_bits(f.values) for f in expected.factors]
+        omega = either(rng, exact_dist, float_dist, s)
+        predicates = [ref_pull_values(c, point_pred(y, t).values, True) for y in t]
+        exact = omega.is_exact and all(row.is_exact for row in c.rows)
+        if all(ref_dot(omega.weights, p, exact) for p in predicates):
+            for p, row in zip(predicates, dagger(c, omega).rows):
+                if exact:
+                    norm = ref_dot(omega.weights, p, exact)
+                    assert row.weights == tuple(w * v / norm for w, v in zip(omega.weights, p))
+                else:
+                    assert bits(row.weights) == bits(ref_bayes(omega.weights, p))
+        else:
+            with pytest.raises(ZeroValidityError):
+                dagger(c, omega)
+        # the cache changes neither equality nor printing
+        assert c == unused and unused == c and repr(c) == repr(unused)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,5 +1,8 @@
 """Bayesian, Jeffrey, Pearl and VFE updating."""
 
+import importlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,9 @@ import pytest
 from multibayes import (
     Dist,
     Evidence,
+    Factor,
+    FloatRangeError,
+    MultibayesError,
     SampleSpace,
     ZeroValidityError,
     bayes_update,
@@ -16,8 +22,10 @@ from multibayes import (
     indicator,
     jeffrey_update,
     jeffrey_update_weighted,
+    jeffrey_validity,
     kl_divergence,
     pearl_update,
+    pearl_validity,
     point_pred,
     truth,
     uniform,
@@ -179,3 +187,168 @@ class TestFreeEnergyObjective:
         rho = Dist(space, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
         with pytest.raises(SupportMismatchError):
             free_energy_objective(rho, omega, psi)
+
+
+# -- what the rules share for one prior and one evidence -----------------------
+#
+# The rules applied to one prior and one evidence share each factor's
+# normaliser and posterior and the conjunction's normaliser through the
+# evidence.  A memo-served result must be the result on a fresh evidence,
+# bit for bit, errors included.
+
+RULES = {
+    "jeffrey_update": lambda omega, psi, rho: jeffrey_update(omega, psi),
+    "pearl_update": lambda omega, psi, rho: pearl_update(omega, psi),
+    "vfe_update": lambda omega, psi, rho: vfe_update(omega, psi),
+    "jeffrey_validity": lambda omega, psi, rho: jeffrey_validity(omega, psi),
+    "pearl_validity": lambda omega, psi, rho: pearl_validity(omega, psi),
+    "free_energy_objective": lambda omega, psi, rho: free_energy_objective(rho, omega, psi),
+    "vfe_update_softmax": lambda omega, psi, rho: vfe_update_softmax(omega, psi),
+}
+
+
+def canonical(value):
+    """A value by its exact contents: Fractions by numerator and
+    denominator, floats by bit pattern, errors by class and message."""
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    if isinstance(value, Dist):
+        return tuple(canonical(w) for w in value.weights)
+    if isinstance(value, float):
+        return "float", value.hex()
+    return "exact", Fraction(value).numerator, Fraction(value).denominator
+
+
+def run_rule(name, omega, psi, rho):
+    try:
+        return canonical(RULES[name](omega, psi, rho))
+    except MultibayesError as error:
+        return canonical(error)
+
+
+def fresh(psi):
+    return Evidence(psi.items())
+
+
+def memo_cases():
+    """(prior, evidence) pairs: exact, float and mixed, with zero-validity
+    factors, and one whose float validity overflows."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(30):
+        s = SampleSpace(f"x{i}" for i in range(rng.randint(2, 6)))
+        exact = rng.random() < 0.5
+        counts = [rng.choice((0, 1, 2, 5)) for _ in s]
+        counts[rng.randrange(len(s))] += 1
+        omega = Dist(s, [Fraction(c, sum(counts)) for c in counts])
+        if not exact:
+            omega = omega.to_float()
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                factors.append(Factor(s, [Fraction(rng.randint(0, 4), rng.choice((1, 3, 4))) for _ in s]))
+            else:
+                factors.append(Factor(s, [rng.choice((0.0, rng.random(), 2 * rng.random())) for _ in s]))
+        cases.append((omega, Evidence((f, rng.randint(1, 3)) for f in factors)))
+    s = SampleSpace("ab")
+    huge = Factor(s, (1.7976931348623157e308, 1.7976931348623157e308))
+    cases.append((Dist(s, (0.5 + 4e-10, 0.5 + 4e-10)), Evidence(((truth(s), 1), (huge, 1)))))
+    return cases
+
+
+def rho_for(omega, psi):
+    try:
+        return vfe_update(omega, fresh(psi))
+    except MultibayesError:
+        return omega
+
+
+class TestSharedMemo:
+    @pytest.mark.parametrize("order", [list(RULES), list(reversed(RULES))], ids=["forward", "reversed"])
+    def test_memo_served_results_equal_fresh_ones(self, order):
+        for omega, psi in memo_cases():
+            rho = rho_for(omega, psi)
+            for name in order:
+                assert run_rule(name, omega, psi, rho) == run_rule(name, omega, fresh(psi), rho), name
+            # a second pass is served from the memo throughout
+            for name in order:
+                assert run_rule(name, omega, psi, rho) == run_rule(name, omega, fresh(psi), rho), name
+
+    def test_overflow_is_raised_again_on_a_hit(self):
+        omega, psi = memo_cases()[-1]
+        for _ in range(2):
+            with pytest.raises(FloatRangeError, match="validity overflows"):
+                jeffrey_validity(omega, psi)
+            with pytest.raises(FloatRangeError, match="validity overflows"):
+                vfe_update(omega, psi)
+            with pytest.raises(FloatRangeError, match="float result"):
+                jeffrey_update(omega, psi)
+
+    def test_equal_priors_do_not_share_the_memo(self, monkeypatch):
+        validity_module = importlib.import_module("multibayes.validity")
+        calls = []
+        norm = validity_module._norm
+        monkeypatch.setattr(validity_module, "_norm", lambda omega, p: calls.append(omega) or norm(omega, p))
+        omega = Dist(OMEGA.space, OMEGA.weights)
+        assert omega == OMEGA and omega is not OMEGA
+        psi = fresh(PSI)
+        expected = jeffrey_validity(OMEGA, psi)
+        assert len(calls) == 2 and all(prior is OMEGA for prior in calls)
+        assert jeffrey_validity(OMEGA, psi) == expected
+        assert len(calls) == 2
+        assert jeffrey_validity(omega, psi) == expected
+        assert len(calls) == 4 and calls[2] is omega and calls[3] is omega
+
+    def test_alternating_priors(self):
+        s = OMEGA.space
+        priors = [OMEGA, Dist(s, (Fraction(1, 3), Fraction(2, 3))), OMEGA.to_float()]
+        psi = fresh(PSI)
+        for omega in priors + priors[::-1] + priors:
+            for name in RULES:
+                assert run_rule(name, omega, psi, omega) == run_rule(name, omega, fresh(psi), omega), name
+
+    @pytest.mark.parametrize("first", ["jeffrey_validity", "jeffrey_update", "vfe_update"])
+    def test_zero_validity_factor_on_a_hit(self, first):
+        space = SampleSpace("abc")
+        omega = Dist(space, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        psi = Evidence(((truth(space), 1), (point_pred("c", space), 2), (point_pred("a", space), 1)))
+        run_rule(first, omega, psi, omega)
+        for _ in range(2):
+            with pytest.raises(ZeroValidityError, match="#1"):
+                jeffrey_update(omega, psi)
+            with pytest.raises(ZeroValidityError, match="#1"):
+                vfe_update(omega, psi)
+            assert jeffrey_validity(omega, psi) == 0
+
+    def test_validities_are_shared_with_the_updates(self, monkeypatch):
+        validity_module = importlib.import_module("multibayes.validity")
+        original = validity_module.validity
+        calls = {"validity": 0, "_norm": 0}
+
+        def counting_validity(omega, p):
+            calls["validity"] += 1
+            return original(omega, p)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("multibayes"):
+                if getattr(module, "validity", None) is original:
+                    monkeypatch.setattr(module, "validity", counting_validity)
+        norm = validity_module._norm
+
+        def counting_norm(omega, p):
+            calls["_norm"] += 1
+            return norm(omega, p)
+
+        monkeypatch.setattr(validity_module, "_norm", counting_norm)
+        for omega in (OMEGA, OMEGA.to_float()):
+            psi = fresh(PSI)
+            jeffrey_update(omega, psi)
+            pearl_update(omega, psi)
+            calls.update(validity=0, _norm=0)
+            jeffrey_validity(omega, psi)
+            vfe_update(omega, psi)
+            pearl_validity(omega, psi)
+            assert calls == {"validity": 0, "_norm": 0}
+        # the counter is live: a validity on its own is counted
+        validity_module.validity(OMEGA, PT)
+        assert calls["validity"] == 1
