@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from operator import mul
 from typing import Sequence
 
-from .core import Label, SampleSpace, _fsum
+from .core import Label, SampleSpace, _Matrix
 from .distribution import Dist, dirac, multinomial
-from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
+from .errors import SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
 from .update import _posterior
@@ -17,13 +15,12 @@ from .update import _posterior
 class Channel:
     """Map from domain elements to distributions on a codomain.
 
-    A channel is immutable, so the matrices that :func:`push` and
-    :func:`pull` run on are built once, on first use: the exact rows
-    over their common denominator with the columns of that matrix, and
-    the columns of the rows' float views.
+    A channel is immutable, so it keeps its rows as one matrix, whose
+    common denominator and columns :func:`push` and :func:`pull` share
+    across calls.
     """
 
-    __slots__ = ("_dom", "_cod", "_rows", "_exact", "_float_columns")
+    __slots__ = ("_dom", "_cod", "_rows", "_matrix")
 
     def __init__(self, dom: SampleSpace, cod: SampleSpace, rows: Sequence[Dist]):
         rows = tuple(rows)
@@ -35,8 +32,7 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
-        self._exact = None
-        self._float_columns = None
+        self._matrix = _Matrix(rows)
 
     @property
     def dom(self) -> SampleSpace:
@@ -56,26 +52,6 @@ class Channel:
     def __call__(self, x: Label) -> Dist:
         return self.row(x)
 
-    def _exact_matrix(self) -> tuple[int, tuple, tuple] | None:
-        """``(den, rows, columns)``: the rows' ints over their common
-        denominator ``den`` and the columns of that matrix; None when a
-        row is float."""
-        if self._exact is None:
-            rows = self._rows
-            if all(row._nums is not None for row in rows):
-                den = math.lcm(*(row._den for row in rows))
-                scaled = tuple([tuple([n * (den // row._den) for n in row._nums]) for row in rows])
-                self._exact = (den, scaled, tuple(zip(*scaled)))
-            else:
-                self._exact = ()
-        return self._exact or None
-
-    def _floats_by_column(self) -> tuple[tuple[float, ...], ...]:
-        """The columns of the rows' float views."""
-        if self._float_columns is None:
-            self._float_columns = tuple(zip(*(row._floats() for row in self._rows)))
-        return self._float_columns
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Channel):
             return NotImplemented
@@ -91,39 +67,20 @@ def identity_channel(space: SampleSpace) -> Channel:
 
 
 def push(c: Channel, omega: Dist) -> Dist:
-    """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y).
-
-    On exact operands, one int dot product per column of the channel's
-    common-denominator matrix; else one float sum per column.
-    """
+    """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y), the
+    mixture of the rows weighted by ``omega``."""
     if omega.space != c.dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
-    matrix = c._exact_matrix() if omega._nums is not None else None
-    if matrix is not None:
-        den, _, columns = matrix
-        return Dist._from_ints(c.cod, [sum(map(mul, omega._nums, col)) for col in columns], omega._den * den)
-    floats = omega._floats()
-    return Dist._from_floats(c.cod, [_fsum(map(mul, floats, col)) for col in c._floats_by_column()])
+    return c._matrix.mix(Dist, c.cod, omega)
 
 
 def pull(c: Channel, q: Factor) -> Factor:
-    """Pullback of a factor: x -> sum_y c(x)(y) * q(y).
-
-    On exact operands, one int dot product per row of the channel's
-    common-denominator matrix; else one float sum per row on the float
-    views, as a float validity is (an overflow raises FloatRangeError).
-    """
+    """Pullback of a factor: x -> sum_y c(x)(y) * q(y), the validity of
+    ``q`` in each row (a float one beyond the float range raises
+    FloatRangeError)."""
     if q.space != c.cod:
         raise SpaceMismatchError("factor must live on the channel codomain")
-    matrix = c._exact_matrix() if q._nums is not None else None
-    if matrix is not None:
-        den, rows, _ = matrix
-        return Factor._from_ints(c.dom, [sum(map(mul, row, q._nums)) for row in rows], den * q._den)
-    floats = q._floats()
-    values = [_fsum(map(mul, row._floats(), floats)) for row in c.rows]
-    if math.inf in values:
-        raise FloatRangeError("validity overflows the float range")
-    return Factor._from_floats(c.dom, values)
+    return c._matrix.dot(Factor, c.dom, q)
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:

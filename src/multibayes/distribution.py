@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Callable, Sequence
 
-from .core import Label, SampleSpace, Scalar, _fsum, _require_bits, _Vector, format_scalar, label_str
+from .core import Label, SampleSpace, Scalar, _Matrix, _require_bits, _Vector, format_scalar, label_str
 from .errors import (
     EmptyMultisetError,
     FloatRangeError,
@@ -98,27 +97,14 @@ def flrn(phi: Multiset) -> Dist:
 
 
 class _Weights(_Vector):
-    """Mixture weights, for :func:`_mix`: ``_Weights(None, weights)`` is
-    a vector on no space that raises NonConvexWeightsError unless the
-    weights are convex."""
+    """Mixture weights: ``_Weights(None, weights)`` is a vector on no
+    space that raises NonConvexWeightsError unless the weights are
+    convex."""
 
     __slots__ = ()
     _NORMALISED = True
     _ERROR = NonConvexWeightsError
     _WHAT = "mixture weights"
-
-
-def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[Dist]) -> Dist:
-    """``sum_k weights[k] * dists[k]`` on ``space``, for convex weights and
-    components on ``space``: on ints when all are exact, else on floats."""
-    if weights._nums is not None and all(d._nums is not None for d in dists):
-        common = math.lcm(*(d._den for d in dists))
-        scales = [n * (common // d._den) for n, d in zip(weights._nums, dists)]
-        columns = zip(*(d._nums for d in dists))
-        return Dist._from_ints(space, [sum(map(mul, scales, col)) for col in columns], weights._den * common)
-    floats = weights._floats()
-    columns = zip(*(d._floats() for d in dists))
-    return Dist._from_floats(space, [_fsum(map(mul, floats, col)) for col in columns])
 
 
 def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
@@ -130,7 +116,7 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     for d in dists[1:]:
         if d.space != space:
             raise SpaceMismatchError("mixture components live on different spaces")
-    return _mix(space, weights, dists)
+    return _Matrix(dists).mix(Dist, space, weights)
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import Scalar, _fsum
-from .distribution import Dist, _mix, _Weights
+from .core import Scalar, _fsum, _Matrix
+from .distribution import Dist, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
-from .validity import _memo, _read, _shared, _update, validity
+from .validity import _memo, _per_factor, _update, validity
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist | None:
@@ -33,24 +33,6 @@ def bayes_update(omega: Dist, p: Factor) -> Dist:
     if posterior is None:
         raise ZeroValidityError(f"cannot update: validity of {p} is zero")
     return posterior
-
-
-def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
-    """Each evidence factor's posterior when ``posteriors``, else its
-    normaliser, in order, shared through the memo of ``psi``.
-
-    A factor with zero validity raises ZeroValidityError naming the
-    factor, and a float validity beyond the float range FloatRangeError.
-    """
-    _require_nonempty(psi)
-    results = []
-    for index, (factor, norm, posterior) in enumerate(_shared(omega, psi, posteriors)):
-        if not posteriors and type(norm) is float:
-            _read(omega, factor, norm)  # the range check of a float validity
-        if norm == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
-        results.append(posterior if posteriors else norm)
-    return results
 
 
 def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
@@ -80,7 +62,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
     posteriors = _per_factor(omega, psi, True)
-    return _mix(omega.space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
+    return _Matrix(posteriors).mix(Dist, omega.space, _Weights._from_ints(None, psi.counts, psi.size))
 
 
 def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:
@@ -93,7 +75,7 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
         raise NonConvexWeightsError("need at least one weighted factor")
     weights = _Weights(None, [w for _, w in weighted_factors])
     posteriors = [bayes_update(omega, factor) for factor, _ in weighted_factors]
-    return _mix(omega.space, weights, posteriors)
+    return _Matrix(posteriors).mix(Dist, omega.space, weights)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:

@@ -105,6 +105,24 @@ def _shared(omega: Dist, psi: Evidence, posteriors: bool = False) -> Iterator[tu
         yield p, norms[index], built[index]
 
 
+def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
+    """Each evidence factor's posterior when ``posteriors``, else its
+    normaliser, in order, shared through the memo of ``psi``.
+
+    A factor with zero validity raises ZeroValidityError naming the
+    factor, and a float validity beyond the float range FloatRangeError.
+    """
+    _require_nonempty(psi)
+    results = []
+    for index, (factor, norm, posterior) in enumerate(_shared(omega, psi, posteriors)):
+        if not posteriors and type(norm) is float:
+            _read(omega, factor, norm)  # the range check of a float validity
+        if norm == 0:
+            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
+        results.append(posterior if posteriors else norm)
+    return results
+
+
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
     """The multinomial coefficient of ``psi`` times ``prod base**count``;
     exact when every base is.  A float product that overflows raises
@@ -159,13 +177,11 @@ def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float
     ``omega`` does not exceed the one in ``omega_prime``; the
     multinomial coefficient cancels in the ratio.
     """
-    _require_nonempty(psi)
+    norms = _per_factor(omega, psi, False)
+    norms_prime = _per_factor(omega_prime, psi, False)
     total = psi.size
     score = 0.0
-    for factor, count in psi.items():
-        val = validity(omega, factor)
-        val_prime = validity(omega_prime, factor)
-        if val <= 0 or val_prime <= 0:
-            raise ZeroValidityError(f"zero validity for evidence factor {factor}")
-        score += (count / total) * math.log(float(val) / float(val_prime))
+    for (factor, count), norm, norm_prime in zip(psi.items(), norms, norms_prime):
+        ratio = float(_read(omega, factor, norm)) / float(_read(omega_prime, factor, norm_prime))
+        score += (count / total) * math.log(ratio)
     return score

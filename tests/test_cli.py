@@ -338,6 +338,29 @@ class TestGridSpec:
         assert [(i, j) for i, j, _ in grid_values(spec)] == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
 
 
+def _src_env() -> dict[str, str]:
+    """This environment with the package's ``src`` first on PYTHONPATH."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestEntryPoint:
+    """`python -m multibayes` in a subprocess: its exit code is main()'s."""
+
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "multibayes", *args], env=_src_env(), capture_output=True)
+
+    def test_report_medical(self):
+        result = self._run("report", "medical")
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout).hexdigest() == TestPinnedOutputs.DIGESTS["report"]
+
+    def test_missing_model_file_exits_2(self, tmp_path):
+        result = self._run("eval", "--model", str(tmp_path / "nope.json"), "--expr", "validity(a,b)")
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"i/o error:")
+
+
 class TestColdStart:
     """A fresh `import multibayes.cli` loads only what its commands share."""
 
@@ -351,10 +374,8 @@ class TestColdStart:
             f"{statements}\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
-        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, check=True
         )
         return set(result.stdout.split())
 

@@ -665,6 +665,6 @@ def test_sums_beyond_the_float_range():
     big = Factor(s, (1e308, 1e308))
     assert match_status(Evidence(((big, 1), (Factor(s, (1e308, 0.0)), 1)))) is MatchStatus.NO_MATCH
     heavy, largest = Dist(s, (0.5 + 1e-10, 0.5)), Factor(s, (1.7976931348623157e308,) * 2)
-    for operation in (validity, bayes_update):
+    for operation in (validity, bayes_update, lambda row, q: pull(Channel(s, s, (row, row)), q)):
         with pytest.raises(FloatRangeError):
             operation(heavy, largest)

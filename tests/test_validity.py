@@ -149,5 +149,5 @@ class TestLogLikelihood:
         space = SampleSpace("ab")
         omega = uniform(space)
         dead = Factor(space, (Fraction(0), Fraction(0)))
-        with pytest.raises(ZeroValidityError):
+        with pytest.raises(ZeroValidityError, match="evidence factor #0"):
             log_likelihood_score(omega, omega, Evidence(((dead, 1),)))
