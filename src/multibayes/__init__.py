@@ -6,6 +6,8 @@ validities, channels and Kullback-Leibler divergence.  Everything that
 does not need a logarithm is computed in exact rational arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     SampleSpace,
     Scalar,
@@ -95,82 +97,5 @@ from .channel import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Channel",
-    "Dist",
-    "EmptyEvidenceError",
-    "EmptyMultisetError",
-    "Evidence",
-    "ExprParseError",
-    "Factor",
-    "FloatRangeError",
-    "LogBaseError",
-    "MatchStatus",
-    "ModelError",
-    "Multiset",
-    "MultibayesError",
-    "NonConvexWeightsError",
-    "NonPositiveLogError",
-    "NotAPredicateError",
-    "SampleSpace",
-    "Scalar",
-    "SizeLimitError",
-    "SpaceMismatchError",
-    "SupportMismatchError",
-    "UnknownElementError",
-    "UnknownSuiteError",
-    "ZeroValidityError",
-    "acc",
-    "and_conj",
-    "as_scalar",
-    "bayes_update",
-    "coefm",
-    "conj",
-    "convex_sum",
-    "copy_dist",
-    "covariance",
-    "dagger",
-    "dirac",
-    "enumerate_multisets",
-    "expected_channel_divergence",
-    "falsity",
-    "flrn",
-    "format_decimal12",
-    "format_scalar",
-    "frac_conj",
-    "free_energy_objective",
-    "identity_channel",
-    "indicator",
-    "is_exact",
-    "iterated_pearl_validity",
-    "jeffrey_update",
-    "jeffrey_update_weighted",
-    "jeffrey_validity",
-    "kl_divergence",
-    "log_likelihood_score",
-    "marginal",
-    "match_status",
-    "multinomial",
-    "multinomial_channel",
-    "multiset_space",
-    "ortho",
-    "parse_scalar",
-    "pearl_update",
-    "pearl_validity",
-    "point_evidence",
-    "point_pred",
-    "pull",
-    "push",
-    "push_function",
-    "scalar_ln",
-    "tensor",
-    "tensor_conj",
-    "tensor_factor",
-    "tensor_power",
-    "triple_pull",
-    "truth",
-    "uniform",
-    "validity",
-    "vfe_update",
-    "vfe_update_softmax",
-]
+# the public API: every name bound above that is not private or a submodule
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

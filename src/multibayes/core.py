@@ -428,10 +428,7 @@ class _Matrix:
             nums = vector._nums
             return cls._from_ints(space, [sum(map(mul, row, nums)) for row in self._scaled], self._den * vector._den)
         floats = vector._floats()
-        values = [_fsum(map(mul, row._floats(), floats)) for row in self._rows]
-        if math.inf in values:
-            raise FloatRangeError("validity overflows the float range")
-        return cls._from_floats(space, values)
+        return cls._from_floats(space, [_fsum(map(mul, row._floats(), floats)) for row in self._rows])
 
 
 def label_str(label: Label) -> str:

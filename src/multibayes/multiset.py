@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Label, SampleSpace, _require_coefficient_bits, _require_size, label_str
-from .errors import UnknownElementError
+from .errors import SpaceMismatchError, UnknownElementError
 
 
 class Multiset:
@@ -60,7 +60,7 @@ class Multiset:
 
     def __add__(self, other: "Multiset") -> "Multiset":
         if self._space != other._space:
-            raise UnknownElementError("multisets over different spaces cannot be added")
+            raise SpaceMismatchError("multisets over different spaces cannot be added")
         return Multiset(self._space, tuple(a + b for a, b in zip(self._counts, other._counts)))
 
     def scale(self, n: int) -> "Multiset":

@@ -4,7 +4,7 @@ The update rules and the evidence validities applied to one prior and
 one evidence share what they compute per factor: an evidence keeps, for
 the last prior it was evaluated against, each factor's normaliser
 ``omega |= p``, each factor's posterior once a rule has built it, and
-the normaliser of the conjunction (see :func:`_shared`).
+the normaliser of the conjunction (see :func:`_per_factor`).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits
 from .distribution import Dist
@@ -64,63 +64,54 @@ def validity(omega: Dist, p: Factor) -> Scalar:
 
 class _Memo:
     """What the rules share for one prior and one evidence, filled as
-    they need it: per factor the normaliser and the posterior (None
-    until built), and the normaliser of the conjunction."""
+    they need it: per factor the normaliser and the posterior (lists
+    made on first use, entries None until built), and the normaliser
+    of the conjunction."""
 
     __slots__ = ("prior", "norms", "posteriors", "conj_norm")
 
-    def __init__(self, prior: Dist, size: int):
+    def __init__(self, prior: Dist):
         self.prior = prior
-        self.norms: list = [None] * size
-        self.posteriors: list = [None] * size
-        self.conj_norm = None
+        self.norms = self.posteriors = self.conj_norm = None
 
 
-def _memo(omega: Dist, psi: Evidence) -> _Memo:
+def _memo(omega: Dist, psi: Evidence, per_factor: bool = False) -> _Memo:
     """The memo of nonempty ``psi`` for ``omega``, a new one unless
-    ``omega`` is the very prior it was last evaluated against."""
+    ``omega`` is the very prior it was last evaluated against; with its
+    per-factor lists when ``per_factor``."""
     memo = psi._memo
     if memo is None or memo.prior is not omega:
         if omega.space != psi.space:
             raise SpaceMismatchError("validity needs a distribution and factor on one space")
-        memo = psi._memo = _Memo(omega, len(psi.factors))
+        memo = psi._memo = _Memo(omega)
+    if per_factor and memo.norms is None:
+        memo.norms, memo.posteriors = [None] * len(psi.factors), [None] * len(psi.factors)
     return memo
 
 
-def _shared(omega: Dist, psi: Evidence, posteriors: bool = False) -> Iterator[tuple[Factor, int | float, Dist | None]]:
-    """For each factor ``p`` of nonempty ``psi``, in order: ``p``, its
-    normaliser and the update ``omega|p`` once built, which it always
-    is when ``posteriors`` unless the normaliser is zero (else None).
-    Each is computed when first asked for, factor by factor, and kept
-    in the memo of ``psi``: a caller that stops at a factor computes no
-    later one, and an error raised at a factor is raised again by the
-    next caller."""
-    memo = _memo(omega, psi)
+def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
+    """Each evidence factor's posterior when ``posteriors``, else its
+    normaliser, in order, kept in the memo of ``psi`` (read only).
+
+    Each is computed when first asked for, factor by factor: a caller
+    that stops at a factor computes no later one, and an error raised
+    at a factor is raised again by the next caller.  A factor with zero
+    validity raises ZeroValidityError naming the factor, and a float
+    validity beyond the float range FloatRangeError.
+    """
+    _require_nonempty(psi)
+    memo = _memo(omega, psi, True)
     norms, built = memo.norms, memo.posteriors
     for index, p in enumerate(psi.factors):
         if posteriors and built[index] is None and norms[index] != 0:
             built[index], norms[index] = _update(omega, p)
         elif norms[index] is None:
             norms[index] = _norm(omega, p)
-        yield p, norms[index], built[index]
-
-
-def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
-    """Each evidence factor's posterior when ``posteriors``, else its
-    normaliser, in order, shared through the memo of ``psi``.
-
-    A factor with zero validity raises ZeroValidityError naming the
-    factor, and a float validity beyond the float range FloatRangeError.
-    """
-    _require_nonempty(psi)
-    results = []
-    for index, (factor, norm, posterior) in enumerate(_shared(omega, psi, posteriors)):
-        if not posteriors and type(norm) is float:
-            _read(omega, factor, norm)  # the range check of a float validity
-        if norm == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({factor}) has zero validity")
-        results.append(posterior if posteriors else norm)
-    return results
+        if not posteriors and type(norms[index]) is float:
+            _read(omega, p, norms[index])  # the range check of a float validity
+        if norms[index] == 0:
+            raise ZeroValidityError(f"evidence factor #{index} ({p}) has zero validity")
+    return built if posteriors else norms
 
 
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
@@ -146,7 +137,12 @@ def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
     _require_nonempty(psi)
-    validities = [_read(omega, factor, norm) for factor, norm, _ in _shared(omega, psi)]
+    norms = _memo(omega, psi, True).norms
+    validities = []
+    for index, p in enumerate(psi.factors):
+        if norms[index] is None:
+            norms[index] = _norm(omega, p)
+        validities.append(_read(omega, p, norms[index]))
     return _coefficient_times(psi, zip(validities, psi.counts))
 
 

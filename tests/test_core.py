@@ -1,11 +1,14 @@
-"""Scalar helpers and sample spaces."""
+"""Scalar helpers, sample spaces and the package's public names."""
 
+import __future__
 import math
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import multibayes
 from multibayes import (
     NonPositiveLogError,
     SampleSpace,
@@ -125,3 +128,14 @@ class TestSampleSpace:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             SampleSpace(range(200)).power(3)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from multibayes import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(multibayes.__all__)
+    assert len(multibayes.__all__) == 77
+    for name in multibayes.__all__:
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(multibayes, name), (types.ModuleType, __future__._Feature)), name

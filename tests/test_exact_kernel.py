@@ -53,113 +53,27 @@ from multibayes.distribution import push_function
 from multibayes.evidence import add, scale
 from multibayes.multiset import coefm
 
-SEEDS = range(40)
-ZERO = Fraction(0)
-
-
-# -- seeded inputs ------------------------------------------------------------
-
-
-def space(rng, low=1, high=7, prefix="x"):
-    return SampleSpace(f"{prefix}{i}" for i in range(rng.randint(low, high)))
-
-
-def weights(rng, size):
-    """Exact probabilities with zeros and mixed denominators."""
-    counts = [rng.choice((0, 0, 1, 2, 5, 7, 12)) for _ in range(size)]
-    if not any(counts):
-        counts[rng.randrange(size)] = 1
-    total = sum(counts)
-    return [Fraction(c, total) for c in counts]
-
-
-def dist(rng, s):
-    return Dist(s, weights(rng, len(s)))
-
-
-def factor_values(rng, size):
-    """Exact non-negative values with zeros, some above one."""
-    return [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(size)]
-
-
-def factor(rng, s):
-    return Factor(s, factor_values(rng, len(s)))
-
-
-def evidence(rng, s):
-    """Evidence with multiplicities up to four; a factor of zero validity
-    is possible, so callers that update check the validity first."""
-    return Evidence((factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
-
-
-def as_floats(f):
-    """The float-mode copy of a factor."""
-    return Factor(f.space, [float(v) for v in f.values])
-
-
-# -- plain-Fraction references ------------------------------------------------
-
-
-def ref_sum(terms):
-    """Exact terms add exactly; float terms add as ``math.fsum`` does,
-    correctly rounded."""
-    terms = list(terms)
-    return sum(terms, ZERO) if all(type(t) is Fraction for t in terms) else math.fsum(terms)
-
-
-def ref_validity(ws, vs):
-    return ref_sum(w * v for w, v in zip(ws, vs))
-
-
-def ref_bayes(ws, vs):
-    norm = ref_validity(ws, vs)
-    return tuple(w * v / norm for w, v in zip(ws, vs))
-
-
-def ref_and_conj(psi):
-    result = []
-    for i in range(len(psi.space)):
-        v = Fraction(1)
-        for f, count in psi.items():
-            v = v * f.values[i] ** count
-        result.append(v)
-    return tuple(result)
-
-
-def ref_mix(rs, rows):
-    return tuple(ref_sum(r * row[j] for r, row in zip(rs, rows)) for j in range(len(rows[0])))
-
-
-def ref_frac_conj(psi):
-    total = psi.size
-    result = []
-    for i in range(len(psi.space)):
-        v = 1.0
-        for f, count in psi.items():
-            base = f.values[i]
-            if base == 0:
-                v = 0.0
-                break
-            v *= float(base) ** (count / total)
-        result.append(v)
-    return tuple(result)
-
-
-def ref_kl(sigma, rho):
-    return math.fsum(float(w) * math.log(float(w) / float(r)) for w, r in zip(sigma, rho) if w != 0)
-
-
-def assert_canonical(vector):
-    """Int numerators over a positive denominator in lowest common terms,
-    and a Fraction view that matches them."""
-    nums, den = vector._nums, vector._den
-    assert nums is not None, "an all-exact result must use the integer form"
-    assert all(type(n) is int for n in nums) and type(den) is int and den > 0
-    assert math.gcd(den, *nums) == 1
-    assert len(nums) == len(vector.space)
-    values = vector.weights if isinstance(vector, Dist) else vector.values
-    assert values == tuple(Fraction(n, den) for n in nums)
-
+from reference import (
+    SEEDS,
+    ZERO,
+    as_floats,
+    assert_canonical,
+    evidence,
+    exact_dist,
+    exact_factor,
+    exact_values,
+    exact_weights,
+    ref_and_conj,
+    ref_bayes,
+    ref_frac_conj,
+    ref_kl,
+    ref_mix,
+    ref_pull,
+    ref_push_function,
+    ref_validity,
+    space,
+    values_of,
+)
 
 # -- exact kernels --------------------------------------------------------------
 
@@ -168,8 +82,8 @@ def assert_canonical(vector):
 def test_public_constructors_are_canonical(seed):
     rng = random.Random(seed)
     s = space(rng)
-    assert_canonical(dist(rng, s))
-    assert_canonical(factor(rng, s))
+    assert_canonical(exact_dist(rng, s))
+    assert_canonical(exact_factor(rng, s))
     assert_canonical(Factor(s, [0] * len(s)))
 
 
@@ -177,7 +91,7 @@ def test_public_constructors_are_canonical(seed):
 def test_validity_and_bayes_update(seed):
     rng = random.Random(seed)
     s = space(rng)
-    omega, p = dist(rng, s), factor(rng, s)
+    omega, p = exact_dist(rng, s), exact_factor(rng, s)
     value = validity(omega, p)
     assert type(value) is Fraction and value == ref_validity(omega.weights, p.values)
     if value:
@@ -206,13 +120,13 @@ def test_and_conj_is_computed_once_per_evidence():
 def test_convex_sum_and_push(seed):
     rng = random.Random(seed)
     s, t = space(rng), space(rng, prefix="y")
-    rs = weights(rng, rng.randint(1, 5))
-    components = [dist(rng, t) for _ in rs]
+    rs = exact_weights(rng, rng.randint(1, 5))
+    components = [exact_dist(rng, t) for _ in rs]
     mixed = convex_sum(rs, components)
     assert mixed.weights == ref_mix(rs, [d.weights for d in components])
     assert_canonical(mixed)
-    omega = dist(rng, s)
-    c = Channel(s, t, [dist(rng, t) for _ in s])
+    omega = exact_dist(rng, s)
+    c = Channel(s, t, [exact_dist(rng, t) for _ in s])
     pushed = push(c, omega)
     assert pushed.weights == ref_mix(omega.weights, [row.weights for row in c.rows])
     assert_canonical(pushed)
@@ -222,14 +136,14 @@ def test_convex_sum_and_push(seed):
 def test_update_rules(seed):
     rng = random.Random(seed)
     s = space(rng)
-    omega, psi = dist(rng, s), evidence(rng, s)
+    omega, psi = exact_dist(rng, s), evidence(rng, s)
     if any(ref_validity(omega.weights, f.values) == 0 for f in psi.factors):
         return
     posteriors = [ref_bayes(omega.weights, f.values) for f in psi.factors]
     jeffrey = jeffrey_update(omega, psi)
     assert jeffrey.weights == ref_mix([Fraction(c, psi.size) for c in psi.counts], posteriors)
     assert_canonical(jeffrey)
-    weighted = jeffrey_update_weighted(omega, list(zip(psi.factors, weights(rng, len(psi)))))
+    weighted = jeffrey_update_weighted(omega, list(zip(psi.factors, exact_weights(rng, len(psi)))))
     assert_canonical(weighted)
     if ref_validity(omega.weights, ref_and_conj(psi)):
         pearl = pearl_update(omega, psi)
@@ -241,7 +155,7 @@ def test_update_rules(seed):
 def test_float_readouts_are_bit_identical(seed):
     rng = random.Random(seed)
     s = space(rng)
-    omega, rho, psi = dist(rng, s), dist(rng, s), evidence(rng, s)
+    omega, rho, psi = exact_dist(rng, s), exact_dist(rng, s), evidence(rng, s)
     assert omega.to_float().weights == tuple(float(w) for w in omega.weights)
     assert frac_conj(psi).values == ref_frac_conj(psi)
     full = Dist(s, [w / 2 + Fraction(1, 2 * len(s)) for w in rho.weights])
@@ -278,7 +192,7 @@ def test_pulled_factor_equals_hand_built_factor():
 def test_equal_factors_from_different_routes(seed):
     rng = random.Random(seed)
     s = space(rng)
-    f = factor(rng, s)
+    f = exact_factor(rng, s)
     rebuilt = Factor._from_ints(s, [n * 6 for n in f._nums], f._den * 6)
     assert rebuilt == f and hash(rebuilt) == hash(f)
     assert rebuilt._nums == f._nums and rebuilt._den == f._den
@@ -304,25 +218,25 @@ def test_exact_and_float_factors_compare_and_hash_equal(seed):
 def test_mixed_operands_keep_float_results(seed):
     rng = random.Random(seed)
     s, t = space(rng), space(rng, prefix="y")
-    omega = dist(rng, s)
+    omega = exact_dist(rng, s)
     fomega = omega.to_float()
-    p = factor(rng, s)
+    p = exact_factor(rng, s)
     fp = as_floats(p)
     for a, b in ((omega, fp), (fomega, p), (fomega, fp)):
         assert validity(a, b) == ref_validity(a.weights, b.values)
         if ref_validity(a.weights, b.values):
             assert bayes_update(a, b).weights == ref_bayes(a.weights, b.values)
-    rows = [dist(rng, t) for _ in s]
+    rows = [exact_dist(rng, t) for _ in s]
     for mixing, components in ((omega, [r.to_float() for r in rows]), (fomega, rows)):
         c = Channel(s, t, components)
         assert push(c, mixing).weights == ref_mix(mixing.weights, [r.weights for r in components])
-    rs = weights(rng, len(rows))
+    rs = exact_weights(rng, len(rows))
     floats = [r.to_float() for r in rows]
     assert convex_sum(rs, floats).weights == ref_mix(rs, [r.weights for r in floats])
-    psi = Evidence(((p, rng.randint(1, 3)), (fp, rng.randint(1, 3)), (factor(rng, s), 2)))
+    psi = Evidence(((p, rng.randint(1, 3)), (fp, rng.randint(1, 3)), (exact_factor(rng, s), 2)))
     assert and_conj(psi).values == ref_and_conj(psi)
     assert frac_conj(psi).values == ref_frac_conj(psi)
-    full = Dist(s, [w / 2 + Fraction(1, 2 * len(s)) for w in dist(rng, s).weights]).to_float()
+    full = Dist(s, [w / 2 + Fraction(1, 2 * len(s)) for w in exact_dist(rng, s).weights]).to_float()
     assert kl_divergence(omega, full) == ref_kl(omega.weights, full.weights)
 
 
@@ -330,7 +244,7 @@ def test_mixed_operands_keep_float_results(seed):
 def test_float_evidence_updates_match_exact_ones(seed):
     rng = random.Random(seed)
     s = space(rng)
-    omega = dist(rng, s)
+    omega = exact_dist(rng, s)
     psi = evidence(rng, s)
     if any(validity(omega, f) == 0 for f in psi.factors) or validity(omega, frac_conj(psi)) == 0:
         return
@@ -344,18 +258,6 @@ def test_float_evidence_updates_match_exact_ones(seed):
 #
 # Each is compared with the per-element Fraction arithmetic that built it
 # before it moved onto the ints.
-
-
-def ref_pull(c, q):
-    return tuple(ref_validity(row.weights, q.values) for row in c.rows)
-
-
-def ref_push_function(f, omega, cod):
-    merged = {}
-    for x, w in omega.items():
-        if w:
-            merged[f(x)] = merged.get(f(x), ZERO) + w
-    return tuple(merged.get(y, ZERO) for y in cod)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -377,7 +279,7 @@ def test_constructors_from_literals(seed):
         (point_pred(x, s), tuple(Fraction(int(y == x)) for y in s)),
     ]
     for vector, expected in cases:
-        assert (vector.weights if isinstance(vector, Dist) else vector.values) == expected
+        assert values_of(vector) == expected
         assert_canonical(vector)
 
 
@@ -385,12 +287,12 @@ def test_constructors_from_literals(seed):
 def test_pull_and_dagger(seed):
     rng = random.Random(seed)
     s, t = space(rng), space(rng, prefix="y")
-    c = Channel(s, t, [dist(rng, t) for _ in s])
-    q = factor(rng, t)
+    c = Channel(s, t, [exact_dist(rng, t) for _ in s])
+    q = exact_factor(rng, t)
     pulled = pull(c, q)
     assert pulled.values == ref_pull(c, q)
     assert_canonical(pulled)
-    omega = dist(rng, s)
+    omega = exact_dist(rng, s)
     predicted = push(c, omega)
     if all(predicted.weights):
         inverse = dagger(c, omega)
@@ -402,7 +304,7 @@ def test_pull_and_dagger(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_multinomial(seed):
     rng = random.Random(seed)
-    omega = dist(rng, space(rng, high=4))
+    omega = exact_dist(rng, space(rng, high=4))
     size = rng.randint(0, 4)
     draws = multinomial(size, omega)
     expected = tuple(
@@ -417,8 +319,8 @@ def test_multinomial(seed):
 def test_factor_algebra(seed):
     rng = random.Random(seed)
     s = space(rng)
-    p, q = factor(rng, s), factor(rng, s)
-    predicate = Factor(s, [min(v, 1) for v in factor_values(rng, len(s))])
+    p, q = exact_factor(rng, s), exact_factor(rng, s)
+    predicate = Factor(s, [min(v, 1) for v in exact_values(rng, len(s))])
     r, k = Fraction(rng.randint(0, 9), rng.randint(1, 6)), rng.randint(0, 3)
     e = rng.randint(0, 4)
     cases = [
@@ -443,7 +345,7 @@ def test_factor_algebra(seed):
 def test_push_function_marginal_and_copy(seed):
     rng = random.Random(seed)
     s, t = space(rng), space(rng, prefix="y")
-    omega, rho = dist(rng, s), dist(rng, t)
+    omega, rho = exact_dist(rng, s), exact_dist(rng, t)
     parity = SampleSpace((0, 1))
     images = [
         (push_function(lambda x: int(x[1:]) % 2, omega, cod=parity), lambda x: int(x[1:]) % 2, omega, parity),
@@ -462,7 +364,7 @@ def test_push_function_marginal_and_copy(seed):
 def test_match_status_and_cross_space_equality(seed):
     rng = random.Random(seed)
     s = space(rng)
-    predicates = [Factor(s, [min(v, 1) for v in factor_values(rng, len(s))]) for _ in range(rng.randint(1, 3))]
+    predicates = [Factor(s, [min(v, 1) for v in exact_values(rng, len(s))]) for _ in range(rng.randint(1, 3))]
     predicates.append(ortho(predicates[0]))
     psi = Evidence((f, 1) for f in predicates[rng.randint(0, 1):])
     totals = [sum(column, ZERO) for column in zip(*(f.values for f in psi.factors))]
@@ -471,7 +373,7 @@ def test_match_status_and_cross_space_equality(seed):
         else MatchStatus.MATCH if all(t <= 1 for t in totals) else MatchStatus.NO_MATCH
     )
     assert match_status(psi) == expected
-    omega = dist(rng, s)
+    omega = exact_dist(rng, s)
     wider = SampleSpace(list(s) + ["extra"])
     padded = Dist(wider, list(omega.weights) + [0])
     assert omega == padded and padded == omega

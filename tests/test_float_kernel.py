@@ -16,6 +16,7 @@ import math
 import pstats
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -64,51 +65,34 @@ from multibayes.distribution import push_function
 from multibayes.evidence import add, scale
 from multibayes.multiset import coefm
 
-SEEDS = range(40)
+import reference
+from reference import (
+    SEEDS,
+    as_floats,
+    bits,
+    evidence,
+    exact_dist,
+    exact_weights,
+    float_dist,
+    float_factor,
+    float_weights,
+    ref_and_conj,
+    ref_bayes,
+    ref_coefficient_times,
+    ref_dot,
+    ref_frac_conj,
+    ref_kl,
+    ref_mix,
+    ref_pull,
+    ref_pull_values,
+    ref_push,
+    ref_push_function,
+    ref_validity,
+    space,
+)
 
-
-# -- seeded inputs ------------------------------------------------------------
-
-
-def space(rng, low=1, high=7, prefix="x"):
-    return SampleSpace(f"{prefix}{i}" for i in range(rng.randint(low, high)))
-
-
-def exact_weights(rng, size):
-    counts = [rng.choice((0, 0, 1, 2, 5, 7, 12)) for _ in range(size)]
-    if not any(counts):
-        counts[rng.randrange(size)] = 1
-    total = sum(counts)
-    return [Fraction(c, total) for c in counts]
-
-
-def float_weights(rng, size):
-    """Float probabilities with zeros, not roundings of small fractions."""
-    raw = [rng.choice((0.0, rng.random(), rng.random())) for _ in range(size)]
-    if not any(raw):
-        raw[rng.randrange(size)] = 1.0
-    total = sum(raw)
-    return [r / total for r in raw]
-
-
-def exact_dist(rng, s):
-    return Dist(s, exact_weights(rng, len(s)))
-
-
-def float_dist(rng, s):
-    return Dist(s, float_weights(rng, len(s)))
-
-
-def exact_factor(rng, s):
-    return Factor(s, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in s])
-
-
-def float_factor(rng, s):
-    return Factor(s, [rng.choice((0.0, rng.random(), 3 * rng.random())) for _ in s])
-
-
-def float_evidence(rng, s):
-    return Evidence((float_factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
+#: fewer denominators than the exact kernel's tests draw from
+exact_factor = partial(reference.exact_factor, dens=(1, 2, 3, 7))
 
 
 def mixed_evidence(rng, s):
@@ -124,62 +108,6 @@ def operand_pairs(rng, s):
         (exact_dist(rng, s), float_factor(rng, s)),
         (float_dist(rng, s), exact_factor(rng, s)),
     ]
-
-
-# -- plain per-element references (Python's numeric tower) --------------------
-
-
-def bits(values):
-    """Floats by their exact bit pattern (the sign of zero included)."""
-    return tuple(float(v).hex() for v in values)
-
-
-def ref_validity(ws, vs):
-    return math.fsum(w * v for w, v in zip(ws, vs))
-
-
-def ref_bayes(ws, vs):
-    norm = ref_validity(ws, vs)
-    return tuple(w * v / norm for w, v in zip(ws, vs))
-
-
-def ref_and_conj(psi):
-    result = []
-    for i in range(len(psi.space)):
-        v = 1
-        for f, count in psi.items():
-            v = v * f.values[i] ** count
-        result.append(v)
-    return tuple(result)
-
-
-def ref_frac_conj(psi):
-    result = []
-    for i in range(len(psi.space)):
-        v = 1.0
-        for f, count in psi.items():
-            base = f.values[i]
-            if base == 0:
-                v = 0.0
-                break
-            v *= float(base) ** (count / psi.size)
-        result.append(v)
-    return tuple(result)
-
-
-def ref_mix(rs, rows):
-    return tuple(math.fsum(r * row[j] for r, row in zip(rs, rows)) for j in range(len(rows[0])))
-
-
-def ref_coefficient_times(psi, powers):
-    result = Fraction(psi.coefficient())
-    for base, count in powers:
-        result = result * base**count
-    return result
-
-
-def ref_kl(sigma, rho):
-    return math.fsum(float(w) * math.log(float(w) / float(r)) for w, r in zip(sigma, rho) if w != 0)
 
 
 # -- float kernels against the references ---------------------------------------
@@ -201,7 +129,7 @@ def test_validity_and_bayes_update(seed):
 def test_conjunctions(seed):
     rng = random.Random(seed)
     s = space(rng)
-    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+    for psi in (evidence(rng, s, float_factor), mixed_evidence(rng, s)):
         assert bits(and_conj(psi).values) == bits(ref_and_conj(psi))
         assert bits(frac_conj(psi).values) == bits(ref_frac_conj(psi))
 
@@ -230,7 +158,7 @@ def test_update_rules_and_validities(seed):
     rng = random.Random(seed)
     s = space(rng)
     omega = float_dist(rng, s)
-    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+    for psi in (evidence(rng, s, float_factor), mixed_evidence(rng, s)):
         valids = [ref_validity(omega.weights, f.values) for f in psi.factors]
         assert bits([jeffrey_validity(omega, psi)]) == bits([ref_coefficient_times(psi, zip(valids, psi.counts))])
         conj = ref_and_conj(psi)
@@ -300,7 +228,7 @@ def test_float_results_are_in_range(seed, float_results):
     s, t = space(rng), space(rng, prefix="y")
     omega = float_dist(rng, s)
     c = Channel(s, t, [float_dist(rng, t) for _ in s])
-    for psi in (float_evidence(rng, s), mixed_evidence(rng, s)):
+    for psi in (evidence(rng, s, float_factor), mixed_evidence(rng, s)):
         and_conj(psi)
         frac_conj(psi)
         push(c, omega)
@@ -349,10 +277,10 @@ def test_float_route_agrees_with_exact_route(seed):
     rng = random.Random(seed)
     s = space(rng)
     omega, p = exact_dist(rng, s), exact_factor(rng, s)
-    psi = Evidence((exact_factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 4)))
+    psi = evidence(rng, s, exact_factor)
     fomega = omega.to_float()
-    fpsi = Evidence((Factor(f.space, [float(v) for v in f.values]), n) for f, n in psi.items())
-    fp = Factor(s, [float(v) for v in p.values])
+    fpsi = Evidence((as_floats(f), n) for f, n in psi.items())
+    fp = as_floats(p)
     assert close_rel(validity(fomega, fp), validity(omega, p))
     if validity(omega, p):
         assert close(bayes_update(fomega, fp), bayes_update(omega, p))
@@ -446,13 +374,6 @@ def test_float_products_make_no_fraction_fallbacks(name):
 # with float ones.
 
 
-def ref_pull(c, q):
-    """Per row, the float validity; or the exact one on exact operands."""
-    if q._nums is None or any(row._nums is None for row in c.rows):
-        return tuple(ref_validity(row.weights, q.values) for row in c.rows)
-    return tuple(sum(w * v for w, v in zip(row.weights, q.values)) for row in c.rows)
-
-
 def either(rng, maker_exact, maker_float, s):
     return rng.choice((maker_exact, maker_float))(rng, s)
 
@@ -478,24 +399,6 @@ def test_pull_and_dagger(seed):
 # push and pull run on matrices a channel builds once; on a reused channel
 # they must give, bit for bit, the per-row (per-column for push) dot
 # products, exact on exact operands and with math.fsum otherwise.
-
-
-def ref_dot(ws, vs, exact):
-    """sum w*v: on Fractions when ``exact``, else on the values rounded
-    to floats, with math.fsum."""
-    if exact:
-        return sum((w * v for w, v in zip(ws, vs)), Fraction(0))
-    return ref_validity(map(float, ws), map(float, vs))
-
-
-def ref_push(c, omega):
-    exact = omega.is_exact and all(row.is_exact for row in c.rows)
-    return tuple(ref_dot(omega.weights, col, exact) for col in zip(*(row.weights for row in c.rows)))
-
-
-def ref_pull_values(c, values, exact):
-    exact = exact and all(row.is_exact for row in c.rows)
-    return [ref_dot(row.weights, values, exact) for row in c.rows]
 
 
 def exact_bits(values):
@@ -587,19 +490,12 @@ def test_push_function_marginal_and_copy(seed):
     s, t = space(rng), space(rng, prefix="y")
     omega, rho = float_dist(rng, s), either(rng, exact_dist, float_dist, t)
 
-    def ref(f, source, cod):
-        merged = {}
-        for x, w in source.items():
-            if w != 0:
-                merged[f(x)] = merged.get(f(x), Fraction(0)) + w
-        return [float(merged.get(y, 0)) for y in cod]
-
     parity = SampleSpace((0, 1))
     pushed = push_function(lambda x: int(x[1:]) % 2, omega, cod=parity)
-    assert bits(pushed.weights) == bits(ref(lambda x: int(x[1:]) % 2, omega, parity))
+    assert bits(pushed.weights) == bits(ref_push_function(lambda x: int(x[1:]) % 2, omega, parity))
     joint = tensor(omega, rho)
-    assert bits(marginal(joint, 1).weights) == bits(ref(lambda pair: pair[1], joint, t))
-    assert bits(copy_dist(omega).weights) == bits(ref(lambda x: (x, x), omega, s.power(2)))
+    assert bits(marginal(joint, 1).weights) == bits(ref_push_function(lambda pair: pair[1], joint, t))
+    assert bits(copy_dist(omega).weights) == bits(ref_push_function(lambda x: (x, x), omega, s.power(2)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

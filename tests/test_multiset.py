@@ -14,6 +14,7 @@ from multibayes import (
     Multiset,
     SampleSpace,
     SizeLimitError,
+    SpaceMismatchError,
     UnknownElementError,
     acc,
     coefm,
@@ -160,6 +161,10 @@ class TestMultisetAlgebra:
         phi = ms(ABC, a=1, b=2)
         assert phi + ms(ABC, a=2) == ms(ABC, a=3, b=2)
         assert phi.scale(3) == ms(ABC, a=3, b=6)
+
+    def test_add_over_different_spaces_is_a_space_mismatch(self):
+        with pytest.raises(SpaceMismatchError):
+            ms(ABC, a=1) + ms(SampleSpace("ab"), a=1)
 
     def test_str_uses_kets(self):
         assert str(ms(ABC, a=3, b=2)) == "3|a> + 2|b>"

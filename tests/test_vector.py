@@ -8,10 +8,10 @@ share one range check, which raises each caller's error class.  The
 tensor products all run on one outer-product kernel.
 """
 
-import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -30,6 +30,9 @@ from multibayes import (
     tensor_power,
 )
 from multibayes.modelfile import parse_model, serialize_model
+
+import reference
+from reference import assert_canonical, bits, float_factor, ref_outer, space, values_of
 
 AB = SampleSpace("ab")
 NAN, INF = math.nan, math.inf
@@ -138,55 +141,17 @@ def test_mixed_input_beyond_the_float_range(build, values):
 # -- the outer-product kernel ---------------------------------------------------------
 
 
-def exact_dist(rng, s):
-    counts = [rng.choice((0, 1, 2, 5, 7)) for _ in s]
-    if not any(counts):
-        counts[0] = 1
-    return Dist(s, [Fraction(c, sum(counts)) for c in counts])
-
-
-def float_dist(rng, s):
-    raw = [rng.choice((0.0, rng.random())) for _ in s]
-    if not any(raw):
-        raw[0] = 1.0
-    return Dist(s, [r / sum(raw) for r in raw])
-
-
-def exact_factor(rng, s):
-    return Factor(s, [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 4, 6))) for _ in s])
-
-
-def float_factor(rng, s):
-    return Factor(s, [rng.choice((0.0, rng.random(), 3 * rng.random())) for _ in s])
-
-
-def values_of(vector):
-    return vector.weights if isinstance(vector, Dist) else vector.values
-
-
-def reference(vectors, exact):
-    """Per-element products in itertools.product order."""
-    result = []
-    for combo in itertools.product(*map(values_of, vectors)):
-        value = Fraction(1) if exact else 1.0
-        for x in combo:
-            value = value * x
-        result.append(value)
-    return tuple(result)
-
-
-def assert_canonical(vector):
-    nums, den = vector._nums, vector._den
-    assert nums is not None and den > 0 and math.gcd(den, *nums) == 1
-    assert len(nums) == len(vector.space)
+#: the outer-product tests draw fewer zeros and set the first element when all are zero
+exact_dist = partial(reference.exact_dist, counts=(0, 1, 2, 5, 7), first=True)
+float_dist = partial(reference.float_dist, draws=1, first=True)
+exact_factor = partial(reference.exact_factor, dens=(1, 2, 3, 4, 6))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("seed", range(20))
 def test_outer_matches_per_element_products(seed, exact):
     rng = random.Random(seed)
-    s = SampleSpace(f"x{i}" for i in range(rng.randint(1, 4)))
-    t = SampleSpace(f"y{i}" for i in range(rng.randint(1, 3)))
+    s, t = space(rng, high=4), space(rng, high=3, prefix="y")
     make_dist = exact_dist if exact else float_dist
     make_factor = exact_factor if exact else float_factor
     omega, rho, p, q = make_dist(rng, s), make_dist(rng, t), make_factor(rng, s), make_factor(rng, t)
@@ -199,14 +164,14 @@ def test_outer_matches_per_element_products(seed, exact):
         (tensor_factor(p, q), [p, q], s.product(t)),
         (tensor_conj(psi), sequence, s.power(len(sequence))),
     ]
-    for result, operands, space in cases:
-        assert result.space == space
-        expected = reference(operands, exact)
+    for result, operands, cod in cases:
+        assert result.space == cod
+        expected = ref_outer(operands, exact)
         if exact:
             assert values_of(result) == expected
             assert_canonical(result)
         else:
-            assert tuple(v.hex() for v in values_of(result)) == tuple(v.hex() for v in expected)
+            assert bits(values_of(result)) == bits(expected)
             assert result._nums is None and result._seq is result._floats()
 
 
