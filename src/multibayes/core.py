@@ -190,7 +190,7 @@ class SampleSpace:
             raise UnknownElementError(f"{element!r} is not in the sample space") from None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SampleSpace) and self._elements == other._elements
+        return self is other or isinstance(other, SampleSpace) and self._elements == other._elements
 
     def __hash__(self) -> int:
         return hash(self._elements)
@@ -254,10 +254,11 @@ class _Vector:
     Their Fraction tuple ``_seq`` is built only when read, and their
     float view ``_flt``, which float kernels run on, when first needed.
     Values that hold any float are one float tuple, both ``_seq`` and
-    ``_flt``, with ``_nums`` None.
+    ``_flt``, with ``_nums`` None.  ``_memo`` is None until a factor
+    keeps what it computed for a prior there (see ``Factor``).
     """
 
-    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt")
+    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt", "_memo")
 
     #: Whether the values must sum to one (distributions, mixture weights).
     _NORMALISED = False
@@ -289,7 +290,7 @@ class _Vector:
         else:
             values = tuple([v.numerator * (den // v.denominator) for v in values])
         _check_range(values, den, self._NORMALISED, self._ERROR, self._WHAT)
-        self._space = space
+        self._space, self._memo = space, None
         if den is None:
             self._nums, self._den, self._seq, self._flt = None, 1, values, values
         else:
@@ -305,6 +306,7 @@ class _Vector:
             nums = tuple([n // divisor for n in nums])
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, nums, den, None, None
+        vector._memo = None
         return vector
 
     @classmethod
@@ -315,6 +317,7 @@ class _Vector:
         _check_range(values, None, cls._NORMALISED, FloatRangeError, "float result")
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, None, 1, values, values
+        vector._memo = None
         return vector
 
     @classmethod

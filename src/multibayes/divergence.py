@@ -30,9 +30,10 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
         rho = rho._padded(sigma.space.elements)
     rho_raw, rho_floats = rho._raw(), rho._floats()
     sigma_raw = sigma._raw()
-    for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
-        if w != 0 and r == 0:
-            raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
+    if 0 in compress(rho_raw, sigma_raw):  # only a failure walks the elements, to name the first
+        for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
+            if w != 0 and r == 0:
+                raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
     # the terms of sigma's support, in order
     sigma_floats = list(compress(sigma._floats(), sigma_raw))
     ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))

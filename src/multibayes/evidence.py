@@ -28,6 +28,10 @@ class Factor(_Vector):
     a predicate with values in {0, 1} is sharp.  Factors compare and
     hash by pointwise values, so two factors built differently but
     extensionally equal are the same evidence key.
+
+    A factor keeps ``[prior, normaliser, posterior]`` for the last prior
+    it met (the same object, not an equal one), filled as the update
+    rules and validities need them (see ``validity._entry``).
     """
 
     __slots__ = ()
@@ -177,12 +181,12 @@ class Evidence:
     Factors that are pointwise equal are merged on construction; the
     remaining distinct factors keep their first-seen order, which fixes
     the factor order used by parallel conjunctions.  The iterated
-    conjunction is computed once, by the first :func:`and_conj`, and
-    what the update rules share for one prior is kept for the last
-    prior the evidence was evaluated against (``validity._memo``).
+    conjunction is computed once, by the first :func:`and_conj`; being a
+    factor kept on the evidence, it keeps its own normaliser and
+    posterior for the last prior it met, as each factor does.
     """
 
-    __slots__ = ("_factors", "_counts", "_conj", "_memo")
+    __slots__ = ("_factors", "_counts", "_conj")
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
         factors: list[Factor] = []
@@ -208,7 +212,6 @@ class Evidence:
         self._factors = tuple(factors)
         self._counts = tuple(counts)
         self._conj: Factor | None = None
-        self._memo = None
 
     @property
     def factors(self) -> tuple[Factor, ...]:

@@ -16,15 +16,14 @@ from .core import Scalar, _fsum, _Matrix
 from .distribution import Dist, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
-from .evidence import Evidence, Factor, and_conj, frac_conj, _require_nonempty
-from .validity import _memo, _per_factor, _update, validity
+from .evidence import Evidence, Factor, and_conj, frac_conj
+from .validity import _entry, _per_factor, validity
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist | None:
-    """Bayes update of ``omega`` with ``p``, None when ``p`` has zero validity."""
-    if omega.space != p.space:
-        raise SpaceMismatchError("validity needs a distribution and factor on one space")
-    return _update(omega, p)[0]
+    """Bayes update of ``omega`` with ``p``, None when ``p`` has zero
+    validity; kept in the memo of ``p``."""
+    return _entry(omega, p, True)[2]
 
 
 def bayes_update(omega: Dist, p: Factor) -> Dist:
@@ -69,13 +68,22 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     """Jeffrey update with real-valued, pre-normalised factor weights.
 
     Extension of :func:`jeffrey_update` beyond natural multiplicities;
-    the weights must be non-negative and sum to one.
+    the weights must be non-negative and sum to one.  A term of weight
+    zero adds nothing, so its factor needs only to be on the prior's
+    space, as a zero count drops a factor from an :class:`Evidence`.
     """
     if not weighted_factors:
         raise NonConvexWeightsError("need at least one weighted factor")
     weights = _Weights(None, [w for _, w in weighted_factors])
-    posteriors = [bayes_update(omega, factor) for factor, _ in weighted_factors]
-    return _Matrix(posteriors).mix(Dist, omega.space, weights)
+    rows = []
+    for (factor, _), weight in zip(weighted_factors, weights._raw()):
+        if factor.space != omega.space:
+            raise SpaceMismatchError("validity needs a distribution and factor on one space")
+        if weight:
+            rows.append(bayes_update(omega, factor))
+        else:  # adds nothing; stands in for the posterior, exact or float as it would be
+            rows.append(omega if factor._nums is not None else factor)
+    return _Matrix(rows).mix(Dist, omega.space, weights)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:
@@ -83,13 +91,7 @@ def pearl_update(omega: Dist, psi: Evidence) -> Dist:
 
     A zero validity of the conjunction signals inconsistent evidence.
     """
-    _require_nonempty(psi)
-    conj = and_conj(psi)
-    memo = _memo(omega, psi)
-    posterior, memo.conj_norm = _update(omega, conj)
-    if posterior is None:
-        raise ZeroValidityError(f"cannot update: validity of {conj} is zero")
-    return posterior
+    return bayes_update(omega, and_conj(psi))
 
 
 def vfe_update(omega: Dist, psi: Evidence) -> Dist:

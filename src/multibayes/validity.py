@@ -1,10 +1,11 @@
 """Validity (expected value) of factors and of multiset evidence.
 
-The update rules and the evidence validities applied to one prior and
-one evidence share what they compute per factor: an evidence keeps, for
-the last prior it was evaluated against, each factor's normaliser
-``omega |= p``, each factor's posterior once a rule has built it, and
-the normaliser of the conjunction (see :func:`_per_factor`).
+What the update rules and the evidence validities compute per factor
+depends only on the prior and the factor, so it is kept on the factor:
+for the last prior it met, each factor keeps its normaliser
+``omega |= p`` and, once a rule has built it, its posterior ``omega|p``
+(see :func:`_entry`).  Every evidence over one prior that holds the
+factor reuses them; Pearl's rule reuses its conjunction's the same way.
 """
 
 from __future__ import annotations
@@ -62,36 +63,26 @@ def validity(omega: Dist, p: Factor) -> Scalar:
     return _read(omega, p, _norm(omega, p))
 
 
-class _Memo:
-    """What the rules share for one prior and one evidence, filled as
-    they need it: per factor the normaliser and the posterior (lists
-    made on first use, entries None until built), and the normaliser
-    of the conjunction."""
-
-    __slots__ = ("prior", "norms", "posteriors", "conj_norm")
-
-    def __init__(self, prior: Dist):
-        self.prior = prior
-        self.norms = self.posteriors = self.conj_norm = None
-
-
-def _memo(omega: Dist, psi: Evidence, per_factor: bool = False) -> _Memo:
-    """The memo of nonempty ``psi`` for ``omega``, a new one unless
-    ``omega`` is the very prior it was last evaluated against; with its
-    per-factor lists when ``per_factor``."""
-    memo = psi._memo
-    if memo is None or memo.prior is not omega:
-        if omega.space != psi.space:
+def _entry(omega: Dist, p: Factor, posterior: bool = False) -> list:
+    """The memo ``[omega, normaliser, posterior]`` of ``p``, a new one
+    unless ``omega`` is the very prior ``p`` last met, with the
+    normaliser filled and, when ``posterior``, the posterior too (None
+    when the normaliser is zero).  An entry that fails is not stored."""
+    memo = p._memo
+    if memo is None or memo[0] is not omega:
+        if omega.space != p.space:
             raise SpaceMismatchError("validity needs a distribution and factor on one space")
-        memo = psi._memo = _Memo(omega)
-    if per_factor and memo.norms is None:
-        memo.norms, memo.posteriors = [None] * len(psi.factors), [None] * len(psi.factors)
+        memo = p._memo = [omega, None, None]
+    if posterior and memo[2] is None and memo[1] != 0:
+        memo[2], memo[1] = _update(omega, p)
+    elif memo[1] is None:
+        memo[1] = _norm(omega, p)
     return memo
 
 
 def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     """Each evidence factor's posterior when ``posteriors``, else its
-    normaliser, in order, kept in the memo of ``psi`` (read only).
+    normaliser, in order, read from the factors' memos.
 
     Each is computed when first asked for, factor by factor: a caller
     that stops at a factor computes no later one, and an error raised
@@ -100,18 +91,15 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     validity beyond the float range FloatRangeError.
     """
     _require_nonempty(psi)
-    memo = _memo(omega, psi, True)
-    norms, built = memo.norms, memo.posteriors
+    result = []
     for index, p in enumerate(psi.factors):
-        if posteriors and built[index] is None and norms[index] != 0:
-            built[index], norms[index] = _update(omega, p)
-        elif norms[index] is None:
-            norms[index] = _norm(omega, p)
-        if not posteriors and type(norms[index]) is float:
-            _read(omega, p, norms[index])  # the range check of a float validity
-        if norms[index] == 0:
+        _, norm, posterior = _entry(omega, p, posteriors)
+        if not posteriors and type(norm) is float:
+            _read(omega, p, norm)  # the range check of a float validity
+        if norm == 0:
             raise ZeroValidityError(f"evidence factor #{index} ({p}) has zero validity")
-    return built if posteriors else norms
+        result.append(posterior if posteriors else norm)
+    return result
 
 
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
@@ -137,24 +125,15 @@ def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
     _require_nonempty(psi)
-    norms = _memo(omega, psi, True).norms
-    validities = []
-    for index, p in enumerate(psi.factors):
-        if norms[index] is None:
-            norms[index] = _norm(omega, p)
-        validities.append(_read(omega, p, norms[index]))
+    validities = [_read(omega, p, _entry(omega, p)[1]) for p in psi.factors]
     return _coefficient_times(psi, zip(validities, psi.counts))
 
 
 def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Dependent likelihood of evidence: multinomial coefficient times
     the validity of the iterated conjunction of all factors."""
-    _require_nonempty(psi)
     conj = and_conj(psi)
-    memo = _memo(omega, psi)
-    if memo.conj_norm is None:
-        memo.conj_norm = _norm(omega, conj)
-    return _coefficient_times(psi, [(_read(omega, conj, memo.conj_norm), 1)])
+    return _coefficient_times(psi, [(_read(omega, conj, _entry(omega, conj)[1]), 1)])
 
 
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:

@@ -49,6 +49,16 @@ class TestKlDivergence:
         with pytest.raises(SupportMismatchError):
             kl_divergence(uniform(AB), dirac("a", AB))
 
+    @pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
+    def test_support_violation_names_the_first_bad_element(self, to_float):
+        space = SampleSpace("abcd")
+        sigma = Dist(space, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(0)))
+        rho = Dist(space, (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(1, 2)))
+        if to_float:
+            sigma, rho = sigma.to_float(), rho.to_float()
+        with pytest.raises(SupportMismatchError, match=r"^divergence undefined: 'b' outside second support$"):
+            kl_divergence(sigma, rho)
+
     def test_asymmetry_instance(self):
         sigma = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
         rho = uniform(AB)

@@ -3,6 +3,7 @@
 import importlib
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from multibayes import (
     FloatRangeError,
     MultibayesError,
     SampleSpace,
+    SpaceMismatchError,
     ZeroValidityError,
+    and_conj,
     bayes_update,
     convex_sum,
     dirac,
@@ -95,6 +98,21 @@ class TestJeffreyUpdate:
             OMEGA, ((PT, Fraction(2, 3)), (NT, Fraction(1, 3)))
         )
         assert weighted == jeffrey_update(OMEGA, PSI)
+
+    def test_weighted_zero_weight_drops_the_factor(self):
+        space = SampleSpace("abc")
+        omega = Dist(space, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        pt_a, pt_c = point_pred("a", space), point_pred("c", space)
+        assert jeffrey_update(omega, Evidence([(pt_a, 1), (pt_c, 0)])) == dirac("a", space)
+        exact = jeffrey_update_weighted(omega, [(pt_a, 1), (pt_c, 0)])
+        assert exact.is_exact and exact == dirac("a", space)
+        floats = jeffrey_update_weighted(omega, [(pt_a, 1.0), (pt_c, 0.0)])
+        assert not floats.is_exact and floats.weights == (1.0, 0.0, 0.0)
+        # a zero-weight float factor still makes the mixture float, as its posterior would
+        mixed = jeffrey_update_weighted(omega, [(pt_a, 1), (Factor(space, (0.5, 0.5, 0.5)), 0)])
+        assert not mixed.is_exact and mixed.weights == (1.0, 0.0, 0.0)
+        with pytest.raises(SpaceMismatchError):
+            jeffrey_update_weighted(omega, [(pt_a, 1), (point_pred("a", SampleSpace("ab")), 0)])
 
 
 class TestPearlUpdate:
@@ -191,9 +209,9 @@ class TestFreeEnergyObjective:
 
 # -- what the rules share for one prior and one evidence -----------------------
 #
-# The rules applied to one prior and one evidence share each factor's
-# normaliser and posterior and the conjunction's normaliser through the
-# evidence.  A memo-served result must be the result on a fresh evidence,
+# The rules applied to one prior share each factor's normaliser and
+# posterior, and the conjunction's, through the factors.  A memo-served
+# result must be the result on a fresh evidence (with fresh factors),
 # bit for bit, errors included.
 
 RULES = {
@@ -227,7 +245,7 @@ def run_rule(name, omega, psi, rho):
 
 
 def fresh(psi):
-    return Evidence(psi.items())
+    return Evidence((Factor(f.space, f.values), count) for f, count in psi.items())
 
 
 def memo_cases():
@@ -352,3 +370,91 @@ class TestSharedMemo:
         # the counter is live: a validity on its own is counted
         validity_module.validity(OMEGA, PT)
         assert calls["validity"] == 1
+
+
+def counting(monkeypatch, name):
+    """The calls of ``validity.<name>``, counted from now on."""
+    validity_module = importlib.import_module("multibayes.validity")
+    calls = []
+    original = getattr(validity_module, name)
+    monkeypatch.setattr(validity_module, name, lambda omega, p: calls.append(p) or original(omega, p))
+    return calls
+
+
+class TrackedDist(Dist):
+    """A distribution that can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestFactorMemo:
+    def test_evidences_sharing_a_factor_build_its_posterior_once(self, monkeypatch):
+        updates = counting(monkeypatch, "_update")
+        p, q = Factor(OMEGA.space, PT.values), Factor(OMEGA.space, NT.values)
+        first = jeffrey_update(OMEGA, Evidence([(p, 2), (q, 1)]))
+        assert updates == [p, q]
+        second = jeffrey_update(OMEGA, Evidence([(q, 1), (p, 5)]))
+        assert updates == [p, q]
+        assert first == jeffrey_update(OMEGA, fresh(PSI))
+        assert second == jeffrey_update(OMEGA, fresh(Evidence([(NT, 1), (PT, 5)])))
+
+    def test_an_equal_factor_does_not_share_the_memo(self, monkeypatch):
+        updates = counting(monkeypatch, "_update")
+        p = Factor(OMEGA.space, PT.values)
+        twin = Factor(OMEGA.space, PT.values)
+        assert twin == p and twin is not p
+        jeffrey_update(OMEGA, Evidence([(p, 1)]))
+        jeffrey_update(OMEGA, Evidence([(twin, 1)]))
+        assert updates == [p, twin]
+
+    def test_errors_are_raised_again_from_another_evidence(self):
+        space = SampleSpace("abc")
+        omega = Dist(space, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        zero = point_pred("c", space)
+        with pytest.raises(ZeroValidityError, match="#0"):
+            jeffrey_update(omega, Evidence([(zero, 1), (truth(space), 1)]))
+        for rule in (jeffrey_update, vfe_update):
+            with pytest.raises(ZeroValidityError, match="#1"):
+                rule(omega, Evidence([(truth(space), 1), (zero, 2)]))
+        overflow_prior, overflow_psi = memo_cases()[-1]
+        huge = overflow_psi.factors[1]
+        with pytest.raises(FloatRangeError, match="validity overflows"):
+            jeffrey_validity(overflow_prior, Evidence([(huge, 1)]))
+        with pytest.raises(FloatRangeError, match="validity overflows"):
+            vfe_update(overflow_prior, Evidence([(truth(huge.space), 1), (huge, 1)]))
+        with pytest.raises(FloatRangeError, match="float result"):
+            jeffrey_update(overflow_prior, Evidence([(huge, 2)]))
+
+    def test_alternating_priors_re_key_the_memo(self, monkeypatch):
+        updates = counting(monkeypatch, "_update")
+        p = Factor(OMEGA.space, PT.values)
+        other = Dist(OMEGA.space, (Fraction(1, 3), Fraction(2, 3)))
+        for omega, built in ((OMEGA, 1), (other, 2), (OMEGA, 3), (OMEGA, 3), (other, 4)):
+            assert bayes_update(omega, p) == bayes_update(omega, Factor(p.space, p.values))
+            assert sum(q is p for q in updates) == built
+
+    def test_a_second_prior_frees_the_first_and_its_posterior(self, monkeypatch):
+        validity_module = importlib.import_module("multibayes.validity")
+        update = validity_module._update
+
+        def tracked_update(omega, p):
+            posterior, norm = update(omega, p)
+            return TrackedDist(posterior.space, posterior.weights), norm
+
+        monkeypatch.setattr(validity_module, "_update", tracked_update)
+        p = Factor(OMEGA.space, PT.values)
+        prior = TrackedDist(OMEGA.space, OMEGA.weights)
+        posterior = bayes_update(prior, p)
+        refs = weakref.ref(prior), weakref.ref(posterior)
+        del prior, posterior
+        assert all(ref() is not None for ref in refs)  # the memo keeps them
+        bayes_update(OMEGA, p)
+        assert all(ref() is None for ref in refs)
+
+    def test_pearl_shares_the_conjunction_normaliser(self, monkeypatch):
+        posterior, likelihood = pearl_update(OMEGA, fresh(PSI)), pearl_validity(OMEGA, fresh(PSI))
+        norms, updates = counting(monkeypatch, "_norm"), counting(monkeypatch, "_update")
+        psi = fresh(PSI)
+        assert pearl_update(OMEGA, psi) == posterior
+        assert pearl_validity(OMEGA, psi) == likelihood
+        assert len(updates) == 1 and updates[0] is and_conj(psi) and norms == []
