@@ -20,7 +20,7 @@ import math
 import reprlib
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import FloatRangeError, NonPositiveLogError, SizeLimitError, UnknownElementError
@@ -391,10 +391,11 @@ class _Matrix:
     When every row is exact it holds the lcm ``_den`` of the row
     denominators and each row's scale ``_den // row._den`` (``_den`` is
     None otherwise).  What a product runs on is built once, on first
-    use: the int columns and the float columns for ``weights @ rows``,
-    and the rows rescaled to ``_den`` for ``rows @ vector``.  A product
-    runs on the ints when the other operand is exact too, else on the
-    float views.
+    use: the int columns, multiplied by the row scales, and the float
+    columns for ``weights @ rows`` with no fewer rows than columns, and
+    the rows rescaled to ``_den`` for ``rows @ vector``.  A product runs
+    on the ints when the other operand is exact too, else on the float
+    views.
     """
 
     __slots__ = ("_rows", "_den", "_scales", "_columns", "_float_columns", "_scaled")
@@ -409,17 +410,32 @@ class _Matrix:
 
     def mix(self, cls: type, space: SampleSpace, weights: _Vector):
         """``weights @ rows``: ``sum_k weights[k] * rows[k]`` on
-        ``space``, for convex weights and distributions as rows."""
-        if weights._nums is not None and self._den is not None:
+        ``space``, for convex weights and distributions as rows.
+
+        With fewer rows than columns (Jeffrey's mixture) each row is
+        scaled by its weight in one pass and the rows are added, else
+        (:func:`push`) each column is one dot product; a float column is
+        one ``math.fsum`` of the same products either way."""
+        exact = weights._nums is not None and self._den is not None
+        # convex weights times distribution values: a column sums to at
+        # most (1 + FLOAT_SUM_TOL)**2, so math.fsum cannot overflow
+        if len(self._rows) < len(space):
+            if exact:
+                total = None
+                for scale, row in zip(map(mul, weights._nums, self._scales), self._rows):
+                    scaled = map(mul, itertools.repeat(scale), row._nums)
+                    total = list(scaled) if total is None else list(map(add, total, scaled))
+                return cls._from_ints(space, total, weights._den * self._den)
+            rows = [list(map(mul, itertools.repeat(w), row._floats())) for w, row in zip(weights._floats(), self._rows)]
+            return cls._from_floats(space, list(map(math.fsum, zip(*rows))))
+        if exact:
             if self._columns is None:
-                self._columns = tuple(zip(*[row._nums for row in self._rows]))
-            scales = list(map(mul, weights._nums, self._scales))
-            return cls._from_ints(space, [sum(map(mul, scales, col)) for col in self._columns], weights._den * self._den)
+                self._columns = [list(map(mul, self._scales, col)) for col in zip(*[row._nums for row in self._rows])]
+            nums = weights._nums
+            return cls._from_ints(space, [sum(map(mul, nums, col)) for col in self._columns], weights._den * self._den)
         if self._float_columns is None:
             self._float_columns = tuple(zip(*[row._floats() for row in self._rows]))
         floats = weights._floats()
-        # convex weights times distribution values: a column sums to at
-        # most (1 + FLOAT_SUM_TOL)**2, so math.fsum cannot overflow
         return cls._from_floats(space, [math.fsum(map(mul, floats, col)) for col in self._float_columns])
 
     def dot(self, cls: type, space: SampleSpace, vector: _Vector):

@@ -6,7 +6,7 @@ import enum
 import math
 from fractions import Fraction
 from itertools import repeat
-from operator import add as _add, mul
+from operator import add as _add, mul, truediv
 from typing import Iterable, Iterator
 
 from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, label_str
@@ -297,25 +297,27 @@ def _and_conj(psi: Evidence) -> Factor:
     _require_nonempty(psi)
     items = list(psi.items())
     _require_bits(sum(f._power_bits(count) for f, count in items if f._nums is not None), "conjunction")
-    nums, den, exact = [1] * len(psi.space), 1, 0
+    nums, den, exact = None, 1, 0
     for factor, count in items:
         if factor._nums is None:
             break
-        nums = [n * m**count for n, m in zip(nums, factor._nums)]
+        powers = factor._nums if count == 1 else map(pow, factor._nums, repeat(count))
+        nums = list(powers) if nums is None else list(map(mul, nums, powers))
         den *= factor._den**count
         exact += 1
     if exact == len(items):
         return Factor._from_ints(psi.space, nums, den)
     try:
-        values = [n / den for n in nums] if exact else None
+        values = list(map(truediv, nums, repeat(den))) if exact else None
         for factor, count in items[exact:]:
-            if factor._nums is None:
+            if count == 1:
+                powers = factor._floats()
+            elif factor._nums is None:
                 powers = map(pow, factor._floats(), repeat(count))
             else:
-                den_power = factor._den**count
-                powers = [m**count / den_power for m in factor._nums]
+                powers = map(truediv, map(pow, factor._nums, repeat(count)), repeat(factor._den**count))
             values = list(powers) if values is None else list(map(mul, values, powers))
-    except OverflowError:
+    except (OverflowError, FloatRangeError):  # the latter from an exact factor's float view
         raise FloatRangeError("and_conj overflows the float range") from None
     return Factor._from_floats(psi.space, values)
 

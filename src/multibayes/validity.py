@@ -104,13 +104,20 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
 
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
     """The multinomial coefficient of ``psi`` times ``prod base**count``;
-    exact when every base is.  A float product that overflows raises
+    exact when every base is, on the ints with one reduction at the end
+    (not one gcd per factor).  A float product that overflows raises
     FloatRangeError; an exact one estimated at more than MAX_EXACT_BITS
     bits raises SizeLimitError before it is computed."""
     powers = list(powers)
     bits = sum([_power_bits(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction])
     _require_coefficient_bits(psi.counts, "validity of the evidence", bits)
     result = psi.coefficient()
+    if all(type(base) is Fraction for base, _ in powers):
+        den = 1
+        for base, count in powers:
+            result *= base.numerator**count
+            den *= base.denominator**count
+        return Fraction(result, den)
     try:
         for base, count in powers:
             result = result * base**count

@@ -10,6 +10,7 @@ their old results.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,9 +19,11 @@ from multibayes import (
     Dist,
     Evidence,
     Factor,
+    FloatRangeError,
     MatchStatus,
     Multiset,
     SampleSpace,
+    SizeLimitError,
     and_conj,
     bayes_update,
     convex_sum,
@@ -33,6 +36,7 @@ from multibayes import (
     indicator,
     jeffrey_update,
     jeffrey_update_weighted,
+    jeffrey_validity,
     kl_divergence,
     marginal,
     match_status,
@@ -40,6 +44,7 @@ from multibayes import (
     multiset_space,
     ortho,
     pearl_update,
+    pearl_validity,
     point_pred,
     pull,
     push,
@@ -58,13 +63,16 @@ from reference import (
     ZERO,
     as_floats,
     assert_canonical,
+    bits,
     evidence,
     exact_dist,
     exact_factor,
     exact_values,
     exact_weights,
+    float_factor,
     ref_and_conj,
     ref_bayes,
+    ref_coefficient_times,
     ref_frac_conj,
     ref_kl,
     ref_mix,
@@ -380,3 +388,70 @@ def test_match_status_and_cross_space_equality(seed):
     moved = Dist(wider, [w / 2 for w in omega.weights] + [Fraction(1, 2)])
     assert omega != moved and moved != omega
     assert (omega == padded.to_float()) == (omega.to_float().weights == omega.weights)
+
+
+# -- whole-row kernels on a wide space ---------------------------------------------------
+#
+# The conjunction multiplies whole rows of powers, and an exact evidence
+# validity multiplies ints and reduces once.  At |X| = 64 they must give
+# what per-element arithmetic gives: exact results canonical, float ones
+# bit for bit, whatever the counts and wherever the float factors sit.
+
+#: the kinds of the factors, in evidence order, and their counts
+WIDE_CONJUNCTIONS = {
+    "exact-counts-1": ("eeee", (1, 1, 1, 1)),
+    "exact-mixed-counts": ("eeee", (1, 3, 1, 2)),
+    "exact-prefix-float-tail": ("eefee", (2, 1, 1, 1, 3)),
+    "float-first-count-1": ("feef", (1, 1, 2, 3)),
+    "float-counts-1": ("ffe", (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_CONJUNCTIONS)
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_and_conj(seed, case):
+    rng = random.Random(seed)
+    s = space(rng, 64, 64)
+    kinds, counts = WIDE_CONJUNCTIONS[case]
+    make = {"e": exact_factor, "f": float_factor}
+    psi = Evidence((make[kind](rng, s), count) for kind, count in zip(kinds, counts))
+    assert psi.counts == counts  # no two factors merged
+    conj = and_conj(psi)
+    if "f" in kinds:
+        assert bits(conj.values) == bits(ref_and_conj(psi))
+    else:
+        assert conj.values == ref_and_conj(psi)
+        assert_canonical(conj)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_evidence_validities(seed):
+    rng = random.Random(seed)
+    s = space(rng, 64, 64)
+    omega = exact_dist(rng, s)
+    psi = Evidence((exact_factor(rng, s), rng.randint(1, 4)) for _ in range(rng.randint(1, 6)))
+    valids = [ref_validity(omega.weights, f.values) for f in psi.factors]
+    jeffrey = jeffrey_validity(omega, psi)
+    assert type(jeffrey) is Fraction and jeffrey == ref_coefficient_times(psi, zip(valids, psi.counts))
+    pearl = pearl_validity(omega, psi)
+    expected = ref_coefficient_times(psi, [(ref_validity(omega.weights, ref_and_conj(psi)), 1)])
+    assert type(pearl) is Fraction and pearl == expected
+
+
+def test_wide_refusals_are_typed():
+    rng = random.Random(3)
+    s = space(rng, 64, 64)
+    omega, p, q = exact_dist(rng, s), exact_factor(rng, s), exact_factor(rng, s)
+    psi = Evidence(((p, 10**6), (q, 1)))
+    for compute in (and_conj, partial(pearl_update, omega), partial(pearl_validity, omega),
+                    partial(jeffrey_validity, omega)):
+        with pytest.raises(SizeLimitError):
+            compute(psi)
+    assert psi._conj is None
+    big = Factor(s, [1e200] * 64)
+    huge = Factor(s, [Fraction(10**400)] * 64)  # exact, beyond the float range
+    for psi in (Evidence(((big, 2),)), Evidence(((p, 2), (big, 2))), Evidence(((big, 1), (huge, 1)))):
+        with pytest.raises(FloatRangeError):
+            and_conj(psi)
+    with pytest.raises(FloatRangeError):
+        jeffrey_validity(omega.to_float(), Evidence(((big, 2),)))

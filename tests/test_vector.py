@@ -16,6 +16,7 @@ from functools import partial
 import pytest
 
 from multibayes import (
+    Channel,
     Dist,
     Evidence,
     Factor,
@@ -24,6 +25,7 @@ from multibayes import (
     SampleSpace,
     convex_sum,
     jeffrey_update_weighted,
+    push,
     tensor,
     tensor_conj,
     tensor_factor,
@@ -190,3 +192,76 @@ def test_outer_float_overflow_is_typed():
         tensor_factor(big, big)
     with pytest.raises(FloatRangeError):
         tensor_conj(Evidence(((big, 2),)))
+
+
+# -- the mixture kernel ---------------------------------------------------------------
+#
+# ``weights @ rows`` adds whole weighted rows when there are fewer rows
+# than columns (Jeffrey's mixture on a wide space) and takes one dot
+# product per column otherwise (a push along a channel with many rows).
+# Both shapes must give what per-element arithmetic gives, bit for bit.
+
+#: (rows, columns): two shapes with fewer rows than columns, one with no fewer
+MIX_SHAPES = [(3, 64), (8, 64), (64, 6)]
+MIX_SHAPE_IDS = ["3x64", "8x64", "64x6"]
+#: whether the weights and whether the rows are exact
+MIX_MODES = {
+    "exact": (True, True),
+    "float": (False, False),
+    "exact-weights": (True, False),
+    "float-weights": (False, True),
+}
+
+
+def zero_weight_among(rng, size, exact):
+    """Convex weights on ``size`` terms, one of them zero."""
+    weights = (reference.exact_weights if exact else reference.float_weights)(rng, size - 1)
+    weights.insert(rng.randrange(size), 0 if exact else 0.0)
+    return weights
+
+
+def check_mix(result, expected, exact):
+    if exact:
+        assert result.weights == expected
+        assert_canonical(result)
+    else:
+        assert bits(result.weights) == bits(expected)
+        assert result._nums is None
+
+
+@pytest.mark.parametrize("mode", MIX_MODES)
+@pytest.mark.parametrize("rows,columns", MIX_SHAPES, ids=MIX_SHAPE_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_mixture_matches_per_element_sums(seed, rows, columns, mode):
+    rng = random.Random(seed)
+    exact_weights, exact_rows = MIX_MODES[mode]
+    s, dom = space(rng, columns, columns), space(rng, rows, rows, prefix="d")
+    weights = zero_weight_among(rng, rows, exact_weights)
+    dists = [(exact_dist if exact_rows else float_dist)(rng, s) for _ in range(rows)]
+    expected = reference.ref_mix(weights, [d.weights for d in dists])
+    exact = exact_weights and exact_rows
+    check_mix(convex_sum(weights, dists), expected, exact)
+    c, omega = Channel(dom, s, dists), Dist(dom, weights)
+    for _ in range(2):  # the second push runs on what the first built
+        check_mix(push(c, omega), expected, exact)
+
+
+@pytest.mark.parametrize("stand_in", ["exact", "float"])
+@pytest.mark.parametrize("rows,columns", MIX_SHAPES, ids=MIX_SHAPE_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_update_with_a_zero_weight(seed, rows, columns, stand_in):
+    """A term of weight zero adds nothing.  Its row stands in for the
+    posterior: the prior for an exact factor, the factor itself for a
+    float one, which puts the whole mixture on floats."""
+    rng = random.Random(seed)
+    s = space(rng, columns, columns)
+    omega = reference.exact_dist(rng, s)
+    factors = [Factor(s, [Fraction(rng.randint(1, 9), 9) for _ in s]) for _ in range(rows)]
+    weights = zero_weight_among(rng, rows, exact=True)
+    if stand_in == "float":
+        factors[weights.index(0)] = Factor(s, [3 * rng.random() for _ in s])  # not a predicate
+    posteriors = [reference.ref_bayes(omega.weights, f.values) for f in factors]
+    if stand_in == "float":
+        posteriors = [floats(p) for p in posteriors]
+    result = jeffrey_update_weighted(omega, list(zip(factors, weights)))
+    check_mix(result, reference.ref_mix(weights, posteriors), stand_in == "exact")
