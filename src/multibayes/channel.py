@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Sequence
 
-from .core import Label, SampleSpace, _Matrix
+from .core import Label, SampleSpace, _fsum
 from .distribution import Dist, dirac, multinomial
 from .errors import SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
@@ -15,12 +17,13 @@ from .update import _posterior
 class Channel:
     """Map from domain elements to distributions on a codomain.
 
-    A channel is immutable, so it keeps its rows as one matrix, whose
-    common denominator and columns :func:`push` and :func:`pull` share
-    across calls.
+    A channel is immutable, so it keeps what :func:`push` and
+    :func:`pull` reuse: ``_den``, the lcm of the row denominators when
+    every row is exact (else None), and, each built on first use, the
+    rows as ints over it, their columns and the float columns.
     """
 
-    __slots__ = ("_dom", "_cod", "_rows", "_matrix")
+    __slots__ = ("_dom", "_cod", "_rows", "_den", "_ints", "_columns", "_float_columns")
 
     def __init__(self, dom: SampleSpace, cod: SampleSpace, rows: Sequence[Dist]):
         rows = tuple(rows)
@@ -32,7 +35,9 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
-        self._matrix = _Matrix(rows)
+        dens = [row._den for row in rows if row._nums is not None]
+        self._den = math.lcm(*dens) if len(dens) == len(rows) else None
+        self._ints = self._columns = self._float_columns = None
 
     @property
     def dom(self) -> SampleSpace:
@@ -52,6 +57,17 @@ class Channel:
     def __call__(self, x: Label) -> Dist:
         return self.row(x)
 
+    def _rescaled(self) -> list[list[int]]:
+        """The exact rows as ints over ``_den``, built once."""
+        ints = self._ints
+        if ints is None:
+            den, ints = self._den, []
+            for row in self._rows:
+                scale = den // row._den
+                ints.append([n * scale for n in row._nums])
+            self._ints = ints
+        return ints
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Channel):
             return NotImplemented
@@ -68,10 +84,19 @@ def identity_channel(space: SampleSpace) -> Channel:
 
 def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y), the
-    mixture of the rows weighted by ``omega``."""
+    mixture of the rows weighted by ``omega``: one dot product per
+    column, on ints when every operand is exact, else one ``math.fsum``."""
     if omega.space != c.dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
-    return c._matrix.mix(Dist, c.cod, omega)
+    if omega._nums is not None and c._den is not None:
+        if c._columns is None:
+            c._columns = list(zip(*c._rescaled()))
+        nums = omega._nums
+        return Dist._from_ints(c.cod, [sum(map(mul, nums, col)) for col in c._columns], omega._den * c._den)
+    if c._float_columns is None:
+        c._float_columns = tuple(zip(*[row._floats() for row in c._rows]))
+    floats = omega._floats()  # convex weights: math.fsum cannot overflow
+    return Dist._from_floats(c.cod, [math.fsum(map(mul, floats, col)) for col in c._float_columns])
 
 
 def pull(c: Channel, q: Factor) -> Factor:
@@ -80,7 +105,11 @@ def pull(c: Channel, q: Factor) -> Factor:
     FloatRangeError)."""
     if q.space != c.cod:
         raise SpaceMismatchError("factor must live on the channel codomain")
-    return c._matrix.dot(Factor, c.dom, q)
+    if q._nums is not None and c._den is not None:
+        nums = q._nums
+        return Factor._from_ints(c.dom, [sum(map(mul, row, nums)) for row in c._rescaled()], c._den * q._den)
+    floats = q._floats()
+    return Factor._from_floats(c.dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:

@@ -20,7 +20,6 @@ import math
 import reprlib
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
-from operator import add, mul
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import FloatRangeError, NonPositiveLogError, SizeLimitError, UnknownElementError
@@ -382,72 +381,6 @@ class _Vector:
 
     def items(self) -> Iterator[tuple[Label, Scalar]]:
         return zip(self._space.elements, self._scalars())
-
-
-class _Matrix:
-    """Vectors on one space as the rows of a matrix, for the products
-    that mixtures, :func:`push` and :func:`pull` are.
-
-    When every row is exact it holds the lcm ``_den`` of the row
-    denominators and each row's scale ``_den // row._den`` (``_den`` is
-    None otherwise).  What a product runs on is built once, on first
-    use: the int columns, multiplied by the row scales, and the float
-    columns for ``weights @ rows`` with no fewer rows than columns, and
-    the rows rescaled to ``_den`` for ``rows @ vector``.  A product runs
-    on the ints when the other operand is exact too, else on the float
-    views.
-    """
-
-    __slots__ = ("_rows", "_den", "_scales", "_columns", "_float_columns", "_scaled")
-
-    def __init__(self, rows: Sequence[_Vector]):
-        self._rows = rows = tuple(rows)
-        self._den = self._scales = self._columns = self._float_columns = self._scaled = None
-        dens = [row._den for row in rows if row._nums is not None]
-        if len(dens) == len(rows):
-            den = self._den = math.lcm(*dens)
-            self._scales = [den // d for d in dens]
-
-    def mix(self, cls: type, space: SampleSpace, weights: _Vector):
-        """``weights @ rows``: ``sum_k weights[k] * rows[k]`` on
-        ``space``, for convex weights and distributions as rows.
-
-        With fewer rows than columns (Jeffrey's mixture) each row is
-        scaled by its weight in one pass and the rows are added, else
-        (:func:`push`) each column is one dot product; a float column is
-        one ``math.fsum`` of the same products either way."""
-        exact = weights._nums is not None and self._den is not None
-        # convex weights times distribution values: a column sums to at
-        # most (1 + FLOAT_SUM_TOL)**2, so math.fsum cannot overflow
-        if len(self._rows) < len(space):
-            if exact:
-                total = None
-                for scale, row in zip(map(mul, weights._nums, self._scales), self._rows):
-                    scaled = map(mul, itertools.repeat(scale), row._nums)
-                    total = list(scaled) if total is None else list(map(add, total, scaled))
-                return cls._from_ints(space, total, weights._den * self._den)
-            rows = [list(map(mul, itertools.repeat(w), row._floats())) for w, row in zip(weights._floats(), self._rows)]
-            return cls._from_floats(space, list(map(math.fsum, zip(*rows))))
-        if exact:
-            if self._columns is None:
-                self._columns = [list(map(mul, self._scales, col)) for col in zip(*[row._nums for row in self._rows])]
-            nums = weights._nums
-            return cls._from_ints(space, [sum(map(mul, nums, col)) for col in self._columns], weights._den * self._den)
-        if self._float_columns is None:
-            self._float_columns = tuple(zip(*[row._floats() for row in self._rows]))
-        floats = weights._floats()
-        return cls._from_floats(space, [math.fsum(map(mul, floats, col)) for col in self._float_columns])
-
-    def dot(self, cls: type, space: SampleSpace, vector: _Vector):
-        """``rows @ vector``: one dot product per row, on ``space``; a
-        float one beyond the float range raises FloatRangeError."""
-        if vector._nums is not None and self._den is not None:
-            if self._scaled is None:
-                self._scaled = [[n * scale for n in row._nums] for scale, row in zip(self._scales, self._rows)]
-            nums = vector._nums
-            return cls._from_ints(space, [sum(map(mul, row, nums)) for row in self._scaled], self._den * vector._den)
-        floats = vector._floats()
-        return cls._from_floats(space, [_fsum(map(mul, row._floats(), floats)) for row in self._rows])
 
 
 def label_str(label: Label) -> str:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, Sequence
 
-from .core import Label, SampleSpace, Scalar, _Matrix, _require_bits, _Vector, format_scalar, label_str
+from .core import Label, SampleSpace, Scalar, _require_bits, _Vector, format_scalar, label_str
 from .errors import (
     EmptyMultisetError,
     FloatRangeError,
@@ -116,7 +118,25 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     for d in dists[1:]:
         if d.space != space:
             raise SpaceMismatchError("mixture components live on different spaces")
-    return _Matrix(dists).mix(Dist, space, weights)
+    return _mix(space, weights, dists)
+
+
+def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[_Vector]) -> Dist:
+    """``weights @ dists``, convex weights times distributions on
+    ``space``, added row by row: on ints over the lcm of the row
+    denominators when every operand is exact, else one ``math.fsum``
+    per column of the float rows times the float weights."""
+    if weights._nums is not None and all(d._nums is not None for d in dists):
+        den = math.lcm(*[d._den for d in dists])
+        total = None
+        for w, d in zip(weights._nums, dists):
+            scaled = map(mul, itertools.repeat(w * (den // d._den)), d._nums)
+            total = list(scaled) if total is None else list(map(add, total, scaled))
+        return Dist._from_ints(space, total, weights._den * den)
+    # convex weights times distribution values: a column sums to at
+    # most (1 + FLOAT_SUM_TOL)**2, so math.fsum cannot overflow
+    rows = [map(mul, itertools.repeat(w), d._floats()) for w, d in zip(weights._floats(), dists)]
+    return Dist._from_floats(space, list(map(math.fsum, zip(*rows))))
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import Scalar, _fsum, _Matrix
-from .distribution import Dist, _Weights
+from .core import Scalar, _fsum
+from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
@@ -61,7 +61,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
     posteriors = _per_factor(omega, psi, True)
-    return _Matrix(posteriors).mix(Dist, omega.space, _Weights._from_ints(None, psi.counts, psi.size))
+    return _mix(omega.space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
 
 
 def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:
@@ -83,7 +83,7 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
             rows.append(bayes_update(omega, factor))
         else:  # adds nothing; stands in for the posterior, exact or float as it would be
             rows.append(omega if factor._nums is not None else factor)
-    return _Matrix(rows).mix(Dist, omega.space, weights)
+    return _mix(omega.space, weights, rows)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:

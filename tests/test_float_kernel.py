@@ -450,6 +450,30 @@ def test_channel_matrices(seed, kind):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["exact", "mixed"])
+def test_channel_first_use_in_either_order(seed, kind):
+    """push and pull share the rows rescaled to one denominator: whichever
+    of them is called first on a fresh channel, each gives, bit for bit,
+    the per-element dot products."""
+    rng = random.Random(seed)
+    s, t = space(rng), space(rng, prefix="y")
+    c = channel_of(rng, kind, s, t)
+    exact_rows = all(row.is_exact for row in c.rows)  # a mixed channel of one row is exact
+    calls = [(pull, exact_factor(rng, t)), (pull, float_factor(rng, t)), (push, exact_dist(rng, s)), (push, float_dist(rng, s))]
+    for channel, order in ((c, calls), (Channel(s, t, c.rows), calls[::-1])):
+        for fn, arg in order:
+            result = fn(channel, arg)
+            if fn is push:
+                assert exact_bits(result.weights) == exact_bits(ref_push(c, arg))
+            else:
+                assert exact_bits(result.values) == exact_bits(ref_pull_values(c, arg.values, arg._nums is not None))
+            if exact_rows and arg._nums is not None:
+                reference.assert_canonical(result)
+            else:
+                assert result._nums is None
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_multinomial(seed):
     rng = random.Random(seed)
     omega = float_dist(rng, space(rng, high=4))

@@ -196,14 +196,16 @@ def test_outer_float_overflow_is_typed():
 
 # -- the mixture kernel ---------------------------------------------------------------
 #
-# ``weights @ rows`` adds whole weighted rows when there are fewer rows
-# than columns (Jeffrey's mixture on a wide space) and takes one dot
-# product per column otherwise (a push along a channel with many rows).
-# Both shapes must give what per-element arithmetic gives, bit for bit.
+# ``weights @ rows`` is a mixture (``convex_sum`` and Jeffrey's rule),
+# which adds whole weighted rows and keeps nothing, or a push along a
+# channel, which takes one dot product per column on columns the channel
+# builds once.  Every shape must give what per-element arithmetic gives,
+# bit for bit.
 
-#: (rows, columns): two shapes with fewer rows than columns, one with no fewer
-MIX_SHAPES = [(3, 64), (8, 64), (64, 6)]
-MIX_SHAPE_IDS = ["3x64", "8x64", "64x6"]
+#: (rows, columns): wide mixtures, a channel with many rows, and the small
+#: one-off mixtures of the paper's grids and the property checks
+MIX_SHAPES = [(3, 64), (8, 64), (64, 6), (2, 2), (3, 2)]
+MIX_SHAPE_IDS = ["3x64", "8x64", "64x6", "2x2", "3x2"]
 #: whether the weights and whether the rows are exact
 MIX_MODES = {
     "exact": (True, True),
