@@ -49,6 +49,14 @@ def _require_size(size: int, what: str) -> None:
         raise SizeLimitError(f"{what} with {size} elements refused")
 
 
+def _require_doublings(doublings: int, what: str) -> None:
+    """Refuse to build ``what`` when its size is at least ``2**doublings``
+    and that is more than MAX_PRODUCT_ELEMENTS, before its size, which
+    may be an int too large to compute or to print, is computed."""
+    if doublings >= MAX_PRODUCT_ELEMENTS.bit_length():
+        raise SizeLimitError(f"{what} with more than {MAX_PRODUCT_ELEMENTS} elements refused")
+
+
 def _require_bits(bits: float, what: str) -> None:
     """Refuse to compute ``what`` when its exact ints are estimated to
     need more than MAX_EXACT_BITS bits."""
@@ -207,7 +215,9 @@ class SampleSpace:
         """Space of ``n``-tuples in lexicographic (first-coordinate-major) order."""
         if n < 0:
             raise ValueError("power requires n >= 0")
-        _require_size(len(self) ** n if len(self) else int(n == 0), "power space")
+        if len(self) > 1:
+            _require_doublings(n, "power space")
+        _require_size(len(self) ** n, "power space")
         return SampleSpace(itertools.product(self._elements, repeat=n))
 
 
@@ -254,10 +264,11 @@ class _Vector:
     float view ``_flt``, which float kernels run on, when first needed.
     Values that hold any float are one float tuple, both ``_seq`` and
     ``_flt``, with ``_nums`` None.  ``_memo`` is None until a factor
-    keeps what it computed for a prior there (see ``Factor``).
+    keeps what it computed for a prior there, and ``_powers`` until it
+    keeps its powers (see ``Factor``).
     """
 
-    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt", "_memo")
+    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt", "_memo", "_powers")
 
     #: Whether the values must sum to one (distributions, mixture weights).
     _NORMALISED = False
@@ -289,7 +300,7 @@ class _Vector:
         else:
             values = tuple([v.numerator * (den // v.denominator) for v in values])
         _check_range(values, den, self._NORMALISED, self._ERROR, self._WHAT)
-        self._space, self._memo = space, None
+        self._space, self._memo, self._powers = space, None, None
         if den is None:
             self._nums, self._den, self._seq, self._flt = None, 1, values, values
         else:
@@ -305,7 +316,7 @@ class _Vector:
             nums = tuple([n // divisor for n in nums])
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, nums, den, None, None
-        vector._memo = None
+        vector._memo = vector._powers = None
         return vector
 
     @classmethod
@@ -316,7 +327,7 @@ class _Vector:
         _check_range(values, None, cls._NORMALISED, FloatRangeError, "float result")
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, None, 1, values, values
-        vector._memo = None
+        vector._memo = vector._powers = None
         return vector
 
     @classmethod

@@ -20,6 +20,10 @@ from .errors import (
 from .multiset import Multiset, coefm_counts
 
 
+#: How many counts' powers a factor keeps for the conjunction.
+_POWER_COUNTS = 8
+
+
 class Factor(_Vector):
     """Non-negative function on a sample space; the unit of evidence.
 
@@ -31,7 +35,9 @@ class Factor(_Vector):
 
     A factor keeps ``[prior, normaliser, posterior]`` for the last prior
     it met (the same object, not an equal one), filled as the update
-    rules and validities need them (see ``validity._entry``).
+    rules and validities need them (see ``validity._entry``), and its
+    powers for the last _POWER_COUNTS counts the conjunction met (see
+    :meth:`_power`).
     """
 
     __slots__ = ()
@@ -50,6 +56,24 @@ class Factor(_Vector):
     def is_sharp(self) -> bool:
         den = self._den
         return all(v == 0 or v == den for v in self._raw())
+
+    def _power(self, count: int) -> list:
+        """The ints raised to ``count`` (over ``_den**count``) when exact,
+        else the floats raised to it, for ``count >= 2``.  The lists of
+        the last _POWER_COUNTS counts are kept, oldest dropped first, and
+        never changed; an overflow (OverflowError) keeps nothing."""
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        else:
+            cached = powers.get(count)
+            if cached is not None:
+                return cached
+        result = list(map(pow, self._raw(), repeat(count)))
+        if len(powers) == _POWER_COUNTS:
+            del powers[next(iter(powers))]
+        powers[count] = result
+        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Factor):
@@ -285,8 +309,10 @@ def and_conj(psi: Evidence) -> Factor:
     there on the product runs on floats, an exact factor's power
     rounded once as a Fraction would be.  A float overflow raises
     FloatRangeError, and exact powers of more than MAX_EXACT_BITS bits
-    in all raise SizeLimitError before they are computed.  The result
-    is kept in ``psi``, so later calls return the same object.
+    in all raise SizeLimitError before they are computed.  Each factor
+    keeps its powers (see ``Factor._power``), so other evidence that
+    holds it at the same count reuses them.  The result is kept in
+    ``psi``, so later calls return the same object.
     """
     if psi._conj is None:
         psi._conj = _and_conj(psi)
@@ -301,8 +327,8 @@ def _and_conj(psi: Evidence) -> Factor:
     for factor, count in items:
         if factor._nums is None:
             break
-        powers = factor._nums if count == 1 else map(pow, factor._nums, repeat(count))
-        nums = list(powers) if nums is None else list(map(mul, nums, powers))
+        powers = factor._nums if count == 1 else factor._power(count)
+        nums = powers if nums is None else list(map(mul, nums, powers))
         den *= factor._den**count
         exact += 1
     if exact == len(items):
@@ -313,10 +339,10 @@ def _and_conj(psi: Evidence) -> Factor:
             if count == 1:
                 powers = factor._floats()
             elif factor._nums is None:
-                powers = map(pow, factor._floats(), repeat(count))
+                powers = factor._power(count)
             else:
-                powers = map(truediv, map(pow, factor._nums, repeat(count)), repeat(factor._den**count))
-            values = list(powers) if values is None else list(map(mul, values, powers))
+                powers = map(truediv, factor._power(count), repeat(factor._den**count))
+            values = powers if values is None else list(map(mul, values, powers))
     except (OverflowError, FloatRangeError):  # the latter from an exact factor's float view
         raise FloatRangeError("and_conj overflows the float range") from None
     return Factor._from_floats(psi.space, values)

@@ -6,7 +6,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Label, SampleSpace, _require_coefficient_bits, _require_size, label_str
+from .core import Label, SampleSpace, _require_coefficient_bits, _require_doublings, _require_size, label_str
 from .errors import SpaceMismatchError, UnknownElementError
 
 
@@ -138,6 +138,10 @@ def enumerate_multisets(space: SampleSpace, size: int) -> list[Multiset]:
     """
     if size < 0:
         raise ValueError("size must be a natural number")
+    if len(space) > 1 and size:
+        # C(n-1+size, size) is at least n-1+size and at least 2**min(n-1, size)
+        top = len(space) - 1 + size
+        _require_doublings(max(top.bit_length() - 1, min(len(space) - 1, size)), "multiset enumeration")
     count = math.comb(len(space) + size - 1, size) if len(space) else int(size == 0)
     _require_size(count, "multiset enumeration")
     return [Multiset(space, v) for v in _count_vectors(len(space), size)]

@@ -15,9 +15,9 @@ from typing import Sequence
 from .core import Scalar, _fsum
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
-from .errors import NonConvexWeightsError, SpaceMismatchError, ZeroValidityError
+from .errors import NonConvexWeightsError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
-from .validity import _entry, _per_factor, validity
+from .validity import _entry, _per_factor, _require_one_space, validity
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist | None:
@@ -77,8 +77,7 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     weights = _Weights(None, [w for _, w in weighted_factors])
     rows = []
     for (factor, _), weight in zip(weighted_factors, weights._raw()):
-        if factor.space != omega.space:
-            raise SpaceMismatchError("validity needs a distribution and factor on one space")
+        _require_one_space(omega, factor)
         if weight:
             rows.append(bayes_update(omega, factor))
         else:  # adds nothing; stands in for the posterior, exact or float as it would be

@@ -22,6 +22,12 @@ from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 
 
+def _require_one_space(omega: Dist, p: Factor) -> None:
+    """The one check that a distribution and a factor share a space."""
+    if omega.space != p.space:
+        raise SpaceMismatchError("validity needs a distribution and factor on one space")
+
+
 def _norm(omega: Dist, p: Factor) -> int | float:
     """The normaliser of ``omega`` and ``p`` on one space: the validity
     as the kernels compute it, an int over ``omega._den * p._den`` when
@@ -58,8 +64,7 @@ def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
 def validity(omega: Dist, p: Factor) -> Scalar:
     """Expected value sum_x omega(x) * p(x); exact when the inputs are.
     A float validity beyond the float range raises FloatRangeError."""
-    if omega.space != p.space:
-        raise SpaceMismatchError("validity needs a distribution and factor on one space")
+    _require_one_space(omega, p)
     return _read(omega, p, _norm(omega, p))
 
 
@@ -70,8 +75,7 @@ def _entry(omega: Dist, p: Factor, posterior: bool = False) -> list:
     when the normaliser is zero).  An entry that fails is not stored."""
     memo = p._memo
     if memo is None or memo[0] is not omega:
-        if omega.space != p.space:
-            raise SpaceMismatchError("validity needs a distribution and factor on one space")
+        _require_one_space(omega, p)
         memo = p._memo = [omega, None, None]
     if posterior and memo[2] is None and memo[1] != 0:
         memo[2], memo[1] = _update(omega, p)

@@ -2,24 +2,34 @@
 
 import __future__
 import math
+import time
 import types
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 import multibayes
 from multibayes import (
+    Evidence,
     NonPositiveLogError,
     SampleSpace,
     SizeLimitError,
     UnknownElementError,
+    enumerate_multisets,
     format_decimal12,
     format_scalar,
     is_exact,
+    multiset_space,
     parse_scalar,
     scalar_ln,
+    tensor_conj,
+    tensor_power,
+    truth,
+    uniform,
 )
+from multibayes import core
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -128,6 +138,40 @@ class TestSampleSpace:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             SampleSpace(range(200)).power(3)
+
+
+# Sizes with more digits than an int may print: each is refused by a
+# bound, before the size is computed.
+OVERSIZED = {
+    "power": lambda: SampleSpace("ab").power(15000),
+    "multiset_space": lambda: multiset_space(SampleSpace(range(10000)), 10000),
+    "tensor_power": lambda: tensor_power(uniform(SampleSpace("ab")), 20000),
+    "tensor_conj": lambda: tensor_conj(Evidence([(truth(SampleSpace("ab")), 20000)])),
+}
+
+
+@pytest.mark.parametrize("build", OVERSIZED.values(), ids=OVERSIZED)
+def test_an_oversized_space_is_refused_at_once(build):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="more than 1000000 elements refused"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 7, 8, 9, 16, 17, 40])
+def test_the_size_guards_refuse_exactly_beyond_the_limit(limit, monkeypatch):
+    # the limit is lowered so that every space that passes stays small
+    monkeypatch.setattr(core, "MAX_PRODUCT_ELEMENTS", limit)
+    for n in range(5):
+        s = SampleSpace(range(n))
+        for k in range(7):
+            multisets = math.comb(n + k - 1, k) if n else int(k == 0)
+            for build, size in ((s.power, n**k), (partial(enumerate_multisets, s), multisets)):
+                if size > limit:
+                    with pytest.raises(SizeLimitError):
+                        build(k)
+                else:
+                    assert len(build(k)) == size
 
 
 def test_star_import_binds_exactly_the_public_names():

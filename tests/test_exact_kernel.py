@@ -455,3 +455,120 @@ def test_wide_refusals_are_typed():
             and_conj(psi)
     with pytest.raises(FloatRangeError):
         jeffrey_validity(omega.to_float(), Evidence(((big, 2),)))
+
+
+# A factor keeps its powers for the conjunction: other evidence that
+# holds it at a count it has met reuses the list, and the results are
+# those of per-element arithmetic, whichever evidence computed the power.
+
+
+def counting_pows(monkeypatch):
+    """The calls of ``pow`` in ``multibayes.evidence``, counted from now
+    on: a power pass over a factor makes one per element."""
+    import multibayes.evidence as evidence_module
+
+    calls = []
+
+    def counted(base, exponent):
+        calls.append(exponent)
+        return pow(base, exponent)
+
+    monkeypatch.setattr(evidence_module, "pow", counted, raising=False)
+    return calls
+
+
+def assert_reference_conj(psi):
+    """``and_conj(psi)`` as per-element arithmetic gives it: exact and
+    canonical when every factor is exact, else bit for bit."""
+    conj = and_conj(psi)
+    if conj._nums is not None:
+        assert conj.values == ref_and_conj(psi)
+        assert_canonical(conj)
+    else:
+        assert bits(conj.values) == bits(ref_and_conj(psi))
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_evidences_sharing_a_factor_compute_its_power_once(kind, monkeypatch):
+    rng = random.Random(11)
+    s = space(rng, 16, 16)
+    make = exact_factor if kind == "exact" else float_factor
+    p, q, r = make(rng, s), make(rng, s), make(rng, s)
+    pows = counting_pows(monkeypatch)
+    assert_reference_conj(Evidence(((p, 3), (q, 1))))
+    assert pows == [3] * len(s)
+    cached = p._powers[3]
+    assert_reference_conj(Evidence(((r, 2), (p, 3))))
+    assert pows == [3] * len(s) + [2] * len(s)
+    assert p._powers[3] is cached and q._powers is None
+
+
+def test_power_passes_are_bounded_by_the_factor_count_pairs(monkeypatch):
+    # queries as the wide workloads draw them: a few of eight long-lived
+    # factors, each at a count from one to four
+    rng = random.Random(31)
+    s = space(rng, 32, 32)
+    factors = [exact_factor(rng, s) for _ in range(4)] + [float_factor(rng, s) for _ in range(4)]
+    pows = counting_pows(monkeypatch)
+    pairs = set()
+    for _ in range(200):
+        chosen = rng.sample(factors, rng.randint(3, 8))
+        psi = Evidence((f, rng.randint(1, 4)) for f in chosen)
+        and_conj(psi)
+        pairs.update((id(f), count) for f, count in psi.items() if count > 1)
+    assert len(pows) == len(pairs) * len(s) <= 24 * len(s)
+
+
+#: the kinds of a pool's factors; evidence draws from the pool again and again
+POWER_POOLS = {"exact": "eee", "float": "fff", "mixed-tail": "eefe"}
+
+
+@pytest.mark.parametrize("pool", POWER_POOLS)
+@pytest.mark.parametrize("seed", range(10))
+def test_conjunctions_from_kept_powers_match_the_reference(seed, pool):
+    rng = random.Random(seed)
+    s = space(rng, 2, 24)
+    make = {"e": exact_factor, "f": float_factor}
+    factors = [make[kind](rng, s) for kind in POWER_POOLS[pool]]
+    for _ in range(12):
+        chosen = factors if pool == "mixed-tail" else rng.sample(factors, rng.randint(1, 3))
+        assert_reference_conj(Evidence((f, rng.randint(1, 4)) for f in chosen))
+    for f in factors:  # the kept lists were never changed
+        for count, powers in (f._powers or {}).items():
+            assert powers == [v**count for v in f._raw()]
+
+
+def test_a_factor_keeps_at_most_eight_counts():
+    rng = random.Random(4)
+    s = space(rng, 8, 8)
+    p, q = exact_factor(rng, s), float_factor(rng, s)
+    for count in range(2, 11):
+        for f in (p, q):
+            assert_reference_conj(Evidence(((f, count),)))
+    for f in (p, q):
+        assert list(f._powers) == list(range(3, 11))  # the oldest count went first
+
+
+def test_kept_powers_survive_a_change_of_prior():
+    rng = random.Random(8)
+    s = space(rng, 12, 12)
+    p, q = exact_factor(rng, s), exact_factor(rng, s)
+    first, second = exact_dist(rng, s), exact_dist(rng, s)
+    psi = Evidence(((p, 2), (q, 1)))
+    pearl_validity(first, psi)
+    cached = p._powers[2]
+    again = Evidence(((p, 2), (q, 1)))
+    assert pearl_validity(second, again) == ref_coefficient_times(
+        again, [(ref_validity(second.weights, ref_and_conj(again)), 1)]
+    )
+    assert and_conj(again)._memo[0] is second and p._powers[2] is cached
+
+
+def test_a_power_that_overflows_is_not_kept():
+    s = SampleSpace("abc")
+    big = Factor(s, [1e200, 0.5, 0.0])
+    for _ in range(2):
+        with pytest.raises(FloatRangeError):
+            and_conj(Evidence(((big, 2),)))
+        assert not big._powers
+    assert and_conj(Evidence(((big, 1),))).values == big.values
