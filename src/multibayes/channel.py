@@ -20,7 +20,8 @@ class Channel:
     A channel is immutable, so it keeps what :func:`push` and
     :func:`pull` reuse: ``_den``, the lcm of the row denominators when
     every row is exact (else None), and, each built on first use, the
-    rows as ints over it, their columns and the float columns.
+    rows as ints over it, their columns and the float columns.  A row
+    that is not a Dist raises TypeError.
     """
 
     __slots__ = ("_dom", "_cod", "_rows", "_den", "_ints", "_columns", "_float_columns")
@@ -30,6 +31,8 @@ class Channel:
         if len(rows) != len(dom):
             raise ValueError("need one row per domain element")
         for row in rows:
+            if not isinstance(row, Dist):
+                raise TypeError(f"channel rows must be distributions, not {type(row).__name__}")
             if row.space != cod:
                 raise SpaceMismatchError("every row must be a distribution on the codomain")
         self._dom = dom

@@ -26,9 +26,8 @@ def _fraction_line(name: str, value) -> str:
     return f"{name} = {format_decimal12(value)}"
 
 
-def cmd_report_medical(out=None) -> int:
+def cmd_report_medical() -> int:
     """Print every quantity of the built-in disease-test scenario."""
-    out = out if out is not None else sys.stdout
     model = medical_model()
     omega, pt, nt = model.prior, model.pos_test, model.neg_test
     psi = Evidence(((pt, 2), (nt, 1)))
@@ -51,7 +50,7 @@ def cmd_report_medical(out=None) -> int:
         _fraction_line("iterated_pearl", iterated_pearl_validity(omega, (pt, pt, nt))),
     ]
     for line in lines:
-        print(line, file=out)
+        print(line)
     return 0
 
 
@@ -65,27 +64,25 @@ def cmd_grid(mode: str, imax: int, jmax: int, out_path: str) -> int:
     return 0
 
 
-def cmd_check(suite: str, trials: int, seed: int, out=None) -> int:
+def cmd_check(suite: str, trials: int, seed: int) -> int:
     from .properties import run_suite
 
-    out = out if out is not None else sys.stdout
     results = run_suite(suite, trials, seed)
     failures = 0
     for result in results:
-        print(result.line(), file=out)
+        print(result.line())
         if not result.passed:
             failures += 1
-    print(f"{len(results) - failures}/{len(results)} properties passed", file=out)
+    print(f"{len(results) - failures}/{len(results)} properties passed")
     return 1 if failures else 0
 
 
-def cmd_eval(model_path: str, expr: str, out=None) -> int:
+def cmd_eval(model_path: str, expr: str) -> int:
     from .modelfile import eval_expression, format_result, load_model
 
-    out = out if out is not None else sys.stdout
     model = load_model(model_path)
     result = eval_expression(model, expr)
-    print(format_result(result), file=out)
+    print(format_result(result))
     return 0
 
 

@@ -17,7 +17,7 @@ from .errors import (
     NotAPredicateError,
     SpaceMismatchError,
 )
-from .multiset import Multiset, coefm_counts
+from .multiset import Multiset, _Counted, coefm_counts
 
 
 #: How many counts' powers a factor keeps for the conjunction.
@@ -57,11 +57,14 @@ class Factor(_Vector):
         den = self._den
         return all(v == 0 or v == den for v in self._raw())
 
-    def _power(self, count: int) -> list:
+    def _power(self, count: int) -> list | tuple:
         """The ints raised to ``count`` (over ``_den**count``) when exact,
-        else the floats raised to it, for ``count >= 2``.  The lists of
-        the last _POWER_COUNTS counts are kept, oldest dropped first, and
-        never changed; an overflow (OverflowError) keeps nothing."""
+        else the floats raised to it: :meth:`_raw` itself for a count of
+        one, else a list.  The lists of the last _POWER_COUNTS counts are
+        kept, oldest dropped first, and never changed; an error (such as
+        OverflowError) keeps nothing."""
+        if count == 1:
+            return self._raw()
         powers = self._powers
         if powers is None:
             powers = self._powers = {}
@@ -101,25 +104,26 @@ class Factor(_Vector):
         factor, negative integers the powers of the reciprocals (a zero
         value raises ZeroDivisionError).  A float overflow raises
         FloatRangeError, and an exact power of more than MAX_EXACT_BITS
-        bits SizeLimitError."""
-        if isinstance(exponent, int) and not isinstance(exponent, bool):
-            if self._nums is not None:
-                base = self
-                if exponent < 0:
-                    if 0 in self._nums:
-                        raise ZeroDivisionError("negative power of a factor with a zero value")
-                    # the reciprocals den / n over the lcm of the numerators
-                    common = math.lcm(*self._nums)
-                    base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
-                    exponent = -exponent
-                _require_bits(base._power_bits(exponent), "factor power")
-                return Factor._from_ints(self._space, [n**exponent for n in base._nums], base._den**exponent)
-            powers = map(pow, self._floats(), repeat(exponent))
-        else:
-            exponent = float(exponent)
-            powers = (0.0 if v == 0 else v**exponent for v in self._floats())
+        bits SizeLimitError.  Integer powers are those :meth:`_power`
+        keeps, which the conjunction shares."""
+        base = self
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            base, exponent = None, float(exponent)
+        elif self._nums is not None:
+            if exponent < 0:
+                if 0 in self._nums:
+                    raise ZeroDivisionError("negative power of a factor with a zero value")
+                # the reciprocals den / n over the lcm of the numerators
+                common = math.lcm(*self._nums)
+                base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
+                exponent = -exponent
+            _require_bits(base._power_bits(exponent), "factor power")
         try:
-            return Factor._from_floats(self._space, powers)
+            if base is None:
+                return Factor._from_floats(self._space, (0.0 if v == 0 else v**exponent for v in self._floats()))
+            if base._nums is not None:
+                return Factor._from_ints(self._space, base._power(exponent), base._den**exponent)
+            return Factor._from_floats(self._space, base._power(exponent))
         except OverflowError:
             raise FloatRangeError("factor power overflows the float range") from None
 
@@ -199,7 +203,7 @@ def ortho(p: Factor) -> Factor:
     return Factor._from_floats(p.space, [1.0 - v for v in p._floats()])
 
 
-class Evidence:
+class Evidence(_Counted):
     """Multiset of factors over one sample space.
 
     Factors that are pointwise equal are merged on construction; the
@@ -207,10 +211,11 @@ class Evidence:
     the factor order used by parallel conjunctions.  The iterated
     conjunction is computed once, by the first :func:`and_conj`; being a
     factor kept on the evidence, it keeps its own normaliser and
-    posterior for the last prior it met, as each factor does.
+    posterior for the last prior it met, as each factor does.  A member
+    that is not a Factor raises TypeError.
     """
 
-    __slots__ = ("_factors", "_counts", "_conj")
+    __slots__ = ("_factors", "_conj")
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
         factors: list[Factor] = []
@@ -219,6 +224,8 @@ class Evidence:
         for factor, count in pairs:
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise ValueError(f"evidence multiplicities must be natural numbers, got {count!r}")
+            if not isinstance(factor, Factor):
+                raise TypeError(f"evidence members must be factors, not {type(factor).__name__}")
             if space is None:
                 space = factor.space
             elif factor.space != space:
@@ -240,14 +247,6 @@ class Evidence:
     @property
     def factors(self) -> tuple[Factor, ...]:
         return self._factors
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return self._counts
-
-    @property
-    def size(self) -> int:
-        return sum(self._counts)
 
     @property
     def space(self) -> SampleSpace:
@@ -274,22 +273,13 @@ class Evidence:
     def __add__(self, other: "Evidence") -> "Evidence":
         return Evidence(list(self.items()) + list(other.items()))
 
-    def scale(self, n: int) -> "Evidence":
-        if n < 0:
-            raise ValueError("scaling factor must be a natural number")
+    def _scaled(self, n: int) -> "Evidence":
         return Evidence((f, n * c) for f, c in self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Evidence):
             return NotImplemented
         return dict(self.items()) == dict(other.items())
-
-    def __str__(self) -> str:
-        parts = [f"{c}|{f}>" for f, c in self.items()]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"Evidence({self})"
 
 
 def point_evidence(phi: Multiset) -> Evidence:
@@ -327,7 +317,7 @@ def _and_conj(psi: Evidence) -> Factor:
     for factor, count in items:
         if factor._nums is None:
             break
-        powers = factor._nums if count == 1 else factor._power(count)
+        powers = factor._power(count)
         nums = powers if nums is None else list(map(mul, nums, powers))
         den *= factor._den**count
         exact += 1
@@ -336,14 +326,12 @@ def _and_conj(psi: Evidence) -> Factor:
     try:
         values = list(map(truediv, nums, repeat(den))) if exact else None
         for factor, count in items[exact:]:
-            if count == 1:
-                powers = factor._floats()
-            elif factor._nums is None:
+            if factor._nums is None:
                 powers = factor._power(count)
             else:
                 powers = map(truediv, factor._power(count), repeat(factor._den**count))
             values = powers if values is None else list(map(mul, values, powers))
-    except (OverflowError, FloatRangeError):  # the latter from an exact factor's float view
+    except OverflowError:
         raise FloatRangeError("and_conj overflows the float range") from None
     return Factor._from_floats(psi.space, values)
 

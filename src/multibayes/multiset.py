@@ -10,7 +10,35 @@ from .core import Label, SampleSpace, _require_coefficient_bits, _require_doubli
 from .errors import SpaceMismatchError, UnknownElementError
 
 
-class Multiset:
+class _Counted:
+    """What multisets and evidence share: the natural ``_counts`` of the
+    members :meth:`items` pairs them with, their sum, scaling by a natural
+    number (each class's ``_scaled``) and the ket text, zeros left out."""
+
+    __slots__ = ("_counts",)
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return self._counts
+
+    @property
+    def size(self) -> int:
+        return sum(self._counts)
+
+    def scale(self, n: int):
+        if n < 0:
+            raise ValueError("scaling factor must be a natural number")
+        return self._scaled(n)
+
+    def __str__(self) -> str:
+        parts = [f"{c}|{label_str(x)}>" for x, c in self.items() if c]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Multiset(_Counted):
     """Finite map from sample-space elements to natural multiplicities.
 
     Counts are stored as a tuple aligned with the space's element
@@ -18,7 +46,7 @@ class Multiset:
     sample-space labels (as draws of a fixed size do).
     """
 
-    __slots__ = ("_space", "_counts")
+    __slots__ = ("_space",)
 
     def __init__(self, space: SampleSpace, counts: Sequence[int]):
         counts = tuple(counts)
@@ -41,14 +69,6 @@ class Multiset:
     def space(self) -> SampleSpace:
         return self._space
 
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return self._counts
-
-    @property
-    def size(self) -> int:
-        return sum(self._counts)
-
     def __call__(self, element: Label) -> int:
         return self._counts[self._space.index(element)]
 
@@ -63,9 +83,7 @@ class Multiset:
             raise SpaceMismatchError("multisets over different spaces cannot be added")
         return Multiset(self._space, tuple(a + b for a, b in zip(self._counts, other._counts)))
 
-    def scale(self, n: int) -> "Multiset":
-        if n < 0:
-            raise ValueError("scaling factor must be a natural number")
+    def _scaled(self, n: int) -> "Multiset":
         return Multiset(self._space, tuple(n * c for c in self._counts))
 
     def __eq__(self, other: object) -> bool:
@@ -77,13 +95,6 @@ class Multiset:
 
     def __hash__(self) -> int:
         return hash((self._space, self._counts))
-
-    def __str__(self) -> str:
-        parts = [f"{c}|{label_str(x)}>" for x, c in self.items() if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"Multiset({self})"
 
 
 def acc(seq: Iterable[Label], space: SampleSpace) -> Multiset:

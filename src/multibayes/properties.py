@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .channel import Channel, dagger, identity_channel, multinomial_channel, pull, push, triple_pull
 from .core import SampleSpace
@@ -163,8 +163,8 @@ _LABELS = "abcdefgh"
 _COD_LABELS = "uvwxyz"
 
 
-def _space(rng: random.Random, max_size: int = 6, min_size: int = 2, labels: str = _LABELS) -> SampleSpace:
-    return SampleSpace(labels[: rng.randint(min_size, max_size)])
+def _space(rng: random.Random, max_size: int = 6, labels: str = _LABELS) -> SampleSpace:
+    return SampleSpace(labels[: rng.randint(2, max_size)])
 
 
 def _dist(rng: random.Random, space: SampleSpace, full_support: bool = True, unit: int = 12) -> Dist:
@@ -175,9 +175,9 @@ def _dist(rng: random.Random, space: SampleSpace, full_support: bool = True, uni
     return flrn(Multiset(space, counts))
 
 
-def _factor(rng: random.Random, space: SampleSpace, positive: bool = False, unit: int = 12, bound: int = 1) -> Factor:
+def _factor(rng: random.Random, space: SampleSpace, positive: bool = False, bound: int = 1) -> Factor:
     low = 1 if positive else 0
-    return Factor._from_ints(space, [rng.randint(low, bound * unit) for _ in space], unit)
+    return Factor._from_ints(space, [rng.randint(low, bound * 12) for _ in space], 12)
 
 
 def _evidence(
@@ -198,23 +198,22 @@ def _evidence(
     return Evidence(zip(factors, counts))
 
 
-def _perfect_pack(rng: random.Random, space: SampleSpace, parts: int, unit: int = 12) -> list[Factor]:
-    """Pointwise-distinct predicates that sum to truth."""
+def _perfect_pack(rng: random.Random, space: SampleSpace, parts: int) -> list[Factor]:
+    """Pointwise-distinct predicates that sum to truth, in twelfths."""
     for _ in range(50):
         columns = []
         for _x in space:
-            cuts = sorted(rng.randint(0, unit) for _ in range(parts - 1))
-            cells = [b - a for a, b in zip([0] + cuts, cuts + [unit])]
+            cuts = sorted(rng.randint(0, 12) for _ in range(parts - 1))
+            cells = [b - a for a, b in zip([0] + cuts, cuts + [12])]
             columns.append(cells)
-        factors = [Factor._from_ints(space, [col[i] for col in columns], unit) for i in range(parts)]
+        factors = [Factor._from_ints(space, [col[i] for col in columns], 12) for i in range(parts)]
         if len(set(factors)) == parts:
             return factors
     raise AssertionError("could not build a distinct perfect pack")
 
 
-def _point_multiset(rng: random.Random, space: SampleSpace, size: int, within: Iterable | None = None) -> Multiset:
-    pool = list(within) if within is not None else list(space.elements)
-    return acc([rng.choice(pool) for _ in range(size)], space)
+def _point_multiset(rng: random.Random, space: SampleSpace, size: int) -> Multiset:
+    return acc([rng.choice(space.elements) for _ in range(size)], space)
 
 
 def _feq(a: float, b: float, tol: float = FLOAT_SLACK) -> bool:
@@ -973,8 +972,10 @@ def _vfe_argmin(trials, rng):
 # channel
 
 
-def _channel(rng: random.Random, dom: SampleSpace, cod: SampleSpace, full: bool = True) -> Channel:
-    return Channel(dom, cod, tuple(_dist(rng, cod, full_support=full) for _ in dom))
+def _channel(rng: random.Random, cod_size: int = 4, full: bool = True) -> tuple[SampleSpace, SampleSpace, Channel]:
+    dom = _space(rng, max_size=4)
+    cod = _space(rng, max_size=cod_size, labels=_COD_LABELS)
+    return dom, cod, Channel(dom, cod, tuple(_dist(rng, cod, full_support=full) for _ in dom))
 
 
 def _pull_injective(c: Channel, psi: Evidence) -> bool:
@@ -984,9 +985,7 @@ def _pull_injective(c: Channel, psi: Evidence) -> bool:
 
 @_register("channel-adjunction", "channel")
 def _channel_adjunction(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=4, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod, full=False)
+    dom, cod, c = _channel(rng, full=False)
     omega = _dist(rng, dom, full_support=False)
     q = _factor(rng, cod)
     if validity(push(c, omega), q) != validity(omega, pull(c, q)):
@@ -996,9 +995,7 @@ def _channel_adjunction(rng):
 
 @_register("jeffrey-along-channel", "channel")
 def _jeffrey_along_channel(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=4, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng)
     omega = _dist(rng, dom)
     psi = _evidence(rng, cod, max_factors=2, max_size=4)
     if not _pull_injective(c, psi):
@@ -1022,9 +1019,7 @@ def _pearl_along_channel_fails(trials, rng):
     ran = 0
     for t in range(trials):
         ran = t + 1
-        dom = _space(rng, max_size=4)
-        cod = _space(rng, max_size=4, labels=_COD_LABELS)
-        c = _channel(rng, dom, cod)
+        dom, cod, c = _channel(rng)
         omega = _dist(rng, dom)
         psi = _evidence(rng, cod, max_factors=2, max_size=3)
         if pearl_validity(omega, triple_pull(c, psi)) != pearl_validity(push(c, omega), psi):
@@ -1036,9 +1031,7 @@ def _pearl_along_channel_fails(trials, rng):
 
 @_register("point-evidence-multinomial", "channel", max_trials=600)
 def _point_evidence_multinomial(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=3, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng, 3)
     omega = _dist(rng, dom, full_support=False)
     size = rng.randint(1, 3)
     phi = _point_multiset(rng, cod, size)
@@ -1055,9 +1048,7 @@ def _point_evidence_multinomial(rng):
 
 @_register("dagger-jeffrey", "channel")
 def _dagger_jeffrey(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=4, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng)
     omega = _dist(rng, dom)
     phi = _point_multiset(rng, cod, rng.randint(1, 5))
     psi = point_evidence(phi)
@@ -1069,9 +1060,7 @@ def _dagger_jeffrey(rng):
 
 @_register("multinomial-channel-pearl", "channel", max_trials=600)
 def _multinomial_channel_pearl(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=3, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng, 3)
     omega = _dist(rng, dom)
     size = rng.randint(1, 3)
     phi = _point_multiset(rng, cod, size)
@@ -1084,9 +1073,7 @@ def _multinomial_channel_pearl(rng):
 
 @_register("channel-divergence-decrease", "channel")
 def _channel_divergence_decrease(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=4, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng)
     omega = _dist(rng, dom)
     phi = _point_multiset(rng, cod, rng.randint(1, 5))
     posterior = jeffrey_update(omega, triple_pull(c, point_evidence(phi)))
@@ -1172,9 +1159,7 @@ def _kl_order_equivalence(rng):
 
 @_register("channel-dkl-lower-bound", "divergence")
 def _channel_dkl_lower_bound(rng):
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=4, labels=_COD_LABELS)
-    c = _channel(rng, dom, cod)
+    dom, cod, c = _channel(rng)
     sigma = _dist(rng, dom, full_support=False)
     rho = _dist(rng, cod, full_support=False)
     expected = expected_channel_divergence(sigma, rho, c)

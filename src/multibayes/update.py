@@ -10,6 +10,7 @@ the VFE rule, which is inherently float.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import Sequence
 
 from .core import Scalar, _fsum
@@ -27,10 +28,11 @@ def _posterior(omega: Dist, p: Factor) -> Dist | None:
 
 
 def bayes_update(omega: Dist, p: Factor) -> Dist:
-    """Condition a distribution on a factor: x -> omega(x)*p(x) / (omega |= p)."""
+    """Condition a distribution on a factor: x -> omega(x)*p(x) / (omega |= p);
+    a zero validity raises ZeroValidityError naming ``p`` (abridged)."""
     posterior = _posterior(omega, p)
     if posterior is None:
-        raise ZeroValidityError(f"cannot update: validity of {p} is zero")
+        raise ZeroValidityError(f"cannot update: validity of {reprlib.repr(p)} is zero")
     return posterior
 
 

@@ -11,6 +11,7 @@ factor reuses them; Pearl's rule reuses its conjunction's the same way.
 from __future__ import annotations
 
 import math
+import reprlib
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
@@ -91,8 +92,8 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     Each is computed when first asked for, factor by factor: a caller
     that stops at a factor computes no later one, and an error raised
     at a factor is raised again by the next caller.  A factor with zero
-    validity raises ZeroValidityError naming the factor, and a float
-    validity beyond the float range FloatRangeError.
+    validity raises ZeroValidityError naming the factor (abridged), and
+    a float validity beyond the float range FloatRangeError.
     """
     _require_nonempty(psi)
     result = []
@@ -101,7 +102,7 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
         if not posteriors and type(norm) is float:
             _read(omega, p, norm)  # the range check of a float validity
         if norm == 0:
-            raise ZeroValidityError(f"evidence factor #{index} ({p}) has zero validity")
+            raise ZeroValidityError(f"evidence factor #{index} ({reprlib.repr(p)}) has zero validity")
         result.append(posterior if posteriors else norm)
     return result
 

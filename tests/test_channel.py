@@ -37,6 +37,13 @@ OMEGA = MEDICAL.prior
 D, T = MEDICAL.disease_space, MEDICAL.test_space
 
 
+class TestConstruction:
+    def test_a_row_that_is_not_a_distribution_is_refused(self):
+        # factors summing to 5/2 and 2 once made a push whose weights summed to 7/2
+        with pytest.raises(TypeError, match="channel rows must be distributions, not Factor"):
+            Channel(D, T, [Factor(T, (2, 3)), Factor(T, (1, 1))])
+
+
 class TestPush:
     def test_prediction_of_tests(self):
         assert push(C, OMEGA) == Dist(T, (Fraction(17, 40), Fraction(23, 40)))

@@ -250,6 +250,21 @@ class TestEval:
             json.dump(model, handle)
         assert main(["eval", "--model", path, "--expr", "pearl_update(prior, bad)"]) == 2
 
+    @pytest.mark.parametrize("expr", ["bayes_update(prior, dead)", "jeffrey_update(prior, e)", "vfe_update(prior, e)"])
+    def test_zero_validity_of_a_wide_factor_is_an_abridged_input_error(self, expr, tmp_path, capsys):
+        size = 3000
+        model = {
+            "spaces": {"W": {"elements": [f"x{i}" for i in range(size)]}},
+            "distributions": {"prior": {"space": "W", "weights": [f"1/{size}"] * size}},
+            "factors": {"dead": {"space": "W", "values": ["0"] * size}},
+            "evidence": {"e": [{"factor": "dead", "count": 1}]},
+        }
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200
+
     @pytest.mark.parametrize(
         "expr",
         ["and_conj(e2)", "pearl_update(prior, e2)", "pearl_validity(prior, e2)", "jeffrey_validity(prior, e2)",

@@ -121,6 +121,36 @@ class TestEvidence:
         psi = Evidence(((PT, 2),)) + Evidence(((PT, 1), (NT, 1)))
         assert psi(PT) == 3 and psi(NT) == 1
 
+    def test_str_and_repr(self):
+        psi = Evidence(((PT, 2), (NT, 1)))
+        text = "2|9/10*1{d} + 2/5*1{~d}> + 1|1/10*1{d} + 3/5*1{~d}>"
+        assert (str(psi), repr(psi)) == (text, f"Evidence({text})")
+        assert repr(Evidence(((Factor(D, (0.5, 1.0)), 1),))) == "Evidence(1|0.5*1{d} + 1.0*1{~d}>)"
+        for empty in (Evidence(()), Evidence(((PT, 0),))):
+            assert (str(empty), repr(empty)) == ("0", "Evidence(0)")
+
+    def test_size_counts_and_scale(self):
+        psi = Evidence(((PT, 2), (NT, 1)))
+        assert psi.counts == (2, 1) and psi.size == 3
+        tripled = psi.scale(3)
+        assert tripled.factors == (PT, NT) and tripled.counts == (6, 3) and tripled.size == 9
+        assert psi.scale(0) == Evidence(()) and psi.scale(0).counts == () and psi.scale(0).size == 0
+        with pytest.raises(ValueError, match="scaling factor must be a natural number"):
+            psi.scale(-1)
+
+    def test_a_distribution_is_not_an_evidence_member(self):
+        omega = Dist(D, (Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(TypeError, match="evidence members must be factors, not Dist"):
+            pearl_update(omega, Evidence([(omega, 2)]))
+
+    def test_a_tuple_is_not_an_evidence_member(self):
+        with pytest.raises(TypeError, match="evidence members must be factors, not tuple"):
+            Evidence([((1, 2), 1)])
+
+    def test_evidence_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(Evidence(((PT, 1),)))
+
 
 class TestConjunctions:
     def test_and_conj_is_iterated_product(self):

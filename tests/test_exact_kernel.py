@@ -572,3 +572,59 @@ def test_a_power_that_overflows_is_not_kept():
             and_conj(Evidence(((big, 2),)))
         assert not big._powers
     assert and_conj(Evidence(((big, 1),))).values == big.values
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_powers_match_per_element_powers(seed, kind):
+    rng = random.Random(seed)
+    s = space(rng, 2, 12)
+    make = exact_factor if kind == "exact" else float_factor
+    p = make(rng, s)
+    half = Fraction(1, 2) if kind == "exact" else 0.5
+    positive = Factor(s, [v + half for v in p.values])  # negative powers need nonzero values
+    for k in range(-2, 4):
+        base = positive if k < 0 else p
+        expected = tuple(v**k for v in base.values)
+        if kind == "exact":
+            assert (base**k).values == expected
+            assert_canonical(base**k)
+        else:
+            assert bits((base**k).values) == bits(expected)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_a_power_and_the_conjunction_share_the_kept_powers(kind, monkeypatch):
+    rng = random.Random(12)
+    s = space(rng, 16, 16)
+    p = (exact_factor if kind == "exact" else float_factor)(rng, s)
+    pows = counting_pows(monkeypatch)
+    cube = p**3
+    assert pows == [3] * len(s)
+    psi = Evidence(((p, 3),))
+    assert_reference_conj(psi)
+    assert and_conj(psi) == cube and pows == [3] * len(s)
+
+
+#: conjunctions of count-1 factors alone, or on one side of the first float factor
+COUNT_ONE_CONJUNCTIONS = {
+    "exact-count-1": ("e", (1,)),
+    "float-count-1": ("f", (1,)),
+    "exact-count-1-before-float": ("ef", (1, 2)),
+    "float-before-exact-count-1": ("fe", (2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_ONE_CONJUNCTIONS)
+@pytest.mark.parametrize("seed", range(10))
+def test_count_one_factors_in_the_conjunction(seed, case):
+    rng = random.Random(seed)
+    s = space(rng, 2, 12)
+    kinds, counts = COUNT_ONE_CONJUNCTIONS[case]
+    make = {"e": exact_factor, "f": float_factor}
+    psi = Evidence((make[kind](rng, s), count) for kind, count in zip(kinds, counts))
+    assert psi.counts == counts
+    assert_reference_conj(psi)
+    for f, count in psi.items():
+        if count == 1:  # a factor's own values: nothing is kept
+            assert f._powers is None

@@ -169,6 +169,23 @@ class TestMultisetAlgebra:
     def test_str_uses_kets(self):
         assert str(ms(ABC, a=3, b=2)) == "3|a> + 2|b>"
 
+    def test_str_and_repr(self):
+        assert repr(ms(ABC, a=3, b=2)) == "Multiset(3|a> + 2|b>)"
+        assert (str(ms(ABC)), repr(ms(ABC))) == ("0", "Multiset(0)")
+        pairs = SampleSpace("ab").product(SampleSpace("ab"))
+        assert str(Multiset(pairs, (1, 0, 0, 2))) == "1|(a,a)> + 2|(b,b)>"
+
+    def test_size_and_counts(self):
+        phi = ms(ABC, a=1, c=4)
+        assert phi.counts == (1, 0, 4) and phi.size == 5
+        assert ms(ABC).size == 0
+
+    def test_scale_by_zero_and_by_a_negative(self):
+        phi = ms(ABC, a=1, b=2)
+        assert phi.scale(0) == ms(ABC) and phi.scale(0).counts == (0, 0, 0)
+        with pytest.raises(ValueError, match="scaling factor must be a natural number"):
+            phi.scale(-1)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             Multiset(ABC, (1, -1, 0))

@@ -171,6 +171,24 @@ class TestVfeUpdate:
             vfe_update(uniform(space), psi)
 
 
+WIDE = SampleSpace(f"x{i}" for i in range(3000))
+
+
+@pytest.mark.parametrize(
+    "update, prefix",
+    [(bayes_update, "cannot update: validity of Factor("),
+     (lambda omega, dead: jeffrey_update(omega, Evidence(((truth(WIDE), 1), (dead, 2)))), "evidence factor #1 (Factor("),
+     (lambda omega, dead: vfe_update(omega, Evidence(((truth(WIDE), 1), (dead, 2)))), "evidence factor #1 (Factor(")],
+    ids=["bayes", "jeffrey", "vfe"],
+)
+def test_zero_validity_message_abridges_the_factor(update, prefix):
+    dead = Factor(WIDE, [0] * len(WIDE))
+    with pytest.raises(ZeroValidityError) as info:
+        update(uniform(WIDE), dead)
+    message = str(info.value)
+    assert message.startswith(prefix) and len(message) < 200
+
+
 class TestFreeEnergyObjective:
     def test_single_factor_posterior_reaches_zero(self):
         psi = Evidence(((PT, 1),))
