@@ -135,8 +135,7 @@ def parse_scalar(text: str) -> Scalar:
 
 def format_scalar(value: Scalar) -> str:
     """Exact scalars render as ``p/q`` (or ``n`` for integers), floats as decimals."""
-    if is_exact(value):
-        value = Fraction(value)
+    if is_exact(value):  # ints have a numerator and denominator too
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
@@ -149,8 +148,7 @@ _TWELVE_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 def format_decimal12(value: Scalar) -> str:
     """Decimal rendering with 12 significant digits, round-half-even."""
     if is_exact(value):
-        frac = Fraction(value)
-        dec = _TWELVE_DIGITS.divide(Decimal(frac.numerator), Decimal(frac.denominator))
+        dec = _TWELVE_DIGITS.divide(Decimal(value.numerator), Decimal(value.denominator))
     else:
         dec = _TWELVE_DIGITS.plus(Decimal(float(value)))
     return str(dec)

@@ -81,8 +81,9 @@ class Dist(_Vector):
 
 def dirac(element: Label, space: SampleSpace) -> Dist:
     """Point distribution concentrated on one element."""
-    index = space.index(element)
-    return Dist._from_ints(space, [int(i == index) for i in range(len(space))], 1)
+    weights = [0] * len(space)
+    weights[space.index(element)] = 1
+    return Dist._from_ints(space, weights, 1)
 
 
 def uniform(space: SampleSpace) -> Dist:

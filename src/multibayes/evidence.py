@@ -81,7 +81,7 @@ class Factor(_Vector):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Factor):
             return NotImplemented
-        return self._space == other._space and self._same_values(other)
+        return (self._space is other._space or self._space == other._space) and self._same_values(other)
 
     def __hash__(self) -> int:
         return hash((self._space, self.values))
@@ -152,7 +152,10 @@ def indicator(subset: Iterable[Label], space: SampleSpace) -> Factor:
 
 
 def point_pred(element: Label, space: SampleSpace) -> Factor:
-    return indicator((element,), space)
+    """Sharp predicate that is one exactly at ``element``."""
+    nums = [0] * len(space)
+    nums[space.index(element)] = 1
+    return Factor._from_ints(space, nums, 1)
 
 
 def conj(p: Factor, q: Factor) -> Factor:
@@ -227,14 +230,14 @@ class Evidence(_Counted):
             if not isinstance(factor, Factor):
                 raise TypeError(f"evidence members must be factors, not {type(factor).__name__}")
             if space is None:
-                space = factor.space
-            elif factor.space != space:
+                space = factor._space
+            elif factor._space is not space and factor._space != space:
                 raise SpaceMismatchError("evidence factors must share one space")
             if count == 0:
                 continue
             # not list.index: its ValueError formats the whole factor
             for pos, seen in enumerate(factors):
-                if seen == factor:
+                if seen is factor or seen == factor:
                     counts[pos] += count
                     break
             else:
@@ -252,7 +255,7 @@ class Evidence(_Counted):
     def space(self) -> SampleSpace:
         if not self._factors:
             raise EmptyEvidenceError("empty evidence has no underlying space")
-        return self._factors[0].space
+        return self._factors[0]._space
 
     def coefficient(self) -> int:
         """Multinomial coefficient of the multiplicity vector."""

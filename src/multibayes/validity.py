@@ -25,7 +25,7 @@ from .evidence import Evidence, Factor, and_conj, _require_nonempty
 
 def _require_one_space(omega: Dist, p: Factor) -> None:
     """The one check that a distribution and a factor share a space."""
-    if omega.space != p.space:
+    if omega._space is not p._space and omega._space != p._space:
         raise SpaceMismatchError("validity needs a distribution and factor on one space")
 
 

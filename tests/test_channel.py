@@ -9,6 +9,8 @@ from multibayes import (
     Dist,
     Evidence,
     Factor,
+    SampleSpace,
+    SpaceMismatchError,
     ZeroValidityError,
     bayes_update,
     dagger,
@@ -62,6 +64,13 @@ class TestPull:
 
     def test_truth_pulls_to_truth(self):
         assert pull(C, truth(T)) == truth(D)
+
+    def test_equal_codomains_built_apart_are_one_space(self):
+        twin, swapped = SampleSpace(T.elements), SampleSpace(reversed(T.elements))
+        assert twin is not T
+        assert pull(C, point_pred("p", twin)) == MEDICAL.pos_test
+        with pytest.raises(SpaceMismatchError):
+            pull(C, point_pred("p", swapped))
 
     def test_adjunction_instance(self):
         q = Factor(T, (Fraction(1, 3), Fraction(2, 7)))

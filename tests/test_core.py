@@ -4,6 +4,7 @@ import __future__
 import math
 import time
 import types
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -111,6 +112,35 @@ class TestScalarFormat:
         assert format_decimal12(Fraction(431, 5865)) == "0.0734867860188"
         assert format_decimal12(Fraction(17, 40)) == "0.425"
         assert format_decimal12(0.425) == "0.425000000000"
+
+    # value, format_decimal12, format_scalar; the ties sit at the 13th significant digit
+    FORMATS = [
+        (0, "0", "0"),
+        (-7, "-7", "-7"),
+        (10**40, "1.00000000000E+40", "1" + "0" * 40),
+        (-1000000000015, "-1.00000000002E+12", "-1000000000015"),
+        (Fraction(1000000000005, 10**13), "0.100000000000", "200000000001/2000000000000"),
+        (Fraction(1000000000015, 10**13), "0.100000000002", "200000000003/2000000000000"),
+        (Fraction(-1000000000005, 10**13), "-0.100000000000", "-200000000001/2000000000000"),
+        (Fraction(-1000000000015, 10**13), "-0.100000000002", "-200000000003/2000000000000"),
+        (Fraction(-431, 5865), "-0.0734867860188", "-431/5865"),
+        (0.1, "0.100000000000", "0.1"),
+        (-2.5e-300, "-2.50000000000E-300", "-2.5e-300"),
+        (True, "1", "1.0"),
+    ]
+
+    @pytest.mark.parametrize("value, decimal12, scalar", FORMATS)
+    def test_formats_read_the_numerator_and_denominator(self, value, decimal12, scalar):
+        # the formatters once copied an exact value into a Fraction first; the output is the same
+        context = Context(prec=12, rounding=ROUND_HALF_EVEN)
+        if is_exact(value):
+            frac = Fraction(value)
+            copied = context.divide(Decimal(frac.numerator), Decimal(frac.denominator))
+            copied_scalar = str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+        else:
+            copied, copied_scalar = context.plus(Decimal(float(value))), repr(float(value))
+        assert format_decimal12(value) == str(copied) == decimal12
+        assert format_scalar(value) == copied_scalar == scalar
 
 
 class TestSampleSpace:

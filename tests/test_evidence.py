@@ -15,6 +15,7 @@ from multibayes import (
     NotAPredicateError,
     SampleSpace,
     SpaceMismatchError,
+    UnknownElementError,
     and_conj,
     conj,
     falsity,
@@ -32,7 +33,9 @@ from multibayes import (
     truth,
     validity,
 )
+from multibayes.core import label_str
 from multibayes.evidence import add, scale
+from multibayes.multiset import multiset_space
 
 D = SampleSpace(("d", "~d"))
 PT = Factor(D, (Fraction(9, 10), Fraction(2, 5)))
@@ -52,8 +55,22 @@ class TestConstructors:
     def test_truth_is_ortho_of_falsity(self):
         assert truth(D) == ortho(falsity(D))
 
-    def test_point_pred_is_singleton_indicator(self):
-        assert point_pred("d", D) == indicator(("d",), D)
+    @pytest.mark.parametrize(
+        "space, element",
+        [
+            pytest.param(space, x, id=label_str(x))
+            for space in (D, LMR.product(D), multiset_space(D, 2))
+            for x in space
+        ],
+    )
+    def test_point_pred_is_singleton_indicator(self, space, element):
+        pred = point_pred(element, space)
+        assert pred == indicator((element,), space) and pred._den == 1
+        with pytest.raises(UnknownElementError) as by_indicator:
+            indicator(("zz",), space)
+        with pytest.raises(UnknownElementError) as by_point:
+            point_pred("zz", space)
+        assert str(by_point.value) == str(by_indicator.value)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
@@ -112,6 +129,19 @@ class TestEvidence:
         assert psi.counts == (2, 1)
         assert psi.size == 3
         assert psi.coefficient() == 3
+
+    def test_spaces_equal_but_built_apart_are_one_space(self):
+        twin = SampleSpace(("d", "~d"))
+        rebuilt = Factor(twin, PT.values)
+        psi = Evidence(((PT, 1), (rebuilt, 2), (NT, 1)))
+        assert psi.factors == (PT, NT) and psi.counts == (3, 1)
+        assert Evidence(((rebuilt, 1), (NT, 1))).counts == (1, 1)
+        with pytest.raises(SpaceMismatchError):
+            Evidence(((PT, 1), (Factor(SampleSpace(("~d", "d")), NT.values), 1)))
+
+    def test_the_same_factor_twice_merges(self):
+        psi = Evidence(((PT, 2), (NT, 1), (PT, 3)))
+        assert psi.factors == (PT, NT) and psi.counts == (5, 1)
 
     def test_zero_counts_dropped(self):
         psi = Evidence(((PT, 0), (NT, 2)))

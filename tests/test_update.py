@@ -65,6 +65,23 @@ class TestBayesUpdate:
             bayes_update(dirac("d", OMEGA.space), point_pred("~d", OMEGA.space))
 
 
+class TestSpacesBuiltApart:
+    def test_equal_spaces_are_one_space_and_differing_ones_are_refused(self):
+        twin, swapped = SampleSpace(OMEGA.space.elements), SampleSpace(reversed(OMEGA.space.elements))
+        assert twin is not OMEGA.space
+        pt = Factor(twin, PT.values)
+        psi = Evidence(((pt, 2), (Factor(twin, NT.values), 1)))
+        assert bayes_update(OMEGA, pt) == bayes_update(OMEGA, PT)
+        assert jeffrey_update(OMEGA, psi) == jeffrey_update(OMEGA, PSI)
+        assert pearl_update(OMEGA, psi) == pearl_update(OMEGA, PSI)
+        on_twin = Dist(twin, OMEGA.weights)
+        assert pearl_update(on_twin, PSI) == pearl_update(OMEGA, PSI)
+        other = Evidence(((Factor(swapped, PT.values), 2), (Factor(swapped, NT.values), 1)))
+        for rule, evidence in ((bayes_update, other.factors[0]), (jeffrey_update, other), (pearl_update, other)):
+            with pytest.raises(SpaceMismatchError):
+                rule(OMEGA, evidence)
+
+
 class TestJeffreyUpdate:
     def test_medical_posterior(self):
         assert jeffrey_update(OMEGA, PSI) == Dist(

@@ -45,6 +45,18 @@ class TestValidity:
         with pytest.raises(SpaceMismatchError):
             validity(OMEGA, truth(SampleSpace("ab")))
 
+    def test_equal_spaces_built_apart_are_one_space(self):
+        twin, swapped = SampleSpace(OMEGA.space.elements), SampleSpace(reversed(OMEGA.space.elements))
+        assert twin is not OMEGA.space
+        pt = Factor(twin, PT.values)
+        psi = Evidence(((pt, 2), (Factor(twin, NT.values), 1)))
+        assert validity(OMEGA, pt) == Fraction(17, 40)
+        assert validity(Dist(twin, OMEGA.weights), PT) == Fraction(17, 40)
+        assert jeffrey_validity(OMEGA, psi) == Fraction(19941, 64000)
+        assert pearl_validity(OMEGA, psi) == pearl_validity(OMEGA, PSI)
+        with pytest.raises(SpaceMismatchError):
+            validity(OMEGA, Factor(swapped, PT.values))
+
 
 class TestJeffreyValidity:
     def test_medical_prior(self):
