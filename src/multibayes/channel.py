@@ -89,17 +89,17 @@ def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y), the
     mixture of the rows weighted by ``omega``: one dot product per
     column, on ints when every operand is exact, else one ``math.fsum``."""
-    if omega.space != c.dom:
+    if omega._space is not c._dom and omega._space != c._dom:
         raise SpaceMismatchError("distribution must live on the channel domain")
     if omega._nums is not None and c._den is not None:
         if c._columns is None:
             c._columns = list(zip(*c._rescaled()))
         nums = omega._nums
-        return Dist._from_ints(c.cod, [sum(map(mul, nums, col)) for col in c._columns], omega._den * c._den)
+        return Dist._from_ints(c._cod, [sum(map(mul, nums, col)) for col in c._columns], omega._den * c._den)
     if c._float_columns is None:
         c._float_columns = tuple(zip(*[row._floats() for row in c._rows]))
     floats = omega._floats()  # convex weights: math.fsum cannot overflow
-    return Dist._from_floats(c.cod, [math.fsum(map(mul, floats, col)) for col in c._float_columns])
+    return Dist._from_floats(c._cod, [math.fsum(map(mul, floats, col)) for col in c._float_columns])
 
 
 def pull(c: Channel, q: Factor) -> Factor:

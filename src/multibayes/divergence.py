@@ -26,8 +26,8 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     """
     if base is not None and not (0 < base < math.inf and base != 1):
         raise LogBaseError(f"logarithm base must be positive, finite and not 1, got {base!r}")
-    if rho.space != sigma.space:
-        rho = rho._padded(sigma.space.elements)
+    if rho._space is not sigma._space and rho._space != sigma._space:
+        rho = rho._padded(sigma._space._elements)
     rho_raw, rho_floats = rho._raw(), rho._floats()
     sigma_raw = sigma._raw()
     if 0 in compress(rho_raw, sigma_raw):  # only a failure walks the elements, to name the first

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .channel import Channel, pull, push, triple_pull
+from .channel import Channel, pull, push
 from .core import SampleSpace, Scalar, _require_size
 from .distribution import Dist, flrn
 from .divergence import kl_divergence
@@ -78,9 +78,18 @@ class GridSpec:
     probability of the first domain element, or the change in
     prediction divergence after a VFE update (base-2 logarithm, so the
     published figures are directly comparable).
+
+    The spec builds what every cell shares when it is constructed: the
+    point predicates of the two outcomes on the codomain and, for
+    ``vfe-dkl-delta``, the prior prediction ``push(channel, prior)``.
+    So its fields must not be reassigned afterwards.  An outcome
+    outside the codomain raises UnknownElementError here.  Each cell
+    pulls the predicates anew, so no factor's memo carries from cell
+    to cell.
     """
 
-    __slots__ = ("mode", "imax", "jmax", "channel", "prior", "pos_outcome", "neg_outcome")
+    __slots__ = ("mode", "imax", "jmax", "channel", "prior", "pos_outcome", "neg_outcome",
+                 "_pos", "_neg", "_prediction")
 
     def __init__(self, mode: str, imax: int, jmax: int, channel: Channel, prior: Dist,
                  pos_outcome: object, neg_outcome: object):
@@ -91,6 +100,9 @@ class GridSpec:
         _require_size(imax * jmax, "grid")
         self.mode, self.imax, self.jmax, self.channel, self.prior = mode, imax, jmax, channel, prior
         self.pos_outcome, self.neg_outcome = pos_outcome, neg_outcome
+        cod = channel._cod
+        self._pos, self._neg = point_pred(pos_outcome, cod), point_pred(neg_outcome, cod)
+        self._prediction = push(channel, prior) if mode == "vfe-dkl-delta" else None
 
 
 def medical_grid_spec(mode: str, imax: int = 10, jmax: int = 10) -> GridSpec:
@@ -100,31 +112,29 @@ def medical_grid_spec(mode: str, imax: int = 10, jmax: int = 10) -> GridSpec:
 
 def grid_cell(spec: GridSpec, i: int, j: int) -> Scalar:
     """Value of one grid cell for evidence with i positive, j negative outcomes."""
-    cod = spec.channel.cod
-    point_psi = Evidence(
-        ((point_pred(spec.pos_outcome, cod), i), (point_pred(spec.neg_outcome, cod), j))
-    )
-    pulled = triple_pull(spec.channel, point_psi)
-    first = spec.prior.space.elements[0]
-    if spec.mode == "jeffrey-validity":
-        return jeffrey_validity(spec.prior, pulled)
-    if spec.mode == "pearl-validity":
-        return pearl_validity(spec.prior, pulled)
-    if spec.mode == "jeffrey-update":
-        return jeffrey_update(spec.prior, pulled)(first)
-    if spec.mode == "pearl-update":
-        return pearl_update(spec.prior, pulled)(first)
-    if spec.mode == "vfe-update":
-        return vfe_update(spec.prior, pulled)(first)
+    channel, prior = spec.channel, spec.prior
+    pulled = Evidence(((pull(channel, spec._pos), i), (pull(channel, spec._neg), j)))
+    mode = spec.mode
+    if mode == "jeffrey-validity":
+        return jeffrey_validity(prior, pulled)
+    if mode == "pearl-validity":
+        return pearl_validity(prior, pulled)
+    first = prior._space._elements[0]
+    if mode == "jeffrey-update":
+        return jeffrey_update(prior, pulled)(first)
+    if mode == "pearl-update":
+        return pearl_update(prior, pulled)(first)
+    if mode == "vfe-update":
+        return vfe_update(prior, pulled)(first)
     # vfe-dkl-delta: posterior minus prior prediction divergence
     if i == 0 and j == 0:
         return 0.0  # no evidence, no update, no change
     observed = flrn(
-        Multiset.from_counts(cod, {spec.pos_outcome: i, spec.neg_outcome: j})
+        Multiset.from_counts(channel._cod, {spec.pos_outcome: i, spec.neg_outcome: j})
     )
-    posterior = vfe_update(spec.prior, pulled)
-    prior_div = kl_divergence(observed, push(spec.channel, spec.prior), base=2)
-    posterior_div = kl_divergence(observed, push(spec.channel, posterior), base=2)
+    posterior = vfe_update(prior, pulled)
+    prior_div = kl_divergence(observed, spec._prediction, base=2)
+    posterior_div = kl_divergence(observed, push(channel, posterior), base=2)
     return posterior_div - prior_div
 
 

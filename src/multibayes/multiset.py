@@ -113,6 +113,12 @@ def coefm_counts(counts: Iterable[int]) -> int:
     """
     counts = tuple(counts)
     _require_coefficient_bits(counts, "multinomial coefficient")
+    return _binomial_product(counts)
+
+
+def _binomial_product(counts: Sequence[int]) -> int:
+    """The multinomial coefficient of ``counts`` as a product of
+    binomials, unchecked: each caller runs its own size check first."""
     total = sum(counts)
     result = 1
     for c in counts:

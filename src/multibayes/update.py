@@ -63,7 +63,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
     posteriors = _per_factor(omega, psi, True)
-    return _mix(omega.space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
+    return _mix(omega._space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
 
 
 def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:

@@ -21,6 +21,7 @@ from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits
 from .distribution import Dist
 from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
+from .multiset import _binomial_product
 
 
 def _require_one_space(omega: Dist, p: Factor) -> None:
@@ -54,12 +55,12 @@ def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
     if omega._nums is not None and p._nums is not None:
         products = list(map(mul, omega._nums, p._nums))
         total = sum(products)
-        return (Dist._from_ints(omega.space, products, total) if total else None), total
+        return (Dist._from_ints(omega._space, products, total) if total else None), total
     products = list(map(mul, omega._floats(), p._floats()))
     norm = _fsum(products)
     if norm == 0:
         return None, norm
-    return Dist._from_floats(omega.space, map(truediv, products, repeat(norm))), norm
+    return Dist._from_floats(omega._space, map(truediv, products, repeat(norm))), norm
 
 
 def validity(omega: Dist, p: Factor) -> Scalar:
@@ -116,7 +117,7 @@ def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> S
     powers = list(powers)
     bits = sum([_power_bits(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction])
     _require_coefficient_bits(psi.counts, "validity of the evidence", bits)
-    result = psi.coefficient()
+    result = _binomial_product(psi.counts)
     if all(type(base) is Fraction for base, _ in powers):
         den = 1
         for base, count in powers:

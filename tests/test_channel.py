@@ -56,6 +56,16 @@ class TestPush:
     def test_point_mass_gives_row(self):
         assert push(C, dirac("d", D)) == C("d")
 
+    @pytest.mark.parametrize("to_float", [False, True])
+    def test_equal_domains_built_apart_are_one_space(self, to_float):
+        twin, swapped = SampleSpace(D.elements), SampleSpace(reversed(D.elements))
+        assert twin is not D
+        omega = OMEGA.to_float() if to_float else OMEGA
+        on_twin = Dist(twin, omega.weights)
+        assert push(C, on_twin) == push(C, omega)
+        with pytest.raises(SpaceMismatchError):
+            push(C, Dist(swapped, omega.weights))
+
 
 class TestPull:
     def test_point_outcomes_give_test_factors(self):

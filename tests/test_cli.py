@@ -312,6 +312,46 @@ class TestEval:
         assert captured.out == "" and "float" in captured.err
 
 
+def _composed_cell(spec, i: int, j: int):
+    """A grid cell from the composition written out: point-predicate
+    evidence pulled factor by factor, and the prior pushed in the cell."""
+    from multibayes import Evidence, Multiset, flrn, kl_divergence, point_pred, push, triple_pull
+    from multibayes import jeffrey_update, jeffrey_validity, pearl_update, pearl_validity, vfe_update
+
+    cod = spec.channel.cod
+    point_psi = Evidence(((point_pred(spec.pos_outcome, cod), i), (point_pred(spec.neg_outcome, cod), j)))
+    pulled = triple_pull(spec.channel, point_psi)
+    first = spec.prior.space.elements[0]
+    if spec.mode == "jeffrey-validity":
+        return jeffrey_validity(spec.prior, pulled)
+    if spec.mode == "pearl-validity":
+        return pearl_validity(spec.prior, pulled)
+    if spec.mode == "jeffrey-update":
+        return jeffrey_update(spec.prior, pulled)(first)
+    if spec.mode == "pearl-update":
+        return pearl_update(spec.prior, pulled)(first)
+    if spec.mode == "vfe-update":
+        return vfe_update(spec.prior, pulled)(first)
+    if i == 0 and j == 0:
+        return 0.0
+    observed = flrn(Multiset.from_counts(cod, {spec.pos_outcome: i, spec.neg_outcome: j}))
+    prior_div = kl_divergence(observed, push(spec.channel, spec.prior), base=2)
+    return kl_divergence(observed, push(spec.channel, vfe_update(spec.prior, pulled)), base=2) - prior_div
+
+
+def _same_cells(spec) -> list:
+    """Every cell of ``spec`` equals the written-out composition, in
+    value and type; returns the cells."""
+    from multibayes.models import grid_values
+
+    cells = grid_values(spec)
+    assert len(cells) == spec.imax * spec.jmax
+    for i, j, value in cells:
+        expected = _composed_cell(spec, i, j)
+        assert (type(value), value) == (type(expected), expected), (spec.mode, i, j)
+    return cells
+
+
 class TestGridSpec:
     def test_bounds_must_be_positive(self):
         from multibayes import ModelError
@@ -351,6 +391,79 @@ class TestGridSpec:
         )
         assert (spec.mode, spec.pos_outcome, spec.neg_outcome) == ("pearl-update", "p", "n")
         assert [(i, j) for i, j, _ in grid_values(spec)] == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
+
+    @pytest.mark.parametrize("mode", GRID_MODES)
+    def test_medical_grid(self, mode):
+        from multibayes.models import medical_grid_spec
+
+        _same_cells(medical_grid_spec(mode, imax=4, jmax=3))
+
+    @pytest.mark.parametrize("mode", GRID_MODES)
+    def test_delta_margins_and_float_mode(self, mode):
+        from multibayes import Channel
+        from multibayes.models import GridSpec, medical_model
+
+        model = medical_model()
+        rows = [row.to_float() for row in model.test_channel.rows]
+        channel = Channel(model.disease_space, model.test_space, rows)
+        spec = GridSpec(mode, 3, 4, channel, model.prior.to_float(), "p", "n")
+        cells = _same_cells(spec)
+        if mode == "vfe-dkl-delta":
+            # the margins i = 0 and j = 0 hold single-outcome evidence
+            assert {(i, j) for i, j, _ in cells} >= {(0, 0), (0, 3), (2, 0)}
+
+    @pytest.mark.parametrize("mode", GRID_MODES)
+    def test_equal_columns_merge_into_one_factor(self, mode):
+        from fractions import Fraction
+
+        from multibayes import Channel, Dist, Evidence, SampleSpace, pull
+        from multibayes.models import GridSpec
+
+        dom, cod = SampleSpace(("a", "b")), SampleSpace(("y", "z"))
+        half = Dist(cod, (Fraction(1, 2), Fraction(1, 2)))
+        # both rows uniform: both outcomes pull to the same factor
+        channel = Channel(dom, cod, (half, half))
+        spec = GridSpec(mode, 3, 3, channel, Dist(dom, (Fraction(1, 3), Fraction(2, 3))), "y", "z")
+        merged = Evidence(((pull(channel, spec._pos), 2), (pull(channel, spec._neg), 1)))
+        assert merged.counts == (3,)
+        _same_cells(spec)
+
+    @pytest.mark.parametrize("mode", GRID_MODES)
+    def test_keyword_spec_with_swapped_outcomes(self, mode):
+        from multibayes.models import GridSpec, medical_model
+
+        model = medical_model()
+        spec = GridSpec(
+            neg_outcome="p",
+            pos_outcome="n",
+            prior=model.prior,
+            channel=model.test_channel,
+            jmax=2,
+            imax=3,
+            mode=mode,
+        )
+        _same_cells(spec)
+
+    @pytest.mark.parametrize("which", ["pos_outcome", "neg_outcome"])
+    def test_unknown_outcome_raises_when_built(self, which):
+        from multibayes import UnknownElementError
+        from multibayes.models import GridSpec, medical_model
+
+        model = medical_model()
+        outcomes = {"pos_outcome": "p", "neg_outcome": "n", which: "maybe"}
+        with pytest.raises(UnknownElementError):
+            GridSpec("jeffrey-update", 2, 2, model.test_channel, model.prior, **outcomes)
+
+    def test_prediction_is_kept_for_the_delta_grid_only(self):
+        from multibayes import push
+        from multibayes.models import medical_grid_spec
+
+        for mode in GRID_MODES:
+            spec = medical_grid_spec(mode, 2, 2)
+            if mode == "vfe-dkl-delta":
+                assert spec._prediction == push(spec.channel, spec.prior)
+            else:
+                assert spec._prediction is None
 
 
 def _src_env() -> dict[str, str]:

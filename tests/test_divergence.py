@@ -45,6 +45,13 @@ class TestKlDivergence:
         with pytest.raises(SupportMismatchError):
             kl_divergence(uniform(SampleSpace("abd")), rho)
 
+    @pytest.mark.parametrize("weights", [(0.25, 0.75), (Fraction(1, 4), Fraction(3, 4))])
+    def test_spaces_built_apart_are_matched_by_element(self, weights):
+        sigma = Dist(AB, (Fraction(1, 2), Fraction(1, 2)))
+        expected = kl_divergence(sigma, Dist(AB, weights))
+        assert kl_divergence(sigma, Dist(SampleSpace("ab"), weights)) == expected
+        assert kl_divergence(sigma, Dist(SampleSpace("ba"), weights[::-1])) == expected
+
     def test_support_violation(self):
         with pytest.raises(SupportMismatchError):
             kl_divergence(uniform(AB), dirac("a", AB))
