@@ -110,9 +110,9 @@ def pull(c: Channel, q: Factor) -> Factor:
         raise SpaceMismatchError("factor must live on the channel codomain")
     if q._nums is not None and c._den is not None:
         nums = q._nums
-        return Factor._from_ints(c.dom, [sum(map(mul, row, nums)) for row in c._rescaled()], c._den * q._den)
+        return Factor._from_ints(c._dom, [sum(map(mul, row, nums)) for row in c._rescaled()], c._den * q._den)
     floats = q._floats()
-    return Factor._from_floats(c.dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
+    return Factor._from_floats(c._dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:

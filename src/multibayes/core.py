@@ -64,6 +64,14 @@ def _require_bits(bits: float, what: str) -> None:
         raise SizeLimitError(f"{what} with about {int(bits)} bits refused")
 
 
+def _require_naturals(values: Iterable, what: str, error: type[Exception] = ValueError) -> None:
+    """The one natural-number check: ``error`` naming ``what`` unless
+    every value is an int that is not a bool and not negative."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise error(f"{what} must be a natural number, got {v!r}")
+
+
 def _power_bits(base: int, count: int) -> int:
     """The bits of ``m**count`` for any ``1 <= m <= base``, generously:
     ``count * ceil(log2(base))``, at most one bit short of the size."""
@@ -211,8 +219,7 @@ class SampleSpace:
 
     def power(self, n: int) -> "SampleSpace":
         """Space of ``n``-tuples in lexicographic (first-coordinate-major) order."""
-        if n < 0:
-            raise ValueError("power requires n >= 0")
+        _require_naturals((n,), "power")
         if len(self) > 1:
             _require_doublings(n, "power space")
         _require_size(len(self) ** n, "power space")

@@ -10,7 +10,7 @@ from operator import add as _add, mul, truediv
 from typing import Iterable, Iterator
 
 from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, label_str
-from .core import _fsum, _require_bits
+from .core import _fsum, _require_bits, _require_naturals
 from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
@@ -102,12 +102,15 @@ class Factor(_Vector):
     def __pow__(self, exponent) -> "Factor":
         """Iterated conjunction; fractional exponents give a float-mode
         factor, negative integers the powers of the reciprocals (a zero
-        value raises ZeroDivisionError).  A float overflow raises
+        value raises ZeroDivisionError), and a bool, as in
+        :func:`as_scalar`, raises TypeError.  A float overflow raises
         FloatRangeError, and an exact power of more than MAX_EXACT_BITS
         bits SizeLimitError.  Integer powers are those :meth:`_power`
         keeps, which the conjunction shares."""
         base = self
-        if not isinstance(exponent, int) or isinstance(exponent, bool):
+        if isinstance(exponent, bool):
+            raise TypeError("booleans are not exponents")
+        if not isinstance(exponent, int):
             base, exponent = None, float(exponent)
         elif self._nums is not None:
             if exponent < 0:
@@ -225,8 +228,7 @@ class Evidence(_Counted):
         counts: list[int] = []
         space: SampleSpace | None = None
         for factor, count in pairs:
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"evidence multiplicities must be natural numbers, got {count!r}")
+            _require_naturals((count,), "evidence multiplicity")
             if not isinstance(factor, Factor):
                 raise TypeError(f"evidence members must be factors, not {type(factor).__name__}")
             if space is None:
@@ -276,7 +278,8 @@ class Evidence(_Counted):
     def __add__(self, other: "Evidence") -> "Evidence":
         return Evidence(list(self.items()) + list(other.items()))
 
-    def _scaled(self, n: int) -> "Evidence":
+    def scale(self, n: int) -> "Evidence":
+        _require_naturals((n,), "scaling factor")
         return Evidence((f, n * c) for f, c in self.items())
 
     def __eq__(self, other: object) -> bool:
@@ -325,7 +328,7 @@ def _and_conj(psi: Evidence) -> Factor:
         den *= factor._den**count
         exact += 1
     if exact == len(items):
-        return Factor._from_ints(psi.space, nums, den)
+        return Factor._from_ints(psi._factors[0]._space, nums, den)
     try:
         values = list(map(truediv, nums, repeat(den))) if exact else None
         for factor, count in items[exact:]:
@@ -336,7 +339,7 @@ def _and_conj(psi: Evidence) -> Factor:
             values = powers if values is None else list(map(mul, values, powers))
     except OverflowError:
         raise FloatRangeError("and_conj overflows the float range") from None
-    return Factor._from_floats(psi.space, values)
+    return Factor._from_floats(psi._factors[0]._space, values)
 
 
 def tensor_conj(psi: Evidence) -> Factor:
@@ -361,7 +364,7 @@ def frac_conj(psi: Evidence) -> Factor:
     for factor, count in psi.items():
         powers = map(pow, factor._floats(), repeat(count / total))
         values = list(powers) if values is None else list(map(mul, values, powers))
-    return Factor._from_floats(psi.space, values)
+    return Factor._from_floats(psi._factors[0]._space, values)
 
 
 class MatchStatus(enum.Enum):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .channel import Channel, pull, push
-from .core import SampleSpace, Scalar, _require_size
+from .core import SampleSpace, Scalar, _require_naturals, _require_size
 from .distribution import Dist, flrn
 from .divergence import kl_divergence
 from .errors import ModelError
@@ -95,6 +95,7 @@ class GridSpec:
                  pos_outcome: object, neg_outcome: object):
         if mode not in GRID_MODES:
             raise ModelError(f"unknown grid mode {mode!r}")
+        _require_naturals((imax, jmax), "grid bound", ModelError)
         if imax < 1 or jmax < 1:
             raise ModelError("grid bounds must be at least 1")
         _require_size(imax * jmax, "grid")

@@ -6,14 +6,15 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Label, SampleSpace, _require_coefficient_bits, _require_doublings, _require_size, label_str
-from .errors import SpaceMismatchError, UnknownElementError
+from .core import Label, SampleSpace, label_str
+from .core import _require_coefficient_bits, _require_doublings, _require_naturals, _require_size
+from .errors import SpaceMismatchError
 
 
 class _Counted:
     """What multisets and evidence share: the natural ``_counts`` of the
-    members :meth:`items` pairs them with, their sum, scaling by a natural
-    number (each class's ``_scaled``) and the ket text, zeros left out."""
+    members :meth:`items` pairs them with, their sum and the ket text,
+    zeros left out."""
 
     __slots__ = ("_counts",)
 
@@ -24,11 +25,6 @@ class _Counted:
     @property
     def size(self) -> int:
         return sum(self._counts)
-
-    def scale(self, n: int):
-        if n < 0:
-            raise ValueError("scaling factor must be a natural number")
-        return self._scaled(n)
 
     def __str__(self) -> str:
         parts = [f"{c}|{label_str(x)}>" for x, c in self.items() if c]
@@ -52,17 +48,14 @@ class Multiset(_Counted):
         counts = tuple(counts)
         if len(counts) != len(space):
             raise ValueError("counts must align with the sample space")
-        for c in counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"multiplicities must be natural numbers, got {c!r}")
+        _require_naturals(counts, "multiplicity")
         self._space = space
         self._counts = counts
 
     @classmethod
     def from_counts(cls, space: SampleSpace, counts: Mapping[Label, int]) -> "Multiset":
         for elem in counts:
-            if elem not in space:
-                raise UnknownElementError(f"{elem!r} is not in the sample space")
+            space.index(elem)  # UnknownElementError for an element outside the space
         return cls(space, tuple(counts.get(x, 0) for x in space))
 
     @property
@@ -83,7 +76,8 @@ class Multiset(_Counted):
             raise SpaceMismatchError("multisets over different spaces cannot be added")
         return Multiset(self._space, tuple(a + b for a, b in zip(self._counts, other._counts)))
 
-    def _scaled(self, n: int) -> "Multiset":
+    def scale(self, n: int) -> "Multiset":
+        _require_naturals((n,), "scaling factor")
         return Multiset(self._space, tuple(n * c for c in self._counts))
 
     def __eq__(self, other: object) -> bool:
@@ -153,8 +147,7 @@ def enumerate_multisets(space: SampleSpace, size: int) -> list[Multiset]:
     The order is colexicographic on count vectors under the space's
     element order; there are C(len(space)+size-1, size) of them.
     """
-    if size < 0:
-        raise ValueError("size must be a natural number")
+    _require_naturals((size,), "size")
     if len(space) > 1 and size:
         # C(n-1+size, size) is at least n-1+size and at least 2**min(n-1, size)
         top = len(space) - 1 + size
@@ -164,7 +157,7 @@ def enumerate_multisets(space: SampleSpace, size: int) -> list[Multiset]:
     return [Multiset(space, v) for v in _count_vectors(len(space), size)]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # True and 2.0 must not hit the entries of 1 and 2
 def multiset_space(space: SampleSpace, size: int) -> SampleSpace:
     """Sample space whose labels are all multisets of the given size."""
     return SampleSpace(enumerate_multisets(space, size))

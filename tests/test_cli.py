@@ -240,7 +240,7 @@ class TestEval:
 
     def test_precondition_error_is_input_error(self, medical_path, capsys):
         # conditioning the prior on an unsatisfiable conjunction
-        model = json.loads(open(medical_path, encoding="utf-8").read())
+        model = json.loads(Path(medical_path).read_text(encoding="utf-8"))
         model["factors"]["dead"] = {"space": "D", "values": ["0", "0"]}
         model["evidence"]["bad"] = [{"factor": "dead", "count": 1}]
         import os
@@ -359,6 +359,14 @@ class TestGridSpec:
 
         with pytest.raises(ModelError):
             medical_grid_spec("jeffrey-update", imax=0)
+
+    @pytest.mark.parametrize("bounds", [(2.5, 3), (3, 2.0), (True, True), (3, False), ("3", 3)])
+    def test_bounds_must_be_ints(self, bounds):
+        from multibayes import ModelError
+        from multibayes.models import medical_grid_spec
+
+        with pytest.raises(ModelError, match="grid bound must be a natural number"):
+            medical_grid_spec("jeffrey-validity", *bounds)
 
     def test_size_limit(self, monkeypatch):
         from multibayes import SizeLimitError

@@ -107,6 +107,12 @@ class TestAlgebra:
         assert (~PT) == NT
         assert (PT**2).values == (Fraction(81, 100), Fraction(4, 25))
 
+    @pytest.mark.parametrize("exponent", [True, False])
+    def test_boolean_exponent_rejected(self, exponent):
+        # as as_scalar refuses booleans; float(True) would give a float-mode copy
+        with pytest.raises(TypeError, match="booleans"):
+            PT**exponent
+
     def test_ortho_requires_predicate(self):
         with pytest.raises(NotAPredicateError):
             ortho(Factor(D, (Fraction(2), Fraction(1))))

@@ -11,6 +11,8 @@ from multibayes import (
     Channel,
     Dist,
     EmptyMultisetError,
+    Evidence,
+    Factor,
     Multiset,
     SampleSpace,
     SizeLimitError,
@@ -18,12 +20,16 @@ from multibayes import (
     UnknownElementError,
     acc,
     coefm,
+    copy_dist,
     dirac,
     enumerate_multisets,
     flrn,
+    identity_channel,
     multinomial,
     multinomial_channel,
     multiset_space,
+    tensor_conj,
+    tensor_power,
     uniform,
 )
 from multibayes import core
@@ -189,3 +195,79 @@ class TestMultisetAlgebra:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             Multiset(ABC, (1, -1, 0))
+
+
+
+AB = SampleSpace("ab")
+HALF = uniform(AB)
+P = Factor(AB, (Fraction(1, 2), 1))
+Q = Factor(AB, (1, Fraction(1, 3)))
+H, QUARTER = Fraction(1, 2), Fraction(1, 4)
+
+#: Each entry point that takes a natural number, as a function of it.
+NATURAL_ENTRY_POINTS = {
+    "Multiset": lambda n: Multiset(AB, (n, 1)).counts,
+    "Evidence": lambda n: Evidence([(P, n)]).counts,
+    "Multiset.scale": lambda n: Multiset(AB, (1, 2)).scale(n).counts,
+    "Evidence.scale": lambda n: Evidence([(P, 1), (Q, 2)]).scale(n).counts,
+    "enumerate_multisets": lambda n: [phi.counts for phi in enumerate_multisets(AB, n)],
+    "multiset_space": lambda n: [phi.counts for phi in multiset_space(AB, n)],
+    "multinomial": lambda n: multinomial(n, HALF).weights,
+    "multinomial_channel": lambda n: [row.weights for row in multinomial_channel(identity_channel(AB), n).rows],
+    "power": lambda n: AB.power(n).elements,
+    "tensor_power": lambda n: tensor_power(HALF, n).weights,
+    "copy_dist": lambda n: copy_dist(HALF, n).weights,
+    "tensor_conj": lambda n: tensor_conj(Evidence([(P, 1), (Q, n)])).values,
+}
+
+#: Their results for 0 and 2, worked out by hand.
+NATURAL_RESULTS = {
+    "Multiset": {0: (0, 1), 2: (2, 1)},
+    "Evidence": {0: (), 2: (2,)},
+    "Multiset.scale": {0: (0, 0), 2: (2, 4)},
+    "Evidence.scale": {0: (), 2: (2, 4)},
+    "enumerate_multisets": {0: [(0, 0)], 2: [(2, 0), (1, 1), (0, 2)]},
+    "multiset_space": {0: [(0, 0)], 2: [(2, 0), (1, 1), (0, 2)]},
+    "multinomial": {0: (1,), 2: (QUARTER, H, QUARTER)},
+    "multinomial_channel": {0: [(1,), (1,)], 2: [(1, 0, 0), (0, 0, 1)]},
+    "power": {0: ((),), 2: (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))},
+    "tensor_power": {0: (1,), 2: (QUARTER,) * 4},
+    "copy_dist": {0: (1,), 2: (H, 0, 0, H)},
+    "tensor_conj": {
+        0: (H, 1),
+        2: tuple(p * q * r for p, q, r in itertools.product((H, 1), (1, Fraction(1, 3)), (1, Fraction(1, 3)))),
+    },
+}
+
+
+class TestNaturalNumbers:
+    """Counts, multiset sizes, space powers and scale factors share one
+    rule: an int that is not a bool and not negative, else ValueError."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, -1, "2", None])
+    @pytest.mark.parametrize("name", sorted(NATURAL_ENTRY_POINTS))
+    def test_non_naturals_raise_value_error(self, name, value):
+        with pytest.raises(ValueError, match="natural number"):
+            NATURAL_ENTRY_POINTS[name](value)
+
+    @pytest.mark.parametrize("value", [0, 2])
+    @pytest.mark.parametrize("name", sorted(NATURAL_ENTRY_POINTS))
+    def test_naturals_give_the_same_results(self, name, value):
+        assert NATURAL_ENTRY_POINTS[name](value) == NATURAL_RESULTS[name][value]
+
+    def test_the_multiset_space_cache_keeps_types_apart(self):
+        for size in (1, 2):
+            multinomial(size, HALF)  # fills the cache for 1 and 2
+        for value in (True, 2.0):
+            with pytest.raises(ValueError, match="size must be a natural number"):
+                multinomial(value, HALF)
+            with pytest.raises(ValueError, match="size must be a natural number"):
+                multiset_space(AB, value)
+
+    def test_the_error_names_the_argument_and_the_value(self):
+        with pytest.raises(ValueError, match=r"^multiplicity must be a natural number, got -1$"):
+            Multiset(AB, (1, -1))
+        with pytest.raises(ValueError, match=r"^evidence multiplicity must be a natural number, got 2\.5$"):
+            Evidence([(P, 2.5)])
+        with pytest.raises(ValueError, match=r"^power must be a natural number, got True$"):
+            AB.power(True)
