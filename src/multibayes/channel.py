@@ -6,12 +6,12 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .core import Label, SampleSpace, _fsum
+from .core import Label, SampleSpace, _fsum, _require_operands
 from .distribution import Dist, dirac, multinomial
-from .errors import SpaceMismatchError, ZeroValidityError
+from .errors import ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
-from .update import _posterior
+from .validity import _entry
 
 
 class Channel:
@@ -30,11 +30,7 @@ class Channel:
         rows = tuple(rows)
         if len(rows) != len(dom):
             raise ValueError("need one row per domain element")
-        for row in rows:
-            if not isinstance(row, Dist):
-                raise TypeError(f"channel rows must be distributions, not {type(row).__name__}")
-            if row.space != cod:
-                raise SpaceMismatchError("every row must be a distribution on the codomain")
+        _require_operands(rows, Dist, "channel rows", cod)
         self._dom = dom
         self._cod = cod
         self._rows = rows
@@ -89,8 +85,7 @@ def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y), the
     mixture of the rows weighted by ``omega``: one dot product per
     column, on ints when every operand is exact, else one ``math.fsum``."""
-    if omega._space is not c._dom and omega._space != c._dom:
-        raise SpaceMismatchError("distribution must live on the channel domain")
+    _require_operands((omega,), Dist, "push arguments", c._dom)
     if omega._nums is not None and c._den is not None:
         if c._columns is None:
             c._columns = list(zip(*c._rescaled()))
@@ -106,8 +101,7 @@ def pull(c: Channel, q: Factor) -> Factor:
     """Pullback of a factor: x -> sum_y c(x)(y) * q(y), the validity of
     ``q`` in each row (a float one beyond the float range raises
     FloatRangeError)."""
-    if q._space is not c._cod and q._space != c._cod:
-        raise SpaceMismatchError("factor must live on the channel codomain")
+    _require_operands((q,), Factor, "pull arguments", c._cod)
     if q._nums is not None and c._den is not None:
         nums = q._nums
         return Factor._from_ints(c._dom, [sum(map(mul, row, nums)) for row in c._rescaled()], c._den * q._den)
@@ -131,9 +125,10 @@ def dagger(c: Channel, omega: Dist) -> Channel:
     point predicate; a codomain element that the prediction gives zero
     probability has no well-defined row and raises ZeroValidityError.
     """
+    _require_operands((omega,), Dist, "priors", c._dom)
     rows = []
     for y in c.cod:
-        row = _posterior(omega, pull(c, point_pred(y, c.cod)))
+        row = _entry(omega, pull(c, point_pred(y, c.cod)), True)[2]
         if row is None:
             raise ZeroValidityError(f"prediction gives zero probability to {y!r}")
         rows.append(row)

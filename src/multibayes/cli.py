@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 property failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import format_decimal12, format_scalar, is_exact
@@ -93,6 +94,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # one parser per process: each parse_args call returns a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multibayes",

@@ -22,7 +22,7 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
-from .errors import FloatRangeError, NonPositiveLogError, SizeLimitError, UnknownElementError
+from .errors import FloatRangeError, NonPositiveLogError, SizeLimitError, SpaceMismatchError, UnknownElementError
 
 Scalar = Union[Fraction, float]
 Label = Hashable
@@ -70,6 +70,21 @@ def _require_naturals(values: Iterable, what: str, error: type[Exception] = Valu
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise error(f"{what} must be a natural number, got {v!r}")
+
+
+def _require_operands(values: Iterable, cls: type, what: str, space: SampleSpace | None = None) -> SampleSpace | None:
+    """The one operand check: TypeError naming ``what`` unless every
+    value is a ``cls``, SpaceMismatchError unless every value lives on
+    ``space``, else on the first value's.  Returns that space."""
+    for v in values:
+        if not isinstance(v, cls):
+            raise TypeError(f"{what} must be {cls._NOUN}s, not {type(v).__name__}")
+        if space is None:
+            space = v._space
+        elif v._space is not space and v._space != space:
+            spaces = f"{reprlib.repr(space)} and {reprlib.repr(v._space)}"
+            raise SpaceMismatchError(f"{what} must live on one sample space, not {spaces}")
+    return space
 
 
 def _power_bits(base: int, count: int) -> int:

@@ -8,12 +8,11 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Sequence
 
-from .core import Label, SampleSpace, Scalar, _require_bits, _Vector, format_scalar, label_str
+from .core import Label, SampleSpace, Scalar, _require_bits, _require_operands, _Vector, format_scalar, label_str
 from .errors import (
     EmptyMultisetError,
     FloatRangeError,
     NonConvexWeightsError,
-    SpaceMismatchError,
     UnknownElementError,
 )
 from .multiset import Multiset, coefm, multiset_space
@@ -34,6 +33,7 @@ class Dist(_Vector):
     __slots__ = ()
     _NORMALISED = True
     _WHAT = "weights"
+    _NOUN = "distribution"
 
     @property
     def weights(self) -> tuple[Scalar, ...]:
@@ -115,11 +115,7 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     if len(weights) != len(dists) or not dists:
         raise NonConvexWeightsError("need matching, nonempty weights and distributions")
     weights = _Weights(None, weights)
-    space = dists[0].space
-    for d in dists[1:]:
-        if d.space != space:
-            raise SpaceMismatchError("mixture components live on different spaces")
-    return _mix(space, weights, dists)
+    return _mix(_require_operands(dists, Dist, "mixture components"), weights, dists)
 
 
 def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[_Vector]) -> Dist:
@@ -142,11 +138,14 @@ def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[_Vector]) -> Dist
 
 def tensor(omega: Dist, rho: Dist) -> Dist:
     """Product distribution on pairs: (x, y) -> omega(x) * rho(y)."""
+    _require_operands((omega,), Dist, "tensor arguments")
+    _require_operands((rho,), Dist, "tensor arguments")
     return Dist._outer(omega.space.product(rho.space), (omega, rho))
 
 
 def tensor_power(omega: Dist, n: int) -> Dist:
     """n-fold product of a distribution with itself, on n-tuples."""
+    _require_operands((omega,), Dist, "tensor arguments")
     return Dist._outer(omega.space.power(n), (omega,) * n)
 
 
@@ -157,6 +156,7 @@ def push_function(f: Callable[[Label], Label], omega: Dist, cod: SampleSpace | N
     evaluated.  Without a declared codomain the result space lists the
     images in first-occurrence order.
     """
+    _require_operands((omega,), Dist, "pushforward arguments")
     zero = 0 if omega._nums is not None else 0.0
     merged: dict[Label, int | float] = {}
     for x, w in zip(omega.space.elements, omega._raw()):
@@ -179,13 +179,15 @@ def marginal(tau: Dist, index: int) -> Dist:
     The result keeps every coordinate label of the product space, so
     zero-probability columns survive marginalisation.
     """
-    cod = SampleSpace(dict.fromkeys(pair[index] for pair in tau.space.elements))
+    space = _require_operands((tau,), Dist, "pushforward arguments")  # before its elements are read
+    cod = SampleSpace(dict.fromkeys(pair[index] for pair in space.elements))
     return push_function(lambda pair: pair[index], tau, cod=cod)
 
 
 def copy_dist(omega: Dist, n: int = 2) -> Dist:
     """Pushforward along the n-fold copy map x -> (x, ..., x)."""
-    return push_function(lambda x: (x,) * n, omega, cod=omega.space.power(n))
+    space = _require_operands((omega,), Dist, "pushforward arguments")  # before its space is read
+    return push_function(lambda x: (x,) * n, omega, cod=space.power(n))
 
 
 def multinomial(size: int, omega: Dist) -> Dist:
@@ -195,7 +197,7 @@ def multinomial(size: int, omega: Dist) -> Dist:
     of the given size; the weights sum to one exactly in exact mode,
     where each is an int over the common denominator ``den**size``.
     """
-    space = multiset_space(omega.space, size)
+    space = multiset_space(_require_operands((omega,), Dist, "multinomial arguments"), size)
     if omega._nums is None:
         floats = omega._floats()
         try:

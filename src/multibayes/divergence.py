@@ -7,7 +7,7 @@ from itertools import compress
 from operator import mul, truediv
 from typing import TYPE_CHECKING
 
-from .core import _fsum
+from .core import _fsum, _require_operands
 from .distribution import Dist
 from .errors import LogBaseError, SupportMismatchError
 
@@ -24,6 +24,8 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     A base that is not a finite positive number other than one raises
     LogBaseError.
     """
+    _require_operands((sigma,), Dist, "divergence arguments")
+    _require_operands((rho,), Dist, "divergence arguments")
     if base is not None and not (0 < base < math.inf and base != 1):
         raise LogBaseError(f"logarithm base must be positive, finite and not 1, got {base!r}")
     if rho._space is not sigma._space and rho._space != sigma._space:

@@ -9,13 +9,12 @@ from itertools import repeat
 from operator import add as _add, mul, truediv
 from typing import Iterable, Iterator
 
-from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, label_str
-from .core import _fsum, _require_bits, _require_naturals
+from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, is_exact, label_str
+from .core import _fsum, _require_bits, _require_naturals, _require_operands
 from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
     NotAPredicateError,
-    SpaceMismatchError,
 )
 from .multiset import Multiset, _Counted, coefm_counts
 
@@ -42,6 +41,7 @@ class Factor(_Vector):
 
     __slots__ = ()
     _WHAT = "factor values"
+    _NOUN = "factor"
 
     @property
     def values(self) -> tuple[Scalar, ...]:
@@ -100,19 +100,22 @@ class Factor(_Vector):
         return ortho(self)
 
     def __pow__(self, exponent) -> "Factor":
-        """Iterated conjunction; fractional exponents give a float-mode
-        factor, negative integers the powers of the reciprocals (a zero
-        value raises ZeroDivisionError), and a bool, as in
-        :func:`as_scalar`, raises TypeError.  A float overflow raises
-        FloatRangeError, and an exact power of more than MAX_EXACT_BITS
-        bits SizeLimitError.  Integer powers are those :meth:`_power`
-        keeps, which the conjunction shares."""
+        """Iterated conjunction.  The exponent is read as :func:`as_scalar`
+        reads a scalar, so a bool raises TypeError.  An exact integer,
+        such as ``2``, ``Fraction(2)`` or ``"2"``, gives the powers
+        :meth:`_power` keeps, which the conjunction shares; a negative
+        one gives the powers of the reciprocals (a zero value raises
+        ZeroDivisionError).  Any other exponent gives a float-mode
+        factor.  A float overflow raises FloatRangeError, and an exact
+        power of more than MAX_EXACT_BITS bits SizeLimitError."""
         base = self
-        if isinstance(exponent, bool):
-            raise TypeError("booleans are not exponents")
-        if not isinstance(exponent, int):
-            base, exponent = None, float(exponent)
-        elif self._nums is not None:
+        if type(exponent) is not int:
+            exponent = as_scalar(exponent)
+            if is_exact(exponent) and exponent.denominator == 1:
+                exponent = exponent.numerator
+            else:
+                base, exponent = None, float(exponent)
+        if base is not None and self._nums is not None:
             if exponent < 0:
                 if 0 in self._nums:
                     raise ZeroDivisionError("negative power of a factor with a zero value")
@@ -163,11 +166,10 @@ def point_pred(element: Label, space: SampleSpace) -> Factor:
 
 def conj(p: Factor, q: Factor) -> Factor:
     """Pointwise product; the sequential conjunction of factors."""
-    if p.space != q.space:
-        raise SpaceMismatchError("conjunction needs factors on one space")
+    space = _require_operands((p, q), Factor, "conjuncts")
     if p._nums is not None and q._nums is not None:
-        return Factor._from_ints(p.space, map(mul, p._nums, q._nums), p._den * q._den)
-    return Factor._from_floats(p.space, map(mul, p._floats(), q._floats()))
+        return Factor._from_ints(space, map(mul, p._nums, q._nums), p._den * q._den)
+    return Factor._from_floats(space, map(mul, p._floats(), q._floats()))
 
 
 def tensor_factor(p: Factor, q: Factor) -> Factor:
@@ -177,13 +179,12 @@ def tensor_factor(p: Factor, q: Factor) -> Factor:
 
 def add(p: Factor, q: Factor) -> Factor:
     """Pointwise sum; a float overflow raises FloatRangeError."""
-    if p.space != q.space:
-        raise SpaceMismatchError("sum needs factors on one space")
+    space = _require_operands((p, q), Factor, "summands")
     if p._nums is not None and q._nums is not None:
         den = math.lcm(p._den, q._den)
         ps, qs = den // p._den, den // q._den
-        return Factor._from_ints(p.space, [a * ps + b * qs for a, b in zip(p._nums, q._nums)], den)
-    return Factor._from_floats(p.space, map(_add, p._floats(), q._floats()))
+        return Factor._from_ints(space, [a * ps + b * qs for a, b in zip(p._nums, q._nums)], den)
+    return Factor._from_floats(space, map(_add, p._floats(), q._floats()))
 
 
 def scale(s: Scalar, p: Factor) -> Factor:
@@ -224,17 +225,12 @@ class Evidence(_Counted):
     __slots__ = ("_factors", "_conj")
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
+        members: list[Factor] = []
         factors: list[Factor] = []
         counts: list[int] = []
-        space: SampleSpace | None = None
         for factor, count in pairs:
             _require_naturals((count,), "evidence multiplicity")
-            if not isinstance(factor, Factor):
-                raise TypeError(f"evidence members must be factors, not {type(factor).__name__}")
-            if space is None:
-                space = factor._space
-            elif factor._space is not space and factor._space != space:
-                raise SpaceMismatchError("evidence factors must share one space")
+            members.append(factor)
             if count == 0:
                 continue
             # not list.index: its ValueError formats the whole factor
@@ -245,6 +241,7 @@ class Evidence(_Counted):
             else:
                 factors.append(factor)
                 counts.append(count)
+        _require_operands(members, Factor, "evidence members")
         self._factors = tuple(factors)
         self._counts = tuple(counts)
         self._conj: Factor | None = None

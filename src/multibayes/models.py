@@ -130,9 +130,8 @@ def grid_cell(spec: GridSpec, i: int, j: int) -> Scalar:
     # vfe-dkl-delta: posterior minus prior prediction divergence
     if i == 0 and j == 0:
         return 0.0  # no evidence, no update, no change
-    observed = flrn(
-        Multiset.from_counts(channel._cod, {spec.pos_outcome: i, spec.neg_outcome: j})
-    )
+    # i|pos> + j|neg> from the point predicates' one-hot ints; equal outcomes add up
+    observed = flrn(Multiset(channel._cod, [i * a + j * b for a, b in zip(spec._pos._nums, spec._neg._nums)]))
     posterior = vfe_update(prior, pulled)
     prior_div = kl_divergence(observed, spec._prediction, base=2)
     posterior_div = kl_divergence(observed, push(channel, posterior), base=2)

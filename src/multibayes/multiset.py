@@ -7,8 +7,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Label, SampleSpace, label_str
-from .core import _require_coefficient_bits, _require_doublings, _require_naturals, _require_size
-from .errors import SpaceMismatchError
+from .core import _require_coefficient_bits, _require_doublings, _require_naturals, _require_operands, _require_size
 
 
 class _Counted:
@@ -43,6 +42,7 @@ class Multiset(_Counted):
     """
 
     __slots__ = ("_space",)
+    _NOUN = "multiset"
 
     def __init__(self, space: SampleSpace, counts: Sequence[int]):
         counts = tuple(counts)
@@ -72,8 +72,7 @@ class Multiset(_Counted):
         return zip(self._space.elements, self._counts)
 
     def __add__(self, other: "Multiset") -> "Multiset":
-        if self._space != other._space:
-            raise SpaceMismatchError("multisets over different spaces cannot be added")
+        _require_operands((self, other), Multiset, "multiset summands")
         return Multiset(self._space, tuple(a + b for a, b in zip(self._counts, other._counts)))
 
     def scale(self, n: int) -> "Multiset":

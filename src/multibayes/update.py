@@ -13,27 +13,29 @@ import math
 import reprlib
 from typing import Sequence
 
-from .core import Scalar, _fsum
+from .core import Scalar, _fsum, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
-from .validity import _entry, _per_factor, _require_one_space, validity
+from .validity import _entry, _per_factor, validity
 
 
-def _posterior(omega: Dist, p: Factor) -> Dist | None:
-    """Bayes update of ``omega`` with ``p``, None when ``p`` has zero
-    validity; kept in the memo of ``p``."""
-    return _entry(omega, p, True)[2]
+def _posterior(omega: Dist, p: Factor) -> Dist:
+    """:func:`bayes_update` of operands already checked, kept in the
+    memo of ``p``."""
+    posterior = _entry(omega, p, True)[2]
+    if posterior is None:
+        raise ZeroValidityError(f"cannot update: validity of {reprlib.repr(p)} is zero")
+    return posterior
 
 
 def bayes_update(omega: Dist, p: Factor) -> Dist:
     """Condition a distribution on a factor: x -> omega(x)*p(x) / (omega |= p);
     a zero validity raises ZeroValidityError naming ``p`` (abridged)."""
-    posterior = _posterior(omega, p)
-    if posterior is None:
-        raise ZeroValidityError(f"cannot update: validity of {reprlib.repr(p)} is zero")
-    return posterior
+    space = _require_operands((omega,), Dist, "priors")
+    _require_operands((p,), Factor, "update arguments", space)
+    return _posterior(omega, p)
 
 
 def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
@@ -77,14 +79,15 @@ def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor
     if not weighted_factors:
         raise NonConvexWeightsError("need at least one weighted factor")
     weights = _Weights(None, [w for _, w in weighted_factors])
+    space = _require_operands((omega,), Dist, "priors")
+    _require_operands([factor for factor, _ in weighted_factors], Factor, "update arguments", space)
     rows = []
     for (factor, _), weight in zip(weighted_factors, weights._raw()):
-        _require_one_space(omega, factor)
         if weight:
-            rows.append(bayes_update(omega, factor))
+            rows.append(_posterior(omega, factor))
         else:  # adds nothing; stands in for the posterior, exact or float as it would be
             rows.append(omega if factor._nums is not None else factor)
-    return _mix(omega.space, weights, rows)
+    return _mix(space, weights, rows)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:
@@ -92,7 +95,9 @@ def pearl_update(omega: Dist, psi: Evidence) -> Dist:
 
     A zero validity of the conjunction signals inconsistent evidence.
     """
-    return bayes_update(omega, and_conj(psi))
+    conj = and_conj(psi)
+    _require_operands((omega,), Dist, "priors", conj._space)
+    return _posterior(omega, conj)
 
 
 def vfe_update(omega: Dist, psi: Evidence) -> Dist:
@@ -102,7 +107,7 @@ def vfe_update(omega: Dist, psi: Evidence) -> Dist:
     does the fractional conjunction itself.
     """
     _per_factor(omega, psi, False)
-    return bayes_update(omega, frac_conj(psi))
+    return _posterior(omega, frac_conj(psi))
 
 
 def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:

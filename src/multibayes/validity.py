@@ -17,17 +17,11 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterable
 
-from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits
+from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits, _require_operands
 from .distribution import Dist
-from .errors import FloatRangeError, SpaceMismatchError, ZeroValidityError
+from .errors import FloatRangeError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 from .multiset import _binomial_product
-
-
-def _require_one_space(omega: Dist, p: Factor) -> None:
-    """The one check that a distribution and a factor share a space."""
-    if omega._space is not p._space and omega._space != p._space:
-        raise SpaceMismatchError("validity needs a distribution and factor on one space")
 
 
 def _norm(omega: Dist, p: Factor) -> int | float:
@@ -66,7 +60,8 @@ def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
 def validity(omega: Dist, p: Factor) -> Scalar:
     """Expected value sum_x omega(x) * p(x); exact when the inputs are.
     A float validity beyond the float range raises FloatRangeError."""
-    _require_one_space(omega, p)
+    space = _require_operands((omega,), Dist, "priors")
+    _require_operands((p,), Factor, "validity arguments", space)
     return _read(omega, p, _norm(omega, p))
 
 
@@ -74,10 +69,11 @@ def _entry(omega: Dist, p: Factor, posterior: bool = False) -> list:
     """The memo ``[omega, normaliser, posterior]`` of ``p``, a new one
     unless ``omega`` is the very prior ``p`` last met, with the
     normaliser filled and, when ``posterior``, the posterior too (None
-    when the normaliser is zero).  An entry that fails is not stored."""
+    when the normaliser is zero).  An entry that fails is not stored.
+    The caller has checked that ``omega`` is a distribution on the
+    space of ``p``."""
     memo = p._memo
     if memo is None or memo[0] is not omega:
-        _require_one_space(omega, p)
         memo = p._memo = [omega, None, None]
     if posterior and memo[2] is None and memo[1] != 0:
         memo[2], memo[1] = _update(omega, p)
@@ -97,6 +93,7 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     a float validity beyond the float range FloatRangeError.
     """
     _require_nonempty(psi)
+    _require_operands((omega,), Dist, "priors", psi._factors[0]._space)
     result = []
     for index, p in enumerate(psi.factors):
         _, norm, posterior = _entry(omega, p, posteriors)
@@ -138,6 +135,7 @@ def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
     _require_nonempty(psi)
+    _require_operands((omega,), Dist, "priors", psi._factors[0]._space)
     validities = [_read(omega, p, _entry(omega, p)[1]) for p in psi.factors]
     return _coefficient_times(psi, zip(validities, psi.counts))
 
@@ -146,6 +144,7 @@ def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Dependent likelihood of evidence: multinomial coefficient times
     the validity of the iterated conjunction of all factors."""
     conj = and_conj(psi)
+    _require_operands((omega,), Dist, "priors", conj._space)
     return _coefficient_times(psi, [(_read(omega, conj, _entry(omega, conj)[1]), 1)])
 
 

@@ -452,6 +452,24 @@ class TestGridSpec:
         )
         _same_cells(spec)
 
+    def test_equal_outcomes_add_their_counts(self):
+        import math
+
+        from multibayes.models import GridSpec, grid_cell, medical_grid_spec, medical_model
+
+        model = medical_model()
+        spec = GridSpec("vfe-dkl-delta", 3, 3, model.test_channel, model.prior, "p", "p")
+        # one positive test: the observed frequencies are the point mass at p, and the
+        # posterior 9/85|d> + 76/85|~d> predicts p with 9/85 * 9/10 + 76/85 * 2/5 = 77/170,
+        # where the prior predicts it with 17/40; each divergence is log2 of the inverse
+        one_test = math.log2(170 / 77) - math.log2(40 / 17)
+        assert grid_cell(spec, 1, 0) == pytest.approx(one_test, rel=1e-12)
+        assert grid_cell(spec, 0, 1) == pytest.approx(one_test, rel=1e-12)
+        # i|p> + j|p> is (i + j)|p>
+        distinct = medical_grid_spec("vfe-dkl-delta", 3, 3)
+        assert grid_cell(spec, 1, 0) == grid_cell(distinct, 1, 0)
+        assert grid_cell(spec, 1, 1) == grid_cell(spec, 2, 0) == grid_cell(distinct, 2, 0)
+
     @pytest.mark.parametrize("which", ["pos_outcome", "neg_outcome"])
     def test_unknown_outcome_raises_when_built(self, which):
         from multibayes import UnknownElementError
@@ -472,6 +490,32 @@ class TestGridSpec:
                 assert spec._prediction == push(spec.channel, spec.prior)
             else:
                 assert spec._prediction is None
+
+
+class TestParser:
+    """The parser is built once per process, so a parse must leave
+    nothing behind that changes the next one."""
+
+    @staticmethod
+    def _outcome(argv: list[str], capsys) -> tuple:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a bad command line
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("failing_first", [True, False])
+    @pytest.mark.parametrize("failing", [[], ["grid", "--mode", "bogus", "--out", "x.csv"], ["check", "--trials", "0"]])
+    def test_a_failed_parse_leaves_nothing_behind(self, failing, failing_first, capsys, monkeypatch):
+        from multibayes import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        argvs = [failing, ["report", "medical"]] if failing_first else [["report", "medical"], failing]
+        cached = [self._outcome(argv, capsys) for argv in argvs]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+        assert [self._outcome(argv, capsys) for argv in argvs] == cached
+        assert [code for code, _, _ in cached] == ([2, 0] if failing_first else [0, 2])
 
 
 def _src_env() -> dict[str, str]:

@@ -1,4 +1,4 @@
-"""Scalar helpers, sample spaces and the package's public names."""
+"""Scalar helpers, sample spaces, the operand rule and the package's public names."""
 
 import __future__
 import math
@@ -13,24 +13,51 @@ from hypothesis import given, strategies as st
 
 import multibayes
 from multibayes import (
+    Channel,
+    Dist,
     Evidence,
+    Factor,
+    Multiset,
     NonPositiveLogError,
     SampleSpace,
     SizeLimitError,
+    SpaceMismatchError,
     UnknownElementError,
+    bayes_update,
+    conj,
+    convex_sum,
+    copy_dist,
+    dagger,
     enumerate_multisets,
     format_decimal12,
     format_scalar,
     is_exact,
+    jeffrey_update,
+    jeffrey_update_weighted,
+    jeffrey_validity,
+    kl_divergence,
+    marginal,
+    multinomial,
     multiset_space,
     parse_scalar,
+    pearl_update,
+    pearl_validity,
+    point_pred,
+    pull,
+    push,
+    push_function,
     scalar_ln,
+    tensor,
     tensor_conj,
     tensor_power,
     truth,
     uniform,
+    validity,
+    vfe_update,
+    vfe_update_softmax,
 )
 from multibayes import core
+from multibayes.evidence import add
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -213,3 +240,167 @@ def test_star_import_binds_exactly_the_public_names():
     for name in multibayes.__all__:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(multibayes, name), (types.ModuleType, __future__._Feature)), name
+
+
+# The medical model written out: a prior on D, a channel D -> T, the two
+# pulled tests, the evidence 2|pt> + 1|nt> and results worked out by hand.
+D, T = SampleSpace(("d", "~d")), SampleSpace(("p", "n"))
+OMEGA = Dist(D, (Fraction(1, 20), Fraction(19, 20)))
+ROW_D, ROW_ND = Dist(T, (Fraction(9, 10), Fraction(1, 10))), Dist(T, (Fraction(2, 5), Fraction(3, 5)))
+C = Channel(D, T, (ROW_D, ROW_ND))
+PT, NT = Factor(D, (Fraction(9, 10), Fraction(2, 5))), Factor(D, (Fraction(1, 10), Fraction(3, 5)))
+PSI = Evidence(((PT, 2), (NT, 1)))
+WEIGHTED = ((PT, Fraction(2, 3)), (NT, Fraction(1, 3)))
+POSITIVE = Dist(D, (Fraction(9, 85), Fraction(76, 85)))
+JEFFREY = Dist(D, (Fraction(431, 5865), Fraction(5434, 5865)))
+PAIRS = Dist(D.product(T), (Fraction(1, 40),) * 2 + (Fraction(19, 40),) * 2)
+# the VFE update: the prior times pt**(2/3) * nt**(1/3), normalised
+_A, _B = 0.05 * 0.9 ** (2 / 3) * 0.1 ** (1 / 3), 0.95 * 0.4 ** (2 / 3) * 0.6 ** (1 / 3)
+VFE = pytest.approx((_A / (_A + _B), _B / (_A + _B)), rel=1e-12)
+
+#: Every entry point that reads a Dist, Factor or Multiset, with one
+#: operand slot open: the class it reads there, the call with ``x`` in
+#: the slot, a valid operand, its result, and whether the slot must
+#: share one space with the other operands.
+OPERAND_ENTRY_POINTS = {
+    "push": (Dist, lambda x: push(C, x), OMEGA, Dist(T, (Fraction(17, 40), Fraction(23, 40))), True),
+    "pull": (Factor, lambda x: pull(C, x), point_pred("p", T), PT, True),
+    "Channel": (Dist, lambda x: Channel(D, T, (x, ROW_ND)), ROW_D, C, True),
+    "dagger": (Dist, lambda x: dagger(C, x), OMEGA, Channel(T, D, (POSITIVE, bayes_update(OMEGA, NT))), True),
+    "convex_sum": (
+        Dist,
+        lambda x: convex_sum((Fraction(1, 2), Fraction(1, 2)), (OMEGA, x)),
+        uniform(D),
+        Dist(D, (Fraction(11, 40), Fraction(29, 40))),
+        True,
+    ),
+    "tensor(omega)": (Dist, lambda x: tensor(x, uniform(T)), OMEGA, PAIRS, False),
+    "tensor(rho)": (Dist, lambda x: tensor(OMEGA, x), uniform(T), PAIRS, False),
+    "tensor_power": (
+        Dist,
+        lambda x: tensor_power(x, 2),
+        OMEGA,
+        Dist(D.power(2), (Fraction(1, 400), Fraction(19, 400), Fraction(19, 400), Fraction(361, 400))),
+        False,
+    ),
+    "multinomial": (
+        Dist,
+        lambda x: multinomial(2, x),
+        OMEGA,
+        Dist(multiset_space(D, 2), (Fraction(1, 400), Fraction(19, 200), Fraction(361, 400))),
+        False,
+    ),
+    "push_function": (Dist, lambda x: push_function(lambda _: "t", x), OMEGA, Dist(SampleSpace("t"), (1,)), False),
+    "marginal": (Dist, lambda x: marginal(x, 0), PAIRS, OMEGA, False),
+    "copy_dist": (Dist, copy_dist, OMEGA, Dist(D.power(2), (Fraction(1, 20), 0, 0, Fraction(19, 20))), False),
+    "kl_divergence(sigma)": (
+        Dist,
+        lambda x: kl_divergence(x, uniform(D)),
+        OMEGA,
+        pytest.approx(0.05 * math.log(0.1) + 0.95 * math.log(1.9)),
+        False,
+    ),
+    "kl_divergence(rho)": (
+        Dist,
+        lambda x: kl_divergence(uniform(D), x),
+        OMEGA,
+        pytest.approx(0.5 * math.log(10) + 0.5 * math.log(10 / 19)),
+        False,
+    ),
+    "validity(omega)": (Dist, lambda x: validity(x, PT), OMEGA, Fraction(17, 40), True),
+    "validity(p)": (Factor, lambda x: validity(OMEGA, x), PT, Fraction(17, 40), True),
+    "bayes_update(omega)": (Dist, lambda x: bayes_update(x, PT), OMEGA, POSITIVE, True),
+    "bayes_update(p)": (Factor, lambda x: bayes_update(OMEGA, x), PT, POSITIVE, True),
+    "jeffrey_update": (Dist, lambda x: jeffrey_update(x, PSI), OMEGA, JEFFREY, True),
+    "jeffrey_update_weighted(omega)": (Dist, lambda x: jeffrey_update_weighted(x, WEIGHTED), OMEGA, JEFFREY, True),
+    "jeffrey_update_weighted(p)": (
+        Factor,
+        lambda x: jeffrey_update_weighted(OMEGA, ((x, Fraction(2, 3)), (NT, Fraction(1, 3)))),
+        PT,
+        JEFFREY,
+        True,
+    ),
+    "pearl_update": (Dist, lambda x: pearl_update(x, PSI), OMEGA, Dist(D, (Fraction(27, 635), Fraction(608, 635))), True),
+    "vfe_update": (Dist, lambda x: vfe_update(x, PSI).weights, OMEGA, VFE, True),
+    "vfe_update_softmax": (Dist, lambda x: vfe_update_softmax(x, PSI).weights, OMEGA, VFE, True),
+    "jeffrey_validity": (Dist, lambda x: jeffrey_validity(x, PSI), OMEGA, Fraction(19941, 64000), True),
+    "pearl_validity": (Dist, lambda x: pearl_validity(x, PSI), OMEGA, Fraction(1143, 4000), True),
+    "conj": (Factor, lambda x: conj(x, NT), PT, Factor(D, (Fraction(9, 100), Fraction(6, 25))), True),
+    "add": (Factor, lambda x: add(x, NT), PT, truth(D), True),
+    "Evidence": (Factor, lambda x: Evidence(((x, 2), (NT, 1))), PT, PSI, True),
+    "Multiset.__add__": (Multiset, lambda x: Multiset(D, (1, 0)) + x, Multiset(D, (0, 2)), Multiset(D, (1, 2)), True),
+}
+
+#: What the TypeError says each class is.
+NOUNS = {Dist: "distributions", Factor: "factors", Multiset: "multisets"}
+
+
+def _twin(x, floats: bool):
+    """``x``, or its float twin: the same values as floats (a multiset
+    has none)."""
+    if not floats or isinstance(x, Multiset):
+        return x
+    if isinstance(x, tuple):
+        return tuple(map(float, x))
+    return type(x)(x.space, [float(v) for _, v in x.items()])
+
+
+def _wrong(name: str, kind: str):
+    """An operand the slot of ``name`` must refuse: its valid operand's
+    values as a tuple, or an operand of another class on the same space
+    (a factor that does not sum to one where a distribution is read, a
+    distribution elsewhere)."""
+    cls, _, valid, _, _ = OPERAND_ENTRY_POINTS[name]
+    if kind == "tuple":
+        return tuple(v for _, v in valid.items())
+    if cls is Dist:
+        return Factor(valid.space, [3 * w for w in valid.weights])
+    return uniform(valid.space)
+
+
+class TestOperands:
+    """Every kernel checks its Dist, Factor and Multiset operands with
+    one rule: TypeError for an operand of another type, SpaceMismatchError
+    for one on a second space, in exact and float mode alike."""
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind", ["class", "tuple"])
+    @pytest.mark.parametrize("name", sorted(OPERAND_ENTRY_POINTS))
+    def test_an_operand_of_another_type_raises_type_error(self, name, kind, floats):
+        cls, call, _, _, _ = OPERAND_ENTRY_POINTS[name]
+        wrong = _twin(_wrong(name, kind), floats)
+        with pytest.raises(TypeError, match=f"must be {NOUNS[cls]}, not {type(wrong).__name__}$"):
+            call(wrong)
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["exact", "float"])
+    @pytest.mark.parametrize("name", sorted(name for name, entry in OPERAND_ENTRY_POINTS.items() if entry[4]))
+    def test_an_operand_on_a_second_space_raises_space_mismatch(self, name, floats):
+        _, call, valid, _, _ = OPERAND_ENTRY_POINTS[name]
+        # the same elements in the other order make another space
+        swapped = SampleSpace(reversed(valid.space.elements))
+        with pytest.raises(SpaceMismatchError, match="must live on one sample space"):
+            call(_twin(type(valid)(swapped, [v for _, v in valid.items()]), floats))
+
+    @pytest.mark.parametrize("name", sorted(OPERAND_ENTRY_POINTS))
+    def test_valid_operands_give_the_same_results(self, name):
+        _, call, valid, result, _ = OPERAND_ENTRY_POINTS[name]
+        assert call(valid) == result
+
+    @pytest.mark.parametrize(
+        "rule", [validity, bayes_update, jeffrey_validity, pearl_validity, jeffrey_update, pearl_update, vfe_update]
+    )
+    def test_a_refused_prior_stores_no_memo(self, rule):
+        p = Factor(D, PT.values)
+        operand = p if rule in (validity, bayes_update) else Evidence(((p, 2),))
+        for prior in (Factor(D, (3, 1)), Dist(SampleSpace(("~d", "d")), OMEGA.weights)):
+            with pytest.raises((TypeError, SpaceMismatchError)):
+                rule(prior, operand)
+        assert p._memo is None
+        assert operand is p or operand._conj is None or operand._conj._memo is None
+
+    def test_the_messages_name_the_role(self):
+        with pytest.raises(TypeError, match=r"^push arguments must be distributions, not Factor$"):
+            push(C, Factor(D, (3, 1)))
+        swapped = SampleSpace(("~d", "d"))
+        with pytest.raises(SpaceMismatchError, match=r"^conjuncts must live on one sample space, not SampleSpace"):
+            conj(PT, Factor(swapped, PT.values))

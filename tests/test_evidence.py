@@ -113,6 +113,33 @@ class TestAlgebra:
         with pytest.raises(TypeError, match="booleans"):
             PT**exponent
 
+    @pytest.mark.parametrize(
+        "exponent, values",
+        [
+            (2, (Fraction(1, 4), Fraction(1))),
+            (Fraction(2), (Fraction(1, 4), Fraction(1))),
+            ("2", (Fraction(1, 4), Fraction(1))),
+            (0, (Fraction(1), Fraction(1))),
+            (-2, (Fraction(4), Fraction(1))),
+            (Fraction(-2), (Fraction(4), Fraction(1))),
+            ("-2", (Fraction(4), Fraction(1))),
+            (0.5, (0.5**0.5, 1.0)),
+            ("1/2", (0.5**0.5, 1.0)),
+            (2.0, (0.25, 1.0)),
+        ],
+        ids=repr,
+    )
+    def test_exponents_are_read_as_scalars(self, exponent, values):
+        # an exact integer exponent gives an exact factor, as ** 2 does; others give floats
+        result = Factor(SampleSpace("ab"), (Fraction(1, 2), 1)) ** exponent
+        assert [(type(v), v) for v in result.values] == [(type(v), v) for v in values]
+
+    @pytest.mark.parametrize("exponent", [2, Fraction(2), "2"], ids=repr)
+    def test_an_exact_integer_exponent_keeps_its_powers(self, exponent):
+        p = Factor(SampleSpace("ab"), (Fraction(1, 2), 1))
+        p**exponent
+        assert list(p._powers) == [2]  # the powers the conjunction shares
+
     def test_ortho_requires_predicate(self):
         with pytest.raises(NotAPredicateError):
             ortho(Factor(D, (Fraction(2), Fraction(1))))
