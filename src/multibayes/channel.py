@@ -115,6 +115,7 @@ def triple_pull(c: Channel, psi: Evidence) -> Evidence:
     Factors that become pointwise equal after pulling are merged by
     adding their multiplicities.
     """
+    _require_operands((psi,), Evidence, "triple pull arguments")
     return Evidence((pull(c, q), count) for q, count in psi.items())
 
 

@@ -130,13 +130,18 @@ def as_scalar(value: Scalar | int | str) -> Scalar:
 
 
 def scalar_ln(value: Scalar) -> float:
-    """Natural logarithm; always float mode.
+    """Natural logarithm; always float mode.  An exact value is read as
+    ``ln(numerator) - ln(denominator)``, so every positive one has a
+    finite logarithm, however large or small; a float inf or NaN raises
+    FloatRangeError.
 
     Raises NonPositiveLogError when ``value <= 0``.
     """
     if value <= 0:
         raise NonPositiveLogError(f"ln undefined for {value}")
-    return math.log(value)
+    if isinstance(value, float):
+        return _check_finite(math.log(value), "ln")
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -272,6 +277,14 @@ def _check_range(values: tuple, den: int | None, normalised: bool, error: type[E
             raise error(f"{what}: sum is {total}, expected 1 within {FLOAT_SUM_TOL}")
     elif total != den:
         raise error(f"{what}: sum is {Fraction(total, den)}, expected 1")
+
+
+def _check_finite(value: Scalar, what: str) -> Scalar:
+    """The one finiteness check of a scalar result: ``value`` itself,
+    unless it is a float that is not finite (FloatRangeError)."""
+    if type(value) is float and not math.isfinite(value):
+        raise FloatRangeError(f"{what} overflows the float range")
+    return value
 
 
 class _Vector:

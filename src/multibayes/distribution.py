@@ -93,6 +93,7 @@ def uniform(space: SampleSpace) -> Dist:
 
 def flrn(phi: Multiset) -> Dist:
     """Frequentist learning: normalise a nonempty multiset of counts."""
+    _require_operands((phi,), Multiset, "frequentist learning arguments")
     size = phi.size
     if size == 0:
         raise EmptyMultisetError("cannot normalise the empty multiset")

@@ -7,7 +7,7 @@ from itertools import compress
 from operator import mul, truediv
 from typing import TYPE_CHECKING
 
-from .core import _fsum, _require_operands
+from .core import _check_finite, _fsum, _require_operands
 from .distribution import Dist
 from .errors import LogBaseError, SupportMismatchError
 
@@ -22,7 +22,7 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     weights before any float conversion.  ``base`` switches the
     logarithm base (e.g. 2 for bits); the default is the natural log.
     A base that is not a finite positive number other than one raises
-    LogBaseError.
+    LogBaseError, and a divergence beyond the float range FloatRangeError.
     """
     _require_operands((sigma,), Dist, "divergence arguments")
     _require_operands((rho,), Dist, "divergence arguments")
@@ -42,7 +42,7 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     total = _fsum(map(mul, sigma_floats, map(math.log, ratios)))
     if base is not None:
         total /= math.log(base)
-    return total
+    return _check_finite(total, "divergence")
 
 
 def expected_channel_divergence(sigma: Dist, rho: Dist, c: "Channel", base: float | None = None) -> float:
@@ -51,6 +51,7 @@ def expected_channel_divergence(sigma: Dist, rho: Dist, c: "Channel", base: floa
     Computes sum_z sigma(z) * KL(rho, c(z)); it bounds the divergence
     from the pushforward KL(rho, c >> sigma) from above.
     """
+    _require_operands((sigma,), Dist, "divergence arguments")
     total = 0.0
     for z, w, weight in zip(sigma.space, sigma._raw(), sigma._floats()):
         if w:

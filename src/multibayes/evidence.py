@@ -174,6 +174,8 @@ def conj(p: Factor, q: Factor) -> Factor:
 
 def tensor_factor(p: Factor, q: Factor) -> Factor:
     """Parallel conjunction on the product space: (x, y) -> p(x) * q(y)."""
+    _require_operands((p,), Factor, "tensor arguments")
+    _require_operands((q,), Factor, "tensor arguments")
     return Factor._outer(p.space.product(q.space), (p, q))
 
 
@@ -192,6 +194,7 @@ def scale(s: Scalar, p: Factor) -> Factor:
     s = as_scalar(s)
     if not 0 <= s < math.inf:
         raise ValueError("factor scaling needs a finite non-negative scalar")
+    _require_operands((p,), Factor, "scaling arguments")
     if isinstance(s, Fraction) and p._nums is not None:
         return Factor._from_ints(p.space, [n * s.numerator for n in p._nums], p._den * s.denominator)
     try:
@@ -203,6 +206,7 @@ def scale(s: Scalar, p: Factor) -> Factor:
 
 def ortho(p: Factor) -> Factor:
     """Orthosupplement 1 - p; defined for predicates only."""
+    _require_operands((p,), Factor, "orthosupplement arguments")
     if not p.is_predicate:
         raise NotAPredicateError("orthosupplement needs values bounded by one")
     if p._nums is not None:
@@ -219,10 +223,12 @@ class Evidence(_Counted):
     conjunction is computed once, by the first :func:`and_conj`; being a
     factor kept on the evidence, it keeps its own normaliser and
     posterior for the last prior it met, as each factor does.  A member
-    that is not a Factor raises TypeError.
+    that is not a Factor raises TypeError.  ``_space`` is the factors'
+    space, None when the evidence is empty.
     """
 
-    __slots__ = ("_factors", "_conj")
+    __slots__ = ("_factors", "_conj", "_space")
+    _NOUN = "evidence multiset"
 
     def __init__(self, pairs: Iterable[tuple[Factor, int]]):
         members: list[Factor] = []
@@ -241,7 +247,8 @@ class Evidence(_Counted):
             else:
                 factors.append(factor)
                 counts.append(count)
-        _require_operands(members, Factor, "evidence members")
+        space = _require_operands(members, Factor, "evidence members")
+        self._space = space if factors else None
         self._factors = tuple(factors)
         self._counts = tuple(counts)
         self._conj: Factor | None = None
@@ -252,9 +259,9 @@ class Evidence(_Counted):
 
     @property
     def space(self) -> SampleSpace:
-        if not self._factors:
+        if self._space is None:
             raise EmptyEvidenceError("empty evidence has no underlying space")
-        return self._factors[0]._space
+        return self._space
 
     def coefficient(self) -> int:
         """Multinomial coefficient of the multiplicity vector."""
@@ -273,6 +280,7 @@ class Evidence(_Counted):
         return len(self._factors)
 
     def __add__(self, other: "Evidence") -> "Evidence":
+        _require_operands((other,), Evidence, "evidence summands")
         return Evidence(list(self.items()) + list(other.items()))
 
     def scale(self, n: int) -> "Evidence":
@@ -290,9 +298,14 @@ def point_evidence(phi: Multiset) -> Evidence:
     return Evidence((point_pred(x, phi.space), c) for x, c in phi.items() if c)
 
 
-def _require_nonempty(psi: Evidence) -> None:
-    if not psi.factors:
+def _require_nonempty(psi: Evidence) -> SampleSpace:
+    """The operand check of evidence that must hold a factor: TypeError
+    unless ``psi`` is evidence, else EmptyEvidenceError when it is
+    empty.  Returns its space."""
+    space = _require_operands((psi,), Evidence, "evidence arguments")
+    if space is None:
         raise EmptyEvidenceError("operation needs nonempty evidence")
+    return space
 
 
 def and_conj(psi: Evidence) -> Factor:
@@ -307,13 +320,13 @@ def and_conj(psi: Evidence) -> Factor:
     holds it at the same count reuses them.  The result is kept in
     ``psi``, so later calls return the same object.
     """
+    _require_nonempty(psi)
     if psi._conj is None:
         psi._conj = _and_conj(psi)
     return psi._conj
 
 
 def _and_conj(psi: Evidence) -> Factor:
-    _require_nonempty(psi)
     items = list(psi.items())
     _require_bits(sum(f._power_bits(count) for f, count in items if f._nums is not None), "conjunction")
     nums, den, exact = None, 1, 0
@@ -325,7 +338,7 @@ def _and_conj(psi: Evidence) -> Factor:
         den *= factor._den**count
         exact += 1
     if exact == len(items):
-        return Factor._from_ints(psi._factors[0]._space, nums, den)
+        return Factor._from_ints(psi._space, nums, den)
     try:
         values = list(map(truediv, nums, repeat(den))) if exact else None
         for factor, count in items[exact:]:
@@ -336,7 +349,7 @@ def _and_conj(psi: Evidence) -> Factor:
             values = powers if values is None else list(map(mul, values, powers))
     except OverflowError:
         raise FloatRangeError("and_conj overflows the float range") from None
-    return Factor._from_floats(psi._factors[0]._space, values)
+    return Factor._from_floats(psi._space, values)
 
 
 def tensor_conj(psi: Evidence) -> Factor:
@@ -345,8 +358,8 @@ def tensor_conj(psi: Evidence) -> Factor:
     Factors are laid out in the evidence's fixed factor order, each
     repeated by its multiplicity.
     """
-    _require_nonempty(psi)
-    return Factor._outer(psi.space.power(psi.size), [f for f, count in psi.items() for _ in range(count)])
+    space = _require_nonempty(psi).power(psi.size)
+    return Factor._outer(space, [f for f, count in psi.items() for _ in range(count)])
 
 
 def frac_conj(psi: Evidence) -> Factor:
@@ -355,13 +368,13 @@ def frac_conj(psi: Evidence) -> Factor:
     Zero factor values stay zero under fractional exponents, so no NaN
     can escape.
     """
-    _require_nonempty(psi)
+    space = _require_nonempty(psi)
     total = psi.size
     values = None
     for factor, count in psi.items():
         powers = map(pow, factor._floats(), repeat(count / total))
         values = list(powers) if values is None else list(map(mul, values, powers))
-    return Factor._from_floats(psi._factors[0]._space, values)
+    return Factor._from_floats(space, values)
 
 
 class MatchStatus(enum.Enum):
@@ -377,7 +390,7 @@ def match_status(psi: Evidence) -> MatchStatus:
     A perfect match sums to one everywhere, a match stays below one.
     The sums are exact when every factor is, else on the float views.
     """
-    if not psi.factors:
+    if _require_operands((psi,), Evidence, "match arguments") is None:
         return MatchStatus.MATCH
     if all(f._nums is not None for f in psi.factors):
         one = math.lcm(*(f._den for f in psi.factors))

@@ -13,7 +13,7 @@ import math
 import reprlib
 from typing import Sequence
 
-from .core import Scalar, _fsum, _require_operands
+from .core import Scalar, _check_finite, _fsum, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import NonConvexWeightsError, ZeroValidityError
@@ -59,7 +59,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
         result = result * val
         if index + 1 < len(ps):
             current = bayes_update(current, p)
-    return result
+    return _check_finite(result, "iterated validity")
 
 
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:

@@ -17,9 +17,9 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterable
 
-from .core import Scalar, _fsum, _power_bits, _require_coefficient_bits, _require_operands
+from .core import Scalar, _check_finite, _fsum, _power_bits, _require_coefficient_bits, _require_operands, scalar_ln
 from .distribution import Dist
-from .errors import FloatRangeError, ZeroValidityError
+from .errors import ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 from .multiset import _binomial_product
 
@@ -38,9 +38,7 @@ def _read(omega: Dist, p: Factor, norm: int | float) -> Scalar:
     a float beyond the float range raises FloatRangeError."""
     if type(norm) is int:
         return Fraction(norm, omega._den * p._den)
-    if norm == math.inf:
-        raise FloatRangeError("validity overflows the float range")
-    return norm
+    return _check_finite(norm, "validity")
 
 
 def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
@@ -92,8 +90,7 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     validity raises ZeroValidityError naming the factor (abridged), and
     a float validity beyond the float range FloatRangeError.
     """
-    _require_nonempty(psi)
-    _require_operands((omega,), Dist, "priors", psi._factors[0]._space)
+    _require_operands((omega,), Dist, "priors", _require_nonempty(psi))
     result = []
     for index, p in enumerate(psi.factors):
         _, norm, posterior = _entry(omega, p, posteriors)
@@ -126,16 +123,13 @@ def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> S
             result = result * base**count
     except OverflowError:
         result = math.inf
-    if isinstance(result, float) and not result < math.inf:
-        raise FloatRangeError("validity of the evidence overflows the float range")
-    return result
+    return _check_finite(result, "validity of the evidence")
 
 
 def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
     """Independent likelihood of evidence: multinomial coefficient times
     the product of per-factor validities raised to their multiplicities."""
-    _require_nonempty(psi)
-    _require_operands((omega,), Dist, "priors", psi._factors[0]._space)
+    _require_operands((omega,), Dist, "priors", _require_nonempty(psi))
     validities = [_read(omega, p, _entry(omega, p)[1]) for p in psi.factors]
     return _coefficient_times(psi, zip(validities, psi.counts))
 
@@ -151,10 +145,7 @@ def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:
     """Covariance of two factors under a distribution.  A float result
     that is not finite raises FloatRangeError."""
-    result = validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2)
-    if isinstance(result, float) and not math.isfinite(result):
-        raise FloatRangeError(f"covariance {result} is not a finite float")
-    return result
+    return _check_finite(validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2), "covariance")
 
 
 def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float:
@@ -169,6 +160,6 @@ def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float
     total = psi.size
     score = 0.0
     for (factor, count), norm, norm_prime in zip(psi.items(), norms, norms_prime):
-        ratio = float(_read(omega, factor, norm)) / float(_read(omega_prime, factor, norm_prime))
-        score += (count / total) * math.log(ratio)
+        log_ratio = scalar_ln(_read(omega, factor, norm)) - scalar_ln(_read(omega_prime, factor, norm_prime))
+        score += (count / total) * log_ratio
     return score

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
+import hashlib
+import io
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from multibayes import (
     iterated_pearl_validity,
     vfe_update,
 )
+from multibayes.cli import main
 from multibayes.models import grid_values, medical_grid_spec, medical_model, physics_model
 from multibayes.multiset import Multiset
 from multibayes.properties import run_suite
@@ -190,15 +194,23 @@ CRITERION_8_SUITES = (
 )
 
 
+#: sha256 of the output of ``check --suite all --trials 1000 --seed 42``.
+CHECK_1000_SHA256 = "e3fb65ca38c8906d538420265d5e9d01809480f062246bb6b02a0c279a7e2761"
+
+
 def test_criterion_8_theorem_suites_at_1000_trials():
+    """The whole property run at 1000 trials, through the CLI: it passes,
+    its output is the pinned text, and every theorem suite has a pass line."""
+    out = io.StringIO()
     started = time.monotonic()
-    failures = []
-    for prop_id in CRITERION_8_SUITES:
-        (result,) = run_suite(prop_id, trials=1000, seed=SEED)
-        if not result.passed:
-            failures.append(f"{prop_id}: {result.detail}")
+    with redirect_stdout(out):
+        code = main(["check", "--suite", "all", "--trials", "1000", "--seed", str(SEED)])
     elapsed = time.monotonic() - started
-    assert not failures, "; ".join(failures)
+    lines = out.getvalue().splitlines()
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CHECK_1000_SHA256
+    for prop_id in CRITERION_8_SUITES:
+        assert any(line.startswith(f"pass  {prop_id}  (") for line in lines), prop_id
     assert elapsed < 60.0
-    _announce(8, f"{len(CRITERION_8_SUITES)} theorem suites, 1000 seeded trials each, "
-                 f"zero failures in {elapsed:.1f}s")
+    _announce(8, f"check at 1000 trials matches its pinned sha256, {len(CRITERION_8_SUITES)} theorem "
+                 f"suites pass, in {elapsed:.1f}s")

@@ -1,4 +1,4 @@
-"""Scalar helpers, sample spaces, the operand rule and the package's public names."""
+"""Scalar helpers, sample spaces, the operand and finiteness rules and the package's public names."""
 
 import __future__
 import math
@@ -17,28 +17,40 @@ from multibayes import (
     Dist,
     Evidence,
     Factor,
+    FloatRangeError,
+    MatchStatus,
     Multiset,
     NonPositiveLogError,
     SampleSpace,
     SizeLimitError,
     SpaceMismatchError,
     UnknownElementError,
+    and_conj,
     bayes_update,
     conj,
     convex_sum,
     copy_dist,
+    covariance,
     dagger,
     enumerate_multisets,
+    expected_channel_divergence,
+    flrn,
     format_decimal12,
     format_scalar,
+    frac_conj,
+    free_energy_objective,
     is_exact,
+    iterated_pearl_validity,
     jeffrey_update,
     jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
+    log_likelihood_score,
     marginal,
+    match_status,
     multinomial,
     multiset_space,
+    ortho,
     parse_scalar,
     pearl_update,
     pearl_validity,
@@ -49,7 +61,9 @@ from multibayes import (
     scalar_ln,
     tensor,
     tensor_conj,
+    tensor_factor,
     tensor_power,
+    triple_pull,
     truth,
     uniform,
     validity,
@@ -57,7 +71,7 @@ from multibayes import (
     vfe_update_softmax,
 )
 from multibayes import core
-from multibayes.evidence import add
+from multibayes.evidence import add, scale
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -257,8 +271,16 @@ PAIRS = Dist(D.product(T), (Fraction(1, 40),) * 2 + (Fraction(19, 40),) * 2)
 # the VFE update: the prior times pt**(2/3) * nt**(1/3), normalised
 _A, _B = 0.05 * 0.9 ** (2 / 3) * 0.1 ** (1 / 3), 0.95 * 0.4 ** (2 / 3) * 0.6 ** (1 / 3)
 VFE = pytest.approx((_A / (_A + _B), _B / (_A + _B)), rel=1e-12)
+# the posterior of the negative test, as weights
+NEGATIVE = (Fraction(1, 115), Fraction(114, 115))
 
-#: Every entry point that reads a Dist, Factor or Multiset, with one
+
+def _kl(sigma, rho) -> float:
+    """The divergence of weights ``sigma`` from ``rho``, term by term."""
+    return sum(s * math.log(s / r) for s, r in zip(sigma, rho))
+
+
+#: Every entry point that reads a Dist, Factor, Multiset or Evidence, with one
 #: operand slot open: the class it reads there, the call with ``x`` in
 #: the slot, a valid operand, its result, and whether the slot must
 #: share one space with the other operands.
@@ -329,10 +351,81 @@ OPERAND_ENTRY_POINTS = {
     "add": (Factor, lambda x: add(x, NT), PT, truth(D), True),
     "Evidence": (Factor, lambda x: Evidence(((x, 2), (NT, 1))), PT, PSI, True),
     "Multiset.__add__": (Multiset, lambda x: Multiset(D, (1, 0)) + x, Multiset(D, (0, 2)), Multiset(D, (1, 2)), True),
+    "ortho": (Factor, ortho, PT, NT, False),
+    "scale": (Factor, lambda x: scale(2, x), PT, Factor(D, (Fraction(9, 5), Fraction(4, 5))), False),
+    "tensor_factor(p)": (
+        Factor,
+        lambda x: tensor_factor(x, NT),
+        PT,
+        Factor(D.product(D), [a * b for a in PT.values for b in NT.values]),
+        False,
+    ),
+    "tensor_factor(q)": (
+        Factor,
+        lambda x: tensor_factor(PT, x),
+        NT,
+        Factor(D.product(D), [a * b for a in PT.values for b in NT.values]),
+        False,
+    ),
+    "flrn": (Multiset, flrn, Multiset(D, (1, 3)), Dist(D, (Fraction(1, 4), Fraction(3, 4))), False),
+    "expected_channel_divergence": (
+        Dist,
+        lambda x: expected_channel_divergence(x, uniform(T), C),
+        OMEGA,
+        pytest.approx(0.05 * _kl((0.5, 0.5), (0.9, 0.1)) + 0.95 * _kl((0.5, 0.5), (0.4, 0.6))),
+        False,
+    ),
+    # evidence slots: the space is checked through the prior's slot
+    "jeffrey_update(psi)": (Evidence, lambda x: jeffrey_update(OMEGA, x), PSI, JEFFREY, False),
+    "pearl_update(psi)": (
+        Evidence, lambda x: pearl_update(OMEGA, x), PSI, Dist(D, (Fraction(27, 635), Fraction(608, 635))), False
+    ),
+    "vfe_update(psi)": (Evidence, lambda x: vfe_update(OMEGA, x).weights, PSI, VFE, False),
+    "vfe_update_softmax(psi)": (Evidence, lambda x: vfe_update_softmax(OMEGA, x).weights, PSI, VFE, False),
+    "jeffrey_validity(psi)": (Evidence, lambda x: jeffrey_validity(OMEGA, x), PSI, Fraction(19941, 64000), False),
+    "pearl_validity(psi)": (Evidence, lambda x: pearl_validity(OMEGA, x), PSI, Fraction(1143, 4000), False),
+    "log_likelihood_score(psi)": (
+        Evidence,
+        lambda x: log_likelihood_score(OMEGA, uniform(D), x),
+        PSI,
+        pytest.approx(2 / 3 * math.log(17 / 26) + 1 / 3 * math.log(23 / 14)),
+        False,
+    ),
+    "free_energy_objective(psi)": (
+        Evidence,
+        lambda x: free_energy_objective(OMEGA, OMEGA, x),
+        PSI,
+        pytest.approx(2 / 3 * _kl((0.05, 0.95), POSITIVE.weights) + 1 / 3 * _kl((0.05, 0.95), NEGATIVE)),
+        False,
+    ),
+    "and_conj": (Evidence, and_conj, PSI, Factor(D, (Fraction(81, 1000), Fraction(12, 125))), False),
+    "frac_conj": (
+        Evidence,
+        lambda x: frac_conj(x).values,
+        PSI,
+        pytest.approx((0.9 ** (2 / 3) * 0.1 ** (1 / 3), 0.4 ** (2 / 3) * 0.6 ** (1 / 3))),
+        False,
+    ),
+    "tensor_conj": (
+        Evidence,
+        tensor_conj,
+        PSI,
+        Factor(D.power(3), [a * b * c for a in PT.values for b in PT.values for c in NT.values]),
+        False,
+    ),
+    "match_status": (Evidence, match_status, PSI, MatchStatus.PERFECT_MATCH, False),
+    "triple_pull": (
+        Evidence,
+        lambda x: triple_pull(C, x),
+        Evidence(((point_pred("p", T), 2), (point_pred("n", T), 1))),
+        PSI,
+        False,
+    ),
+    "Evidence.__add__": (Evidence, lambda x: Evidence(((PT, 1),)) + x, Evidence(((PT, 1), (NT, 1))), PSI, False),
 }
 
 #: What the TypeError says each class is.
-NOUNS = {Dist: "distributions", Factor: "factors", Multiset: "multisets"}
+NOUNS = {Dist: "distributions", Factor: "factors", Multiset: "multisets", Evidence: "evidence multisets"}
 
 
 def _twin(x, floats: bool):
@@ -348,18 +441,20 @@ def _twin(x, floats: bool):
 def _wrong(name: str, kind: str):
     """An operand the slot of ``name`` must refuse: its valid operand's
     values as a tuple, or an operand of another class on the same space
-    (a factor that does not sum to one where a distribution is read, a
-    distribution elsewhere)."""
+    (a factor that does not sum to one where a distribution is read, one
+    of its factors where evidence is read, a distribution elsewhere)."""
     cls, _, valid, _, _ = OPERAND_ENTRY_POINTS[name]
     if kind == "tuple":
         return tuple(v for _, v in valid.items())
     if cls is Dist:
         return Factor(valid.space, [3 * w for w in valid.weights])
+    if cls is Evidence:
+        return valid.factors[0]
     return uniform(valid.space)
 
 
 class TestOperands:
-    """Every kernel checks its Dist, Factor and Multiset operands with
+    """Every kernel checks its Dist, Factor, Multiset and Evidence operands with
     one rule: TypeError for an operand of another type, SpaceMismatchError
     for one on a second space, in exact and float mode alike."""
 
@@ -404,3 +499,120 @@ class TestOperands:
         swapped = SampleSpace(("~d", "d"))
         with pytest.raises(SpaceMismatchError, match=r"^conjuncts must live on one sample space, not SampleSpace"):
             conj(PT, Factor(swapped, PT.values))
+
+
+#: The largest float, the smallest positive one and an int beyond the float range.
+FLOAT_MAX, TINY, HUGE = 1.7976931348623157e308, 5e-324, 10**400
+HALF = Dist(D, (0.5, 0.5))
+
+
+def _edge(space: SampleSpace, weight) -> Dist:
+    """The distribution on ``space`` with ``weight`` at its first element."""
+    return Dist(space, (weight, 1 - weight))
+
+
+#: Every public function that returns a float scalar, on inputs whose
+#: float result leaves the float range: the float call and its outcome,
+#: then the exact twin (the same call on exact values beyond the float
+#: range, or on ``Fraction(x)`` of each float ``x`` where the result is
+#: always a float) and its outcome.  An outcome is FloatRangeError or the
+#: value returned; the log functions return finite values.
+FINITE_RESULTS = {
+    # float weights that sum to one within FLOAT_SUM_TOL, not exactly
+    "validity": (
+        lambda: validity(Dist(D, (0.5, 0.5 + 5e-10)), Factor(D, (FLOAT_MAX, FLOAT_MAX))), FloatRangeError,
+        lambda: validity(uniform(D), Factor(D, (HUGE, HUGE))), Fraction(HUGE),
+    ),
+    "jeffrey_validity": (
+        lambda: jeffrey_validity(HALF, Evidence(((Factor(D, (1e300, 1e300)), 2),))), FloatRangeError,
+        lambda: jeffrey_validity(uniform(D), Evidence(((Factor(D, (10**300, 10**300)), 2),))), Fraction(10**600),
+    ),
+    # a conjunction of 1.1e308 and a multinomial coefficient of 2
+    "pearl_validity": (
+        lambda: pearl_validity(HALF, Evidence(((Factor(D, (1e154, 1e154)), 1), (Factor(D, (1.1e154, 1.1e154)), 1)))),
+        FloatRangeError,
+        lambda: pearl_validity(
+            uniform(D), Evidence(((Factor(D, (10**154, 10**154)), 1), (Factor(D, (11 * 10**153, 11 * 10**153)), 1)))
+        ),
+        Fraction(22 * 10**307),
+    ),
+    "covariance": (
+        lambda: covariance(HALF, Factor(D, (1e300, 0.0)), Factor(D, (0.0, 1e300))), FloatRangeError,
+        lambda: covariance(uniform(D), Factor(D, (10**300, 0)), Factor(D, (0, 10**300))), -Fraction(10**600, 4),
+    ),
+    "kl_divergence": (
+        lambda: kl_divergence(HALF, _edge(D, TINY)), FloatRangeError,
+        lambda: kl_divergence(uniform(D), _edge(D, Fraction(TINY))), FloatRangeError,
+    ),
+    "free_energy_objective": (
+        lambda: free_energy_objective(HALF, _edge(D, TINY), Evidence(((truth(D), 1),))), FloatRangeError,
+        lambda: free_energy_objective(uniform(D), _edge(D, Fraction(TINY)), Evidence(((truth(D), 1),))),
+        FloatRangeError,
+    ),
+    "expected_channel_divergence": (
+        lambda: expected_channel_divergence(HALF, uniform(T), Channel(D, T, (_edge(T, TINY), uniform(T)))),
+        FloatRangeError,
+        lambda: expected_channel_divergence(uniform(D), uniform(T), Channel(D, T, (_edge(T, Fraction(TINY)), uniform(T)))),
+        FloatRangeError,
+    ),
+    "iterated_pearl_validity": (
+        lambda: iterated_pearl_validity(HALF, (Factor(D, (1e200, 1e200)),) * 2), FloatRangeError,
+        lambda: iterated_pearl_validity(uniform(D), (Factor(D, (10**200, 10**200)),) * 2), Fraction(HUGE),
+    ),
+    # point priors, so each score is ln v - ln v' of one factor's two values
+    "log_likelihood_score": (
+        lambda: log_likelihood_score(Dist(D, (1.0, 0.0)), Dist(D, (0.0, 1.0)), Evidence(((Factor(D, (1e-300, 1e300)), 1),))),
+        -1381.5510557964274,
+        lambda: log_likelihood_score(Dist(D, (1, 0)), Dist(D, (0, 1)), Evidence(((Factor(D, (HUGE, 1)), 1),))),
+        921.0340371976182,
+    ),
+    "log_likelihood_score(swapped)": (
+        lambda: log_likelihood_score(Dist(D, (0.0, 1.0)), Dist(D, (1.0, 0.0)), Evidence(((Factor(D, (1e-300, 1e300)), 1),))),
+        1381.5510557964274,
+        lambda: log_likelihood_score(Dist(D, (0, 1)), Dist(D, (1, 0)), Evidence(((Factor(D, (HUGE, 1)), 1),))),
+        -921.0340371976182,
+    ),
+    "scalar_ln": (lambda: scalar_ln(math.inf), FloatRangeError, lambda: scalar_ln(Fraction(HUGE)), 921.0340371976182),
+    "scalar_ln(nan)": (
+        lambda: scalar_ln(math.nan), FloatRangeError, lambda: scalar_ln(Fraction(1, HUGE)), -921.0340371976182
+    ),
+}
+
+
+def _assert_outcome(call, outcome):
+    """``call()`` raises FloatRangeError when ``outcome`` is that class,
+    else returns ``outcome``: a Fraction exactly, a float within an ulp
+    or so and finite."""
+    if outcome is FloatRangeError:
+        with pytest.raises(FloatRangeError, match="overflows the float range$"):
+            call()
+        return
+    result = call()
+    assert type(result) is type(outcome)
+    if isinstance(outcome, float):
+        assert math.isfinite(result) and result == pytest.approx(outcome, rel=1e-14)
+    else:
+        assert result == outcome
+
+
+class TestFiniteResults:
+    """No public function returns a float that is not finite: a scalar
+    result beyond the float range raises FloatRangeError, in one place
+    (``core._check_finite``), and its exact twin returns the exact value
+    or raises the same error class."""
+
+    @pytest.mark.parametrize("name", sorted(FINITE_RESULTS))
+    def test_a_float_result_beyond_the_range_is_refused(self, name):
+        call, outcome, _, _ = FINITE_RESULTS[name]
+        _assert_outcome(call, outcome)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_RESULTS))
+    def test_the_exact_twin_returns_the_exact_value_or_the_same_error(self, name):
+        _, _, call, outcome = FINITE_RESULTS[name]
+        _assert_outcome(call, outcome)
+
+    def test_the_messages_name_the_result(self):
+        with pytest.raises(FloatRangeError, match=r"^covariance overflows the float range$"):
+            covariance(HALF, Factor(D, (1e300, 0.0)), Factor(D, (0.0, 1e300)))
+        with pytest.raises(FloatRangeError, match=r"^divergence overflows the float range$"):
+            kl_divergence(HALF, _edge(D, TINY))

@@ -8,7 +8,10 @@ through all 17 ``eval`` operations.  Every run must exit 0 or 2,
 raise nothing, and print no ``nan`` or ``inf``.  A second set of
 mutants changes only multiplicities: a count so large that an exact
 result would outgrow ``core.MAX_EXACT_BITS`` is refused before any
-work is done.
+work is done.  A third set keeps every distribution normalised but puts
+one weight of one of them at the edge of the float range (a subnormal
+such as ``5e-324`` next to ``1.0``), which the first set cannot reach:
+one bad weight there breaks the sum.
 """
 
 import json
@@ -55,11 +58,16 @@ BAD_SCALARS = [
 #: Bad multiplicities, and valid ones from small to far too large.
 BAD_COUNTS = [0, 1, 60, 10**3, 10**4, 10**6, 10**9, 10**18, 10**400, -1, 1.5, "2", None, True, [1]]
 
+#: Weights at or near the bottom of the float range, each paired with 1.0.
+EDGE_WEIGHTS = [5e-324, 1e-320, 1e-310, 2.2e-308, 1e-300, 1e-200, 0.0]
+
+#: The distributions of the model, (section, name, key) as below.
+DISTRIBUTIONS = [("distributions", "prior", "weights"), ("distributions", "posterior", "weights")]
+
 #: Entities whose scalars are mutated: (section, name, key), the key
 #: naming the list of scalars (channel rows are handled separately).
 SCALAR_LISTS = [
-    ("distributions", "prior", "weights"),
-    ("distributions", "posterior", "weights"),
+    *DISTRIBUTIONS,
     ("factors", "pt", "values"),
     ("factors", "nt", "values"),
     ("factors", "q", "values"),
@@ -125,6 +133,17 @@ def count_mutant(rng: random.Random) -> str:
     return json.dumps(model).replace(json.dumps(BEYOND_FLOAT), BEYOND_FLOAT)
 
 
+def edge_mutant(slot: int, weight: float, first: bool) -> str:
+    """The JSON text of the base model with its distribution ``slot``
+    (the prior, the posterior, then the channel rows) set to ``[weight,
+    1.0]``, or ``[1.0, weight]`` unless ``first``."""
+    model = base_model()
+    slots = [model[section][name][key] for section, name, key in DISTRIBUTIONS]
+    slots.extend(row["weights"] for row in model["channels"]["test"]["rows"])
+    slots[slot][:] = [weight, 1.0] if first else [1.0, weight]
+    return json.dumps(model)
+
+
 def run_mutant(text: str, path, capsys) -> None:
     """Every operation on the model ``text`` exits 0 or 2, raises
     nothing and prints no ``nan`` or ``inf``."""
@@ -163,3 +182,10 @@ def test_mutated_counts_are_input_errors(seed, tmp_path, capsys):
     rng = random.Random(f"counts {seed}")
     for _ in range(5):
         run_mutant(count_mutant(rng), tmp_path / "mutant.json", capsys)
+
+
+@pytest.mark.parametrize("slot", range(4), ids=["prior", "posterior", "row d", "row ~d"])
+def test_edge_weights_are_results_or_input_errors(slot, tmp_path, capsys):
+    for weight in EDGE_WEIGHTS:
+        for first in (True, False):
+            run_mutant(edge_mutant(slot, weight, first), tmp_path / "mutant.json", capsys)
