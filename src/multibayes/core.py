@@ -31,11 +31,11 @@ Label = Hashable
 #: refused (desk-scale guard).
 MAX_PRODUCT_ELEMENTS = 10**6
 
-#: Exact results (conjunctions, evidence validities, multinomial
-#: coefficients and weights) estimated to need more bits than this are
-#: refused before they are computed.  10,000 bits are about 3,000
-#: decimal digits, within Python's default limit of 4,300 digits for
-#: printing an int.
+#: Exact results (conjunctions, factor powers, tensor products,
+#: evidence validities, multinomial coefficients and weights) estimated
+#: to need more bits than this are refused before they are computed.
+#: 10,000 bits are about 3,000 decimal digits, within Python's default
+#: limit of 4,300 digits for printing an int.
 MAX_EXACT_BITS = 10_000
 
 #: Absolute tolerance for float-mode normalisation checks.
@@ -55,13 +55,6 @@ def _require_doublings(doublings: int, what: str) -> None:
     may be an int too large to compute or to print, is computed."""
     if doublings >= MAX_PRODUCT_ELEMENTS.bit_length():
         raise SizeLimitError(f"{what} with more than {MAX_PRODUCT_ELEMENTS} elements refused")
-
-
-def _require_bits(bits: float, what: str) -> None:
-    """Refuse to compute ``what`` when its exact ints are estimated to
-    need more than MAX_EXACT_BITS bits."""
-    if bits > MAX_EXACT_BITS:
-        raise SizeLimitError(f"{what} with about {int(bits)} bits refused")
 
 
 def _require_naturals(values: Iterable, what: str, error: type[Exception] = ValueError) -> None:
@@ -87,25 +80,26 @@ def _require_operands(values: Iterable, cls: type, what: str, space: SampleSpace
     return space
 
 
-def _power_bits(base: int, count: int) -> int:
-    """The bits of ``m**count`` for any ``1 <= m <= base``, generously:
-    ``count * ceil(log2(base))``, at most one bit short of the size."""
-    return count * (base - 1).bit_length()
-
-
-def _require_coefficient_bits(counts: Sequence[int], what: str, bits: float = 0) -> None:
-    """Refuse to compute ``what``, the multinomial coefficient of
-    ``counts`` times exact ints of ``bits`` bits, when it would need
-    more than MAX_EXACT_BITS bits.  The coefficient is below
-    ``len(counts)**sum(counts)``; only when that bound is too large is
-    the coefficient's size taken from ``lgamma``."""
-    bound = bits + _power_bits(len(counts), sum(counts))
-    if bound > MAX_EXACT_BITS:
-        try:
-            bound = bits + (math.lgamma(sum(counts) + 1) - sum(math.lgamma(c + 1) for c in counts)) / math.log(2)
-        except OverflowError:  # counts beyond the float range
-            pass
-    _require_bits(bound, what)
+def _require_bits(what: str, powers: Iterable[tuple[int, int]], counts: Sequence[int] = ()) -> None:
+    """The one size guard of exact results: refuse ``what`` when its ints
+    are estimated at more than MAX_EXACT_BITS bits.  A ``(top, count)``
+    power of ints up to ``top`` counts ``count * ceil(log2(top))`` bits,
+    at most one short.  The multinomial coefficient of ``counts`` is
+    below ``len(counts)**sum(counts)``; only when that bound is too
+    large is its size taken from ``lgamma``."""
+    bits = 0
+    for top, count in powers:
+        bits += count * (top - 1).bit_length()
+    if counts:
+        bound = bits + sum(counts) * (len(counts) - 1).bit_length()
+        if bound > MAX_EXACT_BITS:
+            try:
+                bound = bits + (math.lgamma(sum(counts) + 1) - sum([math.lgamma(c + 1) for c in counts])) / math.log(2)
+            except OverflowError:  # counts beyond the float range
+                pass
+        bits = bound
+    if bits > MAX_EXACT_BITS:
+        raise SizeLimitError(f"{what} with about {int(bits)} bits refused")
 
 
 def is_exact(value: Scalar) -> bool:
@@ -138,7 +132,7 @@ def scalar_ln(value: Scalar) -> float:
     Raises NonPositiveLogError when ``value <= 0``.
     """
     if value <= 0:
-        raise NonPositiveLogError(f"ln undefined for {value}")
+        raise NonPositiveLogError(f"ln undefined for {_abridged(value)}")
     if isinstance(value, float):
         return _check_finite(math.log(value), "ln")
     return math.log(value.numerator) - math.log(value.denominator)
@@ -180,6 +174,15 @@ def format_decimal12(value: Scalar) -> str:
     else:
         dec = _TWELVE_DIGITS.plus(Decimal(float(value)))
     return str(dec)
+
+
+def _abridged(value: Scalar) -> str:
+    """``str(value)`` for a message, or its 12 significant digits when it
+    is exact with more than 64 digits: a message stays short, and no int
+    of more digits than Python prints is formatted."""
+    if type(value) is float or value.numerator.bit_length() + value.denominator.bit_length() <= 212:
+        return str(value)
+    return format_decimal12(value)
 
 
 class SampleSpace:
@@ -269,14 +272,14 @@ def _check_range(values: tuple, den: int | None, normalised: bool, error: type[E
     if not (total < math.inf and min(values, default=0) >= 0):
         for v in values:
             if not 0 <= v < math.inf:
-                raise error(f"{what}: {v if den is None else Fraction(v, den)} is not finite and non-negative")
+                raise error(f"{what}: {v if den is None else _abridged(Fraction(v, den))} is not finite and non-negative")
     if not normalised:
         return
     if den is None:
         if abs(total - 1.0) > FLOAT_SUM_TOL:
             raise error(f"{what}: sum is {total}, expected 1 within {FLOAT_SUM_TOL}")
     elif total != den:
-        raise error(f"{what}: sum is {Fraction(total, den)}, expected 1")
+        raise error(f"{what}: sum is {_abridged(Fraction(total, den))}, expected 1")
 
 
 def _check_finite(value: Scalar, what: str) -> Scalar:
@@ -366,9 +369,10 @@ class _Vector:
     @classmethod
     def _outer(cls, space: SampleSpace, vectors: Sequence["_Vector"]):
         """Products of one value of each vector, in ``itertools.product``
-        order over ``space``: on the ints when all are exact, else on the
-        float views."""
+        order over ``space``: on the ints when all are exact (refused by
+        :func:`_require_bits`), else on the float views."""
         if all(v._nums is not None for v in vectors):
+            _require_bits("tensor product", [(v._top(), 1) for v in vectors])
             nums = map(math.prod, itertools.product(*[v._nums for v in vectors]))
             return cls._from_ints(space, nums, math.prod([v._den for v in vectors]))
         return cls._from_floats(space, map(math.prod, itertools.product(*[v._floats() for v in vectors])))
@@ -384,10 +388,10 @@ class _Vector:
             seq = self._seq = tuple([Fraction(n, den) for n in self._nums])
         return seq
 
-    def _power_bits(self, count: int) -> int:
-        """The bits of any of this exact vector's ints raised to
-        ``count``, generously (see :func:`_power_bits`)."""
-        return _power_bits(max(max(self._nums, default=0), self._den), count)
+    def _top(self) -> int:
+        """The largest int of this exact vector, its denominator or a
+        numerator: what :func:`_require_bits` raises to a power."""
+        return max((self._den, *self._nums))
 
     def _raw(self) -> tuple:
         """The ints when exact, the floats otherwise: either has the

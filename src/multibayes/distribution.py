@@ -205,7 +205,7 @@ def multinomial(size: int, omega: Dist) -> Dist:
             return Dist._from_floats(space, [math.prod(map(pow, floats, phi.counts), start=coefm(phi)) for phi in space])
         except OverflowError:
             raise FloatRangeError("a multinomial coefficient is too large for a float") from None
-    _require_bits(omega._power_bits(size), "multinomial")
+    _require_bits("multinomial", ((omega._top(), size),))
     nums = omega._nums
     weights = [math.prod(map(pow, nums, phi.counts), start=coefm(phi)) for phi in space]
     return Dist._from_ints(space, weights, omega._den**size)

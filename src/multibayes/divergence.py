@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul, truediv
 from typing import TYPE_CHECKING
 
@@ -15,6 +15,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
 
 
+def _exact_term(w: float, r: float, n: int, m: int, den: int, rho_den: int) -> float:
+    """The term ``w * ln(w / r)`` of the exact weights ``n / den`` and
+    ``m / rho_den``, whose floats are ``w`` and ``r``: on the floats, as
+    for any other term, unless ``w`` or ``w / r`` is not a positive
+    finite float; then the logarithm is read from the ints, as
+    :func:`scalar_ln` reads an exact value."""
+    ratio = w / r if r else 0.0
+    if w > 0 and 0 < ratio < math.inf:
+        return w * math.log(ratio)
+    return w * (math.log(n) - math.log(den) - math.log(m) + math.log(rho_den))
+
+
 def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     """Divergence sum_x sigma(x) * ln(sigma(x) / rho(x)), with 0*ln(0) = 0.
 
@@ -23,6 +35,9 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     logarithm base (e.g. 2 for bits); the default is the natural log.
     A base that is not a finite positive number other than one raises
     LogBaseError, and a divergence beyond the float range FloatRangeError.
+    When both operands are exact, a term whose weight or ratio leaves the
+    float range is read from exact logarithms, so the divergence is
+    finite.
     """
     _require_operands((sigma,), Dist, "divergence arguments")
     _require_operands((rho,), Dist, "divergence arguments")
@@ -38,8 +53,14 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
                 raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
     # the terms of sigma's support, in order
     sigma_floats = list(compress(sigma._floats(), sigma_raw))
-    ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))
-    total = _fsum(map(mul, sigma_floats, map(math.log, ratios)))
+    try:
+        ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))
+        total = _fsum(map(mul, sigma_floats, map(math.log, ratios)))
+    except (ZeroDivisionError, ValueError):  # an exact weight that rounds to 0.0
+        total = math.nan
+    if not total < math.inf and sigma._nums is not None and rho._nums is not None:
+        total = _fsum(map(_exact_term, sigma_floats, compress(rho_floats, sigma_raw), compress(sigma._nums, sigma_raw),
+                          compress(rho._nums, sigma_raw), repeat(sigma._den), repeat(rho._den)))
     if base is not None:
         total /= math.log(base)
     return _check_finite(total, "divergence")

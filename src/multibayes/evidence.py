@@ -123,7 +123,7 @@ class Factor(_Vector):
                 common = math.lcm(*self._nums)
                 base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
                 exponent = -exponent
-            _require_bits(base._power_bits(exponent), "factor power")
+            _require_bits("factor power", ((base._top(), exponent),))
         try:
             if base is None:
                 return Factor._from_floats(self._space, (0.0 if v == 0 else v**exponent for v in self._floats()))
@@ -328,7 +328,7 @@ def and_conj(psi: Evidence) -> Factor:
 
 def _and_conj(psi: Evidence) -> Factor:
     items = list(psi.items())
-    _require_bits(sum(f._power_bits(count) for f, count in items if f._nums is not None), "conjunction")
+    _require_bits("conjunction", [(f._top(), count) for f, count in items if f._nums is not None])
     nums, den, exact = None, 1, 0
     for factor, count in items:
         if factor._nums is None:

@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Label, SampleSpace, label_str
-from .core import _require_coefficient_bits, _require_doublings, _require_naturals, _require_operands, _require_size
+from .core import _require_bits, _require_doublings, _require_naturals, _require_operands, _require_size
 
 
 class _Counted:
@@ -105,7 +105,7 @@ def coefm_counts(counts: Iterable[int]) -> int:
     result; a coefficient of more than MAX_EXACT_BITS bits is refused.
     """
     counts = tuple(counts)
-    _require_coefficient_bits(counts, "multinomial coefficient")
+    _require_bits("multinomial coefficient", (), counts)
     return _binomial_product(counts)
 
 

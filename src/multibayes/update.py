@@ -16,9 +16,9 @@ from typing import Sequence
 from .core import Scalar, _check_finite, _fsum, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
-from .errors import NonConvexWeightsError, ZeroValidityError
+from .errors import FloatRangeError, NonConvexWeightsError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
-from .validity import _entry, _per_factor, validity
+from .validity import _entry, _per_factor, _read, validity
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist:
@@ -48,17 +48,22 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
     """
     if not ps:
         raise ValueError("need at least one factor")
-    current = omega
+    _require_operands(ps, Factor, "validity arguments", _require_operands((omega,), Dist, "priors"))
+    current, last = omega, len(ps) - 1
     result: Scalar = 1
     for index, p in enumerate(ps):
-        val = validity(current, p)
+        try:  # one pass gives the normaliser and the posterior, kept in the memo of p
+            _, norm, posterior = _entry(current, p, index < last)
+        except FloatRangeError:
+            validity(current, p)  # a normaliser beyond the float range fails as the validity
+            raise
+        val = _read(current, p, norm)
         if val == 0:
             raise ZeroValidityError(
                 f"validity vanished at factor #{index} after updating with the first {index}"
             )
         result = result * val
-        if index + 1 < len(ps):
-            current = bayes_update(current, p)
+        current = posterior
     return _check_finite(result, "iterated validity")
 
 

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterable
 
-from .core import Scalar, _check_finite, _fsum, _power_bits, _require_coefficient_bits, _require_operands, scalar_ln
+from .core import Scalar, _check_finite, _fsum, _require_bits, _require_operands, scalar_ln
 from .distribution import Dist
 from .errors import ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
@@ -109,8 +109,8 @@ def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> S
     FloatRangeError; an exact one estimated at more than MAX_EXACT_BITS
     bits raises SizeLimitError before it is computed."""
     powers = list(powers)
-    bits = sum([_power_bits(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction])
-    _require_coefficient_bits(psi.counts, "validity of the evidence", bits)
+    tops = [(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction]
+    _require_bits("validity of the evidence", tops, psi.counts)
     result = _binomial_product(psi.counts)
     if all(type(base) is Fraction for base, _ in powers):
         den = 1

@@ -6,6 +6,7 @@ import pytest
 
 from multibayes import (
     Dist,
+    Factor,
     NonConvexWeightsError,
     SampleSpace,
     SpaceMismatchError,
@@ -54,6 +55,13 @@ class TestInvariants:
             Dist(SampleSpace([]), [])
         with pytest.raises(ValueError, match="sum is 0"):
             uniform(SampleSpace([]))
+
+    def test_messages_abridge_values_of_many_digits(self):
+        # the sum, about 3**-4000, has a denominator of 5289 digits, more than Python prints
+        with pytest.raises(ValueError, match=r"^weights: sum is 3.27326465787E-1909, expected 1$"):
+            Dist(AB, (Fraction(1, 3**4000), Fraction(1, 7**4000)))
+        with pytest.raises(ValueError, match=r"^factor values: -1.00000000000E\+5000 is not finite and non-negative$"):
+            Factor(AB, (Fraction(-10**5000), 1))
 
     def test_equality_on_union_of_spaces(self):
         wide = Dist(SampleSpace("abc"), (Fraction(1), Fraction(0), Fraction(0)))

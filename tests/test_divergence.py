@@ -1,5 +1,6 @@
 """Kullback-Leibler divergence and the channel lower bound."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from multibayes import (
     Channel,
     Dist,
     Evidence,
+    FloatRangeError,
     LogBaseError,
     SampleSpace,
     SupportMismatchError,
@@ -20,11 +22,16 @@ from multibayes import (
     uniform,
     vfe_update,
 )
+from multibayes.cli import main
+from multibayes.modelfile import builtin_medical_model, serialize_model
 from multibayes.multiset import Multiset
 from multibayes.models import medical_model
 
 MEDICAL = medical_model()
 AB = SampleSpace("ab")
+HALF = Dist(AB, (Fraction(1, 2), Fraction(1, 2)))
+#: Exact weights whose floats are 0.0 and 1.0.
+TINY = Dist(AB, (Fraction(1, 10**400), 1 - Fraction(1, 10**400)))
 
 
 class TestKlDivergence:
@@ -110,6 +117,44 @@ class TestKlDivergence:
         sigma = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
         rho = Dist(AB, (Fraction(2, 5), Fraction(3, 5)))
         assert kl_divergence(sigma, rho, base=base) == kl_divergence(sigma, rho) / math.log(base)
+
+
+class TestExactWeightsBeyondTheFloatRange:
+    """A term whose float weight or ratio is not a positive finite float
+    is read from exact logarithms when both operands are exact."""
+
+    def test_a_second_weight_below_the_float_range(self):
+        # 1/2 ln(10**400 / 2) + 1/2 ln(1/2): the first ratio is 0.5 / 0.0 as floats
+        assert kl_divergence(HALF, TINY) == pytest.approx(200 * math.log(10) - math.log(2), rel=1e-15)
+
+    def test_a_first_weight_below_the_float_range(self):
+        # the term of 1/10**400 rounds to zero, the other one is ln 2
+        assert kl_divergence(TINY, HALF) == pytest.approx(math.log(2), rel=1e-15)
+        assert kl_divergence(TINY, TINY) == 0.0
+
+    def test_a_ratio_beyond_the_float_range(self):
+        # 1e-320 is a subnormal float, and 0.5 / 1e-320 overflows
+        subnormal = Dist(AB, (Fraction(1, 10**320), 1 - Fraction(1, 10**320)))
+        assert kl_divergence(HALF, subnormal) == pytest.approx(160 * math.log(10) - math.log(2), rel=1e-15)
+        with pytest.raises(FloatRangeError):
+            kl_divergence(HALF.to_float(), subnormal.to_float())
+
+    def test_a_float_operand_keeps_the_float_rule(self):
+        with pytest.raises(FloatRangeError):
+            kl_divergence(HALF.to_float(), TINY)
+        with pytest.raises(FloatRangeError):
+            kl_divergence(HALF, Dist(AB, (1e-320, 1.0)))
+
+    def test_eval_prints_the_divergences(self, tmp_path, capsys):
+        model = json.loads(serialize_model(builtin_medical_model()))
+        model["distributions"]["prior"]["weights"] = [f"1/{10**400}", f"{10**400 - 1}/{10**400}"]
+        model["distributions"]["half"] = {"space": "D", "weights": ["1/2", "1/2"]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        for expr, expected in (("kl_divergence(half, prior)", 200 * math.log(10) - math.log(2)),
+                               ("kl_divergence(prior, half)", math.log(2))):
+            assert main(["eval", "--model", str(path), "--expr", expr]) == 0, expr
+            assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-15)
 
 
 class TestExpectedChannelDivergence:

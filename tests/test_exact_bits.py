@@ -1,8 +1,9 @@
 """The bit-length guard: exact results too large to compute are refused.
 
-The guard estimates the size of an exact conjunction, evidence validity,
-multinomial coefficient or multinomial distribution before computing it
-and raises SizeLimitError (CLI exit 2) above ``core.MAX_EXACT_BITS``.
+The guard estimates the size of an exact conjunction, factor power,
+tensor product, evidence validity, multinomial coefficient or
+multinomial distribution before computing it and raises SizeLimitError
+(CLI exit 2) above ``core.MAX_EXACT_BITS``.
 Every test lowers the limit, so nothing large is ever computed.
 """
 
@@ -25,6 +26,10 @@ from multibayes import (
     multinomial,
     pearl_update,
     pearl_validity,
+    tensor,
+    tensor_conj,
+    tensor_factor,
+    tensor_power,
 )
 from multibayes.cli import main
 from multibayes.modelfile import builtin_medical_model, serialize_model
@@ -101,3 +106,59 @@ def test_eval_exits_2_on_a_refused_result(limit, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "bits refused" in captured.err
     assert main(["eval", "--model", str(path), "--expr", "jeffrey_update(prior, many)"]) == 0
+
+
+def _dist(bits):
+    """A distribution on ab whose largest int is ``2**bits``, counted as ``bits`` bits."""
+    return Dist(SampleSpace("ab"), (Fraction(1, 2**bits), 1 - Fraction(1, 2**bits)))
+
+
+def _factor(*values):
+    return Factor(SampleSpace("ab"), values)
+
+
+def _to_float(vector):
+    return type(vector)(vector.space, [float(v) for _, v in vector.items()])
+
+
+# each tensor product at the limit and one step past it: the bits of
+# each operand's largest int, added
+TENSOR_PRODUCTS = [
+    (tensor, (_dist(50), _dist(50)), (_dist(50), _dist(51)), 101),
+    (tensor_power, (_dist(20), 5), (_dist(20), 6), 120),
+    (tensor_factor, (_factor(2**50, 1), _factor(1, 2**50)), (_factor(2**50, 1), _factor(1, 2**50 + 1)), 101),
+    (tensor_conj, (Evidence(((_factor(1, Fraction(1, 2**20)), 4), (_factor(Fraction(1, 2**20), 1), 1))),),
+     (Evidence(((_factor(1, Fraction(1, 2**20)), 4), (_factor(Fraction(1, 2**21), 1), 1))),), 101),
+]
+
+
+@pytest.mark.parametrize("op, below, above, bits", TENSOR_PRODUCTS, ids=[row[0].__name__ for row in TENSOR_PRODUCTS])
+def test_tensor_products_are_refused_above_the_limit(limit, op, below, above, bits):
+    assert all(type(v) is Fraction for _, v in op(*below).items())
+    with pytest.raises(SizeLimitError, match=f"tensor product with about {bits} bits refused"):
+        op(*above)
+
+
+@pytest.mark.parametrize("op, below, above, bits", TENSOR_PRODUCTS, ids=[row[0].__name__ for row in TENSOR_PRODUCTS])
+def test_float_tensor_products_are_not_refused(limit, op, below, above, bits):
+    if op is tensor_conj:
+        floats = (Evidence([(_to_float(f), count) for f, count in above[0].items()]),)
+    else:
+        floats = tuple(_to_float(a) if isinstance(a, (Dist, Factor)) else a for a in above)
+    assert all(type(v) is float for _, v in op(*floats).items())
+
+
+def test_one_estimate_serves_every_guarded_result():
+    # a 3**2000 denominator at count 10: ceil(log2(3**2000)) = 3170 bits, 31700 in all
+    omega = Dist(SampleSpace("ab"), (Fraction(1, 3**2000), 1 - Fraction(1, 3**2000)))
+    p = Factor(omega.space, omega.weights)
+    refused = [
+        ("conjunction", lambda: and_conj(Evidence(((p, 10),)))),
+        ("factor power", lambda: p**10),
+        ("multinomial", lambda: multinomial(10, omega)),
+        ("tensor product", lambda: tensor_power(omega, 10)),
+        ("tensor product", lambda: tensor_conj(Evidence(((p, 10),)))),
+    ]
+    for what, call in refused:
+        with pytest.raises(SizeLimitError, match=f"^{what} with about 31700 bits refused$"):
+            call()

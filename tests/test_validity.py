@@ -1,5 +1,7 @@
 """Plain, Jeffrey and Pearl validity with the worked numeric instances."""
 
+import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from multibayes import (
     Dist,
     Evidence,
     Factor,
+    FloatRangeError,
     SampleSpace,
     SpaceMismatchError,
     ZeroValidityError,
@@ -28,6 +31,7 @@ from multibayes.models import medical_model
 MEDICAL = medical_model()
 OMEGA, PT, NT = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test
 PSI = Evidence(((PT, 2), (NT, 1)))
+validity_module = importlib.import_module("multibayes.validity")  # the package's ``validity`` is the function
 
 
 class TestValidity:
@@ -126,6 +130,37 @@ class TestIteratedValidity:
             iterated_pearl_validity(
                 omega, (point_pred("a", space), point_pred("b", space))
             )
+
+
+    @pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
+    def test_each_factor_is_summed_once(self, monkeypatch, to_float):
+        calls = {"_norm": 0, "_update": 0}
+        for name in calls:
+            original = getattr(validity_module, name)
+            monkeypatch.setattr(validity_module, name,
+                                lambda omega, p, name=name, original=original: calls.update({name: calls[name] + 1})
+                                or original(omega, p))
+        omega = OMEGA.to_float() if to_float else OMEGA
+        factors = tuple(Factor(f.space, f.values) for f in (PT, PT, NT))  # fresh, with no memo
+        expected = Fraction(381, 4000)
+        assert iterated_pearl_validity(omega, factors) == (float(expected) if to_float else expected)
+        # one update per factor before the last, which needs only its normaliser
+        assert calls == {"_norm": 1, "_update": 2}
+
+    def test_operands_are_checked_at_entry(self, monkeypatch):
+        monkeypatch.setattr(validity_module, "_update", lambda omega, p: pytest.fail("a factor was summed"))
+        with pytest.raises(TypeError, match="^validity arguments must be factors, not Dist$"):
+            iterated_pearl_validity(OMEGA, (PT, OMEGA))
+        with pytest.raises(SpaceMismatchError):
+            iterated_pearl_validity(OMEGA, (PT, truth(SampleSpace("ab"))))
+
+    def test_a_normaliser_beyond_the_float_range_fails_as_the_validity(self):
+        # the weights sum to one within the float tolerance, not exactly
+        omega = Dist(OMEGA.space, (0.5, 0.5 + 5e-10))
+        huge = Factor(OMEGA.space, (sys.float_info.max,) * 2)
+        for factors in ((huge, PT), (huge,)):  # before the last factor, and as the last
+            with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
+                iterated_pearl_validity(omega, factors)
 
 
 class TestCovariance:
