@@ -44,8 +44,10 @@ class Dist(_Vector):
         return self._nums is not None
 
     def get(self, element: Label) -> Scalar:
-        """Weight of an element, zero when outside the declared space."""
-        return self(element) if element in self._space else Fraction(0)
+        """Weight of an element, zero (0.0 when float) outside the declared space."""
+        if element in self._space:
+            return self(element)
+        return Fraction(0) if self._nums is not None else 0.0
 
     def support(self) -> tuple[Label, ...]:
         return tuple(x for x, w in zip(self._space.elements, self._raw()) if w != 0)

@@ -37,7 +37,8 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     LogBaseError, and a divergence beyond the float range FloatRangeError.
     When both operands are exact, a term whose weight or ratio leaves the
     float range is read from exact logarithms, so the divergence is
-    finite.
+    finite.  In every mode, a ``sigma`` weight whose float is 0.0 adds
+    no term.
     """
     _require_operands((sigma,), Dist, "divergence arguments")
     _require_operands((rho,), Dist, "divergence arguments")
@@ -51,16 +52,17 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
         for x, w, r in zip(sigma.space, sigma_raw, rho_raw):
             if w != 0 and r == 0:
                 raise SupportMismatchError(f"divergence undefined: {x!r} outside second support")
-    # the terms of sigma's support, in order
-    sigma_floats = list(compress(sigma._floats(), sigma_raw))
+    # the terms of sigma's float support, in order: a weight that rounds to 0.0 adds 0.0
+    terms = sigma._floats()
+    sigma_floats = list(compress(terms, terms))
     try:
-        ratios = map(truediv, sigma_floats, compress(rho_floats, sigma_raw))
+        ratios = map(truediv, sigma_floats, compress(rho_floats, terms))
         total = _fsum(map(mul, sigma_floats, map(math.log, ratios)))
-    except (ZeroDivisionError, ValueError):  # an exact weight that rounds to 0.0
+    except (ZeroDivisionError, ValueError):  # an exact rho weight that rounds to 0.0
         total = math.nan
     if not total < math.inf and sigma._nums is not None and rho._nums is not None:
-        total = _fsum(map(_exact_term, sigma_floats, compress(rho_floats, sigma_raw), compress(sigma._nums, sigma_raw),
-                          compress(rho._nums, sigma_raw), repeat(sigma._den), repeat(rho._den)))
+        total = _fsum(map(_exact_term, sigma_floats, compress(rho_floats, terms), compress(sigma._nums, terms),
+                          compress(rho._nums, terms), repeat(sigma._den), repeat(rho._den)))
     if base is not None:
         total /= math.log(base)
     return _check_finite(total, "divergence")

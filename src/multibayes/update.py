@@ -16,9 +16,9 @@ from typing import Sequence
 from .core import Scalar, _check_finite, _fsum, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
-from .errors import FloatRangeError, NonConvexWeightsError, ZeroValidityError
+from .errors import NonConvexWeightsError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
-from .validity import _entry, _per_factor, _read, validity
+from .validity import _entry, _per_factor, _read
 
 
 def _posterior(omega: Dist, p: Factor) -> Dist:
@@ -52,11 +52,8 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
     current, last = omega, len(ps) - 1
     result: Scalar = 1
     for index, p in enumerate(ps):
-        try:  # one pass gives the normaliser and the posterior, kept in the memo of p
-            _, norm, posterior = _entry(current, p, index < last)
-        except FloatRangeError:
-            validity(current, p)  # a normaliser beyond the float range fails as the validity
-            raise
+        # one pass gives the normaliser and the posterior, kept in the memo of p
+        _, norm, posterior = _entry(current, p, index < last)
         val = _read(current, p, norm)
         if val == 0:
             raise ZeroValidityError(

@@ -1,11 +1,13 @@
 """Validity (expected value) of factors and of multiset evidence.
 
-What the update rules and the evidence validities compute per factor
-depends only on the prior and the factor, so it is kept on the factor:
-for the last prior it met, each factor keeps its normaliser
-``omega |= p`` and, once a rule has built it, its posterior ``omega|p``
-(see :func:`_entry`).  Every evidence over one prior that holds the
-factor reuses them; Pearl's rule reuses its conjunction's the same way.
+What the update rules and the validities compute per factor depends
+only on the prior and the factor, so it is kept on the factor: for the
+last prior it met, each factor keeps its normaliser ``omega |= p`` and,
+once a rule has built it, its posterior ``omega|p``.  :func:`_entry` is
+the one place a normaliser is computed, range-checked and kept.
+:func:`validity`, :func:`covariance`, the rules and every evidence over
+one prior that holds the factor read it; Pearl's rule reads its
+conjunction's the same way.
 """
 
 from __future__ import annotations
@@ -34,23 +36,21 @@ def _norm(omega: Dist, p: Factor) -> int | float:
 
 
 def _read(omega: Dist, p: Factor, norm: int | float) -> Scalar:
-    """The validity whose normaliser is ``norm``: a Fraction when exact;
-    a float beyond the float range raises FloatRangeError."""
-    if type(norm) is int:
-        return Fraction(norm, omega._den * p._den)
-    return _check_finite(norm, "validity")
+    """The validity whose normaliser is ``norm``: a Fraction when exact."""
+    return Fraction(norm, omega._den * p._den) if type(norm) is int else norm
 
 
 def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
     """Bayes update of ``omega`` with ``p`` on one space and its
-    normaliser; the update is None when the normaliser is zero."""
+    normaliser; the update is None when the normaliser is zero, or a
+    float beyond the float range."""
     if omega._nums is not None and p._nums is not None:
         products = list(map(mul, omega._nums, p._nums))
         total = sum(products)
         return (Dist._from_ints(omega._space, products, total) if total else None), total
     products = list(map(mul, omega._floats(), p._floats()))
     norm = _fsum(products)
-    if norm == 0:
+    if not 0 < norm < math.inf:
         return None, norm
     return Dist._from_floats(omega._space, map(truediv, products, repeat(norm))), norm
 
@@ -60,23 +60,23 @@ def validity(omega: Dist, p: Factor) -> Scalar:
     A float validity beyond the float range raises FloatRangeError."""
     space = _require_operands((omega,), Dist, "priors")
     _require_operands((p,), Factor, "validity arguments", space)
-    return _read(omega, p, _norm(omega, p))
+    return _read(omega, p, _entry(omega, p)[1])
 
 
 def _entry(omega: Dist, p: Factor, posterior: bool = False) -> list:
     """The memo ``[omega, normaliser, posterior]`` of ``p``, a new one
     unless ``omega`` is the very prior ``p`` last met, with the
     normaliser filled and, when ``posterior``, the posterior too (None
-    when the normaliser is zero).  An entry that fails is not stored.
-    The caller has checked that ``omega`` is a distribution on the
-    space of ``p``."""
+    when the normaliser is zero).  The one place a normaliser is
+    computed and checked: a float one beyond the float range raises
+    FloatRangeError and is not stored.  The caller has checked that
+    ``omega`` is a distribution on the space of ``p``."""
     memo = p._memo
     if memo is None or memo[0] is not omega:
         memo = p._memo = [omega, None, None]
-    if posterior and memo[2] is None and memo[1] != 0:
-        memo[2], memo[1] = _update(omega, p)
-    elif memo[1] is None:
-        memo[1] = _norm(omega, p)
+    if memo[1] is None or (posterior and memo[2] is None and memo[1] != 0):
+        update, norm = _update(omega, p) if posterior else (None, _norm(omega, p))
+        memo[2], memo[1] = update, _check_finite(norm, "validity")
     return memo
 
 
@@ -94,8 +94,6 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
     result = []
     for index, p in enumerate(psi.factors):
         _, norm, posterior = _entry(omega, p, posteriors)
-        if not posteriors and type(norm) is float:
-            _read(omega, p, norm)  # the range check of a float validity
         if norm == 0:
             raise ZeroValidityError(f"evidence factor #{index} ({reprlib.repr(p)}) has zero validity")
         result.append(posterior if posteriors else norm)

@@ -573,3 +573,30 @@ class TestColdStart:
         )
         assert "multibayes.modelfile" in added
         assert "multibayes.properties" not in added
+
+
+class TestStdlibOnly:
+    """The package runs on the standard library alone: with ``site``
+    off, so no third-party package is importable, every module imports
+    and ``check`` and ``report`` run."""
+
+    PROBE = (
+        "import contextlib, io, pkgutil, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import multibayes\n"
+        "for info in pkgutil.iter_modules(multibayes.__path__, 'multibayes.'):\n"
+        "    __import__(info.name)\n"
+        "from multibayes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['check', '--suite', 'core', '--trials', '5']), main(['report', 'medical'])]\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('hypothesis', 'pytest')]\n"
+        "print(codes, len([m for m in sys.modules if m.startswith('multibayes.')]), loaded)\n"
+    )
+
+    def test_modules_check_and_report_load_no_third_party_module(self):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", self.PROBE, str(SRC)], env=env, capture_output=True, text=True, check=True
+        )
+        modules = len([path for path in (SRC / "multibayes").glob("*.py") if path.stem != "__init__"])
+        assert result.stdout.split() == ["[0,", "0]", str(modules), "[]"]

@@ -69,6 +69,11 @@ class TestInvariants:
         assert wide == narrow
         assert narrow != Dist(AB, (Fraction(1, 2), Fraction(1, 2)))
 
+    def test_get_outside_the_space_is_a_zero_of_the_mode(self):
+        assert FAIR.get("E") == 0 and type(FAIR.get("E")) is Fraction
+        assert FAIR.to_float().get("E") == 0 and type(FAIR.to_float().get("E")) is float
+        assert FAIR.get("H") == Fraction(1, 2) and FAIR.to_float().get("H") == 0.5
+
 
 class TestDirac:
     def test_point_weight(self):

@@ -132,6 +132,11 @@ class TestExactWeightsBeyondTheFloatRange:
         assert kl_divergence(TINY, HALF) == pytest.approx(math.log(2), rel=1e-15)
         assert kl_divergence(TINY, TINY) == 0.0
 
+    def test_a_first_weight_below_the_float_range_in_every_mode(self):
+        # a first weight whose float is 0.0 adds no term, whatever the second operand is
+        pairs = [(sigma, rho) for sigma in (TINY, TINY.to_float()) for rho in (HALF, HALF.to_float())]
+        assert {kl_divergence(sigma, rho) for sigma, rho in pairs} == {math.log(2)}
+
     def test_a_ratio_beyond_the_float_range(self):
         # 1e-320 is a subnormal float, and 0.5 / 1e-320 overflows
         subnormal = Dist(AB, (Fraction(1, 10**320), 1 - Fraction(1, 10**320)))

@@ -20,18 +20,22 @@ from multibayes import (
     and_conj,
     bayes_update,
     convex_sum,
+    covariance,
     dirac,
     free_energy_objective,
     indicator,
+    iterated_pearl_validity,
     jeffrey_update,
     jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
+    log_likelihood_score,
     pearl_update,
     pearl_validity,
     point_pred,
     truth,
     uniform,
+    validity,
     vfe_update,
     vfe_update_softmax,
 )
@@ -334,7 +338,7 @@ class TestSharedMemo:
                 jeffrey_validity(omega, psi)
             with pytest.raises(FloatRangeError, match="validity overflows"):
                 vfe_update(omega, psi)
-            with pytest.raises(FloatRangeError, match="float result"):
+            with pytest.raises(FloatRangeError, match="validity overflows"):
                 jeffrey_update(omega, psi)
 
     def test_equal_priors_do_not_share_the_memo(self, monkeypatch):
@@ -457,7 +461,7 @@ class TestFactorMemo:
             jeffrey_validity(overflow_prior, Evidence([(huge, 1)]))
         with pytest.raises(FloatRangeError, match="validity overflows"):
             vfe_update(overflow_prior, Evidence([(truth(huge.space), 1), (huge, 1)]))
-        with pytest.raises(FloatRangeError, match="float result"):
+        with pytest.raises(FloatRangeError, match="validity overflows"):
             jeffrey_update(overflow_prior, Evidence([(huge, 2)]))
 
     def test_alternating_priors_re_key_the_memo(self, monkeypatch):
@@ -493,3 +497,67 @@ class TestFactorMemo:
         assert pearl_update(OMEGA, psi) == posterior
         assert pearl_validity(OMEGA, psi) == likelihood
         assert len(updates) == 1 and updates[0] is and_conj(psi) and norms == []
+
+
+#: each reader of a normaliser, on a prior, a factor p and the evidence {p: 1}
+NORMALISER_READERS = {
+    "validity": lambda omega, p, psi: validity(omega, p),
+    "covariance": lambda omega, p, psi: covariance(omega, p, truth(p.space)),
+    "bayes_update": lambda omega, p, psi: bayes_update(omega, p),
+    "jeffrey_update": lambda omega, p, psi: jeffrey_update(omega, psi),
+    "jeffrey_update_weighted": lambda omega, p, psi: jeffrey_update_weighted(omega, [(p, 1)]),
+    "pearl_update": lambda omega, p, psi: pearl_update(omega, psi),
+    "vfe_update": lambda omega, p, psi: vfe_update(omega, psi),
+    "vfe_update_softmax": lambda omega, p, psi: vfe_update_softmax(omega, psi),
+    "free_energy_objective": lambda omega, p, psi: free_energy_objective(omega, omega, psi),
+    "jeffrey_validity": lambda omega, p, psi: jeffrey_validity(omega, psi),
+    "pearl_validity": lambda omega, p, psi: pearl_validity(omega, psi),
+    "iterated_pearl_validity": lambda omega, p, psi: iterated_pearl_validity(omega, [p]),
+    "log_likelihood_score": lambda omega, p, psi: log_likelihood_score(omega, omega, psi),
+}
+
+BIG = int(sys.float_info.max)
+HALVES = Dist(SampleSpace("ab"), (Fraction(1, 2), Fraction(1, 2)))
+#: what each reader returns on HALVES and the exact factor (BIG, BIG)
+EXACT_VALUES = {
+    "validity": BIG,
+    "covariance": 0,
+    "bayes_update": HALVES,
+    "jeffrey_update": HALVES,
+    "jeffrey_update_weighted": HALVES,
+    "pearl_update": HALVES,
+    "vfe_update": HALVES.to_float(),
+    "vfe_update_softmax": HALVES.to_float(),
+    "free_energy_objective": 0.0,
+    "jeffrey_validity": BIG,
+    "pearl_validity": BIG,
+    "iterated_pearl_validity": BIG,
+    "log_likelihood_score": 0.0,
+}
+
+
+class TestOneNormaliserCheck:
+    """Every reader of a normaliser gets it from ``validity._entry``,
+    which range-checks it before it keeps it."""
+
+    @pytest.mark.parametrize("name", list(NORMALISER_READERS))
+    def test_a_normaliser_beyond_the_float_range_fails_as_the_validity(self, name):
+        space = SampleSpace("ab")
+        omega = Dist(space, (0.5, 0.5 + 5e-10))
+        p = Factor(space, (sys.float_info.max, sys.float_info.max))
+        for _ in range(2):  # a failure is not kept, so the next call raises again
+            with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
+                NORMALISER_READERS[name](omega, p, Evidence([(p, 1)]))
+
+    @pytest.mark.parametrize("name", list(NORMALISER_READERS))
+    def test_the_exact_twin_returns_its_value(self, name):
+        p = Factor(HALVES.space, (BIG, BIG))
+        for _ in range(2):
+            assert NORMALISER_READERS[name](HALVES, p, Evidence([(p, 1)])) == EXACT_VALUES[name]
+
+    def test_two_validities_on_one_prior_sum_once(self, monkeypatch):
+        norms = counting(monkeypatch, "_norm")
+        for omega in (OMEGA, OMEGA.to_float()):
+            p = Factor(OMEGA.space, PT.values)
+            assert validity(omega, p) == validity(omega, p)
+            assert sum(q is p for q in norms) == 1
