@@ -18,10 +18,11 @@ class Channel:
     """Map from domain elements to distributions on a codomain.
 
     A channel is immutable, so it keeps what :func:`push` and
-    :func:`pull` reuse: ``_den``, the lcm of the row denominators when
-    every row is exact (else None), and, each built on first use, the
-    rows as ints over it, their columns and the float columns.  A row
-    that is not a Dist raises TypeError.
+    :func:`pull` reuse.  When every row is exact, ``_den`` is the lcm of
+    the row denominators, and ``_ints`` and ``_columns`` are the rows
+    and columns as ints over it, all built here (else all None).  The
+    float columns are built on the first float push.  A row that is not
+    a Dist raises TypeError.
     """
 
     __slots__ = ("_dom", "_cod", "_rows", "_den", "_ints", "_columns", "_float_columns")
@@ -34,9 +35,11 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
-        dens = [row._den for row in rows if row._nums is not None]
-        self._den = math.lcm(*dens) if len(dens) == len(rows) else None
-        self._ints = self._columns = self._float_columns = None
+        self._den = self._ints = self._columns = self._float_columns = None
+        if all(row._nums is not None for row in rows):
+            den = self._den = math.lcm(*[row._den for row in rows])
+            self._ints = [[n * scale for n in row._nums] for row in rows for scale in (den // row._den,)]
+            self._columns = list(zip(*self._ints))
 
     @property
     def dom(self) -> SampleSpace:
@@ -55,17 +58,6 @@ class Channel:
 
     def __call__(self, x: Label) -> Dist:
         return self.row(x)
-
-    def _rescaled(self) -> list[list[int]]:
-        """The exact rows as ints over ``_den``, built once."""
-        ints = self._ints
-        if ints is None:
-            den, ints = self._den, []
-            for row in self._rows:
-                scale = den // row._den
-                ints.append([n * scale for n in row._nums])
-            self._ints = ints
-        return ints
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Channel):
@@ -87,8 +79,6 @@ def push(c: Channel, omega: Dist) -> Dist:
     column, on ints when every operand is exact, else one ``math.fsum``."""
     _require_operands((omega,), Dist, "push arguments", c._dom)
     if omega._nums is not None and c._den is not None:
-        if c._columns is None:
-            c._columns = list(zip(*c._rescaled()))
         nums = omega._nums
         return Dist._from_ints(c._cod, [sum(map(mul, nums, col)) for col in c._columns], omega._den * c._den)
     if c._float_columns is None:
@@ -104,7 +94,7 @@ def pull(c: Channel, q: Factor) -> Factor:
     _require_operands((q,), Factor, "pull arguments", c._cod)
     if q._nums is not None and c._den is not None:
         nums = q._nums
-        return Factor._from_ints(c._dom, [sum(map(mul, row, nums)) for row in c._rescaled()], c._den * q._den)
+        return Factor._from_ints(c._dom, [sum(map(mul, row, nums)) for row in c._ints], c._den * q._den)
     floats = q._floats()
     return Factor._from_floats(c._dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
 

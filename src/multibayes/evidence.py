@@ -106,7 +106,9 @@ class Factor(_Vector):
         :meth:`_power` keeps, which the conjunction shares; a negative
         one gives the powers of the reciprocals (a zero value raises
         ZeroDivisionError).  Any other exponent gives a float-mode
-        factor.  A float overflow raises FloatRangeError, and an exact
+        factor of the float values' powers, so a zero value gives 1.0
+        for ``0.0`` and raises ZeroDivisionError for a negative one, as
+        an int does.  A float overflow raises FloatRangeError, and an exact
         power of more than MAX_EXACT_BITS bits SizeLimitError."""
         base = self
         if type(exponent) is not int:
@@ -126,7 +128,7 @@ class Factor(_Vector):
             _require_bits("factor power", ((base._top(), exponent),))
         try:
             if base is None:
-                return Factor._from_floats(self._space, (0.0 if v == 0 else v**exponent for v in self._floats()))
+                return Factor._from_floats(self._space, map(pow, self._floats(), repeat(exponent)))
             if base._nums is not None:
                 return Factor._from_ints(self._space, base._power(exponent), base._den**exponent)
             return Factor._from_floats(self._space, base._power(exponent))
@@ -217,14 +219,14 @@ def ortho(p: Factor) -> Factor:
 class Evidence(_Counted):
     """Multiset of factors over one sample space.
 
-    Factors that are pointwise equal are merged on construction; the
-    remaining distinct factors keep their first-seen order, which fixes
-    the factor order used by parallel conjunctions.  The iterated
-    conjunction is computed once, by the first :func:`and_conj`; being a
-    factor kept on the evidence, it keeps its own normaliser and
-    posterior for the last prior it met, as each factor does.  A member
-    that is not a Factor raises TypeError.  ``_space`` is the factors'
-    space, None when the evidence is empty.
+    Factors that are pointwise equal are merged on construction, into a
+    float one if any of them is float; the distinct factors keep their
+    first-seen order, which fixes the factor order used by parallel
+    conjunctions.  The iterated conjunction is computed once, by the
+    first :func:`and_conj`; being a factor kept on the evidence, it
+    keeps its own normaliser and posterior for the last prior it met, as
+    each factor does.  A member that is not a Factor raises TypeError.
+    ``_space`` is the factors' space, None when the evidence is empty.
     """
 
     __slots__ = ("_factors", "_conj", "_space")
@@ -243,6 +245,8 @@ class Evidence(_Counted):
             for pos, seen in enumerate(factors):
                 if seen is factor or seen == factor:
                     counts[pos] += count
+                    if factor._nums is None and seen._nums is not None:
+                        factors[pos] = factor  # float as soon as one is
                     break
             else:
                 factors.append(factor)

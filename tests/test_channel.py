@@ -1,5 +1,6 @@
 """Channels: transformation, evidence pull, reversal, draw channels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,39 @@ class TestConstruction:
         # factors summing to 5/2 and 2 once made a push whose weights summed to 7/2
         with pytest.raises(TypeError, match="channel rows must be distributions, not Factor"):
             Channel(D, T, [Factor(T, (2, 3)), Factor(T, (1, 1))])
+
+
+def wide_channel() -> Channel:
+    """An exact 256 -> 8 channel whose rows have small denominators."""
+    rng = random.Random(256)
+    xs = SampleSpace(f"x{i}" for i in range(256))
+    ys = SampleSpace(f"y{j}" for j in range(8))
+    rows = []
+    for _ in xs:
+        counts = [rng.randint(1, 3) for _ in ys]
+        rows.append(Dist(ys, [Fraction(n, sum(counts)) for n in counts]))
+    return Channel(xs, ys, rows)
+
+
+@pytest.mark.parametrize("float_first", [False, True])
+@pytest.mark.parametrize("build", [lambda: Channel(D, T, C.rows), wide_channel], ids=["medical", "256x8"])
+def test_exact_rows_and_columns_are_built_with_the_channel(build, float_first):
+    """The int rows and columns exist once Channel() returns, and no push
+    or pull replaces them; only the first float push sets the float columns."""
+    c = build()
+    ints, columns = c._ints, c._columns
+    assert c._float_columns is None
+    assert [[Fraction(n, c._den) for n in row] for row in ints] == [list(row.weights) for row in c.rows]
+    assert columns == list(zip(*ints))
+    omega = Dist(c.dom, [Fraction(k + 1, len(c.dom) * (len(c.dom) + 1) // 2) for k in range(len(c.dom))])
+    q = Factor(c.cod, [Fraction(k, len(c.cod)) for k in range(len(c.cod))])
+    calls = [(push, omega), (pull, q), (push, omega.to_float()), (pull, Factor(c.cod, [float(v) for v in q.values]))]
+    pushed_float = False
+    for fn, arg in calls[::-1] if float_first else calls:
+        fn(c, arg)
+        pushed_float = pushed_float or fn is push and arg._nums is None
+        assert c._ints is ints and c._columns is columns
+        assert (c._float_columns is not None) == pushed_float
 
 
 class TestPush:

@@ -21,6 +21,7 @@ from multibayes import (
     falsity,
     frac_conj,
     indicator,
+    jeffrey_update,
     jeffrey_validity,
     match_status,
     ortho,
@@ -32,6 +33,8 @@ from multibayes import (
     tensor_power,
     truth,
     validity,
+    vfe_update,
+    vfe_update_softmax,
 )
 from multibayes.core import label_str
 from multibayes.evidence import add, scale
@@ -134,6 +137,28 @@ class TestAlgebra:
         result = Factor(SampleSpace("ab"), (Fraction(1, 2), 1)) ** exponent
         assert [(type(v), v) for v in result.values] == [(type(v), v) for v in values]
 
+    @pytest.mark.parametrize(
+        "values, exponent, expected",
+        [
+            ((0, Fraction(1, 2)), 0, (Fraction(1), Fraction(1))),
+            ((0, Fraction(1, 2)), 0.0, (1.0, 1.0)),
+            ((0.0, 0.5), 0, (1.0, 1.0)),
+            ((0, Fraction(1, 2)), 0.5, (0.0, 0.5**0.5)),
+            ((0, Fraction(1, 2)), -1, ZeroDivisionError),
+            ((0, Fraction(1, 2)), -1.0, ZeroDivisionError),
+            ((0.0, 0.5), -1, ZeroDivisionError),
+        ],
+        ids=repr,
+    )
+    def test_a_zero_value_agrees_across_modes(self, values, exponent, expected):
+        # 0 ** 0 is 1 and 0 ** -1 has no value, whether the base or the exponent is float
+        p = Factor(SampleSpace("ab"), values)
+        if expected is ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                p**exponent
+        else:
+            assert [(type(v), v) for v in (p**exponent).values] == [(type(v), v) for v in expected]
+
     @pytest.mark.parametrize("exponent", [2, Fraction(2), "2"], ids=repr)
     def test_an_exact_integer_exponent_keeps_its_powers(self, exponent):
         p = Factor(SampleSpace("ab"), (Fraction(1, 2), 1))
@@ -162,6 +187,25 @@ class TestEvidence:
         assert psi.counts == (2, 1)
         assert psi.size == 3
         assert psi.coefficient() == 3
+
+    @pytest.mark.parametrize("float_first", [False, True])
+    def test_an_exact_and_an_equal_float_factor_merge_into_the_float_one(self, float_first):
+        # float as soon as one is: the order of the members does not choose the mode
+        ab = SampleSpace("ab")
+        exact = Factor(ab, (Fraction(1, 2), Fraction(1, 4)))
+        floats = Factor(ab, (0.5, 0.25))
+        members = [(floats, 1), (exact, 2)] if float_first else [(exact, 2), (floats, 1)]
+        psi = Evidence(members)
+        assert psi.factors[0] is floats and psi.counts == (3,)
+        assert (Evidence(members[:1]) + Evidence(members[1:])).factors[0] is floats
+        omega = Dist(ab, (Fraction(1, 3), Fraction(2, 3)))
+        only_floats = Evidence(((Factor(ab, (0.5, 0.25)), 3),))
+        for fn in (jeffrey_validity, pearl_validity, jeffrey_update, pearl_update, vfe_update, vfe_update_softmax):
+            got, want = fn(omega, psi), fn(omega, only_floats)
+            if isinstance(got, Dist):
+                got, want = got.weights, want.weights
+            assert repr(got) == repr(want)
+        assert repr(and_conj(psi).values) == repr(and_conj(only_floats).values)
 
     def test_spaces_equal_but_built_apart_are_one_space(self):
         twin = SampleSpace(("d", "~d"))
