@@ -80,7 +80,6 @@ from .update import (
     free_energy_objective,
     iterated_pearl_validity,
     jeffrey_update,
-    jeffrey_update_weighted,
     pearl_update,
     vfe_update,
     vfe_update_softmax,

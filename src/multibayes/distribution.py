@@ -121,7 +121,7 @@ def convex_sum(weights: Sequence[Scalar], dists: Sequence[Dist]) -> Dist:
     return _mix(_require_operands(dists, Dist, "mixture components"), weights, dists)
 
 
-def _mix(space: SampleSpace, weights: _Vector, dists: Sequence[_Vector]) -> Dist:
+def _mix(space: SampleSpace, weights: _Weights, dists: Sequence[Dist]) -> Dist:
     """``weights @ dists``, convex weights times distributions on
     ``space``, added row by row: on ints over the lcm of the row
     denominators when every operand is exact, else one ``math.fsum``

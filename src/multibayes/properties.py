@@ -151,7 +151,10 @@ def run_suite(name: str, trials: int, seed: int) -> list[CheckResult]:
     for prop in resolve_suite(name):
         rng = random.Random(f"{seed}|{prop.prop_id}")
         budget = trials if prop.max_trials is None else min(trials, prop.max_trials)
-        passed, ran, detail = prop.run(budget, rng)
+        try:
+            passed, ran, detail = prop.run(budget, rng)
+        except Exception as exc:  # a property that raises has failed; the next one still runs
+            passed, ran, detail = False, budget, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(prop.prop_id, prop.group, passed, ran, detail))
     return results
 

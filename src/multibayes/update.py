@@ -16,7 +16,7 @@ from typing import Sequence
 from .core import Scalar, _check_finite, _fsum, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
-from .errors import NonConvexWeightsError, ZeroValidityError
+from .errors import EmptyEvidenceError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, frac_conj
 from .validity import _entry, _per_factor, _read
 
@@ -47,7 +47,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
     mid-chain validity hits zero.
     """
     if not ps:
-        raise ValueError("need at least one factor")
+        raise EmptyEvidenceError("need at least one factor")
     _require_operands(ps, Factor, "validity arguments", _require_operands((omega,), Dist, "priors"))
     current, last = omega, len(ps) - 1
     result: Scalar = 1
@@ -68,28 +68,6 @@ def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:
     """Mixture of single-factor updates, weighted by evidence frequencies."""
     posteriors = _per_factor(omega, psi, True)
     return _mix(omega._space, _Weights._from_ints(None, psi.counts, psi.size), posteriors)
-
-
-def jeffrey_update_weighted(omega: Dist, weighted_factors: Sequence[tuple[Factor, Scalar]]) -> Dist:
-    """Jeffrey update with real-valued, pre-normalised factor weights.
-
-    Extension of :func:`jeffrey_update` beyond natural multiplicities;
-    the weights must be non-negative and sum to one.  A term of weight
-    zero adds nothing, so its factor needs only to be on the prior's
-    space, as a zero count drops a factor from an :class:`Evidence`.
-    """
-    if not weighted_factors:
-        raise NonConvexWeightsError("need at least one weighted factor")
-    weights = _Weights(None, [w for _, w in weighted_factors])
-    space = _require_operands((omega,), Dist, "priors")
-    _require_operands([factor for factor, _ in weighted_factors], Factor, "update arguments", space)
-    rows = []
-    for (factor, _), weight in zip(weighted_factors, weights._raw()):
-        if weight:
-            rows.append(_posterior(omega, factor))
-        else:  # adds nothing; stands in for the posterior, exact or float as it would be
-            rows.append(omega if factor._nums is not None else factor)
-    return _mix(space, weights, rows)
 
 
 def pearl_update(omega: Dist, psi: Evidence) -> Dist:

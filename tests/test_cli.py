@@ -207,8 +207,12 @@ class TestEval:
          '{"spaces": {"T": {"elements": ["p", "n"]}}, "multisets": {"m": {"space": "T", "counts": '
          '[{"element": "p", "count": 5}, {"element": "p", "count": 2}]}}}',  # duplicate element
          '{"spaces": {"T": {"elements": "pn"}}, "multisets": {"m": {"space": "T", "counts": '
-         '[{"element": "p", "count": 5}]}}}'],  # a string where an array belongs
-        ids=["long-int", "deep-arrays", "duplicate-element", "string-for-array"],
+         '[{"element": "p", "count": 5}]}}}',  # a string where an array belongs
+         '[{"spaces": {}}]',  # an array where the model object belongs
+         '{"spaces": {"T": {"elements": ["p", "n"]}}, "multisets": {"m": {"space": "T", "counts": '
+         '[{"element": "p", "count": 5}]}}, "channels": {"c": {"dom": "T", "cod": "T", "rows": '
+         '[{"space": "T", "weights": ["1", "0"]}]}}}'],  # one channel row for two domain elements
+        ids=["long-int", "deep-arrays", "duplicate-element", "string-for-array", "array-for-model", "missing-row"],
     )
     def test_model_file_reading_rules_are_input_errors(self, text, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -42,7 +42,6 @@ from multibayes import (
     is_exact,
     iterated_pearl_validity,
     jeffrey_update,
-    jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
     log_likelihood_score,
@@ -264,7 +263,7 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from multibayes import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(multibayes.__all__)
-    assert len(multibayes.__all__) == 77
+    assert len(multibayes.__all__) == 76
     for name in multibayes.__all__:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(multibayes, name), (types.ModuleType, __future__._Feature)), name
@@ -278,7 +277,6 @@ ROW_D, ROW_ND = Dist(T, (Fraction(9, 10), Fraction(1, 10))), Dist(T, (Fraction(2
 C = Channel(D, T, (ROW_D, ROW_ND))
 PT, NT = Factor(D, (Fraction(9, 10), Fraction(2, 5))), Factor(D, (Fraction(1, 10), Fraction(3, 5)))
 PSI = Evidence(((PT, 2), (NT, 1)))
-WEIGHTED = ((PT, Fraction(2, 3)), (NT, Fraction(1, 3)))
 POSITIVE = Dist(D, (Fraction(9, 85), Fraction(76, 85)))
 JEFFREY = Dist(D, (Fraction(431, 5865), Fraction(5434, 5865)))
 PAIRS = Dist(D.product(T), (Fraction(1, 40),) * 2 + (Fraction(19, 40),) * 2)
@@ -348,14 +346,6 @@ OPERAND_ENTRY_POINTS = {
     "bayes_update(omega)": (Dist, lambda x: bayes_update(x, PT), OMEGA, POSITIVE, True),
     "bayes_update(p)": (Factor, lambda x: bayes_update(OMEGA, x), PT, POSITIVE, True),
     "jeffrey_update": (Dist, lambda x: jeffrey_update(x, PSI), OMEGA, JEFFREY, True),
-    "jeffrey_update_weighted(omega)": (Dist, lambda x: jeffrey_update_weighted(x, WEIGHTED), OMEGA, JEFFREY, True),
-    "jeffrey_update_weighted(p)": (
-        Factor,
-        lambda x: jeffrey_update_weighted(OMEGA, ((x, Fraction(2, 3)), (NT, Fraction(1, 3)))),
-        PT,
-        JEFFREY,
-        True,
-    ),
     "pearl_update": (Dist, lambda x: pearl_update(x, PSI), OMEGA, Dist(D, (Fraction(27, 635), Fraction(608, 635))), True),
     "vfe_update": (Dist, lambda x: vfe_update(x, PSI).weights, OMEGA, VFE, True),
     "vfe_update_softmax": (Dist, lambda x: vfe_update_softmax(x, PSI).weights, OMEGA, VFE, True),

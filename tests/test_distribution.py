@@ -151,6 +151,11 @@ class TestPushFunction:
         rho = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
         assert push_function(lambda x: x, rho) == rho
 
+    def test_an_image_outside_the_declared_codomain_is_refused(self):
+        rho = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
+        with pytest.raises(UnknownElementError, match="image 'z' is not in the declared codomain"):
+            push_function(lambda x: "z" if x == "b" else x, rho, cod=AB)
+
 
 class TestMultinomial:
     def test_three_draws_exact_table(self):

@@ -21,6 +21,7 @@ from multibayes import (
     falsity,
     frac_conj,
     indicator,
+    iterated_pearl_validity,
     jeffrey_update,
     jeffrey_validity,
     match_status,
@@ -44,6 +45,20 @@ D = SampleSpace(("d", "~d"))
 PT = Factor(D, (Fraction(9, 10), Fraction(2, 5)))
 NT = Factor(D, (Fraction(1, 10), Fraction(3, 5)))
 LMR = SampleSpace(("L", "M", "R"))
+
+#: Each reader of evidence that needs at least one factor, on a prior and
+#: the empty evidence.
+EMPTY_EVIDENCE_READERS = {
+    "space": lambda omega, psi: psi.space,
+    "frac_conj": lambda omega, psi: frac_conj(psi),
+    "tensor_conj": lambda omega, psi: tensor_conj(psi),
+    "jeffrey_validity": jeffrey_validity,
+    "pearl_validity": pearl_validity,
+    "jeffrey_update": jeffrey_update,
+    "pearl_update": pearl_update,
+    "vfe_update": vfe_update,
+    "iterated_pearl_validity": lambda omega, psi: iterated_pearl_validity(omega, psi.factors),
+}
 
 unit_values = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
@@ -277,6 +292,11 @@ class TestConjunctions:
     def test_and_conj_empty_rejected(self):
         with pytest.raises(EmptyEvidenceError):
             and_conj(Evidence(()))
+
+    @pytest.mark.parametrize("read", EMPTY_EVIDENCE_READERS.values(), ids=EMPTY_EVIDENCE_READERS)
+    def test_every_reader_of_empty_evidence_raises_the_same_error(self, read):
+        with pytest.raises(EmptyEvidenceError):
+            read(Dist(D, (Fraction(1, 20), Fraction(19, 20))), Evidence(()))
 
     def test_tensor_conj_matches_iterated_tensor(self):
         q = Factor(D, (Fraction(1, 2), Fraction(1, 3)))

@@ -35,7 +35,6 @@ from multibayes import (
     frac_conj,
     indicator,
     jeffrey_update,
-    jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
     marginal,
@@ -151,7 +150,7 @@ def test_update_rules(seed):
     jeffrey = jeffrey_update(omega, psi)
     assert jeffrey.weights == ref_mix([Fraction(c, psi.size) for c in psi.counts], posteriors)
     assert_canonical(jeffrey)
-    weighted = jeffrey_update_weighted(omega, list(zip(psi.factors, exact_weights(rng, len(psi)))))
+    weighted = convex_sum(exact_weights(rng, len(psi)), [bayes_update(omega, f) for f in psi.factors])
     assert_canonical(weighted)
     if ref_validity(omega.weights, ref_and_conj(psi)):
         pearl = pearl_update(omega, psi)

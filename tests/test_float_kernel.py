@@ -38,7 +38,6 @@ from multibayes import (
     frac_conj,
     iterated_pearl_validity,
     jeffrey_update,
-    jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
     marginal,
@@ -170,7 +169,7 @@ def test_update_rules_and_validities(seed):
         jeffrey = ref_mix([Fraction(c, psi.size) for c in psi.counts], posteriors)
         assert bits(jeffrey_update(omega, psi).weights) == bits(jeffrey)
         rs = float_weights(rng, len(psi))
-        weighted = jeffrey_update_weighted(omega, list(zip(psi.factors, rs)))
+        weighted = convex_sum(rs, [bayes_update(omega, f) for f in psi.factors])
         assert bits(weighted.weights) == bits(ref_mix(rs, posteriors))
         if pearl:
             assert bits(pearl_update(omega, psi).weights) == bits(ref_bayes(omega.weights, conj))
@@ -560,7 +559,7 @@ def test_match_status_softmax_and_equality(seed):
         assert (other == omega) == (omega == other)
 
 
-# -- a float overflow in factor algebra is a FloatRangeError ----------------------
+# -- a float overflow in factor algebra or a multinomial is a FloatRangeError ------
 
 
 @pytest.mark.parametrize(
@@ -572,8 +571,9 @@ def test_match_status_softmax_and_equality(seed):
         lambda: add(Factor(SampleSpace("ab"), (1e308, 1.0)), Factor(SampleSpace("ab"), (1e308, 0.0))),
         lambda: scale(1e300, Factor(SampleSpace("ab"), (1e10, 1.0))),
         lambda: scale(Fraction(10**400), Factor(SampleSpace("ab"), (0.5, 1.0))),
+        lambda: multinomial(1100, Dist(SampleSpace("ab"), (0.5, 0.5))),  # C(1100, 550) is about 1e330
     ],
-    ids=["exact-power", "int-power", "fractional-power", "add", "scale", "scale-exact-scalar"],
+    ids=["exact-power", "int-power", "fractional-power", "add", "scale", "scale-exact-scalar", "multinomial-coefficient"],
 )
 def test_factor_algebra_overflow_is_typed(operation):
     with pytest.raises(FloatRangeError):

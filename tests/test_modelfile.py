@@ -91,6 +91,12 @@ class TestParsing:
             SampleSpace(("d", "~d")), (Fraction(1, 20), Fraction(19, 20))
         )
 
+    def test_evidence_naming_an_undeclared_factor_is_not_serialised(self):
+        model = builtin_medical_model()
+        model.evidence["stray"] = Evidence(((Factor(model.spaces["D"], ("1/2", "1/3")), 1),))
+        with pytest.raises(ModelError, match="refers to a factor that is not declared"):
+            serialize_model(model)
+
 
 def medical_with_multiset() -> dict:
     """The built-in medical model file, with a multiset: all six sections."""

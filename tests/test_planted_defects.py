@@ -1,0 +1,38 @@
+"""Planted defects: ``check`` can fail.
+
+Each case rebinds one or two of the names that ``properties.py``
+imports to a wrong rule, then runs the whole suite.  The suite must
+report at least one ``FAIL``, and among them the property named in the
+table, which tells the wrong rule from the right one.  A property that
+raises under the defect counts as failed.
+"""
+
+import pytest
+
+from multibayes import properties
+from multibayes.divergence import kl_divergence
+from multibayes.update import jeffrey_update, pearl_update
+from multibayes.validity import jeffrey_validity, pearl_validity
+
+#: defect -> (the wrong rule bound to each name in ``properties``, a property that must fail)
+DEFECTS = {
+    "jeffrey-as-pearl": ({"jeffrey_update": pearl_update}, "jeffrey-scale-invariant"),
+    "pearl-as-jeffrey": ({"pearl_update": jeffrey_update}, "pearl-composes"),
+    "vfe-as-pearl": ({"vfe_update": pearl_update}, "vfe-forms-agree"),
+    "jeffrey-validity-as-pearl": ({"jeffrey_validity": pearl_validity}, "jeffrey-along-channel"),
+    "pearl-validity-as-jeffrey": ({"pearl_validity": jeffrey_validity}, "pearl-product-bayes"),
+    "bayes-as-identity": ({"bayes_update": lambda omega, p: omega}, "bayes-laws"),
+    "kl-swapped": ({"kl_divergence": lambda rho, sigma: kl_divergence(sigma, rho)}, "vfe-argmin"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_planted_defect_fails_the_suite(defect, seed, monkeypatch):
+    rebound, separating = DEFECTS[defect]
+    for name, wrong in rebound.items():
+        monkeypatch.setattr(properties, name, wrong)
+    results = properties.run_suite("all", 20, seed)
+    assert len(results) == len(properties.PROPERTIES)
+    failed = {r.prop_id for r in results if not r.passed}
+    assert separating in failed, sorted(failed)

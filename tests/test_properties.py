@@ -1,11 +1,12 @@
 """Smoke-run every registered property and check runner behaviour."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from multibayes import UnknownSuiteError
-from multibayes.cli import main
+from multibayes import SupportMismatchError, UnknownSuiteError
+from multibayes.cli import cmd_check, main
 from multibayes.properties import PROPERTIES, groups, resolve_suite, run_suite
 
 
@@ -55,3 +56,20 @@ def test_check_output_is_pinned(capsys):
     assert main(["check", "--suite", "all", "--trials", "50", "--seed", "42"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "7293a6e2597f4c0f4b263164fed959076f41b7d3f72aecfe39a5333ea9304fe4"
+
+
+def test_a_property_that_raises_fails_and_the_next_one_runs(monkeypatch, capsys):
+    first, second = resolve_suite("core")
+
+    def raising(trials, rng):
+        raise SupportMismatchError("planted")
+
+    monkeypatch.setitem(PROPERTIES, first.prop_id, dataclasses.replace(first, run=raising))
+    failed, ran = run_suite("core", trials=5, seed=42)
+    assert (failed.prop_id, failed.passed, failed.trials) == (first.prop_id, False, 5)
+    assert failed.line().startswith(f"FAIL  {first.prop_id}")
+    assert failed.detail == "raised SupportMismatchError: planted"
+    assert (ran.prop_id, ran.passed, ran.trials) == (second.prop_id, True, 5)
+    assert cmd_check("core", 5, 42) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [failed.line(), ran.line(), "1/2 properties passed"]

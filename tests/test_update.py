@@ -26,7 +26,6 @@ from multibayes import (
     indicator,
     iterated_pearl_validity,
     jeffrey_update,
-    jeffrey_update_weighted,
     jeffrey_validity,
     kl_divergence,
     log_likelihood_score,
@@ -115,25 +114,18 @@ class TestJeffreyUpdate:
             jeffrey_update(omega, psi)
 
     def test_weighted_entry_point_matches_counts(self):
-        weighted = jeffrey_update_weighted(
-            OMEGA, ((PT, Fraction(2, 3)), (NT, Fraction(1, 3)))
-        )
+        """Jeffrey's rule over weighted predicates is a mixture of Bayes updates."""
+        weighted = convex_sum((Fraction(2, 3), Fraction(1, 3)), [bayes_update(OMEGA, PT), bayes_update(OMEGA, NT)])
         assert weighted == jeffrey_update(OMEGA, PSI)
 
-    def test_weighted_zero_weight_drops_the_factor(self):
+    def test_a_zero_count_drops_the_factor_a_zero_weight_does_not(self):
         space = SampleSpace("abc")
         omega = Dist(space, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
         pt_a, pt_c = point_pred("a", space), point_pred("c", space)
         assert jeffrey_update(omega, Evidence([(pt_a, 1), (pt_c, 0)])) == dirac("a", space)
-        exact = jeffrey_update_weighted(omega, [(pt_a, 1), (pt_c, 0)])
-        assert exact.is_exact and exact == dirac("a", space)
-        floats = jeffrey_update_weighted(omega, [(pt_a, 1.0), (pt_c, 0.0)])
-        assert not floats.is_exact and floats.weights == (1.0, 0.0, 0.0)
-        # a zero-weight float factor still makes the mixture float, as its posterior would
-        mixed = jeffrey_update_weighted(omega, [(pt_a, 1), (Factor(space, (0.5, 0.5, 0.5)), 0)])
-        assert not mixed.is_exact and mixed.weights == (1.0, 0.0, 0.0)
-        with pytest.raises(SpaceMismatchError):
-            jeffrey_update_weighted(omega, [(pt_a, 1), (point_pred("a", SampleSpace("ab")), 0)])
+        # the composition updates on every factor, so a zero weight does not excuse a zero validity
+        with pytest.raises(ZeroValidityError):
+            convex_sum((1, 0), [bayes_update(omega, pt_a), bayes_update(omega, pt_c)])
 
 
 class TestPearlUpdate:
@@ -505,7 +497,6 @@ NORMALISER_READERS = {
     "covariance": lambda omega, p, psi: covariance(omega, p, truth(p.space)),
     "bayes_update": lambda omega, p, psi: bayes_update(omega, p),
     "jeffrey_update": lambda omega, p, psi: jeffrey_update(omega, psi),
-    "jeffrey_update_weighted": lambda omega, p, psi: jeffrey_update_weighted(omega, [(p, 1)]),
     "pearl_update": lambda omega, p, psi: pearl_update(omega, psi),
     "vfe_update": lambda omega, p, psi: vfe_update(omega, psi),
     "vfe_update_softmax": lambda omega, p, psi: vfe_update_softmax(omega, psi),
@@ -524,7 +515,6 @@ EXACT_VALUES = {
     "covariance": 0,
     "bayes_update": HALVES,
     "jeffrey_update": HALVES,
-    "jeffrey_update_weighted": HALVES,
     "pearl_update": HALVES,
     "vfe_update": HALVES.to_float(),
     "vfe_update_softmax": HALVES.to_float(),

@@ -21,16 +21,18 @@ from multibayes import (
     Evidence,
     Factor,
     FloatRangeError,
+    Multiset,
     NonConvexWeightsError,
     SampleSpace,
+    bayes_update,
     convex_sum,
-    jeffrey_update_weighted,
     push,
     tensor,
     tensor_conj,
     tensor_factor,
     tensor_power,
 )
+from multibayes.evidence import scale
 from multibayes.modelfile import parse_model, serialize_model
 
 import reference
@@ -73,7 +75,7 @@ def mix(values):
 def mix_updates(values):
     omega = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
     factors = [Factor(AB, (1, Fraction(1, 2))), Factor(AB, (0.25, 1.0))]
-    return jeffrey_update_weighted(omega, list(zip(factors, values)))
+    return convex_sum(values, [bayes_update(omega, p) for p in factors])
 
 
 def floats(values):
@@ -84,7 +86,9 @@ BAD_INPUTS = (
     [(build_dist, v, ValueError) for v in OUT_OF_RANGE + NOT_NORMALISED + WRONG_LENGTH]
     + [(build_factor, v, ValueError) for v in OUT_OF_RANGE + WRONG_LENGTH]
     + [(mix, v, NonConvexWeightsError) for v in OUT_OF_RANGE + NOT_NORMALISED + WRONG_LENGTH]
-    + [(mix_updates, v, NonConvexWeightsError) for v in OUT_OF_RANGE + NOT_NORMALISED]
+    + [(lambda v: Channel(AB, AB, [build_dist(v)]), (Fraction(1, 4), Fraction(3, 4)), ValueError)]  # one row, two domain elements
+    + [(lambda v: Multiset(AB, v), v, ValueError) for v in ((1,), (1, 2, 3))]
+    + [(lambda v: scale(v, build_factor((1, 1))), v, ValueError) for v in (-1, Fraction(-1, 2), -0.5, NAN, INF)]
     + [(lambda v: Dist._from_floats(AB, floats(v)), v, FloatRangeError) for v in OUT_OF_RANGE + NOT_NORMALISED]
     + [(lambda v: Factor._from_floats(AB, floats(v)), v, FloatRangeError) for v in OUT_OF_RANGE]
 )
@@ -246,24 +250,3 @@ def test_mixture_matches_per_element_sums(seed, rows, columns, mode):
     c, omega = Channel(dom, s, dists), Dist(dom, weights)
     for _ in range(2):  # the second push runs on what the first built
         check_mix(push(c, omega), expected, exact)
-
-
-@pytest.mark.parametrize("stand_in", ["exact", "float"])
-@pytest.mark.parametrize("rows,columns", MIX_SHAPES, ids=MIX_SHAPE_IDS)
-@pytest.mark.parametrize("seed", range(5))
-def test_weighted_update_with_a_zero_weight(seed, rows, columns, stand_in):
-    """A term of weight zero adds nothing.  Its row stands in for the
-    posterior: the prior for an exact factor, the factor itself for a
-    float one, which puts the whole mixture on floats."""
-    rng = random.Random(seed)
-    s = space(rng, columns, columns)
-    omega = reference.exact_dist(rng, s)
-    factors = [Factor(s, [Fraction(rng.randint(1, 9), 9) for _ in s]) for _ in range(rows)]
-    weights = zero_weight_among(rng, rows, exact=True)
-    if stand_in == "float":
-        factors[weights.index(0)] = Factor(s, [3 * rng.random() for _ in s])  # not a predicate
-    posteriors = [reference.ref_bayes(omega.weights, f.values) for f in factors]
-    if stand_in == "float":
-        posteriors = [floats(p) for p in posteriors]
-    result = jeffrey_update_weighted(omega, list(zip(factors, weights)))
-    check_mix(result, reference.ref_mix(weights, posteriors), stand_in == "exact")
