@@ -250,3 +250,24 @@ def test_mixture_matches_per_element_sums(seed, rows, columns, mode):
     c, omega = Channel(dom, s, dists), Dist(dom, weights)
     for _ in range(2):  # the second push runs on what the first built
         check_mix(push(c, omega), expected, exact)
+
+
+@pytest.mark.parametrize("zero_term", ["exact", "float"])
+@pytest.mark.parametrize("rows,columns", MIX_SHAPES, ids=MIX_SHAPE_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_update_with_a_zero_weight(seed, rows, columns, zero_term):
+    """Jeffrey's rule over weighted predicates, as ``convex_sum`` of Bayes
+    updates: a term of weight zero adds nothing.  Its posterior is still
+    computed, so a float factor there puts the whole mixture on floats."""
+    rng = random.Random(seed)
+    s = space(rng, columns, columns)
+    omega = reference.exact_dist(rng, s)
+    factors = [Factor(s, [Fraction(rng.randint(1, 9), 9) for _ in s]) for _ in range(rows)]
+    weights = zero_weight_among(rng, rows, exact=True)
+    if zero_term == "float":
+        factors[weights.index(0)] = Factor(s, [3 * rng.random() for _ in s])  # not a predicate
+    posteriors = [reference.ref_bayes(omega.weights, f.values) for f in factors]
+    if zero_term == "float":
+        posteriors = [floats(p) for p in posteriors]
+    result = convex_sum(weights, [bayes_update(omega, f) for f in factors])
+    check_mix(result, reference.ref_mix(weights, posteriors), zero_term == "exact")
