@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .channel import Channel, dagger, identity_channel, multinomial_channel, pull, push, triple_pull
 from .core import SampleSpace
@@ -213,6 +213,20 @@ def _perfect_pack(rng: random.Random, space: SampleSpace, parts: int) -> list[Fa
         if len(set(factors)) == parts:
             return factors
     raise AssertionError("could not build a distinct perfect pack")
+
+
+def _sweep(rng: random.Random, space: SampleSpace, den: int, trials: int) -> Iterator[Dist]:
+    """Candidates for an optimum on a 2- or 3-element space, built one
+    at a time: every distribution whose weights are multiples of 1/den
+    (ascending first weight, then second), then ``trials`` drawn ones."""
+    if len(space) == 2:
+        heads = ((k,) for k in range(den + 1))
+    else:
+        heads = ((i, j) for i in range(den + 1) for j in range(den + 1 - i))
+    for head in heads:
+        yield Dist._from_ints(space, (*head, den - sum(head)), den)
+    for _ in range(trials):
+        yield _dist(rng, space, full_support=False, unit=60)
 
 
 def _point_multiset(rng: random.Random, space: SampleSpace, size: int) -> Multiset:
@@ -562,29 +576,19 @@ def _point_evidence_bridge(rng):
 def _point_evidence_argmax(trials, rng):
     space = SampleSpace("ab")
     phi = acc(list("aabab"), space)
-    best = jeffrey_validity(flrn(phi), point_evidence(phi))
-    candidates: list[Dist] = [
-        Dist(space, (Fraction(k, 100), Fraction(100 - k, 100))) for k in range(101)
-    ]
-    for _ in range(trials):
-        candidates.append(_dist(rng, space, full_support=False, unit=60))
+    psi = point_evidence(phi)
+    best = jeffrey_validity(flrn(phi), psi)
+    for cand in _sweep(rng, space, 100, trials):
+        if jeffrey_validity(cand, psi) > best:
+            return False, trials, f"candidate {cand} beats the frequency distribution"
     space3 = SampleSpace("abc")
     phi3 = _point_multiset(rng, space3, 6)
     while len(phi3.support()) < 2:
         phi3 = _point_multiset(rng, space3, 6)
-    best3 = jeffrey_validity(flrn(phi3), point_evidence(phi3))
-    candidates3: list[Dist] = [
-        Dist(space3, (Fraction(i, 20), Fraction(j, 20), Fraction(20 - i - j, 20)))
-        for i in range(21)
-        for j in range(21 - i)
-    ]
-    for _ in range(trials):
-        candidates3.append(_dist(rng, space3, full_support=False, unit=60))
-    for cand in candidates:
-        if jeffrey_validity(cand, point_evidence(phi)) > best:
-            return False, trials, f"candidate {cand} beats the frequency distribution"
-    for cand in candidates3:
-        if jeffrey_validity(cand, point_evidence(phi3)) > best3:
+    psi3 = point_evidence(phi3)
+    best3 = jeffrey_validity(flrn(phi3), psi3)
+    for cand in _sweep(rng, space3, 20, trials):
+        if jeffrey_validity(cand, psi3) > best3:
             return False, trials, f"candidate {cand} beats the frequency distribution"
     return True, trials, None
 
@@ -947,11 +951,7 @@ def _vfe_argmin(trials, rng):
     posterior = vfe_update(model.prior, psi)
     posteriors = _factor_posteriors(model.prior, psi)
     minimum = _free_energy(posterior, posteriors)
-    space = model.prior.space
-    candidates = [Dist._from_ints(space, (k, 100 - k), 100) for k in range(101)]
-    for _ in range(trials):
-        candidates.append(_dist(rng, space, full_support=False, unit=60))
-    for cand in candidates:
+    for cand in _sweep(rng, model.prior.space, 100, trials):
         value = _free_energy(cand, posteriors)
         if value < minimum - FLOAT_SLACK:
             return False, trials, f"candidate {cand} beat the VFE update"
@@ -964,8 +964,7 @@ def _vfe_argmin(trials, rng):
     posterior3 = vfe_update(omega3, psi3)
     posteriors3 = _factor_posteriors(omega3, psi3)
     minimum3 = _free_energy(posterior3, posteriors3)
-    grid3 = [Dist._from_ints(space3, (i, j, 100 - i - j), 100) for i in range(101) for j in range(101 - i)]
-    for cand in grid3:
+    for cand in _sweep(rng, space3, 100, 0):
         if _free_energy(cand, posteriors3) < minimum3 - FLOAT_SLACK:
             return False, trials, f"grid candidate {cand} beat the VFE update"
     return True, trials, None

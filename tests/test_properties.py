@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -73,3 +74,17 @@ def test_a_property_that_raises_fails_and_the_next_one_runs(monkeypatch, capsys)
     assert cmd_check("core", 5, 42) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [failed.line(), ran.line(), "1/2 properties passed"]
+
+
+@pytest.mark.parametrize("prop_id", ["vfe-argmin", "point-evidence-argmax"])
+def test_a_candidate_sweep_holds_no_candidate_list(prop_id):
+    # the sweeps build their grid and drawn candidates one at a time, so
+    # memory does not grow with the grid or with the trial count
+    tracemalloc.start()
+    try:
+        (result,) = run_suite(prop_id, trials=1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.passed, result.trials) == (True, 1000), result.detail
+    assert peak < 100_000
