@@ -26,6 +26,7 @@ class Channel:
     """
 
     __slots__ = ("_dom", "_cod", "_rows", "_den", "_ints", "_columns", "_float_columns")
+    _NOUN = "channel"
 
     def __init__(self, dom: SampleSpace, cod: SampleSpace, rows: Sequence[Dist]):
         rows = tuple(rows)
@@ -40,6 +41,11 @@ class Channel:
             den = self._den = math.lcm(*[row._den for row in rows])
             self._ints = [[n * scale for n in row._nums] for row in rows for scale in (den // row._den,)]
             self._columns = list(zip(*self._ints))
+
+    @property
+    def _space(self) -> SampleSpace:
+        """The space the operand rule returns for a channel: its domain."""
+        return self._dom
 
     @property
     def dom(self) -> SampleSpace:
@@ -77,7 +83,7 @@ def push(c: Channel, omega: Dist) -> Dist:
     """Pushforward (prediction): y -> sum_x omega(x) * c(x)(y), the
     mixture of the rows weighted by ``omega``: one dot product per
     column, on ints when every operand is exact, else one ``math.fsum``."""
-    _require_operands((omega,), Dist, "push arguments", c._dom)
+    _require_operands((omega,), Dist, "push arguments", _require_operands((c,), Channel, "push arguments"))
     if omega._nums is not None and c._den is not None:
         nums = omega._nums
         return Dist._from_ints(c._cod, [sum(map(mul, nums, col)) for col in c._columns], omega._den * c._den)
@@ -91,6 +97,7 @@ def pull(c: Channel, q: Factor) -> Factor:
     """Pullback of a factor: x -> sum_y c(x)(y) * q(y), the validity of
     ``q`` in each row (a float one beyond the float range raises
     FloatRangeError)."""
+    _require_operands((c,), Channel, "pull arguments")
     _require_operands((q,), Factor, "pull arguments", c._cod)
     if q._nums is not None and c._den is not None:
         nums = q._nums
@@ -105,6 +112,7 @@ def triple_pull(c: Channel, psi: Evidence) -> Evidence:
     Factors that become pointwise equal after pulling are merged by
     adding their multiplicities.
     """
+    _require_operands((c,), Channel, "triple pull arguments")
     _require_operands((psi,), Evidence, "triple pull arguments")
     return Evidence((pull(c, q), count) for q, count in psi.items())
 
@@ -116,7 +124,7 @@ def dagger(c: Channel, omega: Dist) -> Channel:
     point predicate; a codomain element that the prediction gives zero
     probability has no well-defined row and raises ZeroValidityError.
     """
-    _require_operands((omega,), Dist, "priors", c._dom)
+    _require_operands((omega,), Dist, "priors", _require_operands((c,), Channel, "dagger arguments"))
     rows = []
     for y in c.cod:
         row = _entry(omega, pull(c, point_pred(y, c.cod)), True)[2]
@@ -129,5 +137,6 @@ def dagger(c: Channel, omega: Dist) -> Channel:
 def multinomial_channel(c: Channel, size: int) -> Channel:
     """Channel of draws: each domain element maps to the distribution of
     size-``size`` draws from its row."""
+    _require_operands((c,), Channel, "multinomial channel arguments")
     cod = multiset_space(c.cod, size)
     return Channel(c.dom, cod, tuple(multinomial(size, row) for row in c.rows))

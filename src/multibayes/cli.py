@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from .core import format_decimal12, format_scalar, is_exact
+from .core import format_decimal12, format_scalar
 from .errors import MultibayesError
 from .evidence import Evidence
 from .models import GRID_MODES, grid_values, medical_grid_spec, medical_model
@@ -22,9 +22,7 @@ from .validity import jeffrey_validity, pearl_validity, validity
 
 
 def _fraction_line(name: str, value) -> str:
-    if is_exact(value):
-        return f"{name} = {format_scalar(value)} = {format_decimal12(value)}"
-    return f"{name} = {format_decimal12(value)}"
+    return f"{name} = {format_scalar(value)} = {format_decimal12(value)}"
 
 
 def cmd_report_medical() -> int:

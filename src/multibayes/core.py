@@ -296,15 +296,15 @@ class _Vector:
     All-exact values are stored as int numerators ``_nums`` over one
     denominator ``_den`` in lowest common terms, ``gcd(den, *nums) == 1``,
     so equal vectors hold equal tuples and exact kernels run on ints.
-    Their Fraction tuple ``_seq`` is built only when read, and their
-    float view ``_flt``, which float kernels run on, when first needed.
-    Values that hold any float are one float tuple, both ``_seq`` and
+    Their Fractions are built each time they are read, and not kept;
+    their float view ``_flt``, which float kernels run on, is built when
+    first needed.  Values that hold any float are the one float tuple
     ``_flt``, with ``_nums`` None.  ``_memo`` is None until a factor
     keeps what it computed for a prior there, and ``_powers`` until it
     keeps its powers (see ``Factor``).
     """
 
-    __slots__ = ("_space", "_nums", "_den", "_seq", "_flt", "_memo", "_powers")
+    __slots__ = ("_space", "_nums", "_den", "_flt", "_memo", "_powers")
 
     #: Whether the values must sum to one (distributions, mixture weights).
     _NORMALISED = False
@@ -338,9 +338,9 @@ class _Vector:
         _check_range(values, den, self._NORMALISED, self._ERROR, self._WHAT)
         self._space, self._memo, self._powers = space, None, None
         if den is None:
-            self._nums, self._den, self._seq, self._flt = None, 1, values, values
+            self._nums, self._den, self._flt = None, 1, values
         else:
-            self._nums, self._den, self._seq, self._flt = values, den, None, None
+            self._nums, self._den, self._flt = values, den, None
 
     @classmethod
     def _from_ints(cls, space: SampleSpace, nums: Iterable[int], den: int):
@@ -351,7 +351,7 @@ class _Vector:
             den //= divisor
             nums = tuple([n // divisor for n in nums])
         vector = cls.__new__(cls)
-        vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, nums, den, None, None
+        vector._space, vector._nums, vector._den, vector._flt = space, nums, den, None
         vector._memo = vector._powers = None
         return vector
 
@@ -362,7 +362,7 @@ class _Vector:
         values = tuple(values)
         _check_range(values, None, cls._NORMALISED, FloatRangeError, "float result")
         vector = cls.__new__(cls)
-        vector._space, vector._nums, vector._den, vector._seq, vector._flt = space, None, 1, values, values
+        vector._space, vector._nums, vector._den, vector._flt = space, None, 1, values
         vector._memo = vector._powers = None
         return vector
 
@@ -382,11 +382,10 @@ class _Vector:
         return self._space
 
     def _scalars(self) -> tuple[Scalar, ...]:
-        seq = self._seq
-        if seq is None:
-            den = self._den
-            seq = self._seq = tuple([Fraction(n, den) for n in self._nums])
-        return seq
+        if self._nums is None:
+            return self._flt
+        den = self._den
+        return tuple([Fraction(n, den) for n in self._nums])
 
     def _top(self) -> int:
         """The largest int of this exact vector, its denominator or a
@@ -396,7 +395,7 @@ class _Vector:
     def _raw(self) -> tuple:
         """The ints when exact, the floats otherwise: either has the
         values' zero pattern."""
-        return self._seq if self._nums is None else self._nums
+        return self._flt if self._nums is None else self._nums
 
     def _floats(self) -> tuple[float, ...]:
         """Each value as the nearest float: an all-float vector's own
@@ -423,8 +422,8 @@ class _Vector:
 
     def __call__(self, element: Label) -> Scalar:
         index = self._space.index(element)
-        if self._seq is not None:
-            return self._seq[index]
+        if self._nums is None:
+            return self._flt[index]
         return Fraction(self._nums[index], self._den)
 
     def items(self) -> Iterator[tuple[Label, Scalar]]:

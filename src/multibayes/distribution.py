@@ -15,7 +15,7 @@ from .errors import (
     NonConvexWeightsError,
     UnknownElementError,
 )
-from .multiset import Multiset, coefm, multiset_space
+from .multiset import Multiset, multiset_space
 
 
 class Dist(_Vector):
@@ -204,10 +204,11 @@ def multinomial(size: int, omega: Dist) -> Dist:
     if omega._nums is None:
         floats = omega._floats()
         try:
-            return Dist._from_floats(space, [math.prod(map(pow, floats, phi.counts), start=coefm(phi)) for phi in space])
+            weights = [math.prod(map(pow, floats, phi.counts), start=phi.coefficient()) for phi in space]
+            return Dist._from_floats(space, weights)
         except OverflowError:
             raise FloatRangeError("a multinomial coefficient is too large for a float") from None
     _require_bits("multinomial", ((omega._top(), size),))
     nums = omega._nums
-    weights = [math.prod(map(pow, nums, phi.counts), start=coefm(phi)) for phi in space]
+    weights = [math.prod(map(pow, nums, phi.counts), start=phi.coefficient()) for phi in space]
     return Dist._from_ints(space, weights, omega._den**size)

@@ -5,14 +5,11 @@ from __future__ import annotations
 import math
 from itertools import compress, repeat
 from operator import mul, truediv
-from typing import TYPE_CHECKING
 
+from .channel import Channel
 from .core import _check_finite, _fsum, _require_operands
 from .distribution import Dist
 from .errors import LogBaseError, SupportMismatchError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .channel import Channel
 
 
 def _exact_term(w: float, r: float, n: int, m: int, den: int, rho_den: int) -> float:
@@ -68,13 +65,14 @@ def kl_divergence(sigma: Dist, rho: Dist, base: float | None = None) -> float:
     return _check_finite(total, "divergence")
 
 
-def expected_channel_divergence(sigma: Dist, rho: Dist, c: "Channel", base: float | None = None) -> float:
+def expected_channel_divergence(sigma: Dist, rho: Dist, c: Channel, base: float | None = None) -> float:
     """Average divergence of ``rho`` from the channel rows under ``sigma``.
 
     Computes sum_z sigma(z) * KL(rho, c(z)); it bounds the divergence
-    from the pushforward KL(rho, c >> sigma) from above.
+    from the pushforward KL(rho, c >> sigma) from above.  ``sigma``
+    lives on the channel's domain.
     """
-    _require_operands((sigma,), Dist, "divergence arguments")
+    _require_operands((sigma,), Dist, "divergence arguments", _require_operands((c,), Channel, "divergence arguments"))
     total = 0.0
     for z, w, weight in zip(sigma.space, sigma._raw(), sigma._floats()):
         if w:

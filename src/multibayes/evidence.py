@@ -16,7 +16,7 @@ from .errors import (
     FloatRangeError,
     NotAPredicateError,
 )
-from .multiset import Multiset, _Counted, coefm_counts
+from .multiset import Multiset, _Counted
 
 
 #: How many counts' powers a factor keeps for the conjunction.
@@ -267,10 +267,6 @@ class Evidence(_Counted):
             raise EmptyEvidenceError("empty evidence has no underlying space")
         return self._space
 
-    def coefficient(self) -> int:
-        """Multinomial coefficient of the multiplicity vector."""
-        return coefm_counts(self._counts)
-
     def items(self) -> Iterator[tuple[Factor, int]]:
         return zip(self._factors, self._counts)
 
@@ -299,6 +295,7 @@ class Evidence(_Counted):
 
 def point_evidence(phi: Multiset) -> Evidence:
     """Interpret a multiset over X as evidence made of point predicates."""
+    _require_operands((phi,), Multiset, "point evidence arguments")
     return Evidence((point_pred(x, phi.space), c) for x, c in phi.items() if c)
 
 

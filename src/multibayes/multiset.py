@@ -32,6 +32,12 @@ class _Counted:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
+    def coefficient(self) -> int:
+        """Multinomial coefficient K!/prod(c!) of the counts, refused when
+        it has more than MAX_EXACT_BITS bits."""
+        _require_bits("multinomial coefficient", (), self._counts)
+        return _binomial_product(self._counts)
+
 
 class Multiset(_Counted):
     """Finite map from sample-space elements to natural multiplicities.
@@ -98,20 +104,10 @@ def acc(seq: Iterable[Label], space: SampleSpace) -> Multiset:
     return Multiset(space, counts)
 
 
-def coefm_counts(counts: Iterable[int]) -> int:
-    """Multinomial coefficient K!/prod(c!) of a multiplicity vector.
-
-    Computed as a product of binomials, so no intermediate exceeds the
-    result; a coefficient of more than MAX_EXACT_BITS bits is refused.
-    """
-    counts = tuple(counts)
-    _require_bits("multinomial coefficient", (), counts)
-    return _binomial_product(counts)
-
-
 def _binomial_product(counts: Sequence[int]) -> int:
     """The multinomial coefficient of ``counts`` as a product of
-    binomials, unchecked: each caller runs its own size check first."""
+    binomials, so no intermediate exceeds the result; unchecked: each
+    caller runs its own size check first."""
     total = sum(counts)
     result = 1
     for c in counts:
@@ -122,7 +118,8 @@ def _binomial_product(counts: Sequence[int]) -> int:
 
 def coefm(phi: Multiset) -> int:
     """Number of sequences that accumulate to ``phi``."""
-    return coefm_counts(phi.counts)
+    _require_operands((phi,), Multiset, "coefm arguments")
+    return phi.coefficient()
 
 
 def _count_vectors(n: int, total: int) -> Iterator[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .channel import Channel, dagger, identity_channel, multinomial_channel, pull, push, triple_pull
-from .core import SampleSpace
+from .core import SampleSpace, _require_naturals
 from .distribution import (
     Dist,
     convex_sum,
@@ -147,6 +147,9 @@ def resolve_suite(name: str) -> list[Property]:
 
 
 def run_suite(name: str, trials: int, seed: int) -> list[CheckResult]:
+    _require_naturals((trials,), "trials")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     results = []
     for prop in resolve_suite(name):
         rng = random.Random(f"{seed}|{prop.prop_id}")
@@ -717,15 +720,20 @@ def _validity_gain(rng):
     return None
 
 
-@_register("jeffrey-increases", "update")
-def _jeffrey_increases(rng):
+def _increases(rng, rule: str, update, evidence_validity):
+    """One trial of the theorem that ``update`` does not lower ``evidence_validity``;
+    the callers look both up at call time, so a rebound module name runs."""
     space = _space(rng)
     omega = _dist(rng, space)
     psi = _evidence(rng, space)
-    posterior = jeffrey_update(omega, psi)
-    if jeffrey_validity(posterior, psi) < jeffrey_validity(omega, psi):
-        return f"Jeffrey update decreased Jeffrey validity for {psi}"
+    if evidence_validity(update(omega, psi), psi) < evidence_validity(omega, psi):
+        return f"{rule} update decreased {rule} validity for {psi}"
     return None
+
+
+@_register("jeffrey-increases", "update")
+def _jeffrey_increases(rng):
+    return _increases(rng, "Jeffrey", jeffrey_update, jeffrey_validity)
 
 
 @_register("jeffrey-dkl-decrease", "update")
@@ -821,13 +829,7 @@ def _jeffrey_convex_combination(rng):
 
 @_register("pearl-increases", "update")
 def _pearl_increases(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
-    psi = _evidence(rng, space)
-    posterior = pearl_update(omega, psi)
-    if pearl_validity(posterior, psi) < pearl_validity(omega, psi):
-        return f"Pearl update decreased Pearl validity for {psi}"
-    return None
+    return _increases(rng, "Pearl", pearl_update, pearl_validity)
 
 
 @_register("pearl-product-bayes", "update")

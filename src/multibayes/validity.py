@@ -143,6 +143,7 @@ def pearl_validity(omega: Dist, psi: Evidence) -> Scalar:
 def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:
     """Covariance of two factors under a distribution.  A float result
     that is not finite raises FloatRangeError."""
+    _require_operands((p1, p2), Factor, "covariance arguments", _require_operands((omega,), Dist, "priors"))
     return _check_finite(validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2), "covariance")
 
 

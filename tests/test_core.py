@@ -2,6 +2,7 @@
 
 import __future__
 import math
+import re
 import time
 import types
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -27,6 +28,7 @@ from multibayes import (
     UnknownElementError,
     and_conj,
     bayes_update,
+    coefm,
     conj,
     convex_sum,
     copy_dist,
@@ -48,11 +50,13 @@ from multibayes import (
     marginal,
     match_status,
     multinomial,
+    multinomial_channel,
     multiset_space,
     ortho,
     parse_scalar,
     pearl_update,
     pearl_validity,
+    point_evidence,
     point_pred,
     pull,
     push,
@@ -292,8 +296,8 @@ def _kl(sigma, rho) -> float:
     return sum(s * math.log(s / r) for s, r in zip(sigma, rho))
 
 
-#: Every entry point that reads a Dist, Factor, Multiset or Evidence, with one
-#: operand slot open: the class it reads there, the call with ``x`` in
+#: Every entry point that reads a Dist, Factor, Multiset, Evidence or Channel,
+#: with one operand slot open: the class it reads there, the call with ``x`` in
 #: the slot, a valid operand, its result, and whether the slot must
 #: share one space with the other operands.
 OPERAND_ENTRY_POINTS = {
@@ -377,6 +381,48 @@ OPERAND_ENTRY_POINTS = {
         lambda x: expected_channel_divergence(x, uniform(T), C),
         OMEGA,
         pytest.approx(0.05 * _kl((0.5, 0.5), (0.9, 0.1)) + 0.95 * _kl((0.5, 0.5), (0.4, 0.6))),
+        True,
+    ),
+    "covariance(omega)": (Dist, lambda x: covariance(x, PT, NT), OMEGA, Fraction(-19, 1600), True),
+    "covariance(p1)": (Factor, lambda x: covariance(OMEGA, x, NT), PT, Fraction(-19, 1600), True),
+    "covariance(p2)": (Factor, lambda x: covariance(OMEGA, PT, x), NT, Fraction(-19, 1600), True),
+    "iterated_pearl_validity(omega)": (
+        Dist, lambda x: iterated_pearl_validity(x, (PT, PT, NT)), OMEGA, Fraction(381, 4000), True
+    ),
+    "iterated_pearl_validity(ps)": (
+        Factor, lambda x: iterated_pearl_validity(OMEGA, (PT, x, NT)), PT, Fraction(381, 4000), True
+    ),
+    "coefm": (Multiset, coefm, Multiset(D, (2, 1)), 3, False),
+    "point_evidence": (
+        Multiset,
+        point_evidence,
+        Multiset(D, (2, 1)),
+        Evidence(((point_pred("d", D), 2), (point_pred("~d", D), 1))),
+        False,
+    ),
+    # channel slots: the other operands' spaces are checked against the channel's
+    "push(c)": (Channel, lambda x: push(x, OMEGA), C, Dist(T, (Fraction(17, 40), Fraction(23, 40))), False),
+    "pull(c)": (Channel, lambda x: pull(x, point_pred("p", T)), C, PT, False),
+    "dagger(c)": (Channel, lambda x: dagger(x, OMEGA), C, Channel(T, D, (POSITIVE, bayes_update(OMEGA, NT))), False),
+    "triple_pull(c)": (
+        Channel,
+        lambda x: triple_pull(x, Evidence(((point_pred("p", T), 2), (point_pred("n", T), 1)))),
+        C,
+        PSI,
+        False,
+    ),
+    "multinomial_channel": (
+        Channel,
+        lambda x: multinomial_channel(x, 1),
+        C,
+        Channel(D, multiset_space(T, 1), [Dist(multiset_space(T, 1), row.weights) for row in (ROW_D, ROW_ND)]),
+        False,
+    ),
+    "expected_channel_divergence(c)": (
+        Channel,
+        lambda x: expected_channel_divergence(OMEGA, uniform(T), x),
+        C,
+        pytest.approx(0.05 * _kl((0.5, 0.5), (0.9, 0.1)) + 0.95 * _kl((0.5, 0.5), (0.4, 0.6))),
         False,
     ),
     # evidence slots: the space is checked through the prior's slot
@@ -429,7 +475,40 @@ OPERAND_ENTRY_POINTS = {
 }
 
 #: What the TypeError says each class is.
-NOUNS = {Dist: "distributions", Factor: "factors", Multiset: "multisets", Evidence: "evidence multisets"}
+NOUNS = {
+    Dist: "distributions",
+    Factor: "factors",
+    Multiset: "multisets",
+    Evidence: "evidence multisets",
+    Channel: "channels",
+}
+
+#: Public callables that read no operand of those classes, only spaces,
+#: labels, scalars or counts: every other public callable except the
+#: error classes has a slot in OPERAND_ENTRY_POINTS.
+NO_OPERAND_CALLABLES = {
+    "Dist",
+    "Factor",
+    "MatchStatus",
+    "SampleSpace",
+    "Scalar",  # a type alias
+    "acc",
+    "as_scalar",
+    "dirac",
+    "enumerate_multisets",
+    "falsity",
+    "format_decimal12",
+    "format_scalar",
+    "identity_channel",
+    "indicator",
+    "is_exact",
+    "multiset_space",
+    "parse_scalar",
+    "point_pred",
+    "scalar_ln",
+    "truth",
+    "uniform",
+}
 
 
 def _twin(x, floats: bool):
@@ -438,16 +517,19 @@ def _twin(x, floats: bool):
     if not floats or isinstance(x, Multiset):
         return x
     if isinstance(x, tuple):
-        return tuple(map(float, x))
+        return tuple(v.to_float() if isinstance(v, Dist) else float(v) for v in x)
     return type(x)(x.space, [float(v) for _, v in x.items()])
 
 
 def _wrong(name: str, kind: str):
     """An operand the slot of ``name`` must refuse: its valid operand's
-    values as a tuple, or an operand of another class on the same space
-    (a factor that does not sum to one where a distribution is read, one
-    of its factors where evidence is read, a distribution elsewhere)."""
+    values (a channel's rows) as a tuple, or an operand of another class
+    on the same space (a factor that does not sum to one where a
+    distribution is read, one of its factors where evidence is read, one
+    of its rows where a channel is read, a distribution elsewhere)."""
     cls, _, valid, _, _ = OPERAND_ENTRY_POINTS[name]
+    if cls is Channel:
+        return valid.rows if kind == "tuple" else valid.rows[0]
     if kind == "tuple":
         return tuple(v for _, v in valid.items())
     if cls is Dist:
@@ -458,7 +540,7 @@ def _wrong(name: str, kind: str):
 
 
 class TestOperands:
-    """Every kernel checks its Dist, Factor, Multiset and Evidence operands with
+    """Every kernel checks its Dist, Factor, Multiset, Evidence and Channel operands with
     one rule: TypeError for an operand of another type, SpaceMismatchError
     for one on a second space, in exact and float mode alike."""
 
@@ -500,9 +582,46 @@ class TestOperands:
     def test_the_messages_name_the_role(self):
         with pytest.raises(TypeError, match=r"^push arguments must be distributions, not Factor$"):
             push(C, Factor(D, (3, 1)))
+        with pytest.raises(TypeError, match=r"^push arguments must be channels, not Dist$"):
+            push(OMEGA, OMEGA)
         swapped = SampleSpace(("~d", "d"))
         with pytest.raises(SpaceMismatchError, match=r"^conjuncts must live on one sample space, not SampleSpace"):
             conj(PT, Factor(swapped, PT.values))
+
+    def test_evidence_is_not_a_multiset_and_a_channel_fixes_the_prior_space(self):
+        with pytest.raises(TypeError, match=r"^coefm arguments must be multisets, not Evidence$"):
+            coefm(PSI)
+        with pytest.raises(SpaceMismatchError, match="^divergence arguments must live on one sample space"):
+            expected_channel_divergence(Dist(SampleSpace(("d",)), (1,)), uniform(T), C)
+
+    def test_every_public_callable_has_an_operand_slot_or_reads_none(self):
+        """A public function that reads operands of these classes and has
+        no slot above would escape the rule, as the channel functions did."""
+        slotted = {re.split(r"[(.]", name)[0] for name in OPERAND_ENTRY_POINTS}
+        assert not slotted & NO_OPERAND_CALLABLES
+        assert NO_OPERAND_CALLABLES <= set(multibayes.__all__)
+        for name in multibayes.__all__:
+            value = getattr(multibayes, name)
+            if not callable(value) or isinstance(value, type) and issubclass(value, Exception):
+                continue
+            assert name in slotted or name in NO_OPERAND_CALLABLES, f"{name} has no slot in OPERAND_ENTRY_POINTS"
+
+
+#: Operator sugar and comparisons with a foreign value: each call and its result.
+SUGAR = {
+    "Factor.__rmul__": (lambda: 2 * PT, Factor(D, (Fraction(9, 5), Fraction(4, 5)))),
+    "Multiset.__call__": (lambda: Multiset(D, (2, 1))("~d"), 1),
+    "Evidence.__call__(absent)": (lambda: PSI(truth(D)), 0),
+    "Evidence == 1": (lambda: PSI == 1, False),
+    "Channel == 1": (lambda: C == 1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUGAR))
+def test_operator_sugar_and_foreign_comparisons(name):
+    call, expected = SUGAR[name]
+    result = call()
+    assert result == expected and type(result) is type(expected)
 
 
 #: The largest float, the smallest positive one and an int beyond the float range.

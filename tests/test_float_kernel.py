@@ -198,7 +198,7 @@ def test_to_float_and_kl_divergence(seed):
 def test_float_view_is_built_once():
     s = SampleSpace("abc")
     floats = Dist(s, (0.25, 0.5, 0.25))
-    assert floats._floats() is floats._seq
+    assert floats._floats() is floats.weights
     mixed = Dist(s, (Fraction(1, 4), 0.5, 0.25))
     assert mixed._floats() == (0.25, 0.5, 0.25) and mixed._floats() is mixed._floats()
     exact = Dist(s, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
@@ -239,7 +239,7 @@ def test_float_results_are_in_range(seed, float_results):
     assert float_results
     for vector in float_results:
         values = vector._floats()
-        assert values is vector._seq and vector._nums is None
+        assert values is vector._scalars() and vector._nums is None
         assert all(type(v) is float and 0.0 <= v < math.inf for v in values)
         if isinstance(vector, Dist):
             assert abs(sum(values) - 1.0) <= FLOAT_SUM_TOL

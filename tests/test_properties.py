@@ -76,6 +76,14 @@ def test_a_property_that_raises_fails_and_the_next_one_runs(monkeypatch, capsys)
     assert lines == [failed.line(), ran.line(), "1/2 properties passed"]
 
 
+@pytest.mark.parametrize("trials", [0, -5, True, 2.0], ids=["zero", "negative", "bool", "float"])
+@pytest.mark.parametrize("suite", ["core", "nonmatching-escape"])
+def test_run_suite_refuses_a_trial_count_that_is_not_positive(suite, trials):
+    # a trial count below one would report a pass having run nothing
+    with pytest.raises(ValueError, match="^trials must be"):
+        run_suite(suite, trials, 1)
+
+
 @pytest.mark.parametrize("prop_id", ["vfe-argmin", "point-evidence-argmax"])
 def test_a_candidate_sweep_holds_no_candidate_list(prop_id):
     # the sweeps build their grid and drawn candidates one at a time, so

@@ -178,7 +178,7 @@ def test_outer_matches_per_element_products(seed, exact):
             assert_canonical(result)
         else:
             assert bits(values_of(result)) == bits(expected)
-            assert result._nums is None and result._seq is result._floats()
+            assert result._nums is None and result._scalars() is result._floats()
 
 
 def test_outer_product_reduces_to_lowest_terms():
