@@ -271,6 +271,7 @@ class Evidence(_Counted):
         return zip(self._factors, self._counts)
 
     def __call__(self, factor: Factor) -> int:
+        _require_operands((factor,), Factor, "evidence lookups", self._space)
         for f, c in self.items():
             if f == factor:
                 return c

@@ -8,12 +8,17 @@ the ``check`` CLI subcommand and the acceptance tests.
 To add a property, decorate a per-trial check ``check(rng)`` with
 ``@_register(prop_id, group)``.  It draws one random instance from
 ``rng`` and returns a counterexample string, or None when the trial
-holds; the shared driver stops at the first counterexample.  A fixed
-instance is a check with ``max_trials=1`` that ignores ``rng``.  Use
-``@_register_run`` on a whole-run function ``run(trials, rng)`` returning
-``(passed, trials_run, detail)`` only where the result is not "first
-failing trial": witness searches, candidate sweeps and checks that
-report a detail on pass.  Registration order is the output order.
+holds; the one trial driver, ``_forall``, stops at the first
+counterexample.  Draw a space with a distribution on it by ``_prior``,
+and a channel with a distribution on its domain by ``_channel``.  A
+fixed instance is a check with ``max_trials=1`` that ignores ``rng``;
+it compares its values with the paper's printed figures by ``_figures``.
+Use ``@_register_run`` on a whole-run function ``run(trials, rng)``
+returning ``(passed, trials_run, detail)`` only where the result is not
+"first failing trial": a witness search runs on ``_exists``, the dual of
+``_forall``; a candidate sweep walks ``_sweep``; a check that reports a
+detail on pass wraps ``_forall``.  No property writes a trial loop of
+its own.  Registration order is the output order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .channel import Channel, dagger, identity_channel, multinomial_channel, pull, push, triple_pull
-from .core import SampleSpace, _require_naturals
+from .core import SampleSpace, Scalar, _require_naturals
 from .distribution import (
     Dist,
     convex_sum,
@@ -103,12 +108,18 @@ class Property:
 PROPERTIES: dict[str, Property] = {}
 
 
-def _forall(trials: int, rng: random.Random, check: Callable[[random.Random], str | None]):
+def _forall(trials: int, rng: random.Random, check: Callable[[random.Random], object]):
     for t in range(trials):
         detail = check(rng)
         if detail is not None:
             return False, t + 1, detail
     return True, trials, None
+
+
+def _exists(trials: int, rng: random.Random, probe: Callable[[random.Random], object]):
+    """The dual of :func:`_forall`: pass at the first trial whose ``probe`` returns a witness (not None)."""
+    held, ran, witness = _forall(trials, rng, probe)
+    return not held, ran, witness
 
 
 def _register_run(prop_id: str, group: str, max_trials: int | None = None):
@@ -181,6 +192,21 @@ def _dist(rng: random.Random, space: SampleSpace, full_support: bool = True, uni
     return flrn(Multiset(space, counts))
 
 
+def _prior(rng: random.Random, max_size: int = 6, **dist_kwargs) -> tuple[SampleSpace, Dist]:
+    """A space of 2 to ``max_size`` elements and a ``_dist`` on it."""
+    space = _space(rng, max_size=max_size)
+    return space, _dist(rng, space, **dist_kwargs)
+
+
+def _channel(rng: random.Random, cod_size: int = 4, full_rows: bool = True, **dist_kwargs) -> tuple[SampleSpace, SampleSpace, Channel, Dist]:
+    """A channel from 2 to 4 elements to 2 to ``cod_size``, its rows of
+    full support when ``full_rows``, and a ``_dist`` on its domain."""
+    dom = _space(rng, max_size=4)
+    cod = _space(rng, max_size=cod_size, labels=_COD_LABELS)
+    c = Channel(dom, cod, tuple(_dist(rng, cod, full_support=full_rows) for _ in dom))
+    return dom, cod, c, _dist(rng, dom, **dist_kwargs)
+
+
 def _factor(rng: random.Random, space: SampleSpace, positive: bool = False, bound: int = 1) -> Factor:
     low = 1 if positive else 0
     return Factor._from_ints(space, [rng.randint(low, bound * 12) for _ in space], 12)
@@ -238,6 +264,11 @@ def _point_multiset(rng: random.Random, space: SampleSpace, size: int) -> Multis
 
 def _feq(a: float, b: float, tol: float = FLOAT_SLACK) -> bool:
     return abs(a - b) <= tol
+
+
+def _figures(*pairs: tuple[Scalar, str]) -> bool:
+    """Whether each value rounds, half to even, to its figure as the paper prints it (``"0.3081"``)."""
+    return all(round(Fraction(value), len(figure.partition(".")[2])) == Fraction(figure) for value, figure in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +379,7 @@ def _copy_iff_dirac(rng):
 
 @_register("multinomial-sums-to-one", "distribution", max_trials=400)
 def _multinomial_sums_to_one(rng):
-    space = _space(rng, max_size=4)
-    omega = _dist(rng, space, full_support=False)
+    _, omega = _prior(rng, max_size=4, full_support=False)
     size = rng.randint(0, 5)
     total = sum(multinomial(size, omega).weights, Fraction(0))
     if total != 1:
@@ -359,8 +389,7 @@ def _multinomial_sums_to_one(rng):
 
 @_register("multinomial-acc-pushforward", "distribution", max_trials=300)
 def _multinomial_acc_pushforward(rng):
-    space = _space(rng, max_size=3)
-    omega = _dist(rng, space, full_support=False)
+    space, omega = _prior(rng, max_size=3, full_support=False)
     size = rng.randint(0, 3)
     pushed = push_function(lambda t: acc(t, space), tensor_power(omega, size))
     if pushed != multinomial(size, omega):
@@ -520,8 +549,7 @@ def _perfect_match_normalisation(rng):
 
 @_register("single-factor-dominance", "validity")
 def _single_factor_dominance(rng):
-    space = _space(rng)
-    omega = _dist(rng, space, full_support=False)
+    space, omega = _prior(rng, full_support=False)
     p = _factor(rng, space)
     n = rng.randint(1, 6)
     psi = Evidence(((p, n),))
@@ -532,8 +560,7 @@ def _single_factor_dominance(rng):
 
 @_register("covariance-identity", "validity")
 def _covariance_identity(rng):
-    space = _space(rng)
-    omega = _dist(rng, space, full_support=False)
+    space, omega = _prior(rng, full_support=False)
     p1 = _factor(rng, space)
     p2 = _factor(rng, space)
     if p1 == p2:
@@ -549,8 +576,7 @@ def _covariance_identity(rng):
 
 @_register("log-likelihood-order", "validity")
 def _log_likelihood_order(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     omega_prime = _dist(rng, space)
     psi = _evidence(rng, space)
     score = log_likelihood_score(omega, omega_prime, psi)
@@ -565,8 +591,7 @@ def _log_likelihood_order(rng):
 
 @_register("point-evidence-bridge", "validity")
 def _point_evidence_bridge(rng):
-    space = _space(rng, max_size=4)
-    omega = _dist(rng, space, full_support=False)
+    space, omega = _prior(rng, max_size=4, full_support=False)
     size = rng.randint(1, 4)
     phi = _point_multiset(rng, space, size)
     draws = multinomial(size, omega)
@@ -621,13 +646,13 @@ def _jeffrey_pearl_gap_examples(rng):
     p = Factor(space, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
     psi = Evidence(((p, 1), (ortho(p), 1)))
     jv, pv = float(jeffrey_validity(omega, psi)), float(pearl_validity(omega, psi))
-    if abs(jv - 0.479) > 5e-4 or abs(pv - 0.028) > 5e-4:
+    if not _figures((jv, "0.479"), (pv, "0.028")):
         return f"wide-gap pair ({jv:.4f}, {pv:.4f}) != (0.479, 0.028)"
     omega2 = Dist(space, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
     q = Factor(space, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
     chi = Evidence(((q, 1), (ortho(q), 4)))
     jv2, pv2 = float(jeffrey_validity(omega2, chi)), float(pearl_validity(omega2, chi))
-    if abs(jv2 - 0.054) > 5e-4 or abs(pv2 - 0.154) > 5e-4:
+    if not _figures((jv2, "0.054"), (pv2, "0.154")):
         return f"reversal pair ({jv2:.4f}, {pv2:.4f}) != (0.054, 0.154)"
     if not jv2 < pv2:
         return "expected Pearl above Jeffrey in the reversal pair"
@@ -650,8 +675,7 @@ def _jeffrey_pearl_grid_gap(trials, rng):
 
 @_register("bayes-laws", "update")
 def _bayes_laws(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     p = _factor(rng, space, positive=True)
     q = _factor(rng, space, positive=True)
     s = Fraction(rng.randint(1, 24), 12)
@@ -669,8 +693,7 @@ def _bayes_laws(rng):
 
 @_register("product-bayes-rules", "update")
 def _product_bayes_rules(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     p = _factor(rng, space, positive=True)
     q = _factor(rng, space, positive=True)
     posterior = bayes_update(omega, p)
@@ -686,8 +709,7 @@ def _product_bayes_rules(rng):
 
 @_register("iterated-update-validity", "update")
 def _iterated_update_validity(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     ps = [_factor(rng, space, positive=True) for _ in range(rng.randint(1, 4))]
     chained = iterated_pearl_validity(omega, ps)
     conjunction = ps[0]
@@ -704,8 +726,7 @@ def _iterated_update_validity(rng):
 
 @_register("validity-gain", "update")
 def _validity_gain(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     p = _factor(rng, space, positive=True)
     if validity(bayes_update(omega, p), p) < validity(omega, p):
         return f"update decreased the validity of {p}"
@@ -723,8 +744,7 @@ def _validity_gain(rng):
 def _increases(rng, rule: str, update, evidence_validity):
     """One trial of the theorem that ``update`` does not lower ``evidence_validity``;
     the callers look both up at call time, so a rebound module name runs."""
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     psi = _evidence(rng, space)
     if evidence_validity(update(omega, psi), psi) < evidence_validity(omega, psi):
         return f"{rule} update decreased {rule} validity for {psi}"
@@ -738,8 +758,7 @@ def _jeffrey_increases(rng):
 
 @_register("jeffrey-dkl-decrease", "update")
 def _jeffrey_dkl_decrease(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     phi = _point_multiset(rng, space, rng.randint(1, 6))
     psi = point_evidence(phi)
     posterior = jeffrey_update(omega, psi)
@@ -751,8 +770,7 @@ def _jeffrey_dkl_decrease(rng):
 
 @_register("jeffrey-scale-invariant", "update")
 def _jeffrey_scale_invariant(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     psi = _evidence(rng, space)
     n = rng.randint(1, 4)
     if jeffrey_update(omega, psi.scale(n)) != jeffrey_update(omega, psi):
@@ -768,32 +786,27 @@ def _jeffrey_order(trials, rng):
     first = jeffrey_update(jeffrey_update(model.prior, psi), chi)
     second = jeffrey_update(jeffrey_update(model.prior, chi), psi)
     d1, d2 = float(first("d")), float(second("d"))
-    if abs(d1 - 0.059) > 5e-4 or abs(d2 - 0.061) > 5e-4:
+    if not _figures((d1, "0.059"), (d2, "0.061")):
         return False, 1, f"fixed order pair ({d1:.4f}, {d2:.4f}) != (0.059, 0.061)"
     if first == second:
         return False, 1, "fixed instance unexpectedly order-insensitive"
-    witness = None
-    ran = 1
-    for t in range(trials):
-        ran = t + 1
-        space = _space(rng, max_size=4)
-        omega = _dist(rng, space)
+
+    def probe(rng):
+        space, omega = _prior(rng, max_size=4)
         a = _evidence(rng, space, max_factors=2, max_size=3)
         b = _evidence(rng, space, max_factors=2, max_size=3)
-        one = jeffrey_update(jeffrey_update(omega, a), b)
-        two = jeffrey_update(jeffrey_update(omega, b), a)
-        if one != two:
-            witness = f"random witness at trial {ran}: updates differ on {space.elements}"
-            break
-    if witness is None:
+        differ = jeffrey_update(jeffrey_update(omega, a), b) != jeffrey_update(jeffrey_update(omega, b), a)
+        return space.elements if differ else None
+
+    found, ran, elements = _exists(trials, rng, probe)
+    if not found:
         return False, ran, "no random order-sensitivity witness found"
-    return True, ran, f"fixed pair 0.059/0.061 reproduced; {witness}"
+    return True, ran, f"fixed pair 0.059/0.061 reproduced; random witness at trial {ran}: updates differ on {elements}"
 
 
 @_register("jeffrey-self-no-op", "update")
 def _jeffrey_self_no_op(rng):
-    space = _space(rng)
-    omega = _dist(rng, space, full_support=False)
+    _, omega = _prior(rng, full_support=False)
     denominator = math.lcm(*(Fraction(w).denominator for w in omega.weights))
     phi = Multiset(omega.space, [int(w * denominator) for w in omega.weights])
     if jeffrey_update(omega, point_evidence(phi)) != omega:
@@ -803,8 +816,7 @@ def _jeffrey_self_no_op(rng):
 
 @_register("jeffrey-convex-combination", "update")
 def _jeffrey_convex_combination(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     size = rng.randint(1, 3)
     parts = rng.randint(2, 3)
     # the law needs components of one common evidence size
@@ -836,8 +848,7 @@ def _pearl_increases(rng):
 def _pearl_product_bayes(rng):
     # the product/Bayes rules for evidence hold for the conjunction
     # validities; the multinomial coefficients are made explicit here
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     psi = _evidence(rng, space, max_size=3)
     chi = _evidence(rng, space, max_size=3)
     cv = lambda w, ev: validity(w, and_conj(ev))
@@ -859,8 +870,7 @@ def _pearl_product_bayes(rng):
 
 @_register("pearl-composes", "update")
 def _pearl_composes(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     psi = _evidence(rng, space, max_size=3)
     chi = _evidence(rng, space, max_size=3)
     combined = pearl_update(omega, psi + chi)
@@ -873,8 +883,7 @@ def _pearl_composes(rng):
 
 @_register("pearl-uniform-no-op", "update")
 def _pearl_uniform_no_op(rng):
-    space = _space(rng)
-    omega = _dist(rng, space, full_support=False)
+    space, omega = _prior(rng, full_support=False)
     factors = [
         scale(Fraction(rng.randint(1, 24), 12), truth(space))
         for _ in range(rng.randint(1, 3))
@@ -894,9 +903,9 @@ def _cross_rule_decrease(rng):
     p_prior = pearl_validity(omega, psi)
     j_after_pearl = jeffrey_validity(pearl_update(omega, psi), psi)
     p_after_jeffrey = pearl_validity(jeffrey_update(omega, psi), psi)
-    if abs(float(j_after_pearl) - 0.3081) > 5e-4 or abs(float(j_prior) - 0.3116) > 5e-4:
+    if not _figures((j_after_pearl, "0.3081"), (j_prior, "0.3116")):
         return "crossed Jeffrey numbers off"
-    if abs(float(p_after_jeffrey) - 0.2847) > 5e-4 or abs(float(p_prior) - 0.2858) > 5e-4:
+    if not _figures((p_after_jeffrey, "0.2847"), (p_prior, "0.2858")):
         return "crossed Pearl numbers off"
     if not (j_after_pearl < j_prior and p_after_jeffrey < p_prior):
         return "crossed updates did not decrease the validities"
@@ -905,8 +914,7 @@ def _cross_rule_decrease(rng):
 
 @_register("vfe-forms-agree", "update")
 def _vfe_forms_agree(rng):
-    space = _space(rng)
-    omega = _dist(rng, space)
+    space, omega = _prior(rng)
     psi = _evidence(rng, space)
     direct = vfe_update(omega, psi)
     softmax = vfe_update_softmax(omega, psi)
@@ -922,14 +930,13 @@ def _vfe_sandwich(trials, rng):
     chi = Evidence(((model.pos_test, 1), (model.neg_test, 1)))
     j_before = float(jeffrey_validity(model.prior, chi))
     j_after = float(jeffrey_validity(vfe_update(model.prior, chi), chi))
-    if abs(j_before - 0.489) > 5e-4 or abs(j_after - 0.486) > 5e-4:
+    if not _figures((j_before, "0.489"), (j_after, "0.486")):
         return False, 1, f"fixed pair ({j_before:.4f}, {j_after:.4f}) != (0.489, 0.486)"
     if not j_before > j_after:
         return False, 1, "expected a Jeffrey-validity decrease under the VFE update"
 
     def check(rng):
-        space = _space(rng)
-        omega = _dist(rng, space)
+        space, omega = _prior(rng)
         psi = _evidence(rng, space)
         base = float(pearl_validity(omega, psi))
         via_vfe = float(pearl_validity(vfe_update(omega, psi), psi))
@@ -976,12 +983,6 @@ def _vfe_argmin(trials, rng):
 # channel
 
 
-def _channel(rng: random.Random, cod_size: int = 4, full: bool = True) -> tuple[SampleSpace, SampleSpace, Channel]:
-    dom = _space(rng, max_size=4)
-    cod = _space(rng, max_size=cod_size, labels=_COD_LABELS)
-    return dom, cod, Channel(dom, cod, tuple(_dist(rng, cod, full_support=full) for _ in dom))
-
-
 def _pull_injective(c: Channel, psi: Evidence) -> bool:
     pulled = [pull(c, q) for q, _ in psi.items()]
     return len(set(pulled)) == len(pulled)
@@ -989,8 +990,7 @@ def _pull_injective(c: Channel, psi: Evidence) -> bool:
 
 @_register("channel-adjunction", "channel")
 def _channel_adjunction(rng):
-    dom, cod, c = _channel(rng, full=False)
-    omega = _dist(rng, dom, full_support=False)
+    _, cod, c, omega = _channel(rng, full_rows=False, full_support=False)
     q = _factor(rng, cod)
     if validity(push(c, omega), q) != validity(omega, pull(c, q)):
         return "pushforward validity != pulled-back validity"
@@ -999,8 +999,7 @@ def _channel_adjunction(rng):
 
 @_register("jeffrey-along-channel", "channel")
 def _jeffrey_along_channel(rng):
-    dom, cod, c = _channel(rng)
-    omega = _dist(rng, dom)
+    _, cod, c, omega = _channel(rng)
     psi = _evidence(rng, cod, max_factors=2, max_size=4)
     if not _pull_injective(c, psi):
         return None  # merged factors change the coefficient; skip degenerate pull
@@ -1019,24 +1018,21 @@ def _pearl_along_channel_fails(trials, rng):
     fixed_rhs = pearl_validity(push(model.test_channel, model.prior), point_psi)
     if fixed_lhs == fixed_rhs:
         return False, 1, "expected the fixed point-evidence instance to disagree"
-    found = 0
-    ran = 0
-    for t in range(trials):
-        ran = t + 1
-        dom, cod, c = _channel(rng)
-        omega = _dist(rng, dom)
+
+    def disagrees(rng):
+        _, cod, c, omega = _channel(rng)
         psi = _evidence(rng, cod, max_factors=2, max_size=3)
-        if pearl_validity(omega, triple_pull(c, psi)) != pearl_validity(push(c, omega), psi):
-            found += 1
+        return pearl_validity(omega, triple_pull(c, psi)) != pearl_validity(push(c, omega), psi)
+
+    found = sum(disagrees(rng) for _ in range(trials))
     if found == 0:
-        return False, ran, "Pearl validity never disagreed along random channels"
-    return True, ran, f"fixed disagreement plus {found} random disagreements in {ran} trials"
+        return False, trials, "Pearl validity never disagreed along random channels"
+    return True, trials, f"fixed disagreement plus {found} random disagreements in {trials} trials"
 
 
 @_register("point-evidence-multinomial", "channel", max_trials=600)
 def _point_evidence_multinomial(rng):
-    dom, cod, c = _channel(rng, 3)
-    omega = _dist(rng, dom, full_support=False)
+    _, cod, c, omega = _channel(rng, 3, full_support=False)
     size = rng.randint(1, 3)
     phi = _point_multiset(rng, cod, size)
     psi = point_evidence(phi)
@@ -1052,8 +1048,7 @@ def _point_evidence_multinomial(rng):
 
 @_register("dagger-jeffrey", "channel")
 def _dagger_jeffrey(rng):
-    dom, cod, c = _channel(rng)
-    omega = _dist(rng, dom)
+    _, cod, c, omega = _channel(rng)
     phi = _point_multiset(rng, cod, rng.randint(1, 5))
     psi = point_evidence(phi)
     reversed_channel = dagger(c, omega)
@@ -1064,8 +1059,7 @@ def _dagger_jeffrey(rng):
 
 @_register("multinomial-channel-pearl", "channel", max_trials=600)
 def _multinomial_channel_pearl(rng):
-    dom, cod, c = _channel(rng, 3)
-    omega = _dist(rng, dom)
+    _, cod, c, omega = _channel(rng, 3)
     size = rng.randint(1, 3)
     phi = _point_multiset(rng, cod, size)
     draws = multinomial_channel(c, size)
@@ -1077,8 +1071,7 @@ def _multinomial_channel_pearl(rng):
 
 @_register("channel-divergence-decrease", "channel")
 def _channel_divergence_decrease(rng):
-    dom, cod, c = _channel(rng)
-    omega = _dist(rng, dom)
+    _, cod, c, omega = _channel(rng)
     phi = _point_multiset(rng, cod, rng.randint(1, 5))
     posterior = jeffrey_update(omega, triple_pull(c, point_evidence(phi)))
     target = flrn(phi)
@@ -1091,9 +1084,8 @@ def _channel_divergence_decrease(rng):
 
 @_register("identity-channel-neutral", "channel")
 def _identity_channel_neutral(rng):
-    space = _space(rng)
+    space, omega = _prior(rng, full_support=False)
     c = identity_channel(space)
-    omega = _dist(rng, space, full_support=False)
     if push(c, omega) != omega:
         return "identity channel moved the distribution"
     psi = _evidence(rng, space, positive=False)
@@ -1108,8 +1100,7 @@ def _identity_channel_neutral(rng):
 
 @_register("dkl-nonneg-zero-iff", "divergence")
 def _dkl_nonneg_zero_iff(rng):
-    space = _space(rng)
-    sigma = _dist(rng, space, unit=24)
+    space, sigma = _prior(rng, unit=24)
     rho = _dist(rng, space, unit=24)
     value = kl_divergence(sigma, rho)
     if value < -1e-15:
@@ -1123,15 +1114,15 @@ def _dkl_nonneg_zero_iff(rng):
 
 @_register_run("dkl-asymmetry-witness", "divergence")
 def _dkl_asymmetry_witness(trials, rng):
-    ran = 0
-    for t in range(trials):
-        ran = t + 1
-        space = _space(rng)
-        sigma = _dist(rng, space, unit=24)
+    def probe(rng):
+        space, sigma = _prior(rng, unit=24)
         rho = _dist(rng, space, unit=24)
-        if kl_divergence(sigma, rho) != kl_divergence(rho, sigma):
-            return True, ran, f"asymmetric pair found at trial {ran}"
-    return False, ran, "divergence looked symmetric on every trial"
+        return (sigma, rho) if kl_divergence(sigma, rho) != kl_divergence(rho, sigma) else None
+
+    found, ran, _ = _exists(trials, rng, probe)
+    if not found:
+        return False, ran, "divergence looked symmetric on every trial"
+    return True, ran, f"asymmetric pair found at trial {ran}"
 
 
 @_register("kl-order-equivalence", "divergence")
@@ -1163,8 +1154,7 @@ def _kl_order_equivalence(rng):
 
 @_register("channel-dkl-lower-bound", "divergence")
 def _channel_dkl_lower_bound(rng):
-    dom, cod, c = _channel(rng)
-    sigma = _dist(rng, dom, full_support=False)
+    _, cod, c, sigma = _channel(rng, full_support=False)
     rho = _dist(rng, cod, full_support=False)
     expected = expected_channel_divergence(sigma, rho, c)
     if expected < kl_divergence(rho, push(c, sigma)) - FLOAT_SLACK:
@@ -1189,6 +1179,6 @@ def _vfe_divergence_failure_grid(trials, rng):
     prior_div = kl_divergence(observed, push(model.test_channel, model.prior), base=2)
     post = vfe_update(model.prior, psi11)
     post_div = kl_divergence(observed, push(model.test_channel, post), base=2)
-    if abs(prior_div - 0.0164) > 5e-4 or abs(post_div - 0.0208) > 5e-4:
+    if not _figures((prior_div, "0.0164"), (post_div, "0.0208")):
         return False, 1, f"(1,1) divergences ({prior_div:.4f}, {post_div:.4f}) off"
     return True, 1, f"37 failures; (1,1) divergence {prior_div:.4f} -> {post_div:.4f}"

@@ -472,6 +472,7 @@ OPERAND_ENTRY_POINTS = {
         False,
     ),
     "Evidence.__add__": (Evidence, lambda x: Evidence(((PT, 1),)) + x, Evidence(((PT, 1), (NT, 1))), PSI, False),
+    "Evidence.__call__": (Factor, PSI, PT, 2, True),
 }
 
 #: What the TypeError says each class is.
@@ -584,6 +585,8 @@ class TestOperands:
             push(C, Factor(D, (3, 1)))
         with pytest.raises(TypeError, match=r"^push arguments must be channels, not Dist$"):
             push(OMEGA, OMEGA)
+        with pytest.raises(TypeError, match=r"^evidence lookups must be factors, not str$"):
+            PSI("d")
         swapped = SampleSpace(("~d", "d"))
         with pytest.raises(SpaceMismatchError, match=r"^conjuncts must live on one sample space, not SampleSpace"):
             conj(PT, Factor(swapped, PT.values))
@@ -612,6 +615,7 @@ SUGAR = {
     "Factor.__rmul__": (lambda: 2 * PT, Factor(D, (Fraction(9, 5), Fraction(4, 5)))),
     "Multiset.__call__": (lambda: Multiset(D, (2, 1))("~d"), 1),
     "Evidence.__call__(absent)": (lambda: PSI(truth(D)), 0),
+    "Evidence.__call__(empty)": (lambda: Evidence(())(point_pred("p", T)), 0),
     "Evidence == 1": (lambda: PSI == 1, False),
     "Channel == 1": (lambda: C == 1, False),
 }

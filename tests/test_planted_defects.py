@@ -23,6 +23,10 @@ DEFECTS = {
     "pearl-validity-as-jeffrey": ({"pearl_validity": jeffrey_validity}, "pearl-product-bayes"),
     "bayes-as-identity": ({"bayes_update": lambda omega, p: omega}, "bayes-laws"),
     "kl-swapped": ({"kl_divergence": lambda rho, sigma: kl_divergence(sigma, rho)}, "vfe-argmin"),
+    "kl-symmetric": (
+        {"kl_divergence": lambda sigma, rho: (kl_divergence(sigma, rho) + kl_divergence(rho, sigma)) / 2},
+        "dkl-asymmetry-witness",
+    ),
 }
 
 
@@ -36,3 +40,10 @@ def test_a_planted_defect_fails_the_suite(defect, seed, monkeypatch):
     assert len(results) == len(properties.PROPERTIES)
     failed = {r.prop_id for r in results if not r.passed}
     assert separating in failed, sorted(failed)
+
+
+def test_a_witness_search_that_finds_none_fails_after_its_full_budget(monkeypatch):
+    rebound, prop_id = DEFECTS["kl-symmetric"]
+    monkeypatch.setattr(properties, "kl_divergence", rebound["kl_divergence"])
+    (result,) = properties.run_suite(prop_id, 25, 0)
+    assert (result.passed, result.trials, result.detail) == (False, 25, "divergence looked symmetric on every trial")

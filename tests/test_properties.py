@@ -1,14 +1,18 @@
 """Smoke-run every registered property and check runner behaviour."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from multibayes import SupportMismatchError, UnknownSuiteError
+from multibayes import SupportMismatchError, UnknownSuiteError, properties
 from multibayes.cli import cmd_check, main
-from multibayes.properties import PROPERTIES, groups, resolve_suite, run_suite
+from multibayes.properties import PROPERTIES, _exists, _figures, groups, resolve_suite, run_suite
 
 
 @pytest.mark.parametrize("prop_id", sorted(PROPERTIES))
@@ -96,3 +100,58 @@ def test_a_candidate_sweep_holds_no_candidate_list(prop_id):
         tracemalloc.stop()
     assert (result.passed, result.trials) == (True, 1000), result.detail
     assert peak < 100_000
+
+
+def test_exists_passes_at_the_first_witness_or_fails_after_every_trial():
+    calls = []
+
+    def probe(rng):
+        calls.append(rng.random())
+        return ("witness", len(calls)) if len(calls) == 3 else None
+
+    assert _exists(10, random.Random(0), probe) == (True, 3, ("witness", 3))
+    assert len(calls) == 3
+    assert _exists(10, random.Random(0), lambda rng: None) == (False, 10, None)
+
+
+def test_figures_are_checked_to_their_printed_digits():
+    # the prior's Pearl validity is 0.28575 exactly: half to even gives the paper's 0.2858
+    assert _figures((Fraction(1143, 4000), "0.2858"), (0.02756, "0.028"))
+    assert _figures((Fraction(5, 8), "0.62"))
+    # one tolerance of 5e-4 let 0.3085 pass for 0.3081; one figure off fails the pairs
+    assert not _figures((Fraction(1143, 4000), "0.2858"), (0.3085, "0.3081"))
+
+
+def _hand_trial_loops(func: ast.FunctionDef) -> list[str]:
+    """The trial bookkeeping in a registered property or a function nested
+    in it: a ``for`` statement over ``range(...)`` of ``trials``, or an
+    assignment of ``ran`` of its own (unpacking a driver's result is fine)."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range":
+            if any(isinstance(n, ast.Name) and n.id == "trials" for arg in node.iter.args for n in ast.walk(arg)):
+                found.append(f"line {node.lineno}: for loop over range(trials)")
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "ran" for t in targets):
+            found.append(f"line {node.lineno}: assigns ran")
+    return found
+
+
+def test_no_registered_property_writes_its_own_trial_loop():
+    # every trial loop is the one driver, _forall, or its dual _exists;
+    # candidate sweeps walk _sweep and count their trials there
+    tree = ast.parse(inspect.getsource(properties))
+    registered = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Call) and d.func.id in ("_register", "_register_run") for d in node.decorator_list)
+    ]
+    assert len(registered) == len(PROPERTIES)
+    offenders = {node.name: found for node in registered if (found := _hand_trial_loops(node))}
+    assert not offenders, offenders
