@@ -19,13 +19,12 @@ class Channel:
 
     A channel is immutable, so it keeps what :func:`push` and
     :func:`pull` reuse.  When every row is exact, ``_den`` is the lcm of
-    the row denominators, and ``_ints`` and ``_columns`` are the rows
-    and columns as ints over it, all built here (else all None).  The
-    float columns are built on the first float push.  A row that is not
-    a Dist raises TypeError.
+    the row denominators and ``_columns`` the columns as ints over it,
+    both built here (else both None).  The float columns are built on
+    the first float push.  A row that is not a Dist raises TypeError.
     """
 
-    __slots__ = ("_dom", "_cod", "_rows", "_den", "_ints", "_columns", "_float_columns")
+    __slots__ = ("_dom", "_cod", "_rows", "_den", "_columns", "_float_columns")
     _NOUN = "channel"
 
     def __init__(self, dom: SampleSpace, cod: SampleSpace, rows: Sequence[Dist]):
@@ -36,11 +35,10 @@ class Channel:
         self._dom = dom
         self._cod = cod
         self._rows = rows
-        self._den = self._ints = self._columns = self._float_columns = None
+        self._den = self._columns = self._float_columns = None
         if all(row._nums is not None for row in rows):
             den = self._den = math.lcm(*[row._den for row in rows])
-            self._ints = [[n * scale for n in row._nums] for row in rows for scale in (den // row._den,)]
-            self._columns = list(zip(*self._ints))
+            self._columns = list(zip(*[[n * (den // row._den) for n in row._nums] for row in rows]))
 
     @property
     def _space(self) -> SampleSpace:
@@ -100,8 +98,9 @@ def pull(c: Channel, q: Factor) -> Factor:
     _require_operands((c,), Channel, "pull arguments")
     _require_operands((q,), Factor, "pull arguments", c._cod)
     if q._nums is not None and c._den is not None:
-        nums = q._nums
-        return Factor._from_ints(c._dom, [sum(map(mul, row, nums)) for row in c._ints], c._den * q._den)
+        nums, den = q._nums, c._den
+        values = [sum(map(mul, row._nums, nums)) * (den // row._den) for row in c._rows]
+        return Factor._from_ints(c._dom, values, den * q._den)
     floats = q._floats()
     return Factor._from_floats(c._dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
 

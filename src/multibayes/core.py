@@ -10,7 +10,10 @@ value is a float, each exact value rounded once (as ``float(Fraction)``
 rounds).  Each kernel picks its path by that form: exact only when
 every operand is exact, float as soon as one is, with an exact
 operand's values converted to float once instead of by numeric-tower
-contagion element by element.
+contagion element by element.  Three results are the exceptions: they
+multiply the exact operands in front of the first float one exactly,
+and only then go on in float.  They are ``and_conj``, the two
+evidence validities and ``iterated_pearl_validity``.
 """
 
 from __future__ import annotations

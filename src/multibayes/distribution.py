@@ -180,9 +180,15 @@ def marginal(tau: Dist, index: int) -> Dist:
     """Marginalise a distribution on tuples to one coordinate.
 
     The result keeps every coordinate label of the product space, so
-    zero-probability columns survive marginalisation.
+    zero-probability columns survive marginalisation.  An index that is
+    not an int, or a label that is not a tuple with that coordinate,
+    raises ValueError.
     """
     space = _require_operands((tau,), Dist, "pushforward arguments")  # before its elements are read
+    if not isinstance(index, int) or isinstance(index, bool) or not all(
+        isinstance(x, tuple) and -len(x) <= index < len(x) for x in space.elements
+    ):
+        raise ValueError(f"marginal index must pick a coordinate of every tuple label, got {index!r}")
     cod = SampleSpace(dict.fromkeys(pair[index] for pair in space.elements))
     return push_function(lambda pair: pair[index], tau, cod=cod)
 

@@ -72,7 +72,7 @@ GRID_MODES = (
 
 
 class GridSpec:
-    """Evidence grid i|pos> + j|neg> over a channel and prior.
+    """Evidence grid i|pos> + j|neg> over the medical model.
 
     ``mode`` selects what each cell reports: a validity, the posterior
     probability of the first domain element, or the change in
@@ -80,35 +80,29 @@ class GridSpec:
     published figures are directly comparable).
 
     The spec builds what every cell shares when it is constructed: the
-    point predicates of the two outcomes on the codomain and, for
-    ``vfe-dkl-delta``, the prior prediction ``push(channel, prior)``.
-    So its fields must not be reassigned afterwards.  An outcome
-    outside the codomain raises UnknownElementError here.  Each cell
-    pulls the predicates anew, so no factor's memo carries from cell
-    to cell.
+    medical model's channel and prior, the point predicates of the two
+    outcomes and, for ``vfe-dkl-delta``, the prior prediction
+    ``push(channel, prior)``.  So its fields must not be reassigned
+    afterwards.  Each cell pulls the predicates anew, so no factor's
+    memo carries from cell to cell.
     """
 
-    __slots__ = ("mode", "imax", "jmax", "channel", "prior", "pos_outcome", "neg_outcome",
-                 "_pos", "_neg", "_prediction")
+    __slots__ = ("mode", "imax", "jmax", "channel", "prior", "_pos", "_neg", "_prediction")
 
-    def __init__(self, mode: str, imax: int, jmax: int, channel: Channel, prior: Dist,
-                 pos_outcome: object, neg_outcome: object):
+    def __init__(self, mode: str, imax: int = 10, jmax: int = 10):
         if mode not in GRID_MODES:
             raise ModelError(f"unknown grid mode {mode!r}")
         _require_naturals((imax, jmax), "grid bound", ModelError)
         if imax < 1 or jmax < 1:
             raise ModelError("grid bounds must be at least 1")
         _require_size(imax * jmax, "grid")
-        self.mode, self.imax, self.jmax, self.channel, self.prior = mode, imax, jmax, channel, prior
-        self.pos_outcome, self.neg_outcome = pos_outcome, neg_outcome
-        cod = channel._cod
-        self._pos, self._neg = point_pred(pos_outcome, cod), point_pred(neg_outcome, cod)
-        self._prediction = push(channel, prior) if mode == "vfe-dkl-delta" else None
+        model = medical_model()
+        self.mode, self.imax, self.jmax, self.channel, self.prior = mode, imax, jmax, model.test_channel, model.prior
+        self._pos, self._neg = point_pred("p", model.test_space), point_pred("n", model.test_space)
+        self._prediction = push(self.channel, self.prior) if mode == "vfe-dkl-delta" else None
 
 
-def medical_grid_spec(mode: str, imax: int = 10, jmax: int = 10) -> GridSpec:
-    model = medical_model()
-    return GridSpec(mode, imax, jmax, model.test_channel, model.prior, "p", "n")
+medical_grid_spec = GridSpec
 
 
 def grid_cell(spec: GridSpec, i: int, j: int) -> Scalar:
@@ -130,8 +124,7 @@ def grid_cell(spec: GridSpec, i: int, j: int) -> Scalar:
     # vfe-dkl-delta: posterior minus prior prediction divergence
     if i == 0 and j == 0:
         return 0.0  # no evidence, no update, no change
-    # i|pos> + j|neg> from the point predicates' one-hot ints; equal outcomes add up
-    observed = flrn(Multiset(channel._cod, [i * a + j * b for a, b in zip(spec._pos._nums, spec._neg._nums)]))
+    observed = flrn(Multiset(channel.cod, (i, j)))
     posterior = vfe_update(prior, pulled)
     prior_div = kl_divergence(observed, spec._prediction, base=2)
     posterior_div = kl_divergence(observed, push(channel, posterior), base=2)

@@ -198,13 +198,13 @@ def _prior(rng: random.Random, max_size: int = 6, **dist_kwargs) -> tuple[Sample
     return space, _dist(rng, space, **dist_kwargs)
 
 
-def _channel(rng: random.Random, cod_size: int = 4, full_rows: bool = True, **dist_kwargs) -> tuple[SampleSpace, SampleSpace, Channel, Dist]:
+def _channel(rng: random.Random, cod_size: int = 4, full_rows: bool = True, **dist_kwargs) -> tuple[Channel, Dist]:
     """A channel from 2 to 4 elements to 2 to ``cod_size``, its rows of
     full support when ``full_rows``, and a ``_dist`` on its domain."""
     dom = _space(rng, max_size=4)
     cod = _space(rng, max_size=cod_size, labels=_COD_LABELS)
     c = Channel(dom, cod, tuple(_dist(rng, cod, full_support=full_rows) for _ in dom))
-    return dom, cod, c, _dist(rng, dom, **dist_kwargs)
+    return c, _dist(rng, dom, **dist_kwargs)
 
 
 def _factor(rng: random.Random, space: SampleSpace, positive: bool = False, bound: int = 1) -> Factor:
@@ -990,8 +990,8 @@ def _pull_injective(c: Channel, psi: Evidence) -> bool:
 
 @_register("channel-adjunction", "channel")
 def _channel_adjunction(rng):
-    _, cod, c, omega = _channel(rng, full_rows=False, full_support=False)
-    q = _factor(rng, cod)
+    c, omega = _channel(rng, full_rows=False, full_support=False)
+    q = _factor(rng, c.cod)
     if validity(push(c, omega), q) != validity(omega, pull(c, q)):
         return "pushforward validity != pulled-back validity"
     return None
@@ -999,8 +999,8 @@ def _channel_adjunction(rng):
 
 @_register("jeffrey-along-channel", "channel")
 def _jeffrey_along_channel(rng):
-    _, cod, c, omega = _channel(rng)
-    psi = _evidence(rng, cod, max_factors=2, max_size=4)
+    c, omega = _channel(rng)
+    psi = _evidence(rng, c.cod, max_factors=2, max_size=4)
     if not _pull_injective(c, psi):
         return None  # merged factors change the coefficient; skip degenerate pull
     if jeffrey_validity(omega, triple_pull(c, psi)) != jeffrey_validity(push(c, omega), psi):
@@ -1020,8 +1020,8 @@ def _pearl_along_channel_fails(trials, rng):
         return False, 1, "expected the fixed point-evidence instance to disagree"
 
     def disagrees(rng):
-        _, cod, c, omega = _channel(rng)
-        psi = _evidence(rng, cod, max_factors=2, max_size=3)
+        c, omega = _channel(rng)
+        psi = _evidence(rng, c.cod, max_factors=2, max_size=3)
         return pearl_validity(omega, triple_pull(c, psi)) != pearl_validity(push(c, omega), psi)
 
     found = sum(disagrees(rng) for _ in range(trials))
@@ -1032,9 +1032,9 @@ def _pearl_along_channel_fails(trials, rng):
 
 @_register("point-evidence-multinomial", "channel", max_trials=600)
 def _point_evidence_multinomial(rng):
-    _, cod, c, omega = _channel(rng, 3, full_support=False)
+    c, omega = _channel(rng, 3, full_support=False)
     size = rng.randint(1, 3)
-    phi = _point_multiset(rng, cod, size)
+    phi = _point_multiset(rng, c.cod, size)
     psi = point_evidence(phi)
     if not _pull_injective(c, psi):
         return None
@@ -1048,8 +1048,8 @@ def _point_evidence_multinomial(rng):
 
 @_register("dagger-jeffrey", "channel")
 def _dagger_jeffrey(rng):
-    _, cod, c, omega = _channel(rng)
-    phi = _point_multiset(rng, cod, rng.randint(1, 5))
+    c, omega = _channel(rng)
+    phi = _point_multiset(rng, c.cod, rng.randint(1, 5))
     psi = point_evidence(phi)
     reversed_channel = dagger(c, omega)
     if push(reversed_channel, flrn(phi)) != jeffrey_update(omega, triple_pull(c, psi)):
@@ -1059,9 +1059,9 @@ def _dagger_jeffrey(rng):
 
 @_register("multinomial-channel-pearl", "channel", max_trials=600)
 def _multinomial_channel_pearl(rng):
-    _, cod, c, omega = _channel(rng, 3)
+    c, omega = _channel(rng, 3)
     size = rng.randint(1, 3)
-    phi = _point_multiset(rng, cod, size)
+    phi = _point_multiset(rng, c.cod, size)
     draws = multinomial_channel(c, size)
     via_pull = bayes_update(omega, pull(draws, point_pred(phi, draws.cod)))
     if pearl_update(omega, triple_pull(c, point_evidence(phi))) != via_pull:
@@ -1071,8 +1071,8 @@ def _multinomial_channel_pearl(rng):
 
 @_register("channel-divergence-decrease", "channel")
 def _channel_divergence_decrease(rng):
-    _, cod, c, omega = _channel(rng)
-    phi = _point_multiset(rng, cod, rng.randint(1, 5))
+    c, omega = _channel(rng)
+    phi = _point_multiset(rng, c.cod, rng.randint(1, 5))
     posterior = jeffrey_update(omega, triple_pull(c, point_evidence(phi)))
     target = flrn(phi)
     before = kl_divergence(target, push(c, omega))
@@ -1154,13 +1154,13 @@ def _kl_order_equivalence(rng):
 
 @_register("channel-dkl-lower-bound", "divergence")
 def _channel_dkl_lower_bound(rng):
-    _, cod, c, sigma = _channel(rng, full_support=False)
-    rho = _dist(rng, cod, full_support=False)
+    c, sigma = _channel(rng, full_support=False)
+    rho = _dist(rng, c.cod, full_support=False)
     expected = expected_channel_divergence(sigma, rho, c)
     if expected < kl_divergence(rho, push(c, sigma)) - FLOAT_SLACK:
         return "expected row divergence fell below the pushforward divergence"
-    omega = _dist(rng, cod)
-    psi = _evidence(rng, cod)
+    omega = _dist(rng, c.cod)
+    psi = _evidence(rng, c.cod)
     objective = free_energy_objective(rho, omega, psi)
     if objective < kl_divergence(rho, jeffrey_update(omega, psi)) - FLOAT_SLACK:
         return "free-energy objective fell below the Jeffrey-update divergence"

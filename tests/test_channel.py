@@ -62,13 +62,12 @@ def wide_channel() -> Channel:
 @pytest.mark.parametrize("float_first", [False, True])
 @pytest.mark.parametrize("build", [lambda: Channel(D, T, C.rows), wide_channel], ids=["medical", "256x8"])
 def test_exact_rows_and_columns_are_built_with_the_channel(build, float_first):
-    """The int rows and columns exist once Channel() returns, and no push
-    or pull replaces them; only the first float push sets the float columns."""
+    """The int columns exist once Channel() returns, and no push or pull
+    replaces them; only the first float push sets the float columns."""
     c = build()
-    ints, columns = c._ints, c._columns
+    columns = c._columns
     assert c._float_columns is None
-    assert [[Fraction(n, c._den) for n in row] for row in ints] == [list(row.weights) for row in c.rows]
-    assert columns == list(zip(*ints))
+    assert [[Fraction(n, c._den) for n in col] for col in columns] == [list(col) for col in zip(*[row.weights for row in c.rows])]
     omega = Dist(c.dom, [Fraction(k + 1, len(c.dom) * (len(c.dom) + 1) // 2) for k in range(len(c.dom))])
     q = Factor(c.cod, [Fraction(k, len(c.cod)) for k in range(len(c.cod))])
     calls = [(push, omega), (pull, q), (push, omega.to_float()), (pull, Factor(c.cod, [float(v) for v in q.values]))]
@@ -76,7 +75,7 @@ def test_exact_rows_and_columns_are_built_with_the_channel(build, float_first):
     for fn, arg in calls[::-1] if float_first else calls:
         fn(c, arg)
         pushed_float = pushed_float or fn is push and arg._nums is None
-        assert c._ints is ints and c._columns is columns
+        assert c._columns is columns
         assert (c._float_columns is not None) == pushed_float
 
 

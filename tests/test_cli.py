@@ -323,7 +323,7 @@ def _composed_cell(spec, i: int, j: int):
     from multibayes import jeffrey_update, jeffrey_validity, pearl_update, pearl_validity, vfe_update
 
     cod = spec.channel.cod
-    point_psi = Evidence(((point_pred(spec.pos_outcome, cod), i), (point_pred(spec.neg_outcome, cod), j)))
+    point_psi = Evidence(((point_pred("p", cod), i), (point_pred("n", cod), j)))
     pulled = triple_pull(spec.channel, point_psi)
     first = spec.prior.space.elements[0]
     if spec.mode == "jeffrey-validity":
@@ -338,7 +338,7 @@ def _composed_cell(spec, i: int, j: int):
         return vfe_update(spec.prior, pulled)(first)
     if i == 0 and j == 0:
         return 0.0
-    observed = flrn(Multiset.from_counts(cod, {spec.pos_outcome: i, spec.neg_outcome: j}))
+    observed = flrn(Multiset.from_counts(cod, {"p": i, "n": j}))
     prior_div = kl_divergence(observed, push(spec.channel, spec.prior), base=2)
     return kl_divergence(observed, push(spec.channel, vfe_update(spec.prior, pulled)), base=2) - prior_div
 
@@ -389,19 +389,10 @@ class TestGridSpec:
             medical_grid_spec("bogus")
 
     def test_keyword_construction(self):
-        from multibayes.models import GridSpec, grid_values, medical_model
+        from multibayes.models import GridSpec, grid_values
 
-        model = medical_model()
-        spec = GridSpec(
-            mode="pearl-update",
-            imax=2,
-            jmax=3,
-            channel=model.test_channel,
-            prior=model.prior,
-            pos_outcome="p",
-            neg_outcome="n",
-        )
-        assert (spec.mode, spec.pos_outcome, spec.neg_outcome) == ("pearl-update", "p", "n")
+        spec = GridSpec(mode="pearl-update", imax=2, jmax=3)
+        assert (spec.mode, spec.imax, spec.jmax) == ("pearl-update", 2, 3)
         assert [(i, j) for i, j, _ in grid_values(spec)] == [(i, j) for i in (1, 2) for j in (1, 2, 3)]
 
     @pytest.mark.parametrize("mode", GRID_MODES)
@@ -411,78 +402,28 @@ class TestGridSpec:
         _same_cells(medical_grid_spec(mode, imax=4, jmax=3))
 
     @pytest.mark.parametrize("mode", GRID_MODES)
-    def test_delta_margins_and_float_mode(self, mode):
-        from multibayes import Channel
-        from multibayes.models import GridSpec, medical_model
+    def test_delta_margins(self, mode):
+        from multibayes.models import GridSpec
 
-        model = medical_model()
-        rows = [row.to_float() for row in model.test_channel.rows]
-        channel = Channel(model.disease_space, model.test_space, rows)
-        spec = GridSpec(mode, 3, 4, channel, model.prior.to_float(), "p", "n")
-        cells = _same_cells(spec)
+        cells = _same_cells(GridSpec(mode, 3, 4))
         if mode == "vfe-dkl-delta":
             # the margins i = 0 and j = 0 hold single-outcome evidence
             assert {(i, j) for i, j, _ in cells} >= {(0, 0), (0, 3), (2, 0)}
 
     @pytest.mark.parametrize("mode", GRID_MODES)
-    def test_equal_columns_merge_into_one_factor(self, mode):
-        from fractions import Fraction
-
-        from multibayes import Channel, Dist, Evidence, SampleSpace, pull
-        from multibayes.models import GridSpec
-
-        dom, cod = SampleSpace(("a", "b")), SampleSpace(("y", "z"))
-        half = Dist(cod, (Fraction(1, 2), Fraction(1, 2)))
-        # both rows uniform: both outcomes pull to the same factor
-        channel = Channel(dom, cod, (half, half))
-        spec = GridSpec(mode, 3, 3, channel, Dist(dom, (Fraction(1, 3), Fraction(2, 3))), "y", "z")
-        merged = Evidence(((pull(channel, spec._pos), 2), (pull(channel, spec._neg), 1)))
-        assert merged.counts == (3,)
-        _same_cells(spec)
-
-    @pytest.mark.parametrize("mode", GRID_MODES)
-    def test_keyword_spec_with_swapped_outcomes(self, mode):
+    def test_every_spec_holds_the_medical_model_and_takes_no_model_setting(self, mode):
         from multibayes.models import GridSpec, medical_model
 
         model = medical_model()
-        spec = GridSpec(
-            neg_outcome="p",
-            pos_outcome="n",
-            prior=model.prior,
-            channel=model.test_channel,
-            jmax=2,
-            imax=3,
-            mode=mode,
-        )
-        _same_cells(spec)
-
-    def test_equal_outcomes_add_their_counts(self):
-        import math
-
-        from multibayes.models import GridSpec, grid_cell, medical_grid_spec, medical_model
-
-        model = medical_model()
-        spec = GridSpec("vfe-dkl-delta", 3, 3, model.test_channel, model.prior, "p", "p")
-        # one positive test: the observed frequencies are the point mass at p, and the
-        # posterior 9/85|d> + 76/85|~d> predicts p with 9/85 * 9/10 + 76/85 * 2/5 = 77/170,
-        # where the prior predicts it with 17/40; each divergence is log2 of the inverse
-        one_test = math.log2(170 / 77) - math.log2(40 / 17)
-        assert grid_cell(spec, 1, 0) == pytest.approx(one_test, rel=1e-12)
-        assert grid_cell(spec, 0, 1) == pytest.approx(one_test, rel=1e-12)
-        # i|p> + j|p> is (i + j)|p>
-        distinct = medical_grid_spec("vfe-dkl-delta", 3, 3)
-        assert grid_cell(spec, 1, 0) == grid_cell(distinct, 1, 0)
-        assert grid_cell(spec, 1, 1) == grid_cell(spec, 2, 0) == grid_cell(distinct, 2, 0)
-
-    @pytest.mark.parametrize("which", ["pos_outcome", "neg_outcome"])
-    def test_unknown_outcome_raises_when_built(self, which):
-        from multibayes import UnknownElementError
-        from multibayes.models import GridSpec, medical_model
-
-        model = medical_model()
-        outcomes = {"pos_outcome": "p", "neg_outcome": "n", which: "maybe"}
-        with pytest.raises(UnknownElementError):
-            GridSpec("jeffrey-update", 2, 2, model.test_channel, model.prior, **outcomes)
+        spec = GridSpec(mode, 2, 3)
+        assert (spec.channel.dom, spec.channel.cod) == (model.disease_space, model.test_space)
+        assert spec.channel.rows == model.test_channel.rows and spec.prior == model.prior
+        assert not hasattr(spec, "pos_outcome") and not hasattr(spec, "neg_outcome")
+        # the channel, prior and outcomes of the paper's grid cannot be given
+        with pytest.raises(TypeError):
+            GridSpec(mode, 2, 3, model.test_channel, model.prior, "p", "n")
+        with pytest.raises(TypeError):
+            GridSpec(mode, 2, 3, pos_outcome="n")
 
     def test_prediction_is_kept_for_the_delta_grid_only(self):
         from multibayes import push

@@ -25,10 +25,12 @@ from multibayes import (
     tensor_power,
     uniform,
 )
+from multibayes.models import medical_model
 
 AB = SampleSpace("ab")
 COIN = SampleSpace(("H", "T"))
 FAIR = Dist(COIN, (Fraction(1, 2), Fraction(1, 2)))
+MEDICAL_PRIOR = medical_model().prior
 
 
 class TestInvariants:
@@ -146,6 +148,18 @@ class TestPushFunction:
     def test_projection_recovers_marginal(self):
         rho = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))
         assert marginal(tensor(rho, FAIR), 0) == rho
+        assert marginal(tensor(FAIR, rho), -1) == rho
+
+    @pytest.mark.parametrize(
+        "tau, index",
+        [(MEDICAL_PRIOR, 0), (tensor(MEDICAL_PRIOR, MEDICAL_PRIOR), 2), (multinomial(2, MEDICAL_PRIOR), 0),
+         (tensor(FAIR, FAIR), True), (tensor(FAIR, FAIR), 0.0)],
+        ids=["string-labels", "index-past-the-tuple", "multiset-labels", "bool-index", "float-index"],
+    )
+    def test_marginal_needs_a_coordinate_of_every_tuple_label(self, tau, index):
+        # a string label was sliced, a short tuple raised IndexError and a multiset TypeError
+        with pytest.raises(ValueError, match="marginal index must pick a coordinate"):
+            marginal(tau, index)
 
     def test_identity_function(self):
         rho = Dist(AB, (Fraction(1, 4), Fraction(3, 4)))

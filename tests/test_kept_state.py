@@ -3,8 +3,8 @@
 The library keeps what it computed on its values: each factor its memo
 for the last prior it met (normaliser and posterior) and its powers for
 the last few counts, each evidence its conjunction, each channel its
-rescaled rows and columns, each grid spec its point predicates and its
-prior prediction.  This state machine builds priors, factors, channels,
+rescaled columns, each grid spec its point predicates and its prior
+prediction.  This state machine builds priors, factors, channels,
 evidence and grid specs, keeps them, and runs the rules, validities,
 powers, pushes, pulls and grid cells on them in any order.  Each result
 must equal the same call on fresh copies, which hold no kept state:
@@ -44,9 +44,12 @@ from multibayes import (
     validity,
     vfe_update,
 )
-from multibayes.models import GRID_MODES, GridSpec, grid_cell
+from multibayes.models import GRID_MODES, GridSpec, grid_cell, medical_model
 
-SPACES = (SampleSpace("ab"), SampleSpace("xyz"))
+MEDICAL = medical_model()
+#: Two spaces of the machine's own, and the medical model's two, on
+#: which each grid spec's prior and channel live.
+SPACES = (SampleSpace("ab"), SampleSpace("xyz"), MEDICAL.disease_space, MEDICAL.test_space)
 #: Factor values: predicates, values above one and zero (for zero
 #: validities); hypothesis draws the first ones most.
 EXACT_VALUES = (Fraction(1, 2), Fraction(9, 10), Fraction(1, 3), Fraction(5, 2), Fraction(1), Fraction(0))
@@ -93,8 +96,7 @@ def fresh(value):
     if isinstance(value, Channel):
         return Channel(value.dom, value.cod, [fresh(row) for row in value.rows])
     if isinstance(value, GridSpec):
-        return GridSpec(value.mode, value.imax, value.jmax, fresh(value.channel), fresh(value.prior),
-                        value.pos_outcome, value.neg_outcome)
+        return GridSpec(value.mode, value.imax, value.jmax)
     return value
 
 
@@ -137,20 +139,20 @@ class KeptState(RuleBasedStateMachine):
     @initialize(data=st.data())
     def population(self, data):
         """Two priors, two factors and two evidence on each space, a
-        channel each way and specs on one, so every rule applies."""
+        channel each way between the first two and specs of each mode,
+        so every rule applies."""
         for kind in ("prior", "prior", "factor", "factor", "evidence", "evidence"):
             for space in SPACES:
                 self.grow(data, kind, space, space)
-        self.grow(data, "channel", *SPACES)
-        self.grow(data, "channel", *SPACES[::-1])
-        for prior in self.priors[SPACES[0]]:  # two specs of each mode share the channel
-            self.add_specs(data, self.channels[0], prior)
+        self.grow(data, "channel", *SPACES[:2])
+        self.grow(data, "channel", *SPACES[1::-1])
+        self.add_specs()
 
     @rule(data=st.data(), kind=st.sampled_from(KINDS), space=st.sampled_from(SPACES), cod=st.sampled_from(SPACES))
     def grow(self, data, kind, space, cod):
         """A new kept prior, factor or evidence of kept factors on
-        ``space``, channel from ``space`` to ``cod``, or a spec of each
-        mode on a kept channel and prior."""
+        ``space``, channel from ``space`` to ``cod``, or spec of a drawn
+        mode."""
         exact = data.draw(EXACT)
         if kind == "prior":
             self.priors[space].append(data.draw(dists(space, exact)))
@@ -163,12 +165,17 @@ class KeptState(RuleBasedStateMachine):
         elif kind == "channel":
             self.channels.append(Channel(space, cod, [data.draw(dists(cod, exact)) for _ in space]))
         else:
-            channel = data.draw(st.sampled_from(self.channels))
-            self.add_specs(data, channel, data.draw(st.sampled_from(self.priors[channel.dom])))
+            self.add_specs([data.draw(st.sampled_from(GRID_MODES))])
 
-    def add_specs(self, data, channel, prior):
-        pos, neg = data.draw(st.permutations(channel.cod.elements))[:2]
-        self.specs += [GridSpec(mode, 12, 12, channel, prior, pos, neg) for mode in GRID_MODES]
+    def add_specs(self, modes=GRID_MODES):
+        """A spec of each of ``modes``, its prior and channel kept among
+        the others, so pushes, pulls and rules run on what its cells
+        read.  One spec at a time keeps its channel likely to be drawn."""
+        for mode in modes:
+            spec = GridSpec(mode, 12, 12)
+            self.specs.append(spec)
+            self.priors[spec.channel.dom].append(spec.prior)
+            self.channels.append(spec.channel)
 
     def new_evidence(self, data, space):
         """Evidence of two, three or one kept factors on ``space``."""

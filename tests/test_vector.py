@@ -5,9 +5,13 @@ Distributions, factors and mixture weights are built by one
 constructor that stores all-exact values as ints and values holding
 any float as one float tuple; it and the trusted float constructor
 share one range check, which raises each caller's error class.  The
-tensor products all run on one outer-product kernel.
+tensor products all run on one outer-product kernel.  Only the kernel
+modules read that storage.
 """
 
+import ast
+import importlib
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -271,3 +275,13 @@ def test_weighted_update_with_a_zero_weight(seed, rows, columns, zero_term):
         posteriors = [floats(p) for p in posteriors]
     result = convex_sum(weights, [bayes_update(omega, f) for f in factors])
     check_mix(result, reference.ref_mix(weights, posteriors), zero_term == "exact")
+
+
+@pytest.mark.parametrize("module", ["models", "cli", "modelfile", "properties"])
+def test_the_storage_format_stays_in_the_kernel_modules(module):
+    # the modules above the kernels read a vector through its public view,
+    # so only the kernels know it is ints over one denominator or one float tuple
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"multibayes.{module}")))
+    reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den", "_flt")]
+    assert reads == []
