@@ -150,7 +150,7 @@ def parse_scalar(text: str) -> Scalar:
         if int(den) == 0:
             raise ValueError(f"zero denominator in {reprlib.repr(text)}")
         return Fraction(int(num), int(den))
-    if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
+    if any(c in text for c in ".eE"):
         try:
             return float(text)
         except ValueError:  # its message holds the whole text

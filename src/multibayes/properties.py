@@ -7,18 +7,21 @@ the ``check`` CLI subcommand and the acceptance tests.
 
 To add a property, decorate a per-trial check ``check(rng)`` with
 ``@_register(prop_id, group)``.  It draws one random instance from
-``rng`` and returns a counterexample string, or None when the trial
-holds; the one trial driver, ``_forall``, stops at the first
-counterexample.  Draw a space with a distribution on it by ``_prior``,
-and a channel with a distribution on its domain by ``_channel``.  A
-fixed instance is a check with ``max_trials=1`` that ignores ``rng``;
-it compares its values with the paper's printed figures by ``_figures``.
-Use ``@_register_run`` on a whole-run function ``run(trials, rng)``
-returning ``(passed, trials_run, detail)`` only where the result is not
-"first failing trial": a witness search runs on ``_exists``, the dual of
-``_forall``; a candidate sweep walks ``_sweep``; a check that reports a
-detail on pass wraps ``_forall``.  No property writes a trial loop of
-its own.  Registration order is the output order.
+``rng``, states each law of it with ``_law(holds, message, *args)`` and
+returns None, or returns early to skip a degenerate trial.  The laws run
+in order: ``_law`` breaks the trial at the first that does not hold,
+formatting its message only then, and the one trial driver, ``_forall``,
+reports that trial.  Draw a space with a distribution on it by
+``_prior``, and a channel with a distribution on its domain by
+``_channel``.  A fixed instance is a check with ``max_trials=1`` that
+ignores ``rng``; it compares its values with the paper's printed figures
+by ``_figures``.  Use ``@_register_run`` on a whole-run function
+``run(trials, rng)`` returning ``(passed, trials_run, detail)`` only
+where the result is not "first failing trial": a witness search runs on
+``_exists``, the dual of ``_forall``; a candidate sweep walks
+``_sweep``; a check that reports a detail on pass wraps ``_forall``.  No
+property writes a trial loop of its own.  Registration order is the
+output order.
 """
 
 from __future__ import annotations
@@ -108,9 +111,23 @@ class Property:
 PROPERTIES: dict[str, Property] = {}
 
 
+class _Broken(Exception):
+    """A law of the running trial does not hold; its message is the counterexample."""
+
+
+def _law(holds: bool, message: str, *args) -> None:
+    """State one law of a trial: unless it ``holds``, break the trial with ``message.format(*args)``."""
+    if not holds:
+        raise _Broken(message.format(*args))
+
+
 def _forall(trials: int, rng: random.Random, check: Callable[[random.Random], object]):
+    """Run up to ``trials`` trials of ``check``; fail at the first that breaks a law or returns a value."""
     for t in range(trials):
-        detail = check(rng)
+        try:
+            detail = check(rng)
+        except _Broken as broken:
+            detail = str(broken)
         if detail is not None:
             return False, t + 1, detail
     return True, trials, None
@@ -279,11 +296,8 @@ def _figures(*pairs: tuple[Scalar, str]) -> bool:
 def _exact_field_roundtrip(rng):
     a = Fraction(rng.randint(-300, 300), rng.randint(1, 300))
     b = Fraction(rng.randint(-300, 300), rng.randint(1, 300)) or Fraction(1, 7)
-    if (a + b) - b != a:
-        return f"(a+b)-b != a for a={a}, b={b}"
-    if (a * b) / b != a:
-        return f"(a*b)/b != a for a={a}, b={b}"
-    return None
+    _law((a + b) - b == a, "(a+b)-b != a for a={}, b={}", a, b)
+    _law((a * b) / b == a, "(a*b)/b != a for a={}, b={}", a, b)
 
 
 @_register("exact-to-float-ulp", "core")
@@ -292,9 +306,8 @@ def _exact_to_float_ulp(rng):
     q = rng.randint(1, 2**40 - 1)
     via_fraction = float(Fraction(p, q))
     direct = p / q
-    if abs(via_fraction - direct) > math.ulp(max(abs(via_fraction), abs(direct))):
-        return f"float({p}/{q}) differs from direct division by more than 1 ulp"
-    return None
+    _law(not (abs(via_fraction - direct) > math.ulp(max(abs(via_fraction), abs(direct)))),
+         "float({}/{}) differs from direct division by more than 1 ulp", p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +319,10 @@ def _acc_permutation_size(rng):
     space = _space(rng)
     seq = [rng.choice(space.elements) for _ in range(rng.randint(0, 8))]
     phi = acc(seq, space)
-    if phi.size != len(seq):
-        return f"size {phi.size} != sequence length {len(seq)}"
+    _law(phi.size == len(seq), "size {} != sequence length {}", phi.size, len(seq))
     shuffled = seq[:]
     rng.shuffle(shuffled)
-    if acc(shuffled, space) != phi:
-        return f"accumulation changed under permutation of {seq}"
-    return None
+    _law(acc(shuffled, space) == phi, "accumulation changed under permutation of {}", seq)
 
 
 @_register("coefm-sequence-count", "multiset", max_trials=150)
@@ -324,9 +334,7 @@ def _coefm_sequence_count(rng):
         key = acc(seq, space).counts
         counted[key] = counted.get(key, 0) + 1
     for phi in enumerate_multisets(space, size):
-        if counted.get(phi.counts, 0) != coefm(phi):
-            return f"coefm({phi}) != brute-force sequence count"
-    return None
+        _law(counted.get(phi.counts, 0) == coefm(phi), "coefm({}) != brute-force sequence count", phi)
 
 
 @_register("flrn-scale-invariant", "multiset")
@@ -334,9 +342,7 @@ def _flrn_scale_invariant(rng):
     space = _space(rng)
     phi = _point_multiset(rng, space, rng.randint(1, 8))
     n = rng.randint(1, 4)
-    if flrn(phi.scale(n)) != flrn(phi):
-        return f"flrn({n}*{phi}) != flrn({phi})"
-    return None
+    _law(flrn(phi.scale(n)) == flrn(phi), "flrn({}*{}) != flrn({})", n, phi, phi)
 
 
 @_register("multinomial-theorem", "multiset", max_trials=400)
@@ -351,9 +357,7 @@ def _multinomial_theorem(rng):
         * math.prod((rs[i] ** c for i, c in phi.items()), start=Fraction(1))
         for phi in enumerate_multisets(index, size)
     )
-    if total != expanded:
-        return f"({'+'.join(map(str, rs))})^{size} != multiset expansion"
-    return None
+    _law(total == expanded, "({})^{} != multiset expansion", "+".join(map(str, rs)), size)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +374,8 @@ def _copy_iff_dirac(rng):
     copied = copy_dist(omega)
     product = tensor(omega, omega)
     is_dirac = len(omega.support()) == 1
-    if is_dirac and copied != product:
-        return f"copy of point distribution {omega} differs from its square"
-    if not is_dirac and copied == product:
-        return f"copy equals square for non-point {omega}"
-    return None
+    _law(not is_dirac or copied == product, "copy of point distribution {} differs from its square", omega)
+    _law(is_dirac or copied != product, "copy equals square for non-point {}", omega)
 
 
 @_register("multinomial-sums-to-one", "distribution", max_trials=400)
@@ -382,9 +383,7 @@ def _multinomial_sums_to_one(rng):
     _, omega = _prior(rng, max_size=4, full_support=False)
     size = rng.randint(0, 5)
     total = sum(multinomial(size, omega).weights, Fraction(0))
-    if total != 1:
-        return f"multinomial({size}, {omega}) sums to {total}"
-    return None
+    _law(total == 1, "multinomial({}, {}) sums to {}", size, omega, total)
 
 
 @_register("multinomial-acc-pushforward", "distribution", max_trials=300)
@@ -392,9 +391,7 @@ def _multinomial_acc_pushforward(rng):
     space, omega = _prior(rng, max_size=3, full_support=False)
     size = rng.randint(0, 3)
     pushed = push_function(lambda t: acc(t, space), tensor_power(omega, size))
-    if pushed != multinomial(size, omega):
-        return f"accumulated {size}-fold power of {omega} != draw distribution"
-    return None
+    _law(pushed == multinomial(size, omega), "accumulated {}-fold power of {} != draw distribution", size, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +402,17 @@ def _multinomial_acc_pushforward(rng):
 def _ortho_laws(rng):
     space = _space(rng)
     p = _factor(rng, space)
-    if ortho(ortho(p)) != p:
-        return f"double orthosupplement changed {p}"
-    if (p + ortho(p)) != truth(space):
-        return f"p + ~p != truth for {p}"
-    return None
+    _law(ortho(ortho(p)) == p, "double orthosupplement changed {}", p)
+    _law(p + ortho(p) == truth(space), "p + ~p != truth for {}", p)
 
 
 @_register("conj-commutative-associative", "evidence")
 def _conj_comm_assoc(rng):
     space = _space(rng)
     p, q, r = (_factor(rng, space, bound=2) for _ in range(3))
-    if conj(p, q) != conj(q, p):
-        return "conjunction is not commutative"
-    if conj(conj(p, q), r) != conj(p, conj(q, r)):
-        return "conjunction is not associative"
-    if conj(p, truth(space)) != p or conj(p, falsity(space)) != falsity(space):
-        return "truth/falsity units broken"
-    return None
+    _law(conj(p, q) == conj(q, p), "conjunction is not commutative")
+    _law(conj(conj(p, q), r) == conj(p, conj(q, r)), "conjunction is not associative")
+    _law(conj(p, truth(space)) == p and conj(p, falsity(space)) == falsity(space), "truth/falsity units broken")
 
 
 @_register("weakening-marginal", "evidence")
@@ -432,9 +422,7 @@ def _weakening_marginal(rng):
     tau = _dist(rng, xs.product(ys), full_support=False)
     p = _factor(rng, xs)
     weakened = tensor_factor(p, truth(ys))
-    if validity(tau, weakened) != validity(marginal(tau, 0), p):
-        return f"weakening broke for tau={tau}, p={p}"
-    return None
+    _law(validity(tau, weakened) == validity(marginal(tau, 0), p), "weakening broke for tau={}, p={}", tau, p)
 
 
 @_register("and-conj-additive", "evidence")
@@ -442,9 +430,8 @@ def _and_conj_additive(rng):
     space = _space(rng)
     psi = _evidence(rng, space, positive=False)
     chi = _evidence(rng, space, positive=False)
-    if and_conj(psi + chi) != conj(and_conj(psi), and_conj(chi)):
-        return f"conjunction of {psi} + {chi} is not multiplicative"
-    return None
+    _law(and_conj(psi + chi) == conj(and_conj(psi), and_conj(chi)),
+         "conjunction of {} + {} is not multiplicative", psi, chi)
 
 
 @_register("frac-conj-power", "evidence")
@@ -454,9 +441,7 @@ def _frac_conj_power(rng):
     lifted = frac_conj(psi) ** psi.size
     reference = and_conj(psi)
     for x in space:
-        if not _feq(float(lifted(x)), float(reference(x))):
-            return f"frac-conj^K differs from full conjunction at {x!r}"
-    return None
+        _law(_feq(float(lifted(x)), float(reference(x))), "frac-conj^K differs from full conjunction at {!r}", x)
 
 
 @_register("tensor-conj-validity", "evidence", max_trials=300)
@@ -468,9 +453,7 @@ def _tensor_conj_validity(rng):
     rhs = math.prod(
         (validity(omega, p) ** c for p, c in psi.items()), start=Fraction(1)
     )
-    if lhs != rhs:
-        return f"product-space validity of {psi} != product of validities"
-    return None
+    _law(lhs == rhs, "product-space validity of {} != product of validities", psi)
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +470,18 @@ def _validity_laws(rng):
     q = _factor(rng, space)
     x = rng.choice(space.elements)
     s = Fraction(rng.randint(0, 24), 12)
-    if validity(omega, truth(space)) != 1 or validity(omega, falsity(space)) != 0:
-        return "truth/falsity validities broken"
-    if validity(omega, point_pred(x, space)) != omega(x):
-        return f"point-predicate validity differs from weight at {x!r}"
-    if validity(omega, p + q) != validity(omega, p) + validity(omega, q):
-        return "validity is not additive"
-    if validity(omega, scale(s, p)) != s * validity(omega, p):
-        return "validity is not homogeneous"
-    if validity(omega, p + q) < validity(omega, p):
-        return "validity is not monotone"
-    if validity(omega, ortho(p)) != 1 - validity(omega, p):
-        return "orthosupplement validity law broken"
+    _law(validity(omega, truth(space)) == 1 and validity(omega, falsity(space)) == 0,
+         "truth/falsity validities broken")
+    _law(validity(omega, point_pred(x, space)) == omega(x), "point-predicate validity differs from weight at {!r}", x)
+    _law(validity(omega, p + q) == validity(omega, p) + validity(omega, q), "validity is not additive")
+    _law(validity(omega, scale(s, p)) == s * validity(omega, p), "validity is not homogeneous")
+    _law(validity(omega, p + q) >= validity(omega, p), "validity is not monotone")
+    _law(validity(omega, ortho(p)) == 1 - validity(omega, p), "orthosupplement validity law broken")
     q_other = _factor(rng, other)
-    if validity(tensor(omega, rho), tensor_factor(p, q_other)) != validity(omega, p) * validity(
-        rho, q_other
-    ):
-        return "tensor validity law broken"
-    if validity(omega, conj(p, q)) != validity(copy_dist(omega), tensor_factor(p, q)):
-        return "copy/conjunction validity law broken"
-    return None
+    _law(validity(tensor(omega, rho), tensor_factor(p, q_other)) == validity(omega, p) * validity(rho, q_other),
+         "tensor validity law broken")
+    _law(validity(omega, conj(p, q)) == validity(copy_dist(omega), tensor_factor(p, q)),
+         "copy/conjunction validity law broken")
 
 
 @_register("matching-bounds", "validity")
@@ -519,11 +494,8 @@ def _matching_bounds(rng):
     omega = _dist(rng, space, full_support=False)
     jv = jeffrey_validity(omega, psi)
     pv = pearl_validity(omega, psi)
-    if not (0 <= jv <= 1):
-        return f"Jeffrey validity {jv} outside the unit interval"
-    if not (0 <= pv <= 1):
-        return f"Pearl validity {pv} outside the unit interval"
-    return None
+    _law(0 <= jv <= 1, "Jeffrey validity {} outside the unit interval", jv)
+    _law(0 <= pv <= 1, "Pearl validity {} outside the unit interval", pv)
 
 
 @_register("perfect-match-normalisation", "validity")
@@ -540,11 +512,8 @@ def _perfect_match_normalisation(rng):
         psi = Evidence((pack[i], c) for i, c in phi.items() if c)
         j_total += jeffrey_validity(omega, psi)
         p_total += pearl_validity(omega, psi)
-    if j_total != 1:
-        return f"Jeffrey validities over size-{size} evidence sum to {j_total}"
-    if p_total != 1:
-        return f"Pearl validities over size-{size} evidence sum to {p_total}"
-    return None
+    _law(j_total == 1, "Jeffrey validities over size-{} evidence sum to {}", size, j_total)
+    _law(p_total == 1, "Pearl validities over size-{} evidence sum to {}", size, p_total)
 
 
 @_register("single-factor-dominance", "validity")
@@ -553,9 +522,8 @@ def _single_factor_dominance(rng):
     p = _factor(rng, space)
     n = rng.randint(1, 6)
     psi = Evidence(((p, n),))
-    if jeffrey_validity(omega, psi) > pearl_validity(omega, psi):
-        return f"(omega |= p)^{n} exceeded omega |= p^{n} for p={p}"
-    return None
+    _law(jeffrey_validity(omega, psi) <= pearl_validity(omega, psi),
+         "(omega |= p)^{} exceeded omega |= p^{} for p={}", n, n, p)
 
 
 @_register("covariance-identity", "validity")
@@ -565,13 +533,10 @@ def _covariance_identity(rng):
     p2 = _factor(rng, space)
     if p1 == p2:
         return None  # equal factors merge into 2|p> and the halving law changes
-    if covariance(omega, p1, truth(space)) != 0:
-        return "covariance against truth is nonzero"
+    _law(covariance(omega, p1, truth(space)) == 0, "covariance against truth is nonzero")
     psi = Evidence(((p1, 1), (p2, 1)))
     gap = (pearl_validity(omega, psi) - jeffrey_validity(omega, psi)) / 2
-    if covariance(omega, p1, p2) != gap:
-        return f"covariance != half the Pearl-Jeffrey gap for {p1}, {p2}"
-    return None
+    _law(covariance(omega, p1, p2) == gap, "covariance != half the Pearl-Jeffrey gap for {}, {}", p1, p2)
 
 
 @_register("log-likelihood-order", "validity")
@@ -582,11 +547,10 @@ def _log_likelihood_order(rng):
     score = log_likelihood_score(omega, omega_prime, psi)
     jv = jeffrey_validity(omega, psi)
     jv_prime = jeffrey_validity(omega_prime, psi)
-    if jv <= jv_prime and score > FLOAT_SLACK:
-        return f"score {score} positive although validities are ordered the other way"
-    if jv >= jv_prime and score < -FLOAT_SLACK:
-        return f"score {score} negative although validities are ordered the other way"
-    return None
+    _law(not (jv <= jv_prime and score > FLOAT_SLACK),
+         "score {} positive although validities are ordered the other way", score)
+    _law(not (jv >= jv_prime and score < -FLOAT_SLACK),
+         "score {} negative although validities are ordered the other way", score)
 
 
 @_register("point-evidence-bridge", "validity")
@@ -595,9 +559,8 @@ def _point_evidence_bridge(rng):
     size = rng.randint(1, 4)
     phi = _point_multiset(rng, space, size)
     draws = multinomial(size, omega)
-    if jeffrey_validity(omega, point_evidence(phi)) != draws(phi):
-        return f"point-evidence validity != draw probability of {phi}"
-    return None
+    _law(jeffrey_validity(omega, point_evidence(phi)) == draws(phi),
+         "point-evidence validity != draw probability of {}", phi)
 
 
 @_register_run("point-evidence-argmax", "validity", max_trials=1000)
@@ -630,13 +593,9 @@ def _nonmatching_escape(rng):
     psi = Evidence(((p, 2), (q, 3)))
     jv = jeffrey_validity(omega, psi)
     pv = pearl_validity(omega, psi)
-    if jv != Fraction(19773, 12800):
-        return f"non-matching Jeffrey validity {jv} != 19773/12800"
-    if pv != Fraction(2173, 800):
-        return f"non-matching Pearl validity {pv} != 2173/800"
-    if not (1 < jv < 2 and pv > 2):
-        return "escape magnitudes unexpected"
-    return None
+    _law(jv == Fraction(19773, 12800), "non-matching Jeffrey validity {} != 19773/12800", jv)
+    _law(pv == Fraction(2173, 800), "non-matching Pearl validity {} != 2173/800", pv)
+    _law(1 < jv < 2 and pv > 2, "escape magnitudes unexpected")
 
 
 @_register("jeffrey-pearl-gap-examples", "validity", max_trials=1)
@@ -646,17 +605,13 @@ def _jeffrey_pearl_gap_examples(rng):
     p = Factor(space, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
     psi = Evidence(((p, 1), (ortho(p), 1)))
     jv, pv = float(jeffrey_validity(omega, psi)), float(pearl_validity(omega, psi))
-    if not _figures((jv, "0.479"), (pv, "0.028")):
-        return f"wide-gap pair ({jv:.4f}, {pv:.4f}) != (0.479, 0.028)"
+    _law(_figures((jv, "0.479"), (pv, "0.028")), "wide-gap pair ({:.4f}, {:.4f}) != (0.479, 0.028)", jv, pv)
     omega2 = Dist(space, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
     q = Factor(space, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
     chi = Evidence(((q, 1), (ortho(q), 4)))
     jv2, pv2 = float(jeffrey_validity(omega2, chi)), float(pearl_validity(omega2, chi))
-    if not _figures((jv2, "0.054"), (pv2, "0.154")):
-        return f"reversal pair ({jv2:.4f}, {pv2:.4f}) != (0.054, 0.154)"
-    if not jv2 < pv2:
-        return "expected Pearl above Jeffrey in the reversal pair"
-    return None
+    _law(_figures((jv2, "0.054"), (pv2, "0.154")), "reversal pair ({:.4f}, {:.4f}) != (0.054, 0.154)", jv2, pv2)
+    _law(jv2 < pv2, "expected Pearl above Jeffrey in the reversal pair")
 
 
 @_register_run("jeffrey-pearl-grid-gap", "validity", max_trials=1)
@@ -679,16 +634,13 @@ def _bayes_laws(rng):
     p = _factor(rng, space, positive=True)
     q = _factor(rng, space, positive=True)
     s = Fraction(rng.randint(1, 24), 12)
-    if bayes_update(omega, truth(space)) != omega:
-        return "conditioning on truth changed the distribution"
-    if bayes_update(omega, conj(p, q)) != bayes_update(bayes_update(omega, p), q):
-        return "conjunction update != successive updates"
+    _law(bayes_update(omega, truth(space)) == omega, "conditioning on truth changed the distribution")
+    _law(bayes_update(omega, conj(p, q)) == bayes_update(bayes_update(omega, p), q),
+         "conjunction update != successive updates")
     x = rng.choice(omega.support())
-    if bayes_update(omega, point_pred(x, space)) != dirac(x, space):
-        return f"conditioning on a point predicate missed dirac({x!r})"
-    if bayes_update(omega, scale(s, p)) != bayes_update(omega, p):
-        return "scaling the factor changed the update"
-    return None
+    _law(bayes_update(omega, point_pred(x, space)) == dirac(x, space),
+         "conditioning on a point predicate missed dirac({!r})", x)
+    _law(bayes_update(omega, scale(s, p)) == bayes_update(omega, p), "scaling the factor changed the update")
 
 
 @_register("product-bayes-rules", "update")
@@ -697,14 +649,11 @@ def _product_bayes_rules(rng):
     p = _factor(rng, space, positive=True)
     q = _factor(rng, space, positive=True)
     posterior = bayes_update(omega, p)
-    if validity(posterior, q) != validity(omega, conj(p, q)) / validity(omega, p):
-        return "product rule broken"
+    _law(validity(posterior, q) == validity(omega, conj(p, q)) / validity(omega, p), "product rule broken")
     bayes_rhs = (
         validity(bayes_update(omega, q), p) * validity(omega, q) / validity(omega, p)
     )
-    if validity(posterior, q) != bayes_rhs:
-        return "Bayes' rule broken"
-    return None
+    _law(validity(posterior, q) == bayes_rhs, "Bayes' rule broken")
 
 
 @_register("iterated-update-validity", "update")
@@ -715,30 +664,24 @@ def _iterated_update_validity(rng):
     conjunction = ps[0]
     for p in ps[1:]:
         conjunction = conj(conjunction, p)
-    if chained != validity(omega, conjunction):
-        return "chained validity != conjunction validity"
+    _law(chained == validity(omega, conjunction), "chained validity != conjunction validity")
     shuffled = ps[:]
     rng.shuffle(shuffled)
-    if iterated_pearl_validity(omega, shuffled) != chained:
-        return "chained validity depends on the order"
-    return None
+    _law(iterated_pearl_validity(omega, shuffled) == chained, "chained validity depends on the order")
 
 
 @_register("validity-gain", "update")
 def _validity_gain(rng):
     space, omega = _prior(rng)
     p = _factor(rng, space, positive=True)
-    if validity(bayes_update(omega, p), p) < validity(omega, p):
-        return f"update decreased the validity of {p}"
+    _law(validity(bayes_update(omega, p), p) >= validity(omega, p), "update decreased the validity of {}", p)
     ps = [_factor(rng, space, positive=True) for _ in range(rng.randint(2, 3))]
     mixture = convex_sum(
         [Fraction(1, len(ps))] * len(ps), [bayes_update(omega, p) for p in ps]
     )
     before = math.prod((validity(omega, p) for p in ps), start=Fraction(1))
     after = math.prod((validity(mixture, p) for p in ps), start=Fraction(1))
-    if after < before:
-        return "uniform mixture of updates decreased the validity product"
-    return None
+    _law(after >= before, "uniform mixture of updates decreased the validity product")
 
 
 def _increases(rng, rule: str, update, evidence_validity):
@@ -746,14 +689,13 @@ def _increases(rng, rule: str, update, evidence_validity):
     the callers look both up at call time, so a rebound module name runs."""
     space, omega = _prior(rng)
     psi = _evidence(rng, space)
-    if evidence_validity(update(omega, psi), psi) < evidence_validity(omega, psi):
-        return f"{rule} update decreased {rule} validity for {psi}"
-    return None
+    _law(evidence_validity(update(omega, psi), psi) >= evidence_validity(omega, psi),
+         "{} update decreased {} validity for {}", rule, rule, psi)
 
 
 @_register("jeffrey-increases", "update")
 def _jeffrey_increases(rng):
-    return _increases(rng, "Jeffrey", jeffrey_update, jeffrey_validity)
+    _increases(rng, "Jeffrey", jeffrey_update, jeffrey_validity)
 
 
 @_register("jeffrey-dkl-decrease", "update")
@@ -763,9 +705,8 @@ def _jeffrey_dkl_decrease(rng):
     psi = point_evidence(phi)
     posterior = jeffrey_update(omega, psi)
     target = flrn(phi)
-    if kl_divergence(target, posterior) > kl_divergence(target, omega) + FLOAT_SLACK:
-        return f"divergence increased for point evidence {phi}"
-    return None
+    _law(not (kl_divergence(target, posterior) > kl_divergence(target, omega) + FLOAT_SLACK),
+         "divergence increased for point evidence {}", phi)
 
 
 @_register("jeffrey-scale-invariant", "update")
@@ -773,9 +714,8 @@ def _jeffrey_scale_invariant(rng):
     space, omega = _prior(rng)
     psi = _evidence(rng, space)
     n = rng.randint(1, 4)
-    if jeffrey_update(omega, psi.scale(n)) != jeffrey_update(omega, psi):
-        return f"{n}-fold evidence changed the Jeffrey update"
-    return None
+    _law(jeffrey_update(omega, psi.scale(n)) == jeffrey_update(omega, psi),
+         "{}-fold evidence changed the Jeffrey update", n)
 
 
 @_register_run("jeffrey-order", "update")
@@ -809,9 +749,7 @@ def _jeffrey_self_no_op(rng):
     _, omega = _prior(rng, full_support=False)
     denominator = math.lcm(*(Fraction(w).denominator for w in omega.weights))
     phi = Multiset(omega.space, [int(w * denominator) for w in omega.weights])
-    if jeffrey_update(omega, point_evidence(phi)) != omega:
-        return f"updating {omega} with its own frequencies changed it"
-    return None
+    _law(jeffrey_update(omega, point_evidence(phi)) == omega, "updating {} with its own frequencies changed it", omega)
 
 
 @_register("jeffrey-convex-combination", "update")
@@ -834,14 +772,12 @@ def _jeffrey_convex_combination(rng):
     combined = psis[0].scale(ns[0])
     for psi, n in zip(psis[1:], ns[1:]):
         combined = combined + psi.scale(n)
-    if mixture != jeffrey_update(omega, combined):
-        return "convex sum of Jeffrey updates != update with combined evidence"
-    return None
+    _law(mixture == jeffrey_update(omega, combined), "convex sum of Jeffrey updates != update with combined evidence")
 
 
 @_register("pearl-increases", "update")
 def _pearl_increases(rng):
-    return _increases(rng, "Pearl", pearl_update, pearl_validity)
+    _increases(rng, "Pearl", pearl_update, pearl_validity)
 
 
 @_register("pearl-product-bayes", "update")
@@ -853,19 +789,15 @@ def _pearl_product_bayes(rng):
     chi = _evidence(rng, space, max_size=3)
     cv = lambda w, ev: validity(w, and_conj(ev))
     posterior = pearl_update(omega, psi)
-    if cv(posterior, chi) != cv(omega, psi + chi) / cv(omega, psi):
-        return "evidence-level product rule broken"
+    _law(cv(posterior, chi) == cv(omega, psi + chi) / cv(omega, psi), "evidence-level product rule broken")
     bayes_rhs = cv(pearl_update(omega, chi), psi) * cv(omega, chi) / cv(omega, psi)
-    if cv(posterior, chi) != bayes_rhs:
-        return "evidence-level Bayes rule broken"
+    _law(cv(posterior, chi) == bayes_rhs, "evidence-level Bayes rule broken")
     coefficient_ratio = Fraction(
         psi.coefficient() * chi.coefficient(), (psi + chi).coefficient()
     )
     lhs = pearl_validity(posterior, chi)
     rhs = pearl_validity(omega, psi + chi) / pearl_validity(omega, psi)
-    if lhs != coefficient_ratio * rhs:
-        return "coefficient bookkeeping of the evidence product rule broken"
-    return None
+    _law(lhs == coefficient_ratio * rhs, "coefficient bookkeeping of the evidence product rule broken")
 
 
 @_register("pearl-composes", "update")
@@ -874,11 +806,8 @@ def _pearl_composes(rng):
     psi = _evidence(rng, space, max_size=3)
     chi = _evidence(rng, space, max_size=3)
     combined = pearl_update(omega, psi + chi)
-    if pearl_update(pearl_update(omega, psi), chi) != combined:
-        return "successive Pearl updates != combined update"
-    if pearl_update(pearl_update(omega, chi), psi) != combined:
-        return "Pearl updates are order-sensitive"
-    return None
+    _law(pearl_update(pearl_update(omega, psi), chi) == combined, "successive Pearl updates != combined update")
+    _law(pearl_update(pearl_update(omega, chi), psi) == combined, "Pearl updates are order-sensitive")
 
 
 @_register("pearl-uniform-no-op", "update")
@@ -889,9 +818,7 @@ def _pearl_uniform_no_op(rng):
         for _ in range(rng.randint(1, 3))
     ]
     psi = Evidence((f, rng.randint(1, 2)) for f in factors)
-    if pearl_update(omega, psi) != omega:
-        return "scaled-truth evidence changed the distribution"
-    return None
+    _law(pearl_update(omega, psi) == omega, "scaled-truth evidence changed the distribution")
 
 
 @_register("cross-rule-decrease", "update", max_trials=1)
@@ -903,13 +830,9 @@ def _cross_rule_decrease(rng):
     p_prior = pearl_validity(omega, psi)
     j_after_pearl = jeffrey_validity(pearl_update(omega, psi), psi)
     p_after_jeffrey = pearl_validity(jeffrey_update(omega, psi), psi)
-    if not _figures((j_after_pearl, "0.3081"), (j_prior, "0.3116")):
-        return "crossed Jeffrey numbers off"
-    if not _figures((p_after_jeffrey, "0.2847"), (p_prior, "0.2858")):
-        return "crossed Pearl numbers off"
-    if not (j_after_pearl < j_prior and p_after_jeffrey < p_prior):
-        return "crossed updates did not decrease the validities"
-    return None
+    _law(_figures((j_after_pearl, "0.3081"), (j_prior, "0.3116")), "crossed Jeffrey numbers off")
+    _law(_figures((p_after_jeffrey, "0.2847"), (p_prior, "0.2858")), "crossed Pearl numbers off")
+    _law(j_after_pearl < j_prior and p_after_jeffrey < p_prior, "crossed updates did not decrease the validities")
 
 
 @_register("vfe-forms-agree", "update")
@@ -919,9 +842,7 @@ def _vfe_forms_agree(rng):
     direct = vfe_update(omega, psi)
     softmax = vfe_update_softmax(omega, psi)
     for x in space:
-        if not _feq(float(direct(x)), float(softmax(x))):
-            return f"softmax and conjunction forms differ at {x!r}"
-    return None
+        _law(_feq(float(direct(x)), float(softmax(x))), "softmax and conjunction forms differ at {!r}", x)
 
 
 @_register_run("vfe-sandwich", "update")
@@ -941,11 +862,8 @@ def _vfe_sandwich(trials, rng):
         base = float(pearl_validity(omega, psi))
         via_vfe = float(pearl_validity(vfe_update(omega, psi), psi))
         via_pearl = float(pearl_validity(pearl_update(omega, psi), psi))
-        if base > via_vfe + FLOAT_SLACK:
-            return "VFE update decreased the Pearl validity"
-        if via_vfe > via_pearl + FLOAT_SLACK:
-            return "VFE update beat the Pearl update on Pearl validity"
-        return None
+        _law(not (base > via_vfe + FLOAT_SLACK), "VFE update decreased the Pearl validity")
+        _law(not (via_vfe > via_pearl + FLOAT_SLACK), "VFE update beat the Pearl update on Pearl validity")
 
     passed, ran, detail = _forall(trials, rng, check)
     if passed:
@@ -992,9 +910,7 @@ def _pull_injective(c: Channel, psi: Evidence) -> bool:
 def _channel_adjunction(rng):
     c, omega = _channel(rng, full_rows=False, full_support=False)
     q = _factor(rng, c.cod)
-    if validity(push(c, omega), q) != validity(omega, pull(c, q)):
-        return "pushforward validity != pulled-back validity"
-    return None
+    _law(validity(push(c, omega), q) == validity(omega, pull(c, q)), "pushforward validity != pulled-back validity")
 
 
 @_register("jeffrey-along-channel", "channel")
@@ -1003,9 +919,8 @@ def _jeffrey_along_channel(rng):
     psi = _evidence(rng, c.cod, max_factors=2, max_size=4)
     if not _pull_injective(c, psi):
         return None  # merged factors change the coefficient; skip degenerate pull
-    if jeffrey_validity(omega, triple_pull(c, psi)) != jeffrey_validity(push(c, omega), psi):
-        return "Jeffrey validity along the channel broke"
-    return None
+    _law(jeffrey_validity(omega, triple_pull(c, psi)) == jeffrey_validity(push(c, omega), psi),
+         "Jeffrey validity along the channel broke")
 
 
 @_register_run("pearl-along-channel-fails", "channel", max_trials=100)
@@ -1039,11 +954,10 @@ def _point_evidence_multinomial(rng):
     if not _pull_injective(c, psi):
         return None
     pulled = triple_pull(c, psi)
-    if jeffrey_validity(omega, pulled) != multinomial(size, push(c, omega))(phi):
-        return "channel Jeffrey validity != draw probability of the prediction"
-    if pearl_validity(omega, pulled) != push(multinomial_channel(c, size), omega)(phi):
-        return "channel Pearl validity != pushforward draw-channel probability"
-    return None
+    _law(jeffrey_validity(omega, pulled) == multinomial(size, push(c, omega))(phi),
+         "channel Jeffrey validity != draw probability of the prediction")
+    _law(pearl_validity(omega, pulled) == push(multinomial_channel(c, size), omega)(phi),
+         "channel Pearl validity != pushforward draw-channel probability")
 
 
 @_register("dagger-jeffrey", "channel")
@@ -1052,9 +966,8 @@ def _dagger_jeffrey(rng):
     phi = _point_multiset(rng, c.cod, rng.randint(1, 5))
     psi = point_evidence(phi)
     reversed_channel = dagger(c, omega)
-    if push(reversed_channel, flrn(phi)) != jeffrey_update(omega, triple_pull(c, psi)):
-        return "dagger pushforward != Jeffrey update along the channel"
-    return None
+    _law(push(reversed_channel, flrn(phi)) == jeffrey_update(omega, triple_pull(c, psi)),
+         "dagger pushforward != Jeffrey update along the channel")
 
 
 @_register("multinomial-channel-pearl", "channel", max_trials=600)
@@ -1064,9 +977,8 @@ def _multinomial_channel_pearl(rng):
     phi = _point_multiset(rng, c.cod, size)
     draws = multinomial_channel(c, size)
     via_pull = bayes_update(omega, pull(draws, point_pred(phi, draws.cod)))
-    if pearl_update(omega, triple_pull(c, point_evidence(phi))) != via_pull:
-        return "Pearl update along channel != update with the draw-channel pullback"
-    return None
+    _law(pearl_update(omega, triple_pull(c, point_evidence(phi))) == via_pull,
+         "Pearl update along channel != update with the draw-channel pullback")
 
 
 @_register("channel-divergence-decrease", "channel")
@@ -1077,21 +989,16 @@ def _channel_divergence_decrease(rng):
     target = flrn(phi)
     before = kl_divergence(target, push(c, omega))
     after = kl_divergence(target, push(c, posterior))
-    if after > before + FLOAT_SLACK:
-        return f"prediction divergence increased for point evidence {phi}"
-    return None
+    _law(not (after > before + FLOAT_SLACK), "prediction divergence increased for point evidence {}", phi)
 
 
 @_register("identity-channel-neutral", "channel")
 def _identity_channel_neutral(rng):
     space, omega = _prior(rng, full_support=False)
     c = identity_channel(space)
-    if push(c, omega) != omega:
-        return "identity channel moved the distribution"
+    _law(push(c, omega) == omega, "identity channel moved the distribution")
     psi = _evidence(rng, space, positive=False)
-    if triple_pull(c, psi) != psi:
-        return "identity channel changed the evidence"
-    return None
+    _law(triple_pull(c, psi) == psi, "identity channel changed the evidence")
 
 
 # ---------------------------------------------------------------------------
@@ -1103,13 +1010,9 @@ def _dkl_nonneg_zero_iff(rng):
     space, sigma = _prior(rng, unit=24)
     rho = _dist(rng, space, unit=24)
     value = kl_divergence(sigma, rho)
-    if value < -1e-15:
-        return f"divergence {value} negative"
-    if sigma == rho and value != 0.0:
-        return "divergence of equal distributions is nonzero"
-    if sigma != rho and value <= 1e-12:
-        return f"divergence {value} vanished for distinct distributions"
-    return None
+    _law(not (value < -1e-15), "divergence {} negative", value)
+    _law(sigma != rho or value == 0.0, "divergence of equal distributions is nonzero")
+    _law(not (sigma != rho and value <= 1e-12), "divergence {} vanished for distinct distributions", value)
 
 
 @_register_run("dkl-asymmetry-witness", "divergence")
@@ -1145,11 +1048,8 @@ def _kl_order_equivalence(rng):
     div_prime = kl_divergence(target, omega_prime)
     if abs(div - div_prime) <= TIE_SKIP:
         return None  # numerically tied; the exact order is not decidable in float
-    if jv <= jv_prime and div < div_prime - TIE_SKIP:
-        return "low validity paired with low divergence"
-    if jv >= jv_prime and div > div_prime + TIE_SKIP:
-        return "high validity paired with high divergence"
-    return None
+    _law(not (jv <= jv_prime and div < div_prime - TIE_SKIP), "low validity paired with low divergence")
+    _law(not (jv >= jv_prime and div > div_prime + TIE_SKIP), "high validity paired with high divergence")
 
 
 @_register("channel-dkl-lower-bound", "divergence")
@@ -1157,14 +1057,13 @@ def _channel_dkl_lower_bound(rng):
     c, sigma = _channel(rng, full_support=False)
     rho = _dist(rng, c.cod, full_support=False)
     expected = expected_channel_divergence(sigma, rho, c)
-    if expected < kl_divergence(rho, push(c, sigma)) - FLOAT_SLACK:
-        return "expected row divergence fell below the pushforward divergence"
+    _law(not (expected < kl_divergence(rho, push(c, sigma)) - FLOAT_SLACK),
+         "expected row divergence fell below the pushforward divergence")
     omega = _dist(rng, c.cod)
     psi = _evidence(rng, c.cod)
     objective = free_energy_objective(rho, omega, psi)
-    if objective < kl_divergence(rho, jeffrey_update(omega, psi)) - FLOAT_SLACK:
-        return "free-energy objective fell below the Jeffrey-update divergence"
-    return None
+    _law(not (objective < kl_divergence(rho, jeffrey_update(omega, psi)) - FLOAT_SLACK),
+         "free-energy objective fell below the Jeffrey-update divergence")
 
 
 @_register_run("vfe-divergence-failure-grid", "divergence", max_trials=1)

@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(TypeError, match="channel rows must be distributions, not Factor"):
             Channel(D, T, [Factor(T, (2, 3)), Factor(T, (1, 1))])
 
+    def test_channels_are_equal_when_their_domains_and_rows_are(self):
+        assert Channel(D, T, C.rows) == C
+        # one row differs, or the rows are the same on another domain
+        assert Channel(D, T, (C.rows[0], C.rows[0])) != C
+        assert Channel(SampleSpace(reversed(D.elements)), T, C.rows) != C
+
 
 def wide_channel() -> Channel:
     """An exact 256 -> 8 channel whose rows have small denominators."""

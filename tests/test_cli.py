@@ -399,7 +399,9 @@ class TestGridSpec:
     def test_medical_grid(self, mode):
         from multibayes.models import medical_grid_spec
 
-        _same_cells(medical_grid_spec(mode, imax=4, jmax=3))
+        # a bound of exactly 1 gives the smallest grids
+        for imax, jmax in ((4, 3), (1, 1), (1, 4)):
+            _same_cells(medical_grid_spec(mode, imax=imax, jmax=jmax))
 
     @pytest.mark.parametrize("mode", GRID_MODES)
     def test_delta_margins(self, mode):

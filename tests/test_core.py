@@ -151,7 +151,8 @@ class TestScalarFormat:
     @pytest.mark.parametrize(
         "text,value",
         [("1/20", Fraction(1, 20)), ("17/40", Fraction(17, 40)), ("3", Fraction(3)),
-         ("-2/5", Fraction(-2, 5)), ("0.425", 0.425), ("1e-3", 1e-3)],
+         ("-2/5", Fraction(-2, 5)), ("0.425", 0.425), ("1e-3", 1e-3), ("-2.5", -2.5), ("+1E2", 100.0),
+         ("+7", Fraction(7))],
     )
     def test_parse(self, text, value):
         parsed = parse_scalar(text)

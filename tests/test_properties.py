@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import inspect
 import random
+import string
 import tracemalloc
 from fractions import Fraction
 
@@ -142,6 +143,20 @@ def _hand_trial_loops(func: ast.FunctionDef) -> list[str]:
     return found
 
 
+def _returned_values(func: ast.FunctionDef) -> list[str]:
+    """The statements of ``func``, not of a function nested in it, that return a value other than None."""
+    found, stack = [], list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Return) and node.value is not None:
+            if not (isinstance(node.value, ast.Constant) and node.value.value is None):
+                found.append(f"line {node.lineno}: returns a value")
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_no_registered_property_writes_its_own_trial_loop():
     # every trial loop is the one driver, _forall, or its dual _exists;
     # candidate sweeps walk _sweep and count their trials there
@@ -155,3 +170,15 @@ def test_no_registered_property_writes_its_own_trial_loop():
     assert len(registered) == len(PROPERTIES)
     offenders = {node.name: found for node in registered if (found := _hand_trial_loops(node))}
     assert not offenders, offenders
+    # a per-trial check states each law with _law, which breaks the trial, so
+    # it returns nothing but None (a skip); the message has a field per argument
+    checks = [node for node in registered if any(d.func.id == "_register" for d in node.decorator_list)]
+    checks += [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_increases"]
+    checks += [n for node in registered for n in ast.walk(node) if getattr(n, "name", None) == "check"]
+    offenders = {node.name: found for node in checks if (found := _returned_values(node))}
+    assert not offenders, offenders
+    laws = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_law"]
+    fields = {n.lineno: [f for _, f, _, _ in string.Formatter().parse(n.args[1].value) if f is not None] for n in laws}
+    assert fields == {n.lineno: [""] * (len(n.args) - 2) for n in laws}
+    # python -O drops an assert statement, and the law it states with it
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
