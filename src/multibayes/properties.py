@@ -16,12 +16,14 @@ reports that trial.  Draw a space with a distribution on it by
 ``_channel``.  A fixed instance is a check with ``max_trials=1`` that
 ignores ``rng``; it compares its values with the paper's printed figures
 by ``_figures``.  Use ``@_register_run`` on a whole-run function
-``run(trials, rng)`` returning ``(passed, trials_run, detail)`` only
-where the result is not "first failing trial": a witness search runs on
-``_exists``, the dual of ``_forall``; a candidate sweep walks
-``_sweep``; a check that reports a detail on pass wraps ``_forall``.  No
-property writes a trial loop of its own.  Registration order is the
-output order.
+``run(trials, rng)`` only where the result is not "first failing trial":
+a witness search runs on ``_exists``, the dual of ``_forall``; a
+candidate sweep walks ``_sweep``; a check that reports a detail on pass
+wraps ``_forall``.  A whole-run body states its laws with ``_law`` too,
+passing ``trials=trials`` for a law of its sweep or search (a law of its
+fixed instance reports 1 trial), and returns ``(True, trials_run,
+detail)`` only on pass.  No property writes a trial loop of its own.
+Registration order is the output order.
 """
 
 from __future__ import annotations
@@ -112,13 +114,13 @@ PROPERTIES: dict[str, Property] = {}
 
 
 class _Broken(Exception):
-    """A law of the running trial does not hold; its message is the counterexample."""
+    """A law does not hold; its args are the counterexample and the trial count a whole run reports for it."""
 
 
-def _law(holds: bool, message: str, *args) -> None:
-    """State one law of a trial: unless it ``holds``, break the trial with ``message.format(*args)``."""
+def _law(holds: bool, message: str, *args, trials: int = 1) -> None:
+    """State one law: unless it ``holds``, break the trial or run with ``message.format(*args)``."""
     if not holds:
-        raise _Broken(message.format(*args))
+        raise _Broken(message.format(*args), trials)
 
 
 def _forall(trials: int, rng: random.Random, check: Callable[[random.Random], object]):
@@ -127,7 +129,7 @@ def _forall(trials: int, rng: random.Random, check: Callable[[random.Random], ob
         try:
             detail = check(rng)
         except _Broken as broken:
-            detail = str(broken)
+            detail = broken.args[0]  # the failing trial is t + 1, whatever count the law names
         if detail is not None:
             return False, t + 1, detail
     return True, trials, None
@@ -184,6 +186,8 @@ def run_suite(name: str, trials: int, seed: int) -> list[CheckResult]:
         budget = trials if prop.max_trials is None else min(trials, prop.max_trials)
         try:
             passed, ran, detail = prop.run(budget, rng)
+        except _Broken as broken:  # a whole-run body returns only on pass
+            (detail, ran), passed = broken.args, False
         except Exception as exc:  # a property that raises has failed; the next one still runs
             passed, ran, detail = False, budget, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(prop.prop_id, prop.group, passed, ran, detail))
@@ -565,22 +569,15 @@ def _point_evidence_bridge(rng):
 
 @_register_run("point-evidence-argmax", "validity", max_trials=1000)
 def _point_evidence_argmax(trials, rng):
-    space = SampleSpace("ab")
-    phi = acc(list("aabab"), space)
-    psi = point_evidence(phi)
-    best = jeffrey_validity(flrn(phi), psi)
-    for cand in _sweep(rng, space, 100, trials):
-        if jeffrey_validity(cand, psi) > best:
-            return False, trials, f"candidate {cand} beats the frequency distribution"
-    space3 = SampleSpace("abc")
-    phi3 = _point_multiset(rng, space3, 6)
-    while len(phi3.support()) < 2:
-        phi3 = _point_multiset(rng, space3, 6)
-    psi3 = point_evidence(phi3)
-    best3 = jeffrey_validity(flrn(phi3), psi3)
-    for cand in _sweep(rng, space3, 20, trials):
-        if jeffrey_validity(cand, psi3) > best3:
-            return False, trials, f"candidate {cand} beats the frequency distribution"
+    def unbeaten(phi, den):
+        psi = point_evidence(phi)
+        best = jeffrey_validity(flrn(phi), psi)
+        for cand in _sweep(rng, phi.space, den, trials):
+            _law(jeffrey_validity(cand, psi) <= best, "candidate {} beats the frequency distribution", cand,
+                 trials=trials)
+
+    unbeaten(acc("aabab", SampleSpace("ab")), 100)
+    unbeaten(_point_multiset(rng, SampleSpace("abc"), 6), 20)
     return True, trials, None
 
 
@@ -619,8 +616,7 @@ def _jeffrey_pearl_grid_gap(trials, rng):
     j_cells = grid_values(medical_grid_spec("jeffrey-validity"))
     p_cells = grid_values(medical_grid_spec("pearl-validity"))
     worst = max(abs(float(jv - pv)) for (_, _, jv), (_, _, pv) in zip(j_cells, p_cells))
-    if worst >= 0.033:
-        return False, 1, f"validity gap {worst} >= 0.033 somewhere on the grid"
+    _law(not (worst >= 0.033), "validity gap {} >= 0.033 somewhere on the grid", worst)
     return True, 1, f"max gap {worst:.4f}"
 
 
@@ -726,10 +722,8 @@ def _jeffrey_order(trials, rng):
     first = jeffrey_update(jeffrey_update(model.prior, psi), chi)
     second = jeffrey_update(jeffrey_update(model.prior, chi), psi)
     d1, d2 = float(first("d")), float(second("d"))
-    if not _figures((d1, "0.059"), (d2, "0.061")):
-        return False, 1, f"fixed order pair ({d1:.4f}, {d2:.4f}) != (0.059, 0.061)"
-    if first == second:
-        return False, 1, "fixed instance unexpectedly order-insensitive"
+    _law(_figures((d1, "0.059"), (d2, "0.061")), "fixed order pair ({:.4f}, {:.4f}) != (0.059, 0.061)", d1, d2)
+    _law(first != second, "fixed instance unexpectedly order-insensitive")
 
     def probe(rng):
         space, omega = _prior(rng, max_size=4)
@@ -739,8 +733,7 @@ def _jeffrey_order(trials, rng):
         return space.elements if differ else None
 
     found, ran, elements = _exists(trials, rng, probe)
-    if not found:
-        return False, ran, "no random order-sensitivity witness found"
+    _law(found, "no random order-sensitivity witness found", trials=trials)
     return True, ran, f"fixed pair 0.059/0.061 reproduced; random witness at trial {ran}: updates differ on {elements}"
 
 
@@ -851,10 +844,9 @@ def _vfe_sandwich(trials, rng):
     chi = Evidence(((model.pos_test, 1), (model.neg_test, 1)))
     j_before = float(jeffrey_validity(model.prior, chi))
     j_after = float(jeffrey_validity(vfe_update(model.prior, chi), chi))
-    if not _figures((j_before, "0.489"), (j_after, "0.486")):
-        return False, 1, f"fixed pair ({j_before:.4f}, {j_after:.4f}) != (0.489, 0.486)"
-    if not j_before > j_after:
-        return False, 1, "expected a Jeffrey-validity decrease under the VFE update"
+    _law(_figures((j_before, "0.489"), (j_after, "0.486")), "fixed pair ({:.4f}, {:.4f}) != (0.489, 0.486)",
+         j_before, j_after)
+    _law(j_before > j_after, "expected a Jeffrey-validity decrease under the VFE update")
 
     def check(rng):
         space, omega = _prior(rng)
@@ -880,11 +872,10 @@ def _vfe_argmin(trials, rng):
     minimum = _free_energy(posterior, posteriors)
     for cand in _sweep(rng, model.prior.space, 100, trials):
         value = _free_energy(cand, posteriors)
-        if value < minimum - FLOAT_SLACK:
-            return False, trials, f"candidate {cand} beat the VFE update"
+        _law(not (value < minimum - FLOAT_SLACK), "candidate {} beat the VFE update", cand, trials=trials)
         # objective excess over the minimum equals the divergence from the update
-        if not _feq(value - minimum, kl_divergence(cand, posterior), 1e-7):
-            return False, trials, f"objective gap != divergence for {cand}"
+        _law(_feq(value - minimum, kl_divergence(cand, posterior), 1e-7), "objective gap != divergence for {}", cand,
+             trials=trials)
     space3 = SampleSpace("abc")
     omega3 = _dist(rng, space3)
     psi3 = _evidence(rng, space3)
@@ -892,8 +883,8 @@ def _vfe_argmin(trials, rng):
     posteriors3 = _factor_posteriors(omega3, psi3)
     minimum3 = _free_energy(posterior3, posteriors3)
     for cand in _sweep(rng, space3, 100, 0):
-        if _free_energy(cand, posteriors3) < minimum3 - FLOAT_SLACK:
-            return False, trials, f"grid candidate {cand} beat the VFE update"
+        _law(not (_free_energy(cand, posteriors3) < minimum3 - FLOAT_SLACK), "grid candidate {} beat the VFE update",
+             cand, trials=trials)
     return True, trials, None
 
 
@@ -931,8 +922,7 @@ def _pearl_along_channel_fails(trials, rng):
     )
     fixed_lhs = pearl_validity(model.prior, triple_pull(model.test_channel, point_psi))
     fixed_rhs = pearl_validity(push(model.test_channel, model.prior), point_psi)
-    if fixed_lhs == fixed_rhs:
-        return False, 1, "expected the fixed point-evidence instance to disagree"
+    _law(fixed_lhs != fixed_rhs, "expected the fixed point-evidence instance to disagree")
 
     def disagrees(rng):
         c, omega = _channel(rng)
@@ -940,8 +930,7 @@ def _pearl_along_channel_fails(trials, rng):
         return pearl_validity(omega, triple_pull(c, psi)) != pearl_validity(push(c, omega), psi)
 
     found = sum(disagrees(rng) for _ in range(trials))
-    if found == 0:
-        return False, trials, "Pearl validity never disagreed along random channels"
+    _law(found != 0, "Pearl validity never disagreed along random channels", trials=trials)
     return True, trials, f"fixed disagreement plus {found} random disagreements in {trials} trials"
 
 
@@ -1023,8 +1012,7 @@ def _dkl_asymmetry_witness(trials, rng):
         return (sigma, rho) if kl_divergence(sigma, rho) != kl_divergence(rho, sigma) else None
 
     found, ran, _ = _exists(trials, rng, probe)
-    if not found:
-        return False, ran, "divergence looked symmetric on every trial"
+    _law(found, "divergence looked symmetric on every trial", trials=trials)
     return True, ran, f"asymmetric pair found at trial {ran}"
 
 
@@ -1070,14 +1058,13 @@ def _channel_dkl_lower_bound(rng):
 def _vfe_divergence_failure_grid(trials, rng):
     cells = grid_values(medical_grid_spec("vfe-dkl-delta"))
     positives = sum(1 for _, _, v in cells if v > 0)
-    if positives != 37:
-        return False, 1, f"{positives} cells with increased divergence, expected 37"
+    _law(positives == 37, "{} cells with increased divergence, expected 37", positives)
     model = medical_model()
     psi11 = Evidence(((model.pos_test, 1), (model.neg_test, 1)))
     observed = flrn(Multiset(model.test_space, (1, 1)))
     prior_div = kl_divergence(observed, push(model.test_channel, model.prior), base=2)
     post = vfe_update(model.prior, psi11)
     post_div = kl_divergence(observed, push(model.test_channel, post), base=2)
-    if not _figures((prior_div, "0.0164"), (post_div, "0.0208")):
-        return False, 1, f"(1,1) divergences ({prior_div:.4f}, {post_div:.4f}) off"
+    _law(_figures((prior_div, "0.0164"), (post_div, "0.0208")), "(1,1) divergences ({:.4f}, {:.4f}) off",
+         prior_div, post_div)
     return True, 1, f"37 failures; (1,1) divergence {prior_div:.4f} -> {post_div:.4f}"

@@ -115,6 +115,9 @@ class TestScalarLn:
         (Fraction(-10**5000), "-1.00000000000E+5000"),
         (Fraction(-1, 10**5000), "-1E-5000"),
         (Fraction(-3 * 10**80, 7), "-4.28571428571E+79"),
+        # the boundary: 212 bits of numerator and denominator are named in full, 213 by 12 digits
+        (-Fraction(2**105 + 1, 2**105 + 3), "-40564819207303340847894502572033/40564819207303340847894502572035"),
+        (-Fraction(2**105 + 1, 2**106 + 1), "-0.500000000000"),
     ])
     def test_nonpositive_message_is_bounded(self, bad, shown):
         with pytest.raises(NonPositiveLogError) as info:
@@ -245,6 +248,19 @@ def test_an_oversized_space_is_refused_at_once(build):
     with pytest.raises(SizeLimitError, match="more than 1000000 elements refused"):
         build()
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_first_power_beyond_the_limit_is_refused_by_its_doublings():
+    # 2**20 is the first power of two above the limit: the bound refuses it before its size is computed
+    with pytest.raises(SizeLimitError, match=r"^power space with more than 1000000 elements refused$"):
+        SampleSpace("ab").power(20)
+
+
+def test_a_product_space_is_refused_exactly_beyond_the_limit(monkeypatch):
+    monkeypatch.setattr(core, "MAX_PRODUCT_ELEMENTS", 12)
+    assert len(SampleSpace("abcd").product(SampleSpace("xyz"))) == 12
+    with pytest.raises(SizeLimitError, match=r"^product space with 15 elements refused$"):
+        SampleSpace("abcde").product(SampleSpace("xyz"))
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 7, 8, 9, 16, 17, 40])

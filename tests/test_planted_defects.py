@@ -1,19 +1,33 @@
 """Planted defects: ``check`` can fail.
 
 Each case rebinds one or two of the names that ``properties.py``
-imports to a wrong rule, then runs the whole suite.  The suite must
-report at least one ``FAIL``, and among them the property named in the
-table, which tells the wrong rule from the right one, at the trial and
-with the detail the table pins.  A property that raises under the defect
-counts as failed.
+imports or defines to a wrong rule or a broken helper, then runs the
+whole suite.  The suite must report at least one ``FAIL``, and among
+them the property named in the table, which tells the wrong rule from
+the right one, at the trial and with the detail the table pins.  A
+property that raises under the defect counts as failed.  Besides the
+eight wrong rules, the table breaks every law of the whole-run
+properties, so each of their failure messages is pinned.
 """
 
 import pytest
 
 from multibayes import properties
+from multibayes.channel import identity_channel
 from multibayes.divergence import kl_divergence
-from multibayes.update import jeffrey_update, pearl_update
+from multibayes.evidence import Evidence, truth
+from multibayes.update import _free_energy, jeffrey_update, pearl_update
 from multibayes.validity import jeffrey_validity, pearl_validity
+
+
+def _always(*pairs):
+    return True
+
+
+def _identity_channel(rng, *args, **kwargs):
+    space = properties._space(rng, max_size=4)
+    return identity_channel(space), properties._dist(rng, space)
+
 
 #: defect -> (the wrong rule bound to each name in ``properties``, a property that must
 #: fail, and that property's (trials, detail) at seeds 0 and 42 of a 20-trial run)
@@ -80,6 +94,136 @@ DEFECTS = {
         {
             0: (20, "divergence looked symmetric on every trial"),
             42: (20, "divergence looked symmetric on every trial"),
+        },
+    ),
+    "jeffrey-validity-negated": (
+        {"jeffrey_validity": lambda omega, psi: -jeffrey_validity(omega, psi)},
+        "point-evidence-argmax",
+        {
+            0: (20, "candidate 0|a> + 1|b> beats the frequency distribution"),
+            42: (20, "candidate 0|a> + 1|b> beats the frequency distribution"),
+        },
+    ),
+    "jeffrey-validity-negated-on-three-elements": (
+        {
+            "jeffrey_validity": lambda omega, psi: (
+                -jeffrey_validity(omega, psi) if len(omega.space) == 3 else jeffrey_validity(omega, psi)
+            )
+        },
+        "point-evidence-argmax",
+        {
+            0: (20, "candidate 0|a> + 0|b> + 1|c> beats the frequency distribution"),
+            42: (20, "candidate 0|a> + 0|b> + 1|c> beats the frequency distribution"),
+        },
+    ),
+    "validity-grids-a-gap-of-one": (
+        {"grid_values": lambda spec: [(1, 1, int(spec.mode == "jeffrey-validity"))]},
+        "jeffrey-pearl-grid-gap",
+        {
+            0: (1, "validity gap 1.0 >= 0.033 somewhere on the grid"),
+            42: (1, "validity gap 1.0 >= 0.033 somewhere on the grid"),
+        },
+    ),
+    "jeffrey-as-pearl-in-order": (
+        {"jeffrey_update": pearl_update},
+        "jeffrey-order",
+        {
+            0: (1, "fixed order pair (0.0028, 0.0028) != (0.059, 0.061)"),
+            42: (1, "fixed order pair (0.0028, 0.0028) != (0.059, 0.061)"),
+        },
+    ),
+    "jeffrey-as-pearl-in-order-figures-unchecked": (
+        {"jeffrey_update": pearl_update, "_figures": _always},
+        "jeffrey-order",
+        {
+            0: (1, "fixed instance unexpectedly order-insensitive"),
+            42: (1, "fixed instance unexpectedly order-insensitive"),
+        },
+    ),
+    # every draw is max_size|truth>; a fixed 1|truth> would never give
+    # jeffrey-convex-combination the evidence size it redraws for
+    "evidence-only-truth": (
+        {"_evidence": lambda rng, space, max_factors=3, max_size=6, **kwargs: Evidence([(truth(space), max_size)])},
+        "jeffrey-order",
+        {
+            0: (20, "no random order-sensitivity witness found"),
+            42: (20, "no random order-sensitivity witness found"),
+        },
+    ),
+    "vfe-as-identity": (
+        {"vfe_update": lambda omega, psi: omega},
+        "vfe-sandwich",
+        {
+            0: (1, "fixed pair (0.4888, 0.4888) != (0.489, 0.486)"),
+            42: (1, "fixed pair (0.4888, 0.4888) != (0.489, 0.486)"),
+        },
+    ),
+    "vfe-as-identity-figures-unchecked": (
+        {"vfe_update": lambda omega, psi: omega, "_figures": _always},
+        "vfe-sandwich",
+        {
+            0: (1, "expected a Jeffrey-validity decrease under the VFE update"),
+            42: (1, "expected a Jeffrey-validity decrease under the VFE update"),
+        },
+    ),
+    "free-energy-as-first-weight": (
+        {"_free_energy": lambda rho, posteriors: float(rho.weights[0])},
+        "vfe-argmin",
+        {
+            0: (20, "candidate 0|d> + 1|~d> beat the VFE update"),
+            42: (20, "candidate 0|d> + 1|~d> beat the VFE update"),
+        },
+    ),
+    "kl-zero": (
+        {"kl_divergence": lambda sigma, rho, base=None: 0.0},
+        "vfe-argmin",
+        {
+            0: (20, "objective gap != divergence for 0|d> + 1|~d>"),
+            42: (20, "objective gap != divergence for 0|d> + 1|~d>"),
+        },
+    ),
+    "free-energy-as-minus-first-weight-on-three-elements": (
+        {
+            "_free_energy": lambda rho, posteriors: (
+                -float(rho.weights[0]) if len(rho.space) == 3 else _free_energy(rho, posteriors)
+            )
+        },
+        "vfe-argmin",
+        {
+            0: (20, "grid candidate 2/5|a> + 0|b> + 3/5|c> beat the VFE update"),
+            42: (20, "grid candidate 7/50|a> + 0|b> + 43/50|c> beat the VFE update"),
+        },
+    ),
+    "pearl-validity-as-jeffrey-along-channel": (
+        {"pearl_validity": jeffrey_validity},
+        "pearl-along-channel-fails",
+        {
+            0: (1, "expected the fixed point-evidence instance to disagree"),
+            42: (1, "expected the fixed point-evidence instance to disagree"),
+        },
+    ),
+    "channels-only-identity": (
+        {"_channel": _identity_channel},
+        "pearl-along-channel-fails",
+        {
+            0: (20, "Pearl validity never disagreed along random channels"),
+            42: (20, "Pearl validity never disagreed along random channels"),
+        },
+    ),
+    "grids-empty": (
+        {"grid_values": lambda spec: []},
+        "vfe-divergence-failure-grid",
+        {
+            0: (1, "0 cells with increased divergence, expected 37"),
+            42: (1, "0 cells with increased divergence, expected 37"),
+        },
+    ),
+    "vfe-as-identity-on-the-grid-cell": (
+        {"vfe_update": lambda omega, psi: omega},
+        "vfe-divergence-failure-grid",
+        {
+            0: (1, "(1,1) divergences (0.0164, 0.0164) off"),
+            42: (1, "(1,1) divergences (0.0164, 0.0164) off"),
         },
     ),
 }

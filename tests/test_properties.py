@@ -12,7 +12,11 @@ from fractions import Fraction
 import pytest
 
 from multibayes import SupportMismatchError, UnknownSuiteError, properties
+from multibayes.channel import Channel
 from multibayes.cli import cmd_check, main
+from multibayes.core import SampleSpace
+from multibayes.distribution import uniform
+from multibayes.evidence import Evidence, Factor, point_pred
 from multibayes.properties import PROPERTIES, _exists, _figures, groups, resolve_suite, run_suite
 
 
@@ -79,6 +83,33 @@ def test_a_property_that_raises_fails_and_the_next_one_runs(monkeypatch, capsys)
     assert cmd_check("core", 5, 42) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [failed.line(), ran.line(), "1/2 properties passed"]
+
+
+def _equal_rows_channel(rng, *args, **kwargs):
+    dom = properties._space(rng, max_size=4)
+    cod = SampleSpace("uvw")
+    return Channel(dom, cod, tuple(uniform(cod) for _ in dom)), properties._dist(rng, dom)
+
+
+#: property -> the names rebound in ``properties`` so that every trial takes the property's skip
+SKIPPED_EVERY_TRIAL = {
+    # one non-constant factor, so p1 == p2 on every trial
+    "covariance-identity": {"_factor": lambda rng, space, **kwargs: Factor._from_ints(space, range(len(space)), 12)},
+    # point predicates of u and v both pull back along uniform rows to the constant 1/3
+    "jeffrey-along-channel": {
+        "_channel": _equal_rows_channel,
+        "_evidence": lambda rng, space, **kwargs: Evidence([(point_pred("u", space), 1), (point_pred("v", space), 1)]),
+    },
+}
+
+
+@pytest.mark.parametrize("prop_id", SKIPPED_EVERY_TRIAL)
+def test_a_property_that_skips_every_trial_passes_after_its_full_budget(prop_id, monkeypatch):
+    # the skipped instances merge two factors of the evidence, which breaks the law the property states
+    for name, helper in SKIPPED_EVERY_TRIAL[prop_id].items():
+        monkeypatch.setattr(properties, name, helper)
+    (result,) = run_suite(prop_id, 40, 0)
+    assert (result.passed, result.trials, result.detail) == (True, 40, None)
 
 
 @pytest.mark.parametrize("trials", [0, -5, True, 2.0], ids=["zero", "negative", "bool", "float"])
@@ -157,6 +188,19 @@ def _returned_values(func: ast.FunctionDef) -> list[str]:
     return found
 
 
+def _returned_failures(func: ast.FunctionDef) -> list[str]:
+    """The statements in ``func`` that return a tuple whose first element is ``False``."""
+    return [
+        f"line {node.lineno}: returns a failure"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Return)
+        and isinstance(node.value, ast.Tuple)
+        and node.value.elts
+        and isinstance(node.value.elts[0], ast.Constant)
+        and node.value.elts[0].value is False
+    ]
+
+
 def test_no_registered_property_writes_its_own_trial_loop():
     # every trial loop is the one driver, _forall, or its dual _exists;
     # candidate sweeps walk _sweep and count their trials there
@@ -176,6 +220,9 @@ def test_no_registered_property_writes_its_own_trial_loop():
     checks += [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_increases"]
     checks += [n for node in registered for n in ast.walk(node) if getattr(n, "name", None) == "check"]
     offenders = {node.name: found for node in checks if (found := _returned_values(node))}
+    assert not offenders, offenders
+    # a whole-run body states its failures with _law too, so it returns only on pass
+    offenders = {node.name: found for node in registered if (found := _returned_failures(node))}
     assert not offenders, offenders
     laws = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_law"]
     fields = {n.lineno: [f for _, f, _, _ in string.Formatter().parse(n.args[1].value) if f is not None] for n in laws}
