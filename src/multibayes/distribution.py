@@ -207,14 +207,11 @@ def multinomial(size: int, omega: Dist) -> Dist:
     where each is an int over the common denominator ``den**size``.
     """
     space = multiset_space(_require_operands((omega,), Dist, "multinomial arguments"), size)
-    if omega._nums is None:
-        floats = omega._floats()
-        try:
-            weights = [math.prod(map(pow, floats, phi.counts), start=phi.coefficient()) for phi in space]
-            return Dist._from_floats(space, weights)
-        except OverflowError:
-            raise FloatRangeError("a multinomial coefficient is too large for a float") from None
-    _require_bits("multinomial", ((omega._top(), size),))
-    nums = omega._nums
-    weights = [math.prod(map(pow, nums, phi.counts), start=phi.coefficient()) for phi in space]
-    return Dist._from_ints(space, weights, omega._den**size)
+    exact = omega._nums is not None
+    if exact:
+        _require_bits("multinomial", ((omega._top(), size),))
+    try:
+        weights = [math.prod(map(pow, omega._raw(), phi.counts), start=phi.coefficient()) for phi in space]
+    except OverflowError:  # only a float weight overflows
+        raise FloatRangeError("a multinomial coefficient is too large for a float") from None
+    return Dist._from_ints(space, weights, omega._den**size) if exact else Dist._from_floats(space, weights)

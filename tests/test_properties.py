@@ -16,7 +16,7 @@ from multibayes.channel import Channel
 from multibayes.cli import cmd_check, main
 from multibayes.core import SampleSpace
 from multibayes.distribution import uniform
-from multibayes.evidence import Evidence, Factor, point_pred
+from multibayes.evidence import Evidence, Factor, falsity, point_pred, scale, truth
 from multibayes.properties import PROPERTIES, _exists, _figures, groups, resolve_suite, run_suite
 
 
@@ -91,6 +91,11 @@ def _equal_rows_channel(rng, *args, **kwargs):
     return Channel(dom, cod, tuple(uniform(cod) for _ in dom)), properties._dist(rng, dom)
 
 
+def _pack_with_equal_parts(rng, space, parts):
+    half = scale(Fraction(1, 2), truth(space))
+    return [half, half] + [falsity(space)] * (parts - 2)
+
+
 #: property -> the names rebound in ``properties`` so that every trial takes the property's skip
 SKIPPED_EVERY_TRIAL = {
     # one non-constant factor, so p1 == p2 on every trial
@@ -100,12 +105,16 @@ SKIPPED_EVERY_TRIAL = {
         "_channel": _equal_rows_channel,
         "_evidence": lambda rng, space, **kwargs: Evidence([(point_pred("u", space), 1), (point_pred("v", space), 1)]),
     },
+    # the first two parts of every pack are equal, and both properties keep them
+    "matching-bounds": {"_perfect_pack": _pack_with_equal_parts},
+    "perfect-match-normalisation": {"_perfect_pack": _pack_with_equal_parts},
 }
 
 
 @pytest.mark.parametrize("prop_id", SKIPPED_EVERY_TRIAL)
 def test_a_property_that_skips_every_trial_passes_after_its_full_budget(prop_id, monkeypatch):
-    # the skipped instances merge two factors of the evidence, which breaks the law the property states
+    # the skipped instances merge two factors of the evidence, which breaks the law of all but
+    # matching-bounds (whose merged evidence still matches, but is not the pack it drew)
     for name, helper in SKIPPED_EVERY_TRIAL[prop_id].items():
         monkeypatch.setattr(properties, name, helper)
     (result,) = run_suite(prop_id, 40, 0)
@@ -156,13 +165,15 @@ def test_figures_are_checked_to_their_printed_digits():
 
 def _hand_trial_loops(func: ast.FunctionDef) -> list[str]:
     """The trial bookkeeping in a registered property or a function nested
-    in it: a ``for`` statement over ``range(...)`` of ``trials``, or an
-    assignment of ``ran`` of its own (unpacking a driver's result is fine)."""
+    in it: a ``for`` statement or a comprehension over ``range(...)`` of
+    ``trials``, or an assignment of ``ran`` of its own (unpacking a
+    driver's result is fine)."""
     found = []
     for node in ast.walk(func):
-        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range":
-            if any(isinstance(n, ast.Name) and n.id == "trials" for arg in node.iter.args for n in ast.walk(arg)):
-                found.append(f"line {node.lineno}: for loop over range(trials)")
+        for loop in [node] if isinstance(node, ast.For) else getattr(node, "generators", []):
+            if isinstance(loop.iter, ast.Call) and getattr(loop.iter.func, "id", None) == "range":
+                if any(isinstance(n, ast.Name) and n.id == "trials" for arg in loop.iter.args for n in ast.walk(arg)):
+                    found.append(f"line {node.lineno}: loop over range(trials)")
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -229,3 +240,15 @@ def test_no_registered_property_writes_its_own_trial_loop():
     assert fields == {n.lineno: [""] * (len(n.args) - 2) for n in laws}
     # python -O drops an assert statement, and the law it states with it
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_every_instance_is_drawn_in_one_pass():
+    # a redraw or retry loop can run forever under a defective generator, or end in an error of its own
+    tree = ast.parse(inspect.getsource(properties))
+    redraws = [f"line {node.lineno}: while loop" for node in ast.walk(tree) if isinstance(node, ast.While)]
+    redraws += [
+        f"line {node.lineno}: raises AssertionError"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
+    ]
+    assert not redraws

@@ -124,6 +124,7 @@ def test_mixed_input_is_stored_as_floats():
     assert omega.weights == (1 / 3, 0.5, 1 / 6)  # each exact value rounded once
     assert omega == Dist(abc, (1 / 3, 0.5, 1 / 6))
     assert str(omega) == "0.3333333333333333|a> + 0.5|b> + 0.16666666666666666|c>"
+    assert repr(omega) == f"Dist({omega})"
     assert Factor(AB, (2, 0.5)).values == (2.0, 0.5)
 
 
