@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,13 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--suite", "core", "--trials", trials])
         assert exc.value.code == 2
+
+    def test_trials_not_an_integer_is_input_error(self, capsys):
+        # the message says what is wrong, not which private function refused the text
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "core", "--trials", "abc"])
+        assert exc.value.code == 2
+        assert "argument --trials: must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, capsys):
         main(["check", "--suite", "validity", "--trials", "25", "--seed", "3"])
@@ -522,6 +530,27 @@ class TestColdStart:
         assert "multibayes.properties" not in added
 
 
+class TestCompileMemory:
+    """Without cached bytecode (``PYTHONDONTWRITEBYTECODE=1``, a read-only
+    install) every import compiles its module, and the process keeps what
+    the compile's peak took: Python builds a whole file's syntax tree
+    before it compiles it.  So no module may be large enough to set the
+    peak memory of a command by its compile alone."""
+
+    @pytest.mark.parametrize(
+        "path", sorted((SRC / "multibayes").rglob("*.py")), ids=lambda path: path.relative_to(SRC).as_posix()
+    )
+    def test_a_module_compiles_in_under_2_mib(self, path):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec", dont_inherit=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"compiling {path.name} peaked at {peak / 2**20:.2f} MiB"
+
+
 class TestStdlibOnly:
     """The package runs on the standard library alone: with ``site``
     off, so no third-party package is importable, every module imports
@@ -545,5 +574,6 @@ class TestStdlibOnly:
         result = subprocess.run(
             [sys.executable, "-S", "-c", self.PROBE, str(SRC)], env=env, capture_output=True, text=True, check=True
         )
-        modules = len([path for path in (SRC / "multibayes").glob("*.py") if path.stem != "__init__"])
+        # every module but the package itself: the registry is a package of its own
+        modules = len(list((SRC / "multibayes").rglob("*.py"))) - 1
         assert result.stdout.split() == ["[0,", "0]", str(modules), "[]"]

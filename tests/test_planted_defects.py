@@ -1,15 +1,15 @@
 """Planted defects: ``check`` can fail.
 
-Each case rebinds one or two of the names that ``properties.py``
-imports or defines to a wrong rule or a broken helper, then runs the
-whole suite.  The suite must report at least one ``FAIL``, and among
-them the property named in the table, which tells the wrong rule from
-the right one, at the trial and with the detail the table pins.  A
-property that raises under the defect counts as failed.  Besides the
-eight wrong rules, the table breaks every law of the whole-run
-properties, so each of their failure messages is pinned.  Each case
-runs under a wall-clock guard, so a property that loops forever under a
-defect fails its case instead of stalling the run.
+Each case rebinds one or two of the names that the registry's modules
+import or define to a wrong rule or a broken helper, in every module
+that holds the name, then runs the whole suite.  The suite must report
+at least one ``FAIL``, and among them the property named in the table,
+which tells the wrong rule from the right one, at the trial and with
+the detail the table pins.  A property that raises under the defect
+counts as failed.  Besides the eight wrong rules, the table breaks every
+law of the whole-run properties, so each of their failure messages is
+pinned.  Each case runs under a wall-clock guard, so a property that
+loops forever under a defect fails its case instead of stalling the run.
 """
 
 import signal
@@ -22,6 +22,7 @@ from multibayes.divergence import kl_divergence
 from multibayes.evidence import Evidence, truth
 from multibayes.update import _free_energy, jeffrey_update, pearl_update
 from multibayes.validity import jeffrey_validity, pearl_validity
+from registry import rebind
 
 
 #: seconds a case may run; a whole 20-trial suite takes well under one
@@ -53,7 +54,7 @@ def _identity_channel(rng, *args, **kwargs):
     return identity_channel(space), properties._dist(rng, space)
 
 
-#: defect -> (the wrong rule bound to each name in ``properties``, a property that must
+#: defect -> (the wrong rule bound to each name in the registry, a property that must
 #: fail, and that property's (trials, detail) at seeds 0 and 42 of a 20-trial run)
 DEFECTS = {
     "jeffrey-as-pearl": (
@@ -257,7 +258,7 @@ DEFECTS = {
 def test_a_planted_defect_fails_the_suite(defect, seed, monkeypatch):
     rebound, separating, pinned = DEFECTS[defect]
     for name, wrong in rebound.items():
-        monkeypatch.setattr(properties, name, wrong)
+        rebind(monkeypatch, name, wrong)
     results = properties.run_suite("all", 20, seed)
     assert len(results) == len(properties.PROPERTIES)
     failed = {r.prop_id: (r.trials, r.detail) for r in results if not r.passed}
@@ -268,6 +269,6 @@ def test_a_planted_defect_fails_the_suite(defect, seed, monkeypatch):
 
 def test_a_witness_search_that_finds_none_fails_after_its_full_budget(monkeypatch):
     rebound, prop_id, _ = DEFECTS["kl-symmetric"]
-    monkeypatch.setattr(properties, "kl_divergence", rebound["kl_divergence"])
+    rebind(monkeypatch, "kl_divergence", rebound["kl_divergence"])
     (result,) = properties.run_suite(prop_id, 25, 0)
     assert (result.passed, result.trials, result.detail) == (False, 25, "divergence looked symmetric on every trial")

@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import hashlib
-import inspect
 import random
 import string
 import tracemalloc
@@ -18,6 +17,7 @@ from multibayes.core import SampleSpace
 from multibayes.distribution import uniform
 from multibayes.evidence import Evidence, Factor, falsity, point_pred, scale, truth
 from multibayes.properties import PROPERTIES, _exists, _figures, groups, resolve_suite, run_suite
+from registry import rebind, source_trees
 
 
 @pytest.mark.parametrize("prop_id", sorted(PROPERTIES))
@@ -96,7 +96,7 @@ def _pack_with_equal_parts(rng, space, parts):
     return [half, half] + [falsity(space)] * (parts - 2)
 
 
-#: property -> the names rebound in ``properties`` so that every trial takes the property's skip
+#: property -> the names rebound in the registry so that every trial takes the property's skip
 SKIPPED_EVERY_TRIAL = {
     # one non-constant factor, so p1 == p2 on every trial
     "covariance-identity": {"_factor": lambda rng, space, **kwargs: Factor._from_ints(space, range(len(space)), 12)},
@@ -115,10 +115,13 @@ SKIPPED_EVERY_TRIAL = {
 def test_a_property_that_skips_every_trial_passes_after_its_full_budget(prop_id, monkeypatch):
     # the skipped instances merge two factors of the evidence, which breaks the law of all but
     # matching-bounds (whose merged evidence still matches, but is not the pack it drew)
+    drawn = []
     for name, helper in SKIPPED_EVERY_TRIAL[prop_id].items():
-        monkeypatch.setattr(properties, name, helper)
+        rebind(monkeypatch, name, lambda *args, draw=helper, **kwargs: drawn.append(draw) or draw(*args, **kwargs))
     (result,) = run_suite(prop_id, 40, 0)
     assert (result.passed, result.trials, result.detail) == (True, 40, None)
+    # a pass is also what the property reports when no trial meets the helpers, so each trial must draw from them
+    assert len(drawn) >= 40
 
 
 @pytest.mark.parametrize("trials", [0, -5, True, 2.0], ids=["zero", "negative", "bool", "float"])
@@ -215,9 +218,10 @@ def _returned_failures(func: ast.FunctionDef) -> list[str]:
 def test_no_registered_property_writes_its_own_trial_loop():
     # every trial loop is the one driver, _forall, or its dual _exists;
     # candidate sweeps walk _sweep and count their trials there
-    tree = ast.parse(inspect.getsource(properties))
+    trees = source_trees(properties)
     registered = [
         node
+        for tree in trees.values()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
         and any(isinstance(d, ast.Call) and d.func.id in ("_register", "_register_run") for d in node.decorator_list)
@@ -228,27 +232,37 @@ def test_no_registered_property_writes_its_own_trial_loop():
     # a per-trial check states each law with _law, which breaks the trial, so
     # it returns nothing but None (a skip); the message has a field per argument
     checks = [node for node in registered if any(d.func.id == "_register" for d in node.decorator_list)]
-    checks += [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_increases"]
+    checks += [node for tree in trees.values() for node in tree.body if getattr(node, "name", None) == "_increases"]
     checks += [n for node in registered for n in ast.walk(node) if getattr(n, "name", None) == "check"]
     offenders = {node.name: found for node in checks if (found := _returned_values(node))}
     assert not offenders, offenders
     # a whole-run body states its failures with _law too, so it returns only on pass
     offenders = {node.name: found for node in registered if (found := _returned_failures(node))}
     assert not offenders, offenders
-    laws = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_law"]
-    fields = {n.lineno: [f for _, f, _, _ in string.Formatter().parse(n.args[1].value) if f is not None] for n in laws}
-    assert fields == {n.lineno: [""] * (len(n.args) - 2) for n in laws}
+    laws = [
+        (module, n)
+        for module, tree in trees.items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_law"
+    ]
+    fields = {
+        (module, n.lineno): [f for _, f, _, _ in string.Formatter().parse(n.args[1].value) if f is not None]
+        for module, n in laws
+    }
+    assert fields == {(module, n.lineno): [""] * (len(n.args) - 2) for module, n in laws}
     # python -O drops an assert statement, and the law it states with it
-    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    asserts = [f"{module} line {n.lineno}" for module, tree in trees.items() for n in ast.walk(tree)
+               if isinstance(n, ast.Assert)]
+    assert not asserts
 
 
 def test_every_instance_is_drawn_in_one_pass():
     # a redraw or retry loop can run forever under a defective generator, or end in an error of its own
-    tree = ast.parse(inspect.getsource(properties))
-    redraws = [f"line {node.lineno}: while loop" for node in ast.walk(tree) if isinstance(node, ast.While)]
+    nodes = [(module, node) for module, tree in source_trees(properties).items() for node in ast.walk(tree)]
+    redraws = [f"{module} line {node.lineno}: while loop" for module, node in nodes if isinstance(node, ast.While)]
     redraws += [
-        f"line {node.lineno}: raises AssertionError"
-        for node in ast.walk(tree)
+        f"{module} line {node.lineno}: raises AssertionError"
+        for module, node in nodes
         if isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
     ]
     assert not redraws

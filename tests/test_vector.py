@@ -11,7 +11,6 @@ modules read that storage.
 
 import ast
 import importlib
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -41,6 +40,7 @@ from multibayes.modelfile import parse_model, serialize_model
 
 import reference
 from reference import assert_canonical, bits, float_factor, ref_outer, space, values_of
+from registry import source_trees
 
 AB = SampleSpace("ab")
 NAN, INF = math.nan, math.inf
@@ -282,7 +282,7 @@ def test_weighted_update_with_a_zero_weight(seed, rows, columns, zero_term):
 def test_the_storage_format_stays_in_the_kernel_modules(module):
     # the modules above the kernels read a vector through its public view,
     # so only the kernels know it is ints over one denominator or one float tuple
-    tree = ast.parse(inspect.getsource(importlib.import_module(f"multibayes.{module}")))
-    reads = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+    trees = source_trees(importlib.import_module(f"multibayes.{module}"))
+    reads = [f"{name} line {node.lineno}: .{node.attr}" for name, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("_nums", "_den", "_flt")]
     assert reads == []
