@@ -105,21 +105,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="print a built-in reproduction report")
     report.add_argument("name", choices=("medical",))
+    report.set_defaults(run=lambda args: cmd_report_medical())
 
     grid = sub.add_parser("grid", help="write an evidence-grid CSV")
     grid.add_argument("--mode", required=True, choices=GRID_MODES)
     grid.add_argument("--imax", type=int, default=10)
     grid.add_argument("--jmax", type=int, default=10)
     grid.add_argument("--out", required=True)
+    grid.set_defaults(run=lambda args: cmd_grid(args.mode, args.imax, args.jmax, args.out))
 
     check = sub.add_parser("check", help="run seeded property suites")
     check.add_argument("--suite", default="all")
     check.add_argument("--trials", type=_positive_int, default=200)
     check.add_argument("--seed", type=int, default=42)
+    check.set_defaults(run=lambda args: cmd_check(args.suite, args.trials, args.seed))
 
     evaluate = sub.add_parser("eval", help="evaluate an expression against a model file")
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--expr", required=True)
+    evaluate.set_defaults(run=lambda args: cmd_eval(args.model, args.expr))
 
     return parser
 
@@ -127,21 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report_medical()
-        if args.command == "grid":
-            return cmd_grid(args.mode, args.imax, args.jmax, args.out)
-        if args.command == "check":
-            return cmd_check(args.suite, args.trials, args.seed)
-        if args.command == "eval":
-            return cmd_eval(args.model, args.expr)
+        return args.run(args)
     except MultibayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def run() -> None:

@@ -9,7 +9,7 @@ from ..evidence import Evidence, point_evidence, point_pred
 from ..models import medical_model
 from ..update import bayes_update, jeffrey_update, pearl_update
 from ..validity import jeffrey_validity, pearl_validity, validity
-from ._registry import (
+from . import (
     FLOAT_SLACK,
     _channel,
     _evidence,

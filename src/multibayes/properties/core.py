@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._registry import _law, _register
+from . import _law, _register
 
 
 @_register("exact-field-roundtrip", "core")

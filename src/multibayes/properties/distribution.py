@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from ..distribution import copy_dist, dirac, multinomial, push_function, tensor, tensor_power
 from ..multiset import acc
-from ._registry import _dist, _law, _prior, _register, _space
+from . import _dist, _law, _prior, _register, _space
 
 
 @_register("copy-iff-dirac", "distribution")

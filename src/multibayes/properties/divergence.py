@@ -10,7 +10,7 @@ from ..models import grid_values, medical_grid_spec, medical_model
 from ..multiset import Multiset
 from ..update import free_energy_objective, jeffrey_update, vfe_update
 from ..validity import jeffrey_validity
-from ._registry import (
+from . import (
     FLOAT_SLACK,
     TIE_SKIP,
     _channel,

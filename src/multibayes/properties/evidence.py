@@ -8,7 +8,7 @@ from fractions import Fraction
 from ..distribution import marginal, tensor_power
 from ..evidence import and_conj, conj, falsity, frac_conj, ortho, tensor_conj, tensor_factor, truth
 from ..validity import validity
-from ._registry import _COD_LABELS, _dist, _evidence, _factor, _feq, _law, _register, _space
+from . import _COD_LABELS, _dist, _evidence, _factor, _feq, _law, _register, _space
 
 
 @_register("ortho-laws", "evidence")

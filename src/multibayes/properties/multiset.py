@@ -9,7 +9,7 @@ from fractions import Fraction
 from ..core import SampleSpace
 from ..distribution import flrn
 from ..multiset import acc, coefm, enumerate_multisets
-from ._registry import _law, _point_multiset, _register, _space
+from . import _law, _point_multiset, _register, _space
 
 
 @_register("acc-permutation-size", "multiset")

@@ -21,7 +21,7 @@ from ..update import (
     vfe_update_softmax,
 )
 from ..validity import jeffrey_validity, pearl_validity, validity
-from ._registry import (
+from . import (
     FLOAT_SLACK,
     _dist,
     _evidence,

@@ -10,7 +10,7 @@ from ..evidence import Evidence, Factor, conj, falsity, ortho, point_evidence, p
 from ..models import grid_values, medical_grid_spec
 from ..multiset import acc, enumerate_multisets
 from ..validity import covariance, jeffrey_validity, log_likelihood_score, pearl_validity, validity
-from ._registry import (
+from . import (
     FLOAT_SLACK,
     _COD_LABELS,
     _dist,

@@ -59,7 +59,10 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
             raise ZeroValidityError(
                 f"validity vanished at factor #{index} after updating with the first {index}"
             )
-        result = result * val
+        try:
+            result = result * val
+        except OverflowError:  # an exact product met a float beyond its range
+            result = math.inf
         current = posterior
     return _check_finite(result, "iterated validity")
 
@@ -98,10 +101,9 @@ def vfe_update_softmax(omega: Dist, psi: Evidence) -> Dist:
     independent route for cross-checking.
     """
     frequencies, posteriors = zip(*_factor_posteriors(omega, psi))
-    columns = zip(zip(*(p._raw() for p in posteriors)), zip(*(p._floats() for p in posteriors)))
     raw = []
-    for w, (weights, floats) in zip(omega._raw(), columns):
-        if w == 0 or 0 in weights:
+    for floats in zip(*(p._floats() for p in posteriors)):
+        if 0.0 in floats:  # where the prior is zero, or an exact weight underflows as a float
             raw.append(0.0)
             continue
         log_sum = 0.0

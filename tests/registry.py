@@ -1,8 +1,8 @@
 """Helpers for the tests that read or rebind the modules of the property registry.
 
-``multibayes.properties`` is a package: it re-exports the drivers and
-generators of its private ``_registry`` module, and the properties of
-each group live in a module of their own.  A test that reads the laws
+``multibayes.properties`` is a package: it defines the registry, the
+drivers and the generators, and the properties of each group live in a
+module of their own.  A test that reads the laws
 parses every one of those modules, and a test that plants a defect sets
 the name in every module that holds it, as the benchmark's tracer
 rebinds a layer.

@@ -12,13 +12,53 @@ work is done.  A third set keeps every distribution normalised but puts
 one weight of one of them at the edge of the float range (a subnormal
 such as ``5e-324`` next to ``1.0``), which the first set cannot reach:
 one bad weight there breaks the sum.
+
+A last sweep calls the library directly, on a 3-element space, with
+operands at the same edges: floats near both ends of the float range,
+and exact values with a numerator or a denominator of 300 to 420
+digits.  Each call returns, with a finite float if it returns a float,
+or raises a ``MultibayesError``.
 """
 
 import json
+import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from multibayes import (
+    Channel,
+    Dist,
+    Evidence,
+    Factor,
+    MultibayesError,
+    SampleSpace,
+    and_conj,
+    bayes_update,
+    covariance,
+    dagger,
+    expected_channel_divergence,
+    frac_conj,
+    free_energy_objective,
+    iterated_pearl_validity,
+    jeffrey_update,
+    jeffrey_validity,
+    kl_divergence,
+    log_likelihood_score,
+    match_status,
+    multinomial,
+    pearl_update,
+    pearl_validity,
+    pull,
+    push,
+    tensor_conj,
+    tensor_factor,
+    triple_pull,
+    vfe_update,
+    vfe_update_softmax,
+)
 from multibayes.cli import main
 from multibayes.modelfile import _OPERATIONS, builtin_medical_model, serialize_model
 
@@ -189,3 +229,104 @@ def test_edge_weights_are_results_or_input_errors(slot, tmp_path, capsys):
     for weight in EDGE_WEIGHTS:
         for first in (True, False):
             run_mutant(edge_mutant(slot, weight, first), tmp_path / "mutant.json", capsys)
+
+
+SPACE = SampleSpace("abc")
+
+
+def _digits(rng: random.Random) -> int:
+    """An int of 300 to 420 digits."""
+    n = rng.randint(300, 420)
+    return rng.randint(10 ** (n - 1), 10**n - 1)
+
+
+#: Floats at both ends of the float range.
+FLOATS = (0.0, 1e-310, 1e-200, 0.25, 0.5, 1.0, 3.0, 1e200)
+
+#: Exact values: small ones, and ones with a huge numerator or a huge denominator.
+EXACT_POOLS = (
+    lambda rng: Fraction(rng.randint(0, 6), rng.randint(1, 6)),
+    lambda rng: Fraction(_digits(rng), rng.randint(1, 6)),
+    lambda rng: Fraction(rng.randint(1, 6), _digits(rng)),
+)
+
+#: Exponents of ``p ** k``: exact ones, negative ones and floats.
+EXPONENTS = (-2, -1, 0, 1, 2, 5, 0.5, 2.5)
+
+
+def _values(rng: random.Random) -> list:
+    """An operand's values: all floats, or exact ones from any exact pool each
+    (a float next to an exact value beyond the float range is refused)."""
+    if rng.random() < 0.25:
+        return [rng.choice(FLOATS) for _ in SPACE]
+    return [rng.choice(EXACT_POOLS)(rng) for _ in SPACE]
+
+
+def _dist(rng: random.Random) -> Dist:
+    values = _values(rng)
+    if not any(values):
+        values[0] += 1
+    total = sum(values)
+    return Dist(SPACE, [v / total for v in values])
+
+
+def _operands(rng: random.Random) -> SimpleNamespace:
+    factors = [Factor(SPACE, _values(rng)) for _ in range(rng.randint(1, 3))]
+    return SimpleNamespace(
+        omega=_dist(rng),
+        rho=_dist(rng),
+        p=Factor(SPACE, _values(rng)),
+        q=Factor(SPACE, _values(rng)),
+        psi=Evidence((f, rng.randint(1, 3)) for f in factors),
+        c=Channel(SPACE, SPACE, [_dist(rng) for _ in SPACE]),
+        size=rng.randint(0, 4),
+        k=rng.choice(EXPONENTS),
+    )
+
+
+#: Every public call of the sweep, on the operands of one case.
+CALLS = {
+    "bayes_update": lambda x: bayes_update(x.omega, x.p),
+    "jeffrey_update": lambda x: jeffrey_update(x.omega, x.psi),
+    "pearl_update": lambda x: pearl_update(x.omega, x.psi),
+    "vfe_update": lambda x: vfe_update(x.omega, x.psi),
+    "vfe_update_softmax": lambda x: vfe_update_softmax(x.omega, x.psi),
+    "jeffrey_validity": lambda x: jeffrey_validity(x.omega, x.psi),
+    "pearl_validity": lambda x: pearl_validity(x.omega, x.psi),
+    "iterated_pearl_validity": lambda x: iterated_pearl_validity(x.omega, [p for p, _ in x.psi.items()]),
+    "free_energy_objective": lambda x: free_energy_objective(x.rho, x.omega, x.psi),
+    "log_likelihood_score": lambda x: log_likelihood_score(x.omega, x.rho, x.psi),
+    "covariance": lambda x: covariance(x.omega, x.p, x.q),
+    "and_conj": lambda x: and_conj(x.psi),
+    "frac_conj": lambda x: frac_conj(x.psi),
+    "tensor_conj": lambda x: tensor_conj(x.psi),
+    "match_status": lambda x: match_status(x.psi),
+    "push": lambda x: push(x.c, x.omega),
+    "pull": lambda x: pull(x.c, x.p),
+    "triple_pull": lambda x: triple_pull(x.c, x.psi),
+    "dagger": lambda x: dagger(x.c, x.omega),
+    "kl_divergence": lambda x: kl_divergence(x.omega, x.rho),
+    "expected_channel_divergence": lambda x: expected_channel_divergence(x.omega, x.rho, x.c),
+    "p ** k": lambda x: x.p ** x.k,
+    "tensor_factor": lambda x: tensor_factor(x.p, x.q),
+    "multinomial": lambda x: multinomial(x.size, x.omega),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_library_calls_return_or_raise_typed_errors(seed):
+    """30 cases a seed: every call returns, a float result finite, or
+    raises a MultibayesError; ``**`` may raise its documented
+    ZeroDivisionError (a negative power of a zero value)."""
+    rng = random.Random(f"library {seed}")
+    for _ in range(30):
+        x = _operands(rng)
+        for name, call in CALLS.items():
+            try:
+                result = call(x)
+            except MultibayesError:
+                continue
+            except Exception as exc:  # noqa: BLE001 - the case is the report
+                assert name == "p ** k" and type(exc) is ZeroDivisionError, f"{name} raised {exc!r} on {x}"
+                continue
+            assert not isinstance(result, float) or math.isfinite(result), (name, result, x)

@@ -3,10 +3,14 @@
 import ast
 import dataclasses
 import hashlib
+import os
 import random
 import string
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,19 @@ def test_groups_cover_every_module():
         "channel",
         "divergence",
     }
+
+
+@pytest.mark.parametrize("group", groups())
+def test_importing_a_group_module_first_registers_every_group_in_order(group):
+    """The package defines the registry before it imports the group
+    modules, so a fresh interpreter that imports one group's module first
+    registers the same properties in the same order."""
+    src = str(Path(properties.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = f"import sys, multibayes.properties.{group}; print(*sys.modules['multibayes.properties'].PROPERTIES)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", check=True)
+    assert result.stdout.split() == list(PROPERTIES)
+    assert len(PROPERTIES) == 57
 
 
 def test_unknown_suite_rejected():

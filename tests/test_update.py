@@ -142,6 +142,13 @@ class TestPearlUpdate:
             bayes_update(bayes_update(OMEGA, PT), PT), NT
         )
 
+    def test_iterated_validity_beyond_the_float_range_is_a_range_error(self):
+        # the exact validity 10**400 of the first factor times the float 0.5 of the second
+        space = SampleSpace("ab")
+        factors = [Factor(space, (10**400, 10**400)), Factor(space, (0.5, 0.5))]
+        with pytest.raises(FloatRangeError, match="^iterated validity overflows the float range$"):
+            iterated_pearl_validity(uniform(space), factors)
+
     def test_inconsistent_evidence_rejected(self):
         space = SampleSpace("ab")
         omega = uniform(space)
@@ -168,6 +175,12 @@ class TestVfeUpdate:
         softmax = vfe_update_softmax(OMEGA, PSI)
         for x in OMEGA.space:
             assert float(direct(x)) == pytest.approx(float(softmax(x)), abs=1e-9)
+
+    def test_softmax_form_agrees_where_a_weight_underflows_as_a_float(self):
+        # the exact weight 1/10**400 is not zero, but its float is
+        space, tiny = SampleSpace("ab"), Fraction(1, 10**400)
+        omega, psi = Dist(space, (tiny, 1 - tiny)), Evidence(((truth(space), 1),))
+        assert vfe_update_softmax(omega, psi) == vfe_update(omega, psi) == Dist(space, (0.0, 1.0))
 
     def test_zero_validity_rejected(self):
         space = SampleSpace("ab")
