@@ -34,6 +34,7 @@ from .errors import (
     SupportMismatchError,
     UnknownElementError,
     UnknownSuiteError,
+    ZeroPowerError,
     ZeroValidityError,
 )
 from .multiset import Multiset, acc, coefm, enumerate_multisets, multiset_space

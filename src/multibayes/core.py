@@ -12,8 +12,9 @@ every operand is exact, float as soon as one is, with an exact
 operand's values converted to float once instead of by numeric-tower
 contagion element by element.  Three results are the exceptions: they
 multiply the exact operands in front of the first float one exactly,
-and only then go on in float.  They are ``and_conj``, the two
-evidence validities and ``iterated_pearl_validity``.
+and only then go on in float.  They are the one conjunction kernel
+(``and_conj``, ``conj`` and an integer ``p ** k``), the two evidence
+validities and ``iterated_pearl_validity``.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _require_bits(what: str, powers: Iterable[tuple[int, int]], counts: Sequence
                 pass
         bits = bound
     if bits > MAX_EXACT_BITS:
-        raise SizeLimitError(f"{what} with about {int(bits)} bits refused")
+        raise SizeLimitError(f"{what} with about {_abridged(int(bits))} bits refused")
 
 
 def is_exact(value: Scalar) -> bool:

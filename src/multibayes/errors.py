@@ -48,6 +48,11 @@ class ZeroValidityError(MultibayesError):
     """Conditioning on a factor whose expected value is zero."""
 
 
+class ZeroPowerError(MultibayesError, ZeroDivisionError):
+    """A negative power of a factor with a zero value; a ZeroDivisionError
+    too, as Python's own ``0 ** -1`` raises."""
+
+
 class SupportMismatchError(MultibayesError):
     """A divergence was requested where the support inclusion fails."""
 

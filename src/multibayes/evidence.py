@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 from itertools import repeat
 from operator import add as _add, mul, truediv
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, is_exact, label_str
 from .core import _fsum, _require_bits, _require_naturals, _require_operands
@@ -15,6 +15,7 @@ from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
     NotAPredicateError,
+    ZeroPowerError,
 )
 from .multiset import Multiset, _Counted
 
@@ -102,38 +103,32 @@ class Factor(_Vector):
     def __pow__(self, exponent) -> "Factor":
         """Iterated conjunction.  The exponent is read as :func:`as_scalar`
         reads a scalar, so a bool raises TypeError.  An exact integer,
-        such as ``2``, ``Fraction(2)`` or ``"2"``, gives the powers
-        :meth:`_power` keeps, which the conjunction shares; a negative
-        one gives the powers of the reciprocals (a zero value raises
-        ZeroDivisionError).  Any other exponent gives a float-mode
-        factor of the float values' powers, so a zero value gives 1.0
-        for ``0.0`` and raises ZeroDivisionError for a negative one, as
-        an int does.  A float overflow raises FloatRangeError, and an exact
-        power of more than MAX_EXACT_BITS bits SizeLimitError."""
-        base = self
+        such as ``2``, ``Fraction(2)`` or ``"2"``, gives the conjunction
+        of that many copies, which shares the powers :meth:`_power`
+        keeps; a negative one, the powers of the reciprocals.  Any
+        other exponent gives a float-mode factor of the float values'
+        powers, so a zero value gives 1.0 for ``0.0``, as an int does.
+        A negative power of a zero value raises ZeroPowerError, a float
+        overflow FloatRangeError, and an exact power of more than
+        MAX_EXACT_BITS bits SizeLimitError."""
         if type(exponent) is not int:
             exponent = as_scalar(exponent)
             if is_exact(exponent) and exponent.denominator == 1:
                 exponent = exponent.numerator
-            else:
-                base, exponent = None, float(exponent)
-        if base is not None and self._nums is not None:
-            if exponent < 0:
-                if 0 in self._nums:
-                    raise ZeroDivisionError("negative power of a factor with a zero value")
-                # the reciprocals den / n over the lcm of the numerators
-                common = math.lcm(*self._nums)
-                base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
-                exponent = -exponent
-            _require_bits("factor power", ((base._top(), exponent),))
-        try:
-            if base is None:
-                return Factor._from_floats(self._space, map(pow, self._floats(), repeat(exponent)))
-            if base._nums is not None:
-                return Factor._from_ints(self._space, base._power(exponent), base._den**exponent)
-            return Factor._from_floats(self._space, base._power(exponent))
-        except OverflowError:
-            raise FloatRangeError("factor power overflows the float range") from None
+        if exponent < 0 and 0 in self._raw():
+            raise ZeroPowerError("negative power of a factor with a zero value")
+        if type(exponent) is not int:
+            try:  # float() too: an exact exponent may lie beyond the float range
+                return Factor._from_floats(self._space, map(pow, self._floats(), repeat(float(exponent))))
+            except OverflowError:
+                raise FloatRangeError("factor power overflows the float range") from None
+        base = self
+        if exponent < 0 and self._nums is not None:
+            # the reciprocals den / n over the lcm of the numerators
+            common = math.lcm(*self._nums)
+            base = Factor._from_ints(self._space, [self._den * (common // n) for n in self._nums], common)
+            exponent = -exponent
+        return _and_conj(self._space, ((base, exponent),), "factor power")
 
     def __str__(self) -> str:
         return " + ".join(f"{format_scalar(v)}*1{{{label_str(x)}}}" for x, v in self.items())
@@ -167,11 +162,8 @@ def point_pred(element: Label, space: SampleSpace) -> Factor:
 
 
 def conj(p: Factor, q: Factor) -> Factor:
-    """Pointwise product; the sequential conjunction of factors."""
-    space = _require_operands((p, q), Factor, "conjuncts")
-    if p._nums is not None and q._nums is not None:
-        return Factor._from_ints(space, map(mul, p._nums, q._nums), p._den * q._den)
-    return Factor._from_floats(space, map(mul, p._floats(), q._floats()))
+    """Pointwise product; the sequential conjunction of factors, as :func:`and_conj`."""
+    return _and_conj(_require_operands((p, q), Factor, "conjuncts"), ((p, 1), (q, 1)), "conjunction")
 
 
 def tensor_factor(p: Factor, q: Factor) -> Factor:
@@ -324,13 +316,13 @@ def and_conj(psi: Evidence) -> Factor:
     """
     _require_nonempty(psi)
     if psi._conj is None:
-        psi._conj = _and_conj(psi)
+        psi._conj = _and_conj(psi._space, list(psi.items()), "conjunction")
     return psi._conj
 
 
-def _and_conj(psi: Evidence) -> Factor:
-    items = list(psi.items())
-    _require_bits("conjunction", [(f._top(), count) for f, count in items if f._nums is not None])
+def _and_conj(space: SampleSpace, items: Sequence[tuple[Factor, int]], what: str) -> Factor:
+    """The one conjunction kernel of and_conj, conj and an int ``p ** k``: x -> prod p(x)**count."""
+    _require_bits(what, [(f._top(), count) for f, count in items if f._nums is not None])
     nums, den, exact = None, 1, 0
     for factor, count in items:
         if factor._nums is None:
@@ -340,7 +332,7 @@ def _and_conj(psi: Evidence) -> Factor:
         den *= factor._den**count
         exact += 1
     if exact == len(items):
-        return Factor._from_ints(psi._space, nums, den)
+        return Factor._from_ints(space, nums, den)
     try:
         values = list(map(truediv, nums, repeat(den))) if exact else None
         for factor, count in items[exact:]:
@@ -350,8 +342,8 @@ def _and_conj(psi: Evidence) -> Factor:
                 powers = map(truediv, factor._power(count), repeat(factor._den**count))
             values = powers if values is None else list(map(mul, values, powers))
     except OverflowError:
-        raise FloatRangeError("and_conj overflows the float range") from None
-    return Factor._from_floats(psi._space, values)
+        raise FloatRangeError(f"{what} overflows the float range") from None
+    return Factor._from_floats(space, values)
 
 
 def tensor_conj(psi: Evidence) -> Factor:

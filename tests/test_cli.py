@@ -510,7 +510,7 @@ class TestColdStart:
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", probe], env=_src_env(), capture_output=True, text=True, check=True
+            [sys.executable, "-c", probe], env=_src_env(), capture_output=True, encoding="utf-8", check=True
         )
         return set(result.stdout.split())
 
@@ -572,7 +572,7 @@ class TestStdlibOnly:
     def test_modules_check_and_report_load_no_third_party_module(self):
         env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
         result = subprocess.run(
-            [sys.executable, "-S", "-c", self.PROBE, str(SRC)], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-S", "-c", self.PROBE, str(SRC)], env=env, capture_output=True, encoding="utf-8", check=True
         )
         # every module but the package itself: the registry is a package of its own
         modules = len(list((SRC / "multibayes").rglob("*.py"))) - 1

@@ -284,7 +284,7 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from multibayes import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(multibayes.__all__)
-    assert len(multibayes.__all__) == 76
+    assert len(multibayes.__all__) == 77
     for name in multibayes.__all__:
         assert not name.startswith("_"), name
         assert not isinstance(getattr(multibayes, name), (types.ModuleType, __future__._Feature)), name

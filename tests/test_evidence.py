@@ -16,6 +16,7 @@ from multibayes import (
     SampleSpace,
     SpaceMismatchError,
     UnknownElementError,
+    ZeroPowerError,
     and_conj,
     conj,
     falsity,
@@ -159,18 +160,22 @@ class TestAlgebra:
             ((0, Fraction(1, 2)), 0.0, (1.0, 1.0)),
             ((0.0, 0.5), 0, (1.0, 1.0)),
             ((0, Fraction(1, 2)), 0.5, (0.0, 0.5**0.5)),
-            ((0, Fraction(1, 2)), -1, ZeroDivisionError),
-            ((0, Fraction(1, 2)), -1.0, ZeroDivisionError),
-            ((0.0, 0.5), -1, ZeroDivisionError),
+            ((0, Fraction(1, 2)), -1, ZeroPowerError),
+            ((0, Fraction(1, 2)), -1.0, ZeroPowerError),
+            ((0, Fraction(1, 2)), Fraction(-1, 2), ZeroPowerError),
+            ((0.0, 0.5), -1, ZeroPowerError),
+            ((0.0, 0.5), -0.5, ZeroPowerError),
         ],
         ids=repr,
     )
     def test_a_zero_value_agrees_across_modes(self, values, exponent, expected):
-        # 0 ** 0 is 1 and 0 ** -1 has no value, whether the base or the exponent is float
+        # 0 ** 0 is 1 and 0 ** -1 has no value, whether the base or the exponent is float;
+        # the typed error is a ZeroDivisionError too, as Python's own 0 ** -1 raises
         p = Factor(SampleSpace("ab"), values)
-        if expected is ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
+        if expected is ZeroPowerError:
+            with pytest.raises(ZeroPowerError, match="^negative power of a factor with a zero value$") as info:
                 p**exponent
+            assert isinstance(info.value, ZeroDivisionError)
         else:
             assert [(type(v), v) for v in (p**exponent).values] == [(type(v), v) for v in expected]
 
@@ -363,6 +368,11 @@ class TestFloatOverflow:
     def test_exact_value_too_large_for_a_float(self):
         with pytest.raises(FloatRangeError):
             frac_conj(Evidence(((Factor(D, (10**400, 1)), 1),)))
+
+    @pytest.mark.parametrize("exponent", [Fraction(10**400, 3), "1" * 400 + "/3"], ids=["Fraction", "str"])
+    def test_non_integer_exponent_beyond_the_float_range(self, exponent):
+        with pytest.raises(FloatRangeError, match="^factor power overflows the float range$"):
+            PT**exponent
 
     def test_large_but_finite_results_pass(self):
         psi = Evidence(((Factor(D, (1e100, 1.0)), 3),))

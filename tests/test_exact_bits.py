@@ -1,6 +1,7 @@
 """The bit-length guard: exact results too large to compute are refused.
 
-The guard estimates the size of an exact conjunction, factor power,
+The guard estimates the size of an exact conjunction (``and_conj``,
+``conj`` and ``&`` alike), factor power,
 tensor product, evidence validity, multinomial coefficient or
 multinomial distribution before computing it and raises SizeLimitError
 (CLI exit 2) above ``core.MAX_EXACT_BITS``.
@@ -21,6 +22,7 @@ from multibayes import (
     SizeLimitError,
     and_conj,
     coefm,
+    conj,
     jeffrey_update,
     jeffrey_validity,
     multinomial,
@@ -57,6 +59,29 @@ def test_conjunction_is_refused_above_the_limit(limit):
     assert (PT**25).values[1] == Fraction(2**25, 5**25)
     with pytest.raises(SizeLimitError, match="factor power"):
         PT**26
+
+
+def test_binary_conjunction_is_guarded_as_and_conj(limit):
+    # the largest ints 2**50 and 2**50 count 100 bits; 2**50 and 2**51, 101
+    p = _factor(1, Fraction(1, 2**50))
+    for q, refused in ((_factor(Fraction(1, 2**50), 1), False), (_factor(Fraction(1, 2**51), 1), True)):
+        calls = (lambda: and_conj(Evidence(((p, 1), (q, 1)))), lambda: conj(p, q), lambda: p & q)
+        if refused:
+            for call in calls:
+                with pytest.raises(SizeLimitError, match="^conjunction with about 101 bits refused$"):
+                    call()
+        else:
+            assert {call() for call in calls} == {Factor(p.space, (Fraction(1, 2**50), Fraction(1, 2**50)))}
+
+
+def test_bit_counts_beyond_printable_ints_are_refused(limit):
+    # 10**5000 copies: a count of more digits than Python prints an int with
+    huge = 10**5000
+    psi = Evidence(((PT, huge),))
+    calls = (lambda: PT**huge, lambda: and_conj(psi), lambda: jeffrey_validity(PRIOR, psi), lambda: pearl_validity(PRIOR, psi))
+    for call in calls:
+        with pytest.raises(SizeLimitError, match=r"with about \d\.\d{11}E\+500\d bits refused$"):
+            call()
 
 
 def test_float_factors_are_not_counted(limit):
@@ -154,6 +179,7 @@ def test_one_estimate_serves_every_guarded_result():
     p = Factor(omega.space, omega.weights)
     refused = [
         ("conjunction", lambda: and_conj(Evidence(((p, 10),)))),
+        ("conjunction", lambda: conj(p, Factor(omega.space, (1, Fraction(1, 2**28530))))),  # 3170 + 28530 bits
         ("factor power", lambda: p**10),
         ("multinomial", lambda: multinomial(10, omega)),
         ("tensor product", lambda: tensor_power(omega, 10)),

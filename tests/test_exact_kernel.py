@@ -24,6 +24,7 @@ from multibayes import (
     Multiset,
     SampleSpace,
     SizeLimitError,
+    ZeroPowerError,
     and_conj,
     bayes_update,
     convex_sum,
@@ -344,7 +345,7 @@ def test_factor_algebra(seed):
     for result, expected in cases:
         assert result.values == expected
         assert_canonical(result)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroPowerError):
         Factor(s, [0] + [1] * (len(s) - 1)) ** -1
 
 
