@@ -12,7 +12,6 @@ import sys
 
 from .core import format_decimal12, format_scalar
 from .errors import MultibayesError
-from .evidence import Evidence
 from .models import GRID_MODES, grid_values, medical_grid_spec, medical_model
 from .update import bayes_update, iterated_pearl_validity, jeffrey_update, pearl_update
 from .validity import jeffrey_validity, pearl_validity, validity
@@ -28,8 +27,7 @@ def _fraction_line(name: str, value) -> str:
 def cmd_report_medical() -> int:
     """Print every quantity of the built-in disease-test scenario."""
     model = medical_model()
-    omega, pt, nt = model.prior, model.pos_test, model.neg_test
-    psi = Evidence(((pt, 2), (nt, 1)))
+    omega, pt, nt, psi = model.prior, model.pos_test, model.neg_test, model.three_tests
     posterior_j = jeffrey_update(omega, psi)
     posterior_p = pearl_update(omega, psi)
     lines = [

@@ -14,7 +14,9 @@ contagion element by element.  Three results are the exceptions: they
 multiply the exact operands in front of the first float one exactly,
 and only then go on in float.  They are the one conjunction kernel
 (``and_conj``, ``conj`` and an integer ``p ** k``), the two evidence
-validities and ``iterated_pearl_validity``.
+validities and ``iterated_pearl_validity``.  Where one of their exact
+values is itself beyond the float range, they take the product exactly
+and round it once (:func:`_product`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ MAX_PRODUCT_ELEMENTS = 10**6
 
 #: Exact results (conjunctions, factor powers, tensor products,
 #: evidence validities, multinomial coefficients and weights) estimated
-#: to need more bits than this are refused before they are computed.
+#: to need more bits than this are refused before they are computed,
+#: and exact distributions whose denominator needs more once they are.
 #: 10,000 bits are about 3,000 decimal digits, within Python's default
 #: limit of 4,300 digits for printing an int.
 MAX_EXACT_BITS = 10_000
@@ -286,6 +289,20 @@ def _check_range(values: tuple, den: int | None, normalised: bool, error: type[E
         raise error(f"{what}: sum is {_abridged(Fraction(total, den))}, expected 1")
 
 
+def _product(factors: Sequence[Scalar]) -> Scalar:
+    """The product of ``factors``, left to right as ``*`` takes it.  Where
+    an exact factor too large for a float meets a float, the product is
+    taken exactly instead, each float read exactly, and rounded once;
+    OverflowError when that is beyond the float range too."""
+    result = 1
+    try:
+        for factor in factors:
+            result = result * factor
+    except OverflowError:
+        return float(math.prod(map(Fraction, factors)))
+    return result
+
+
 def _check_finite(value: Scalar, what: str) -> Scalar:
     """The one finiteness check of a scalar result: ``value`` itself,
     unless it is a float that is not finite (FloatRangeError)."""
@@ -348,12 +365,17 @@ class _Vector:
 
     @classmethod
     def _from_ints(cls, space: SampleSpace, nums: Iterable[int], den: int):
-        """Trusted constructor for kernel results: only the gcd reduction."""
+        """Trusted constructor for kernel results: only the gcd reduction,
+        and for a normalised class the one size guard of its results,
+        taken once they are computed: SizeLimitError when the reduced
+        denominator needs more than MAX_EXACT_BITS bits."""
         nums = tuple(nums)
         divisor = math.gcd(den, *nums)
         if divisor != 1:
             den //= divisor
             nums = tuple([n // divisor for n in nums])
+        if cls._NORMALISED and (den - 1).bit_length() > MAX_EXACT_BITS:
+            raise SizeLimitError(f"exact result with about {(den - 1).bit_length()} bits refused")
         vector = cls.__new__(cls)
         vector._space, vector._nums, vector._den, vector._flt = space, nums, den, None
         vector._memo = vector._powers = None

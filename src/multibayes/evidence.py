@@ -10,7 +10,7 @@ from operator import add as _add, mul, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .core import Label, SampleSpace, Scalar, _Vector, as_scalar, format_scalar, is_exact, label_str
-from .core import _fsum, _require_bits, _require_naturals, _require_operands
+from .core import _fsum, _product, _require_bits, _require_naturals, _require_operands
 from .errors import (
     EmptyEvidenceError,
     FloatRangeError,
@@ -107,10 +107,11 @@ class Factor(_Vector):
         of that many copies, which shares the powers :meth:`_power`
         keeps; a negative one, the powers of the reciprocals.  Any
         other exponent gives a float-mode factor of the float values'
-        powers, so a zero value gives 1.0 for ``0.0``, as an int does.
-        A negative power of a zero value raises ZeroPowerError, a float
-        overflow FloatRangeError, and an exact power of more than
-        MAX_EXACT_BITS bits SizeLimitError."""
+        powers, so a zero value gives 1.0 for ``0.0``, as an int does;
+        an exponent beyond the float range is read as an infinite one of
+        its sign.  A negative power of a zero value raises
+        ZeroPowerError, a float overflow FloatRangeError, and an exact
+        power of more than MAX_EXACT_BITS bits SizeLimitError."""
         if type(exponent) is not int:
             exponent = as_scalar(exponent)
             if is_exact(exponent) and exponent.denominator == 1:
@@ -118,10 +119,17 @@ class Factor(_Vector):
         if exponent < 0 and 0 in self._raw():
             raise ZeroPowerError("negative power of a factor with a zero value")
         if type(exponent) is not int:
-            try:  # float() too: an exact exponent may lie beyond the float range
-                return Factor._from_floats(self._space, map(pow, self._floats(), repeat(float(exponent))))
+            try:
+                exponent = float(exponent)
+            except OverflowError:  # an exact exponent beyond the float range
+                exponent = math.inf if exponent > 0 else -math.inf
+            try:
+                values = tuple(map(pow, self._floats(), repeat(exponent)))
             except OverflowError:
-                raise FloatRangeError("factor power overflows the float range") from None
+                values = (math.inf,)
+            if math.inf in values:  # where a finite exponent overflows, an infinite one gives inf
+                raise FloatRangeError("factor power overflows the float range")
+            return Factor._from_floats(self._space, values)
         base = self
         if exponent < 0 and self._nums is not None:
             # the reciprocals den / n over the lcm of the numerators
@@ -307,8 +315,10 @@ def and_conj(psi: Evidence) -> Factor:
 
     Exact factors before the first float one multiply exactly; from
     there on the product runs on floats, an exact factor's power
-    rounded once as a Fraction would be.  A float overflow raises
-    FloatRangeError, and exact powers of more than MAX_EXACT_BITS bits
+    rounded once as a Fraction would be.  Where an exact value is too
+    large for a float, each value's product is taken exactly instead
+    and rounded once.  A float overflow raises FloatRangeError, and
+    exact powers of more than MAX_EXACT_BITS bits
     in all raise SizeLimitError before they are computed.  Each factor
     keeps its powers (see ``Factor._power``), so other evidence that
     holds it at the same count reuses them.  The result is kept in
@@ -334,13 +344,20 @@ def _and_conj(space: SampleSpace, items: Sequence[tuple[Factor, int]], what: str
     if exact == len(items):
         return Factor._from_ints(space, nums, den)
     try:
-        values = list(map(truediv, nums, repeat(den))) if exact else None
-        for factor, count in items[exact:]:
-            if factor._nums is None:
+        try:
+            values = list(map(truediv, nums, repeat(den))) if exact else None
+            for factor, count in items[exact:]:
+                if factor._nums is None:
+                    powers = factor._power(count)
+                else:
+                    powers = map(truediv, factor._power(count), repeat(factor._den**count))
+                values = powers if values is None else list(map(mul, values, powers))
+        except OverflowError:  # an exact value too large for a float: each value's product by _product
+            columns = [[Fraction(n, den) for n in nums]] if exact else []
+            for factor, count in items[exact:]:
                 powers = factor._power(count)
-            else:
-                powers = map(truediv, factor._power(count), repeat(factor._den**count))
-            values = powers if values is None else list(map(mul, values, powers))
+                columns.append(powers if factor._nums is None else [Fraction(n, factor._den**count) for n in powers])
+            values = list(map(_product, zip(*columns)))
     except OverflowError:
         raise FloatRangeError(f"{what} overflows the float range") from None
     return Factor._from_floats(space, values)

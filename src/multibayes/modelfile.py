@@ -185,7 +185,7 @@ def builtin_medical_model() -> Model:
     model.distributions["prior"] = source.prior
     model.factors["pt"] = source.pos_test
     model.factors["nt"] = source.neg_test
-    model.evidence["three_tests"] = Evidence(((source.pos_test, 2), (source.neg_test, 1)))
+    model.evidence["three_tests"] = source.three_tests
     model.channels["test"] = source.test_channel
     return model
 

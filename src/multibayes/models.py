@@ -17,7 +17,8 @@ from .validity import jeffrey_validity, pearl_validity
 
 
 class MedicalModel(NamedTuple):
-    """Disease test scenario: 5% prevalence, 90% sensitivity, 60% specificity."""
+    """Disease test scenario: 5% prevalence, 90% sensitivity, 60% specificity;
+    the outcomes' point predicates, their pullbacks and the evidence 2|pos_test> + 1|neg_test>."""
 
     disease_space: SampleSpace
     test_space: SampleSpace
@@ -25,6 +26,8 @@ class MedicalModel(NamedTuple):
     test_channel: Channel
     pos_test: Factor
     neg_test: Factor
+    outcomes: tuple[Factor, Factor]
+    three_tests: Evidence
 
 
 def medical_model() -> MedicalModel:
@@ -39,9 +42,10 @@ def medical_model() -> MedicalModel:
             Dist(tests, (Fraction(2, 5), Fraction(3, 5))),
         ),
     )
-    pos_test = pull(channel, point_pred("p", tests))
-    neg_test = pull(channel, point_pred("n", tests))
-    return MedicalModel(disease, tests, prior, channel, pos_test, neg_test)
+    outcomes = (point_pred("p", tests), point_pred("n", tests))
+    pos_test, neg_test = (pull(channel, q) for q in outcomes)
+    three_tests = Evidence(((pos_test, 2), (neg_test, 1)))
+    return MedicalModel(disease, tests, prior, channel, pos_test, neg_test, outcomes, three_tests)
 
 
 class PhysicsModel(NamedTuple):
@@ -80,11 +84,10 @@ class GridSpec:
     published figures are directly comparable).
 
     The spec builds what every cell shares when it is constructed: the
-    medical model's channel and prior, the point predicates of the two
-    outcomes and, for ``vfe-dkl-delta``, the prior prediction
-    ``push(channel, prior)``.  So its fields must not be reassigned
-    afterwards.  Each cell pulls the predicates anew, so no factor's
-    memo carries from cell to cell.
+    medical model's channel, prior and outcome predicates and, for
+    ``vfe-dkl-delta``, the prior prediction ``push(channel, prior)``.
+    So its fields must not be reassigned afterwards.  Each cell pulls
+    the predicates anew, so no factor's memo carries from cell to cell.
     """
 
     __slots__ = ("mode", "imax", "jmax", "channel", "prior", "_pos", "_neg", "_prediction")
@@ -98,7 +101,7 @@ class GridSpec:
         _require_size(imax * jmax, "grid")
         model = medical_model()
         self.mode, self.imax, self.jmax, self.channel, self.prior = mode, imax, jmax, model.test_channel, model.prior
-        self._pos, self._neg = point_pred("p", model.test_space), point_pred("n", model.test_space)
+        self._pos, self._neg = model.outcomes
         self._prediction = push(self.channel, self.prior) if mode == "vfe-dkl-delta" else None
 
 

@@ -48,9 +48,7 @@ def _jeffrey_along_channel(rng):
 @_register_run("pearl-along-channel-fails", "channel", max_trials=100)
 def _pearl_along_channel_fails(trials, rng):
     model = medical_model()
-    point_psi = Evidence(
-        ((point_pred("p", model.test_space), 2), (point_pred("n", model.test_space), 1))
-    )
+    point_psi = Evidence(zip(model.outcomes, (2, 1)))
     fixed_lhs = pearl_validity(model.prior, triple_pull(model.test_channel, point_psi))
     fixed_rhs = pearl_validity(push(model.test_channel, model.prior), point_psi)
     _law(fixed_lhs != fixed_rhs, "expected the fixed point-evidence instance to disagree")

@@ -133,7 +133,7 @@ def _jeffrey_scale_invariant(rng):
 @_register_run("jeffrey-order", "update")
 def _jeffrey_order(trials, rng):
     model = medical_model()
-    psi = Evidence(((model.pos_test, 2), (model.neg_test, 1)))
+    psi = model.three_tests
     chi = Evidence(((model.pos_test, 1), (model.neg_test, 2)))
     first = jeffrey_update(jeffrey_update(model.prior, psi), chi)
     second = jeffrey_update(jeffrey_update(model.prior, chi), psi)
@@ -224,7 +224,7 @@ def _pearl_uniform_no_op(rng):
 @_register("cross-rule-decrease", "update", max_trials=1)
 def _cross_rule_decrease(rng):
     model = medical_model()
-    psi = Evidence(((model.pos_test, 2), (model.neg_test, 1)))
+    psi = model.three_tests
     omega = model.prior
     j_prior = jeffrey_validity(omega, psi)
     p_prior = pearl_validity(omega, psi)
@@ -273,7 +273,7 @@ def _vfe_sandwich(trials, rng):
 @_register_run("vfe-argmin", "update", max_trials=1000)
 def _vfe_argmin(trials, rng):
     model = medical_model()
-    psi = Evidence(((model.pos_test, 2), (model.neg_test, 1)))
+    psi = model.three_tests
     posterior = vfe_update(model.prior, psi)
     posteriors = _factor_posteriors(model.prior, psi)
     minimum = _free_energy(posterior, posteriors)

@@ -13,7 +13,7 @@ import math
 import reprlib
 from typing import Sequence
 
-from .core import Scalar, _check_finite, _fsum, _require_operands
+from .core import Scalar, _check_finite, _fsum, _product, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import EmptyEvidenceError, ZeroValidityError
@@ -50,7 +50,7 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
         raise EmptyEvidenceError("need at least one factor")
     _require_operands(ps, Factor, "validity arguments", _require_operands((omega,), Dist, "priors"))
     current, last = omega, len(ps) - 1
-    result: Scalar = 1
+    validities = []
     for index, p in enumerate(ps):
         # one pass gives the normaliser and the posterior, kept in the memo of p
         _, norm, posterior = _entry(current, p, index < last)
@@ -59,11 +59,12 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
             raise ZeroValidityError(
                 f"validity vanished at factor #{index} after updating with the first {index}"
             )
-        try:
-            result = result * val
-        except OverflowError:  # an exact product met a float beyond its range
-            result = math.inf
+        validities.append(val)
         current = posterior
+    try:
+        result = _product(validities)
+    except OverflowError:
+        result = math.inf
     return _check_finite(result, "iterated validity")
 
 

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterable
 
-from .core import Scalar, _check_finite, _fsum, _require_bits, _require_operands, scalar_ln
+from .core import Scalar, _check_finite, _fsum, _product, _require_bits, _require_operands, scalar_ln
 from .distribution import Dist
 from .errors import ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
@@ -117,8 +117,7 @@ def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> S
             den *= base.denominator**count
         return Fraction(result, den)
     try:
-        for base, count in powers:
-            result = result * base**count
+        result = _product([result, *[base**count for base, count in powers]])
     except OverflowError:
         result = math.inf
     return _check_finite(result, "validity of the evidence")
@@ -144,7 +143,12 @@ def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:
     """Covariance of two factors under a distribution.  A float result
     that is not finite raises FloatRangeError."""
     _require_operands((p1, p2), Factor, "covariance arguments", _require_operands((omega,), Dist, "priors"))
-    return _check_finite(validity(omega, p1 & p2) - validity(omega, p1) * validity(omega, p2), "covariance")
+    joint = validity(omega, p1 & p2)
+    try:
+        product = _product((validity(omega, p1), validity(omega, p2)))
+    except OverflowError:
+        product = math.inf
+    return _check_finite(joint - product, "covariance")
 
 
 def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float:

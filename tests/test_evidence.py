@@ -19,6 +19,7 @@ from multibayes import (
     ZeroPowerError,
     and_conj,
     conj,
+    covariance,
     falsity,
     frac_conj,
     indicator,
@@ -34,6 +35,7 @@ from multibayes import (
     tensor_factor,
     tensor_power,
     truth,
+    uniform,
     validity,
     vfe_update,
     vfe_update_softmax,
@@ -371,8 +373,35 @@ class TestFloatOverflow:
 
     @pytest.mark.parametrize("exponent", [Fraction(10**400, 3), "1" * 400 + "/3"], ids=["Fraction", "str"])
     def test_non_integer_exponent_beyond_the_float_range(self, exponent):
+        # read as an infinite exponent, which a value above one does not survive
         with pytest.raises(FloatRangeError, match="^factor power overflows the float range$"):
-            PT**exponent
+            Factor(D, (2, Fraction(1, 2)))**exponent
+
+    @pytest.mark.parametrize("exponent", [Fraction(10**400, 3), "1" * 400 + "/3"], ids=["Fraction", "str"])
+    def test_a_predicate_to_an_exponent_beyond_the_float_range(self, exponent):
+        assert (PT**exponent).values == (0.0, 0.0)
+        assert (Factor(D, (1, Fraction(1, 2)))**exponent).values == (1.0, 0.0)
+        assert (Factor(D, (1.0, 0.5))**exponent).values == (Factor(D, (1.0, 0.5))**1e300).values
+        # a negative one: a value above one gives 0.0, and one below one overflows
+        negative = -Fraction(exponent)
+        assert (Factor(D, (2, 1))**negative).values == (0.0, 1.0)
+        with pytest.raises(FloatRangeError, match="^factor power overflows the float range$"):
+            PT**negative
+
+    @pytest.mark.parametrize("order", ["exact first", "float first"])
+    def test_a_finite_product_of_an_exact_value_and_a_float(self, order):
+        # 10**400 is too large for a float, 10**400 * 1e-300 is not: taken exactly and rounded once
+        ab = SampleSpace("ab")
+        big, tiny = Factor(ab, (10**400, 10**400)), Factor(ab, (1e-300, 1e-300))
+        pair = (big, tiny) if order == "exact first" else (tiny, big)
+        psi = Evidence((p, 1) for p in pair)
+        value = float(Fraction(10**400) * Fraction(1e-300))
+        assert value == pytest.approx(1e100, rel=1e-15)
+        assert and_conj(psi).values == conj(*pair).values == (value, value)
+        assert jeffrey_validity(uniform(ab), psi) == pearl_validity(uniform(ab), psi) == 2 * value
+        assert covariance(uniform(ab), *pair) == 0.0  # the product of their validities, 1e400 and 1e-300
+        if order == "exact first":  # with tiny first, the second validity, 1e400, is beyond the float range
+            assert iterated_pearl_validity(uniform(ab), pair) == value
 
     def test_large_but_finite_results_pass(self):
         psi = Evidence(((Factor(D, (1e100, 1.0)), 3),))

@@ -4,11 +4,14 @@ The guard estimates the size of an exact conjunction (``and_conj``,
 ``conj`` and ``&`` alike), factor power,
 tensor product, evidence validity, multinomial coefficient or
 multinomial distribution before computing it and raises SizeLimitError
-(CLI exit 2) above ``core.MAX_EXACT_BITS``.
-Every test lowers the limit, so nothing large is ever computed.
+(CLI exit 2) above ``core.MAX_EXACT_BITS``.  An exact distribution is
+refused once it is computed, when its denominator needs more bits.
+Every test but the repeated updates lowers the limit, so nothing large
+is ever computed; those compute one result of about 16,000 bits.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,7 @@ from multibayes import (
 )
 from multibayes.cli import main
 from multibayes.modelfile import builtin_medical_model, serialize_model
+from multibayes.models import medical_model
 
 D = SampleSpace(("d", "~d"))
 PRIOR = Dist(D, (Fraction(1, 20), Fraction(19, 20)))
@@ -131,6 +135,54 @@ def test_eval_exits_2_on_a_refused_result(limit, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "bits refused" in captured.err
     assert main(["eval", "--model", str(path), "--expr", "jeffrey_update(prior, many)"]) == 0
+
+
+def _bits(omega):
+    """The bits of the denominator of an exact distribution, counted as
+    the guard counts them: those of ``den - 1``."""
+    return (math.lcm(*[w.denominator for w in omega.weights]) - 1).bit_length()
+
+
+def _repeated_updates(steps):
+    """The medical prior and its Jeffrey updates with 2|pos_test> +
+    1|neg_test>, each of the one before, ``steps`` of them."""
+    model = medical_model()
+    results = [model.prior]
+    for _ in range(steps):
+        results.append(jeffrey_update(results[-1], model.three_tests))
+    return results
+
+
+def test_repeated_updates_are_refused_at_step_11():
+    # the denominator about doubles at each step
+    results = _repeated_updates(10)
+    assert [_bits(omega) for omega in results[8:]] == [2060, 4118, 8235]
+    with pytest.raises(SizeLimitError, match="^exact result with about 16474 bits refused$"):
+        jeffrey_update(results[-1], medical_model().three_tests)
+
+
+@pytest.mark.parametrize("limit_bits", [126, 254, 300])
+def test_repeated_updates_are_refused_at_the_first_step_past_a_lower_limit(monkeypatch, limit_bits):
+    unrefused = _repeated_updates(7)
+    past = next(step for step, omega in enumerate(unrefused) if _bits(omega) > limit_bits)
+    monkeypatch.setattr("multibayes.core.MAX_EXACT_BITS", limit_bits)
+    assert _repeated_updates(past - 1) == unrefused[:past]
+    with pytest.raises(SizeLimitError, match=r"^exact result with about \d+ bits refused$"):
+        _repeated_updates(past)
+
+
+def test_eval_exits_2_on_a_refused_distribution(tmp_path, capsys):
+    model = json.loads(serialize_model(builtin_medical_model()))
+    big = 3**8800  # 13,948 bits, 4,199 digits: within what Python reads and prints
+    model["distributions"]["prior"]["weights"] = [f"1/{big}", f"{big - 1}/{big}"]
+    path = tmp_path / "wide_prior.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    assert main(["eval", "--model", str(path), "--expr", "validity(prior, pt)"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), "--expr", "bayes_update(prior, pt)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exact result with about ") and captured.err.endswith(" bits refused\n")
 
 
 def _dist(bits):

@@ -15,11 +15,13 @@ a later result.
 
 The exact size limit is lowered for the whole run, so some large counts
 are refused with SizeLimitError.  The run is derandomized, so it is the
-same on every machine.
+same on every machine.  Grid cells that share their pulled predicates,
+and so their memos, must equal cells that pull them anew.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule, run_state_machine_as_test
@@ -44,7 +46,8 @@ from multibayes import (
     validity,
     vfe_update,
 )
-from multibayes.models import GRID_MODES, GridSpec, grid_cell, medical_model
+from multibayes import models
+from multibayes.models import GRID_MODES, GridSpec, grid_cell, grid_values, medical_model
 
 MEDICAL = medical_model()
 #: Two spaces of the machine's own, and the medical model's two, on
@@ -235,3 +238,22 @@ def test_kept_state_never_changes_a_result(monkeypatch):
         max_examples=60, stateful_step_count=40, derandomize=True, database=None, deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     ))
+
+
+@pytest.mark.parametrize("mode", GRID_MODES)
+def test_cells_that_share_their_pulled_predicates_are_unchanged(monkeypatch, mode):
+    """Each cell pulls the spec's two predicates anew.  Pulled once and
+    shared, the two factors keep their memos and powers from cell to
+    cell, and every cell is still the same: exact values by numerator
+    and denominator, floats with the same bits."""
+    expected = [(i, j, scalar_key(v)) for i, j, v in grid_values(GridSpec(mode, 20, 20))]
+    pull_anew, pulled = models.pull, {}
+
+    def pull_once(channel, q):
+        if q not in pulled:
+            pulled[q] = pull_anew(channel, q)
+        return pulled[q]
+
+    monkeypatch.setattr(models, "pull", pull_once)
+    assert [(i, j, scalar_key(v)) for i, j, v in grid_values(GridSpec(mode, 20, 20))] == expected
+    assert len(pulled) == 2
