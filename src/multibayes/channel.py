@@ -6,12 +6,12 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .core import Label, SampleSpace, _fsum, _require_operands
+from .core import Label, SampleSpace, _check_finite, _fsum, _require_operands
 from .distribution import Dist, dirac, multinomial
-from .errors import ZeroValidityError
+from .errors import FloatRangeError, ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
-from .validity import _entry
+from .validity import _entry, _rounded_products
 
 
 class Channel:
@@ -101,7 +101,11 @@ def pull(c: Channel, q: Factor) -> Factor:
         nums, den = q._nums, c._den
         values = [sum(map(mul, row._nums, nums)) * (den // row._den) for row in c._rows]
         return Factor._from_ints(c._dom, values, den * q._den)
-    floats = q._floats()
+    try:
+        floats = q._floats()
+    except FloatRangeError:  # a value of q beyond the float range
+        values = [_check_finite(_fsum(_rounded_products(row, q)), "validity") for row in c._rows]
+        return Factor._from_floats(c._dom, values)
     return Factor._from_floats(c._dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
 
 

@@ -16,7 +16,8 @@ and only then go on in float.  They are the one conjunction kernel
 (``and_conj``, ``conj`` and an integer ``p ** k``), the two evidence
 validities and ``iterated_pearl_validity``.  Where one of their exact
 values is itself beyond the float range, they take the product exactly
-and round it once (:func:`_product`).
+and round it once (:func:`_product`), as the validity, the Bayes
+normaliser and ``pull`` do for a float times such a factor value.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ from typing import NamedTuple
 
 from .channel import Channel, pull, push
 from .core import SampleSpace, Scalar, _require_naturals, _require_size
-from .distribution import Dist, flrn
+from .distribution import Dist, flrn, uniform
 from .divergence import kl_divergence
 from .errors import ModelError
-from .evidence import Evidence, Factor, indicator, point_pred
+from .evidence import Evidence, Factor, indicator, ortho, point_pred
 from .multiset import Multiset
 from .update import jeffrey_update, pearl_update, vfe_update
 from .validity import jeffrey_validity, pearl_validity
@@ -18,7 +18,9 @@ from .validity import jeffrey_validity, pearl_validity
 
 class MedicalModel(NamedTuple):
     """Disease test scenario: 5% prevalence, 90% sensitivity, 60% specificity;
-    the outcomes' point predicates, their pullbacks and the evidence 2|pos_test> + 1|neg_test>."""
+    the outcomes' point predicates, their pullbacks ``pos_test`` and
+    ``neg_test``, and the paper's evidence 2|pos_test> + 1|neg_test>
+    (``three_tests``, which :meth:`evidence` builds)."""
 
     disease_space: SampleSpace
     test_space: SampleSpace
@@ -28,6 +30,10 @@ class MedicalModel(NamedTuple):
     neg_test: Factor
     outcomes: tuple[Factor, Factor]
     three_tests: Evidence
+
+    def evidence(self, i: int, j: int) -> Evidence:
+        """The evidence i|pos_test> + j|neg_test> over this model's pulled predicates."""
+        return Evidence(((self.pos_test, i), (self.neg_test, j)))
 
 
 def medical_model() -> MedicalModel:
@@ -44,8 +50,8 @@ def medical_model() -> MedicalModel:
     )
     outcomes = (point_pred("p", tests), point_pred("n", tests))
     pos_test, neg_test = (pull(channel, q) for q in outcomes)
-    three_tests = Evidence(((pos_test, 2), (neg_test, 1)))
-    return MedicalModel(disease, tests, prior, channel, pos_test, neg_test, outcomes, three_tests)
+    model = MedicalModel(disease, tests, prior, channel, pos_test, neg_test, outcomes, None)
+    return model._replace(three_tests=model.evidence(2, 1))
 
 
 class PhysicsModel(NamedTuple):
@@ -63,6 +69,29 @@ def physics_model() -> PhysicsModel:
     middle_blocked = indicator(("L", "R"), pipes)
     taps = Factor(pipes, (Fraction(2, 3), Fraction(1, 3), Fraction(1, 2)))
     return PhysicsModel(pipes, flow, middle_blocked, taps)
+
+
+class ValidityExamples(NamedTuple):
+    """The paper's (prior, evidence) pairs whose Jeffrey and Pearl
+    validities are far apart (0.479 and 0.028), reversed (0.054 and
+    0.154), or, for evidence that does not match, both above one
+    (19773/12800 and 2173/800)."""
+
+    wide_gap: tuple[Dist, Evidence]
+    reversal: tuple[Dist, Evidence]
+    nonmatching: tuple[Dist, Evidence]
+
+
+def validity_examples() -> ValidityExamples:
+    abc, ab = SampleSpace("abc"), SampleSpace("ab")
+    p = Factor(abc, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
+    q = Factor(abc, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
+    r, s = Factor(ab, (Fraction(1), Fraction(1, 2))), Factor(ab, (Fraction(4, 5), Fraction(1, 2)))
+    return ValidityExamples(
+        (Dist(abc, (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5))), Evidence(((p, 1), (ortho(p), 1)))),
+        (Dist(abc, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5))), Evidence(((q, 1), (ortho(q), 4)))),
+        (uniform(ab), Evidence(((r, 2), (s, 3)))),
+    )
 
 
 GRID_MODES = (

@@ -7,6 +7,7 @@ from ..distribution import flrn, multinomial
 from ..divergence import kl_divergence
 from ..evidence import Evidence, point_evidence, point_pred
 from ..models import medical_model
+from ..multiset import Multiset
 from ..update import bayes_update, jeffrey_update, pearl_update
 from ..validity import jeffrey_validity, pearl_validity, validity
 from . import (
@@ -48,7 +49,7 @@ def _jeffrey_along_channel(rng):
 @_register_run("pearl-along-channel-fails", "channel", max_trials=100)
 def _pearl_along_channel_fails(trials, rng):
     model = medical_model()
-    point_psi = Evidence(zip(model.outcomes, (2, 1)))
+    point_psi = point_evidence(Multiset(model.test_space, (2, 1)))
     fixed_lhs = pearl_validity(model.prior, triple_pull(model.test_channel, point_psi))
     fixed_rhs = pearl_validity(push(model.test_channel, model.prior), point_psi)
     _law(fixed_lhs != fixed_rhs, "expected the fixed point-evidence instance to disagree")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..channel import push
 from ..distribution import flrn
 from ..divergence import expected_channel_divergence, kl_divergence
-from ..evidence import Evidence, point_evidence
+from ..evidence import point_evidence
 from ..models import grid_values, medical_grid_spec, medical_model
 from ..multiset import Multiset
 from ..update import free_energy_objective, jeffrey_update, vfe_update
@@ -93,7 +93,7 @@ def _vfe_divergence_failure_grid(trials, rng):
     positives = sum(1 for _, _, v in cells if v > 0)
     _law(positives == 37, "{} cells with increased divergence, expected 37", positives)
     model = medical_model()
-    psi11 = Evidence(((model.pos_test, 1), (model.neg_test, 1)))
+    psi11 = model.evidence(1, 1)
     observed = flrn(Multiset(model.test_space, (1, 1)))
     prior_div = kl_divergence(observed, push(model.test_channel, model.prior), base=2)
     post = vfe_update(model.prior, psi11)

@@ -134,7 +134,7 @@ def _jeffrey_scale_invariant(rng):
 def _jeffrey_order(trials, rng):
     model = medical_model()
     psi = model.three_tests
-    chi = Evidence(((model.pos_test, 1), (model.neg_test, 2)))
+    chi = model.evidence(1, 2)
     first = jeffrey_update(jeffrey_update(model.prior, psi), chi)
     second = jeffrey_update(jeffrey_update(model.prior, chi), psi)
     d1, d2 = float(first("d")), float(second("d"))
@@ -248,7 +248,7 @@ def _vfe_forms_agree(rng):
 @_register_run("vfe-sandwich", "update")
 def _vfe_sandwich(trials, rng):
     model = medical_model()
-    chi = Evidence(((model.pos_test, 1), (model.neg_test, 1)))
+    chi = model.evidence(1, 1)
     j_before = float(jeffrey_validity(model.prior, chi))
     j_after = float(jeffrey_validity(vfe_update(model.prior, chi), chi))
     _law(_figures((j_before, "0.489"), (j_after, "0.486")), "fixed pair ({:.4f}, {:.4f}) != (0.489, 0.486)",

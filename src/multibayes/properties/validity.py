@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..core import SampleSpace
-from ..distribution import Dist, copy_dist, flrn, multinomial, tensor, uniform
-from ..evidence import Evidence, Factor, conj, falsity, ortho, point_evidence, point_pred, scale, tensor_factor, truth
-from ..models import grid_values, medical_grid_spec
+from ..distribution import copy_dist, flrn, multinomial, tensor
+from ..evidence import Evidence, conj, falsity, ortho, point_evidence, point_pred, scale, tensor_factor, truth
+from ..models import grid_values, medical_grid_spec, validity_examples
 from ..multiset import acc, enumerate_multisets
 from ..validity import covariance, jeffrey_validity, log_likelihood_score, pearl_validity, validity
 from . import (
@@ -151,11 +151,7 @@ def _point_evidence_argmax(trials, rng):
 
 @_register("nonmatching-escape", "validity", max_trials=1)
 def _nonmatching_escape(rng):
-    space = SampleSpace("ab")
-    omega = uniform(space)
-    p = Factor(space, (Fraction(1), Fraction(1, 2)))
-    q = Factor(space, (Fraction(4, 5), Fraction(1, 2)))
-    psi = Evidence(((p, 2), (q, 3)))
+    omega, psi = validity_examples().nonmatching
     jv = jeffrey_validity(omega, psi)
     pv = pearl_validity(omega, psi)
     _law(jv == Fraction(19773, 12800), "non-matching Jeffrey validity {} != 19773/12800", jv)
@@ -165,15 +161,11 @@ def _nonmatching_escape(rng):
 
 @_register("jeffrey-pearl-gap-examples", "validity", max_trials=1)
 def _jeffrey_pearl_gap_examples(rng):
-    space = SampleSpace("abc")
-    omega = Dist(space, (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5)))
-    p = Factor(space, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
-    psi = Evidence(((p, 1), (ortho(p), 1)))
+    examples = validity_examples()
+    omega, psi = examples.wide_gap
     jv, pv = float(jeffrey_validity(omega, psi)), float(pearl_validity(omega, psi))
     _law(_figures((jv, "0.479"), (pv, "0.028")), "wide-gap pair ({:.4f}, {:.4f}) != (0.479, 0.028)", jv, pv)
-    omega2 = Dist(space, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
-    q = Factor(space, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
-    chi = Evidence(((q, 1), (ortho(q), 4)))
+    omega2, chi = examples.reversal
     jv2, pv2 = float(jeffrey_validity(omega2, chi)), float(pearl_validity(omega2, chi))
     _law(_figures((jv2, "0.054"), (pv2, "0.154")), "reversal pair ({:.4f}, {:.4f}) != (0.054, 0.154)", jv2, pv2)
     _law(jv2 < pv2, "expected Pearl above Jeffrey in the reversal pair")

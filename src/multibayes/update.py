@@ -43,8 +43,10 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
     distribution already updated with all previous ones.
 
     Equals the validity of the conjunction of all factors, in any
-    order.  Raises ZeroValidityError naming the failing prefix when a
-    mid-chain validity hits zero.
+    order, exactly.  A float chain raises FloatRangeError where a
+    middle validity leaves the float range, so one order may return a
+    value that another refuses.  Raises ZeroValidityError naming the
+    failing prefix when a mid-chain validity hits zero.
     """
     if not ps:
         raise EmptyEvidenceError("need at least one factor")

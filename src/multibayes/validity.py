@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .core import Scalar, _check_finite, _fsum, _product, _require_bits, _require_operands, scalar_ln
 from .distribution import Dist
-from .errors import ZeroValidityError
+from .errors import FloatRangeError, ZeroValidityError
 from .evidence import Evidence, Factor, and_conj, _require_nonempty
 from .multiset import _binomial_product
 
@@ -32,7 +32,21 @@ def _norm(omega: Dist, p: Factor) -> int | float:
     both are exact, else a float (inf when the sum overflows)."""
     if omega._nums is not None and p._nums is not None:
         return sum(map(mul, omega._nums, p._nums))
-    return _fsum(map(mul, omega._floats(), p._floats()))
+    try:
+        return _fsum(map(mul, omega._floats(), p._floats()))
+    except FloatRangeError:  # a value of p beyond the float range
+        return _fsum(_rounded_products(omega, p))
+
+
+def _rounded_products(omega: Dist, p: Factor) -> list[float]:
+    """Each ``omega(x) * p(x)`` as a float where a value of ``p`` is beyond
+    the float range: taken exactly and rounded once by :func:`_product`,
+    so a finite product is not refused.  One beyond the float range too
+    raises FloatRangeError, as its validity would."""
+    try:
+        return list(map(_product, zip(omega._floats(), p._scalars())))
+    except OverflowError:
+        raise FloatRangeError("validity overflows the float range") from None
 
 
 def _read(omega: Dist, p: Factor, norm: int | float) -> Scalar:
@@ -48,7 +62,10 @@ def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
         products = list(map(mul, omega._nums, p._nums))
         total = sum(products)
         return (Dist._from_ints(omega._space, products, total) if total else None), total
-    products = list(map(mul, omega._floats(), p._floats()))
+    try:
+        products = list(map(mul, omega._floats(), p._floats()))
+    except FloatRangeError:  # a value of p beyond the float range
+        products = _rounded_products(omega, p)
     norm = _fsum(products)
     if not 0 < norm < math.inf:
         return None, norm

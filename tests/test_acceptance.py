@@ -14,8 +14,6 @@ import pytest
 
 from multibayes import (
     Dist,
-    Evidence,
-    Factor,
     SampleSpace,
     bayes_update,
     flrn,
@@ -23,23 +21,20 @@ from multibayes import (
     jeffrey_validity,
     kl_divergence,
     multinomial,
-    ortho,
     pearl_update,
     pearl_validity,
     push,
-    uniform,
     iterated_pearl_validity,
     vfe_update,
 )
 from multibayes.cli import main
-from multibayes.models import grid_values, medical_grid_spec, medical_model, physics_model
+from multibayes.models import grid_values, medical_grid_spec, medical_model, physics_model, validity_examples
 from multibayes.multiset import Multiset
 from multibayes.properties import run_suite
 
 SEED = 42
 MEDICAL = medical_model()
-OMEGA, PT, NT = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test
-PSI = Evidence(((PT, 2), (NT, 1)))
+OMEGA, PT, NT, PSI = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test, MEDICAL.three_tests
 
 
 def _announce(number: int, text: str) -> None:
@@ -109,28 +104,18 @@ def test_criterion_4_multinomial_table_and_normalisation():
 
 
 def test_criterion_5_divergence_examples_and_nonmatching():
-    space = SampleSpace("abc")
-    omega = Dist(space, (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5)))
-    p = Factor(space, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
-    psi = Evidence(((p, 1), (ortho(p), 1)))
+    examples = validity_examples()
+    omega, psi = examples.wide_gap
     assert float(jeffrey_validity(omega, psi)) == pytest.approx(0.479, abs=5e-4)
     assert float(pearl_validity(omega, psi)) == pytest.approx(0.028, abs=5e-4)
-    omega2 = Dist(space, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
-    q = Factor(space, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
-    chi = Evidence(((q, 1), (ortho(q), 4)))
+    omega2, chi = examples.reversal
     jv, pv = jeffrey_validity(omega2, chi), pearl_validity(omega2, chi)
     assert float(jv) == pytest.approx(0.054, abs=5e-4)
     assert float(pv) == pytest.approx(0.154, abs=5e-4)
     assert jv < pv
-    ab = SampleSpace("ab")
-    rude = Evidence(
-        (
-            (Factor(ab, (Fraction(1), Fraction(1, 2))), 2),
-            (Factor(ab, (Fraction(4, 5), Fraction(1, 2))), 3),
-        )
-    )
-    assert jeffrey_validity(uniform(ab), rude) == Fraction(19773, 12800)
-    assert pearl_validity(uniform(ab), rude) == Fraction(2173, 800)
+    uniform_ab, rude = examples.nonmatching
+    assert jeffrey_validity(uniform_ab, rude) == Fraction(19773, 12800)
+    assert pearl_validity(uniform_ab, rude) == Fraction(2173, 800)
     _announce(5, "(0.479, 0.028), the (0.054, 0.154) reversal and the exact escapes")
 
 
@@ -148,7 +133,7 @@ def test_criterion_6_grid_claims():
     assert sum(1 for _, _, v in delta_cells if v > 0) == 37
     observed = flrn(Multiset(MEDICAL.test_space, (1, 1)))
     prior_div = kl_divergence(observed, push(MEDICAL.test_channel, OMEGA), base=2)
-    posterior = vfe_update(OMEGA, Evidence(((PT, 1), (NT, 1))))
+    posterior = vfe_update(OMEGA, MEDICAL.evidence(1, 1))
     post_div = kl_divergence(observed, push(MEDICAL.test_channel, posterior), base=2)
     assert prior_div == pytest.approx(0.0164, abs=5e-4)
     assert post_div == pytest.approx(0.0208, abs=5e-4)

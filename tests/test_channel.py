@@ -129,10 +129,10 @@ class TestPull:
 class TestTriplePull:
     def test_point_evidence_becomes_test_evidence(self):
         psi = Evidence(((point_pred("p", T), 2), (point_pred("n", T), 1)))
-        assert triple_pull(C, psi) == Evidence(((MEDICAL.pos_test, 2), (MEDICAL.neg_test, 1)))
+        assert triple_pull(C, psi) == MEDICAL.three_tests
 
     def test_identity_channel_keeps_evidence(self):
-        psi = Evidence(((MEDICAL.pos_test, 2), (MEDICAL.neg_test, 1)))
+        psi = MEDICAL.three_tests
         assert triple_pull(identity_channel(D), psi) == psi
 
     def test_constant_channel_yields_scaled_truth(self):

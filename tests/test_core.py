@@ -75,6 +75,7 @@ from multibayes import (
 )
 from multibayes import core
 from multibayes.evidence import add, scale
+from multibayes.models import medical_model
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -290,14 +291,12 @@ def test_star_import_binds_exactly_the_public_names():
         assert not isinstance(getattr(multibayes, name), (types.ModuleType, __future__._Feature)), name
 
 
-# The medical model written out: a prior on D, a channel D -> T, the two
-# pulled tests, the evidence 2|pt> + 1|nt> and results worked out by hand.
-D, T = SampleSpace(("d", "~d")), SampleSpace(("p", "n"))
-OMEGA = Dist(D, (Fraction(1, 20), Fraction(19, 20)))
-ROW_D, ROW_ND = Dist(T, (Fraction(9, 10), Fraction(1, 10))), Dist(T, (Fraction(2, 5), Fraction(3, 5)))
-C = Channel(D, T, (ROW_D, ROW_ND))
-PT, NT = Factor(D, (Fraction(9, 10), Fraction(2, 5))), Factor(D, (Fraction(1, 10), Fraction(3, 5)))
-PSI = Evidence(((PT, 2), (NT, 1)))
+# The medical model: a prior on D, a channel D -> T, the two pulled
+# tests, the evidence 2|pt> + 1|nt>, and results worked out by hand.
+MEDICAL = medical_model()
+D, T, OMEGA, C = MEDICAL.disease_space, MEDICAL.test_space, MEDICAL.prior, MEDICAL.test_channel
+ROW_D, ROW_ND = C.rows
+PT, NT, PSI = MEDICAL.pos_test, MEDICAL.neg_test, MEDICAL.three_tests
 POSITIVE = Dist(D, (Fraction(9, 85), Fraction(76, 85)))
 JEFFREY = Dist(D, (Fraction(431, 5865), Fraction(5434, 5865)))
 PAIRS = Dist(D.product(T), (Fraction(1, 40),) * 2 + (Fraction(19, 40),) * 2)
@@ -488,7 +487,7 @@ OPERAND_ENTRY_POINTS = {
         PSI,
         False,
     ),
-    "Evidence.__add__": (Evidence, lambda x: Evidence(((PT, 1),)) + x, Evidence(((PT, 1), (NT, 1))), PSI, False),
+    "Evidence.__add__": (Evidence, lambda x: Evidence(((PT, 1),)) + x, MEDICAL.evidence(1, 1), PSI, False),
     "Evidence.__call__": (Factor, PSI, PT, 2, True),
 }
 

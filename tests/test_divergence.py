@@ -9,7 +9,6 @@ import pytest
 from multibayes import (
     Channel,
     Dist,
-    Evidence,
     FloatRangeError,
     LogBaseError,
     SampleSpace,
@@ -84,9 +83,7 @@ class TestKlDivergence:
         assert kl_divergence(observed, prior_prediction, base=2) == pytest.approx(
             0.0164, abs=5e-4
         )
-        posterior = vfe_update(
-            MEDICAL.prior, Evidence(((MEDICAL.pos_test, 1), (MEDICAL.neg_test, 1)))
-        )
+        posterior = vfe_update(MEDICAL.prior, MEDICAL.evidence(1, 1))
         posterior_prediction = push(MEDICAL.test_channel, posterior)
         assert kl_divergence(observed, posterior_prediction, base=2) == pytest.approx(
             0.0208, abs=5e-4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multibayes import (
+    Channel,
     Dist,
     EmptyEvidenceError,
     Evidence,
@@ -18,6 +19,7 @@ from multibayes import (
     UnknownElementError,
     ZeroPowerError,
     and_conj,
+    bayes_update,
     conj,
     covariance,
     falsity,
@@ -31,6 +33,7 @@ from multibayes import (
     pearl_update,
     pearl_validity,
     point_pred,
+    pull,
     tensor_conj,
     tensor_factor,
     tensor_power,
@@ -42,11 +45,11 @@ from multibayes import (
 )
 from multibayes.core import label_str
 from multibayes.evidence import add, scale
+from multibayes.models import medical_model, validity_examples
 from multibayes.multiset import multiset_space
 
-D = SampleSpace(("d", "~d"))
-PT = Factor(D, (Fraction(9, 10), Fraction(2, 5)))
-NT = Factor(D, (Fraction(1, 10), Fraction(3, 5)))
+MEDICAL = medical_model()
+D, PT, NT = MEDICAL.disease_space, MEDICAL.pos_test, MEDICAL.neg_test
 LMR = SampleSpace(("L", "M", "R"))
 
 #: Each reader of evidence that needs at least one factor, on a prior and
@@ -247,11 +250,11 @@ class TestEvidence:
         assert psi.factors == (NT,)
 
     def test_addition_merges(self):
-        psi = Evidence(((PT, 2),)) + Evidence(((PT, 1), (NT, 1)))
+        psi = Evidence(((PT, 2),)) + MEDICAL.evidence(1, 1)
         assert psi(PT) == 3 and psi(NT) == 1
 
     def test_str_and_repr(self):
-        psi = Evidence(((PT, 2), (NT, 1)))
+        psi = MEDICAL.three_tests
         text = "2|9/10*1{d} + 2/5*1{~d}> + 1|1/10*1{d} + 3/5*1{~d}>"
         assert (str(psi), repr(psi)) == (text, f"Evidence({text})")
         assert repr(Evidence(((Factor(D, (0.5, 1.0)), 1),))) == "Evidence(1|0.5*1{d} + 1.0*1{~d}>)"
@@ -259,7 +262,7 @@ class TestEvidence:
             assert (str(empty), repr(empty)) == ("0", "Evidence(0)")
 
     def test_size_counts_and_scale(self):
-        psi = Evidence(((PT, 2), (NT, 1)))
+        psi = MEDICAL.three_tests
         assert psi.counts == (2, 1) and psi.size == 3
         tripled = psi.scale(3)
         assert tripled.factors == (PT, NT) and tripled.counts == (6, 3) and tripled.size == 9
@@ -293,8 +296,7 @@ class TestConjunctions:
         assert and_conj(Evidence(((PT, 1),))) == PT
 
     def test_and_conj_medical_conjunction(self):
-        psi = Evidence(((PT, 2), (NT, 1)))
-        assert and_conj(psi).values == (Fraction(81, 1000), Fraction(12, 125))
+        assert and_conj(MEDICAL.three_tests).values == (Fraction(81, 1000), Fraction(12, 125))
 
     def test_and_conj_empty_rejected(self):
         with pytest.raises(EmptyEvidenceError):
@@ -303,7 +305,7 @@ class TestConjunctions:
     @pytest.mark.parametrize("read", EMPTY_EVIDENCE_READERS.values(), ids=EMPTY_EVIDENCE_READERS)
     def test_every_reader_of_empty_evidence_raises_the_same_error(self, read):
         with pytest.raises(EmptyEvidenceError):
-            read(Dist(D, (Fraction(1, 20), Fraction(19, 20))), Evidence(()))
+            read(MEDICAL.prior, Evidence(()))
 
     def test_tensor_conj_matches_iterated_tensor(self):
         q = Factor(D, (Fraction(1, 2), Fraction(1, 3)))
@@ -320,7 +322,7 @@ class TestConjunctions:
 
     def test_tensor_conj_validity_in_power(self):
         omega = Dist(D, (Fraction(1, 4), Fraction(3, 4)))
-        psi = Evidence(((PT, 2), (NT, 2)))
+        psi = MEDICAL.evidence(2, 2)
         lhs = validity(tensor_power(omega, 4), tensor_conj(psi))
         rhs = validity(omega, PT) ** 2 * validity(omega, NT) ** 2
         assert lhs == rhs
@@ -332,7 +334,7 @@ class TestConjunctions:
         )
 
     def test_frac_conj_power_recovers_conjunction(self):
-        psi = Evidence(((PT, 2), (NT, 1)))
+        psi = MEDICAL.three_tests
         lifted = frac_conj(psi) ** 3
         for got, want in zip(lifted.values, and_conj(psi).values):
             assert float(got) == pytest.approx(float(want), abs=1e-9)
@@ -400,8 +402,26 @@ class TestFloatOverflow:
         assert and_conj(psi).values == conj(*pair).values == (value, value)
         assert jeffrey_validity(uniform(ab), psi) == pearl_validity(uniform(ab), psi) == 2 * value
         assert covariance(uniform(ab), *pair) == 0.0  # the product of their validities, 1e400 and 1e-300
-        if order == "exact first":  # with tiny first, the second validity, 1e400, is beyond the float range
+        if order == "exact first":
             assert iterated_pearl_validity(uniform(ab), pair) == value
+        else:  # the orders agree exactly, but here the float chain's middle validity, 1e400, leaves the float range
+            with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
+                iterated_pearl_validity(uniform(ab), pair)
+
+    def test_a_float_prior_times_an_exact_value_beyond_the_float_range(self):
+        # 1e-300 * 10**400 is finite: the validity, the update and the pull take it exactly and round it once
+        ab = SampleSpace("ab")
+        w, big = Dist(ab, (1e-300, 1 - 1e-300)), Factor(ab, (10**400, 0))
+        value = float(Fraction(1e-300) * 10**400)
+        assert value == pytest.approx(1e100, rel=1e-15)
+        assert validity(w, big) == value
+        assert bayes_update(w, big).weights == (1.0, 0.0)
+        assert pull(Channel(ab, ab, (w, w)), big).values == (value, value)
+        # where the product leaves the float range too, each fails as the validity does
+        half, bigger = Dist(ab, (0.5, 0.5)), Factor(ab, (10**400, 10**400))
+        for read in (validity, bayes_update, lambda omega, p: pull(Channel(ab, ab, (omega, w)), p)):
+            with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
+                read(half, bigger)
 
     def test_large_but_finite_results_pass(self):
         psi = Evidence(((Factor(D, (1e100, 1.0)), 3),))
@@ -411,16 +431,14 @@ class TestFloatOverflow:
 
 class TestMatchStatus:
     def test_medical_perfect_match(self):
-        assert match_status(Evidence(((PT, 2), (NT, 1)))) is MatchStatus.PERFECT_MATCH
+        assert match_status(MEDICAL.three_tests) is MatchStatus.PERFECT_MATCH
 
     def test_truth_alone_is_perfect(self):
         assert match_status(Evidence(((truth(D), 1),))) is MatchStatus.PERFECT_MATCH
 
     def test_non_matching_pair(self):
-        space = SampleSpace("ab")
-        p = Factor(space, (Fraction(1), Fraction(1, 2)))
-        q = Factor(space, (Fraction(4, 5), Fraction(1, 2)))
-        assert match_status(Evidence(((p, 2), (q, 3)))) is MatchStatus.NO_MATCH
+        _, psi = validity_examples().nonmatching
+        assert match_status(psi) is MatchStatus.NO_MATCH
 
     def test_plain_match(self):
         space = SampleSpace("ab")

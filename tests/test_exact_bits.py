@@ -40,10 +40,9 @@ from multibayes.cli import main
 from multibayes.modelfile import builtin_medical_model, serialize_model
 from multibayes.models import medical_model
 
-D = SampleSpace(("d", "~d"))
-PRIOR = Dist(D, (Fraction(1, 20), Fraction(19, 20)))
-PT = Factor(D, (Fraction(9, 10), Fraction(2, 5)))  # counted as ceil(log2(10)) = 4 bits a power
-NT = Factor(D, (Fraction(1, 10), Fraction(3, 5)))
+MEDICAL = medical_model()
+D, PRIOR = MEDICAL.disease_space, MEDICAL.prior
+PT, NT = MEDICAL.pos_test, MEDICAL.neg_test  # counted as ceil(log2(10)) = 4 bits a power
 
 
 @pytest.fixture
@@ -52,8 +51,8 @@ def limit(monkeypatch):
 
 
 def test_conjunction_is_refused_above_the_limit(limit):
-    assert and_conj(Evidence(((PT, 15), (NT, 10)))).values[0] == Fraction(9**15, 10**25)  # 100 bits
-    psi = Evidence(((PT, 15), (NT, 11)))
+    assert and_conj(MEDICAL.evidence(15, 10)).values[0] == Fraction(9**15, 10**25)  # 100 bits
+    psi = MEDICAL.evidence(15, 11)
     with pytest.raises(SizeLimitError, match="conjunction with about 104 bits"):
         and_conj(psi)
     with pytest.raises(SizeLimitError):
@@ -97,8 +96,8 @@ def test_evidence_validity_is_refused_above_the_limit(limit):
     # the validities 17/40 and 23/40 count as ceil(log2(40)) = 6 bits a
     # power; the coefficient C(14, 7) takes 11.8 bits (98 counted at most),
     # C(16, 8) 13.7 bits (109.7 in all)
-    assert jeffrey_validity(PRIOR, Evidence(((PT, 7), (NT, 7)))) > 0
-    psi = Evidence(((PT, 8), (NT, 8)))
+    assert jeffrey_validity(PRIOR, MEDICAL.evidence(7, 7)) > 0
+    psi = MEDICAL.evidence(8, 8)
     with pytest.raises(SizeLimitError, match="validity of the evidence"):
         jeffrey_validity(PRIOR, psi)
     assert jeffrey_update(PRIOR, psi).is_exact  # needs no powers
@@ -112,7 +111,7 @@ def test_coefficient_is_refused_before_the_factorial(limit):
     with pytest.raises(SizeLimitError, match="multinomial coefficient"):
         coefm(Multiset(s, (55, 55)))
     with pytest.raises(SizeLimitError):
-        Evidence(((PT, 10**9), (NT, 10**9))).coefficient()
+        MEDICAL.evidence(10**9, 10**9).coefficient()
     with pytest.raises(SizeLimitError):  # beyond the float range of the estimate
         coefm(Multiset(s, (10**400, 10**400)))
 

@@ -8,8 +8,10 @@ which tells the wrong rule from the right one, at the trial and with
 the detail the table pins.  A property that raises under the defect
 counts as failed.  Besides the eight wrong rules, the table breaks every
 law of the whole-run properties, so each of their failure messages is
-pinned.  Each case runs under a wall-clock guard, so a property that
-loops forever under a defect fails its case instead of stalling the run.
+pinned, and the builder of the paper's validity examples in
+``models.py``.  Each case runs under a wall-clock guard, so a property
+that loops forever under a defect fails its case instead of stalling
+the run.
 """
 
 import signal
@@ -20,6 +22,7 @@ from multibayes import properties
 from multibayes.channel import identity_channel
 from multibayes.divergence import kl_divergence
 from multibayes.evidence import Evidence, truth
+from multibayes.models import ValidityExamples, validity_examples
 from multibayes.update import _free_energy, jeffrey_update, pearl_update
 from multibayes.validity import jeffrey_validity, pearl_validity
 from registry import rebind
@@ -52,6 +55,10 @@ def _always(*pairs):
 def _identity_channel(rng, *args, **kwargs):
     space = properties._space(rng, max_size=4)
     return identity_channel(space), properties._dist(rng, space)
+
+
+def _examples_without_their_last_factor():
+    return ValidityExamples(*[(omega, Evidence(list(psi.items())[:-1])) for omega, psi in validity_examples()])
 
 
 #: defect -> (the wrong rule bound to each name in the registry, a property that must
@@ -240,6 +247,30 @@ DEFECTS = {
         {
             0: (1, "0 cells with increased divergence, expected 37"),
             42: (1, "0 cells with increased divergence, expected 37"),
+        },
+    ),
+    "validity-examples-drop-a-factor": (
+        {"validity_examples": _examples_without_their_last_factor},
+        "nonmatching-escape",
+        {
+            0: (1, "non-matching Jeffrey validity 9/16 != 19773/12800"),
+            42: (1, "non-matching Jeffrey validity 9/16 != 19773/12800"),
+        },
+    ),
+    "jeffrey-validity-as-pearl-in-the-gap-examples": (
+        {"jeffrey_validity": pearl_validity},
+        "jeffrey-pearl-gap-examples",
+        {
+            0: (1, "wide-gap pair (0.0276, 0.0276) != (0.479, 0.028)"),
+            42: (1, "wide-gap pair (0.0276, 0.0276) != (0.479, 0.028)"),
+        },
+    ),
+    "jeffrey-validity-as-pearl-in-the-gap-examples-figures-unchecked": (
+        {"jeffrey_validity": pearl_validity, "_figures": _always},
+        "jeffrey-pearl-gap-examples",
+        {
+            0: (1, "expected Pearl above Jeffrey in the reversal pair"),
+            42: (1, "expected Pearl above Jeffrey in the reversal pair"),
         },
     ),
     "vfe-as-identity-on-the-grid-cell": (

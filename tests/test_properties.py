@@ -283,3 +283,20 @@ def test_every_instance_is_drawn_in_one_pass():
         if isinstance(node, ast.Raise) and "AssertionError" in ast.unparse(node)
     ]
     assert not redraws
+
+
+def _callee(call: ast.Call) -> str:
+    """The last name of what ``call`` calls: ``Dist`` for ``Dist(...)`` and ``distribution.Dist(...)`` alike."""
+    return ast.unparse(call.func).rsplit(".", 1)[-1]
+
+
+def test_every_fixed_instance_comes_from_the_models():
+    # random instances come from the generators and the paper's fixed ones from models.py: no property
+    # module builds a distribution or a factor, or assembles the medical evidence from its pulled tests
+    calls = [(module, node) for module, tree in source_trees(properties).items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    medical = {"pos_test", "neg_test", "outcomes"}
+    reads = lambda node: {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(node)}
+    built = [f"{module} line {node.lineno}: {ast.unparse(node)}" for module, node in calls
+             if _callee(node) in ("Dist", "Factor") or _callee(node) == "Evidence" and medical & reads(node)]
+    assert not built

@@ -40,16 +40,12 @@ CELLS = [(i, j) for i in range(61) for j in range(61) if i or j]
 PRIOR = MEDICAL.prior
 
 
-def _evidence(i: int, j: int) -> Evidence:
-    return Evidence(((MEDICAL.pos_test, i), (MEDICAL.neg_test, j)))
-
-
 def _falls(update, evidence_validity) -> tuple[int, int]:
     """The number of cells where ``update`` lowers ``evidence_validity``,
     and the number refused as too large to compute exactly."""
     falls = refused = 0
     for i, j in CELLS:
-        psi = _evidence(i, j)
+        psi = MEDICAL.evidence(i, j)
         try:
             falls += evidence_validity(update(PRIOR, psi), psi) < evidence_validity(PRIOR, psi)
         except SizeLimitError:
@@ -79,7 +75,7 @@ def _vfe_outside(prior, psi, pearl_posterior) -> bool:
 
 
 def test_the_vfe_update_lies_between_no_update_and_pearls_on_the_grid():
-    cells = [(i, j, _evidence(i, j)) for i, j in CELLS]
+    cells = [(i, j, MEDICAL.evidence(i, j)) for i, j in CELLS]
     assert [(i, j) for i, j, psi in cells if _vfe_outside(PRIOR, psi, pearl_update(PRIOR, psi))] == []
 
 

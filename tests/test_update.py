@@ -41,8 +41,7 @@ from multibayes import (
 from multibayes.models import medical_model, physics_model
 
 MEDICAL = medical_model()
-OMEGA, PT, NT = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test
-PSI = Evidence(((PT, 2), (NT, 1)))
+OMEGA, PT, NT, PSI = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test, MEDICAL.three_tests
 
 
 class TestBayesUpdate:
@@ -159,7 +158,7 @@ class TestPearlUpdate:
 
 class TestVfeUpdate:
     def test_medical_one_pos_one_neg(self):
-        posterior = vfe_update(OMEGA, Evidence(((PT, 1), (NT, 1))))
+        posterior = vfe_update(OMEGA, MEDICAL.evidence(1, 1))
         assert float(posterior("d")) == pytest.approx(0.031, abs=5e-4)
         assert float(posterior("~d")) == pytest.approx(0.969, abs=5e-4)
 

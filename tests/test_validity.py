@@ -19,18 +19,16 @@ from multibayes import (
     jeffrey_update,
     jeffrey_validity,
     log_likelihood_score,
-    ortho,
     pearl_validity,
     point_pred,
     truth,
     uniform,
     validity,
 )
-from multibayes.models import medical_model
+from multibayes.models import medical_model, validity_examples
 
 MEDICAL = medical_model()
-OMEGA, PT, NT = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test
-PSI = Evidence(((PT, 2), (NT, 1)))
+OMEGA, PT, NT, PSI = MEDICAL.prior, MEDICAL.pos_test, MEDICAL.neg_test, MEDICAL.three_tests
 validity_module = importlib.import_module("multibayes.validity")  # the package's ``validity`` is the function
 
 
@@ -71,18 +69,12 @@ class TestJeffreyValidity:
         assert jeffrey_validity(OMEGA, Evidence(((truth(OMEGA.space), 1),))) == 1
 
     def test_wide_gap_pair(self):
-        space = SampleSpace("abc")
-        omega = Dist(space, (Fraction(3, 10), Fraction(3, 10), Fraction(2, 5)))
-        p = Factor(space, (Fraction(1, 100), Fraction(1, 100), Fraction(49, 50)))
-        psi = Evidence(((p, 1), (ortho(p), 1)))
+        omega, psi = validity_examples().wide_gap
         assert float(jeffrey_validity(omega, psi)) == pytest.approx(0.479, abs=5e-4)
         assert float(pearl_validity(omega, psi)) == pytest.approx(0.028, abs=5e-4)
 
     def test_reversal_pair(self):
-        space = SampleSpace("abc")
-        omega = Dist(space, (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)))
-        q = Factor(space, (Fraction(3, 10), Fraction(1, 5), Fraction(9, 10)))
-        chi = Evidence(((q, 1), (ortho(q), 4)))
+        omega, chi = validity_examples().reversal
         jv = jeffrey_validity(omega, chi)
         pv = pearl_validity(omega, chi)
         assert float(jv) == pytest.approx(0.054, abs=5e-4)
@@ -100,11 +92,7 @@ class TestPearlValidity:
         assert jeffrey_validity(OMEGA, psi) <= pearl_validity(OMEGA, psi)
 
     def test_non_matching_escape(self):
-        space = SampleSpace("ab")
-        omega = uniform(space)
-        p = Factor(space, (Fraction(1), Fraction(1, 2)))
-        q = Factor(space, (Fraction(4, 5), Fraction(1, 2)))
-        psi = Evidence(((p, 2), (q, 3)))
+        omega, psi = validity_examples().nonmatching
         assert jeffrey_validity(omega, psi) == Fraction(19773, 12800)
         assert pearl_validity(omega, psi) == Fraction(2173, 800)
 
@@ -168,7 +156,7 @@ class TestCovariance:
         assert covariance(OMEGA, PT, truth(OMEGA.space)) == 0
 
     def test_half_gap_identity(self):
-        psi = Evidence(((PT, 1), (NT, 1)))
+        psi = MEDICAL.evidence(1, 1)
         gap = pearl_validity(OMEGA, psi) - jeffrey_validity(OMEGA, psi)
         assert covariance(OMEGA, PT, NT) == gap / 2
 
