@@ -8,10 +8,10 @@ from typing import Sequence
 
 from .core import Label, SampleSpace, _check_finite, _fsum, _require_operands
 from .distribution import Dist, dirac, multinomial
-from .errors import FloatRangeError, ZeroValidityError
+from .errors import ZeroValidityError
 from .evidence import Evidence, Factor, point_pred
 from .multiset import multiset_space
-from .validity import _entry, _rounded_products
+from .validity import _entry, _products
 
 
 class Channel:
@@ -101,12 +101,9 @@ def pull(c: Channel, q: Factor) -> Factor:
         nums, den = q._nums, c._den
         values = [sum(map(mul, row._nums, nums)) * (den // row._den) for row in c._rows]
         return Factor._from_ints(c._dom, values, den * q._den)
-    try:
-        floats = q._floats()
-    except FloatRangeError:  # a value of q beyond the float range
-        values = [_check_finite(_fsum(_rounded_products(row, q)), "validity") for row in c._rows]
-        return Factor._from_floats(c._dom, values)
-    return Factor._from_floats(c._dom, [_fsum(map(mul, row._floats(), floats)) for row in c._rows])
+    values = [_fsum(_products(row, q)) for row in c._rows]
+    _check_finite(max(values, default=0.0), "validity")  # a sum of finite products may overflow
+    return Factor._from_floats(c._dom, values)
 
 
 def triple_pull(c: Channel, psi: Evidence) -> Evidence:

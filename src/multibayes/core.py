@@ -10,14 +10,17 @@ value is a float, each exact value rounded once (as ``float(Fraction)``
 rounds).  Each kernel picks its path by that form: exact only when
 every operand is exact, float as soon as one is, with an exact
 operand's values converted to float once instead of by numeric-tower
-contagion element by element.  Three results are the exceptions: they
-multiply the exact operands in front of the first float one exactly,
-and only then go on in float.  They are the one conjunction kernel
-(``and_conj``, ``conj`` and an integer ``p ** k``), the two evidence
-validities and ``iterated_pearl_validity``.  Where one of their exact
-values is itself beyond the float range, they take the product exactly
-and round it once (:func:`_product`), as the validity, the Bayes
-normaliser and ``pull`` do for a float times such a factor value.
+contagion element by element.  The conjunction kernel multiplies the
+exact factors in front of the first float one on their ints.  One
+helper, :func:`_product`, is the only product across the float/exact
+boundary: left to right as ``*`` takes it and, only where that raises
+OverflowError (an exact value too large for a float meets a float),
+exactly, each float read exactly, and rounded once; FloatRangeError
+beyond the float range, or beyond MAX_EXACT_BITS.  The evidence
+validities, ``iterated_pearl_validity`` and ``covariance`` take their
+products by it.  The conjunction, the tensor products, the validity,
+the Bayes normaliser and ``pull`` take each value's product by it where
+an operand's float view would be beyond the float range.
 """
 
 from __future__ import annotations
@@ -290,18 +293,29 @@ def _check_range(values: tuple, den: int | None, normalised: bool, error: type[E
         raise error(f"{what}: sum is {_abridged(Fraction(total, den))}, expected 1")
 
 
-def _product(factors: Sequence[Scalar]) -> Scalar:
-    """The product of ``factors``, left to right as ``*`` takes it.  Where
-    an exact factor too large for a float meets a float, the product is
-    taken exactly instead, each float read exactly, and rounded once;
-    OverflowError when that is beyond the float range too."""
+def _product(pairs: Sequence[tuple[Scalar, int]], what: str) -> Scalar:
+    """The product of ``base**count`` over ``pairs``, left to right as
+    ``*`` takes it: the one product across the float/exact boundary.
+    Only where that raises OverflowError (an exact value too large for a
+    float meets a float, or a float power overflows) is it taken exactly
+    instead, each float read exactly, and rounded once.  A float result
+    beyond the float range raises FloatRangeError ("``what`` overflows
+    the float range"), and so does an exact product estimated, as
+    :func:`_require_bits` estimates, at more than MAX_EXACT_BITS bits."""
     result = 1
     try:
-        for factor in factors:
-            result = result * factor
+        for base, count in pairs:
+            result = result * (base if count == 1 else base**count)  # a Fraction's **1 builds a new Fraction
     except OverflowError:
-        return float(math.prod(map(Fraction, factors)))
-    return result
+        exact = [(Fraction(base), count) for base, count in pairs]
+        result = math.inf
+        bits = sum([abs(count) * (max(b.numerator, b.denominator) - 1).bit_length() for b, count in exact])
+        if bits <= MAX_EXACT_BITS:
+            try:
+                result = float(math.prod([b**count for b, count in exact]))
+            except OverflowError:
+                pass
+    return _check_finite(result, what)
 
 
 def _check_finite(value: Scalar, what: str) -> Scalar:
@@ -397,12 +411,18 @@ class _Vector:
     def _outer(cls, space: SampleSpace, vectors: Sequence["_Vector"]):
         """Products of one value of each vector, in ``itertools.product``
         order over ``space``: on the ints when all are exact (refused by
-        :func:`_require_bits`), else on the float views."""
+        :func:`_require_bits`), else on the float views, or each by
+        :func:`_product` where a value is beyond the float range."""
         if all(v._nums is not None for v in vectors):
             _require_bits("tensor product", [(v._top(), 1) for v in vectors])
             nums = map(math.prod, itertools.product(*[v._nums for v in vectors]))
             return cls._from_ints(space, nums, math.prod([v._den for v in vectors]))
-        return cls._from_floats(space, map(math.prod, itertools.product(*[v._floats() for v in vectors])))
+        try:
+            products = map(math.prod, itertools.product(*[v._floats() for v in vectors]))
+        except FloatRangeError:  # an exact value beyond the float range: each product by _product
+            rows = itertools.product(*[v._scalars() for v in vectors])
+            products = [_product([(x, 1) for x in row], "tensor product") for row in rows]
+        return cls._from_floats(space, products)
 
     @property
     def space(self) -> SampleSpace:

@@ -315,13 +315,13 @@ def and_conj(psi: Evidence) -> Factor:
 
     Exact factors before the first float one multiply exactly; from
     there on the product runs on floats, an exact factor's power
-    rounded once as a Fraction would be.  Where an exact value is too
-    large for a float, each value's product is taken exactly instead
-    and rounded once.  A float overflow raises FloatRangeError, and
-    exact powers of more than MAX_EXACT_BITS bits
-    in all raise SizeLimitError before they are computed.  Each factor
-    keeps its powers (see ``Factor._power``), so other evidence that
-    holds it at the same count reuses them.  The result is kept in
+    rounded once as a Fraction would be.  Where an exact value or a
+    float power is beyond the float range, each value's product is
+    taken by ``core._product`` instead, which raises FloatRangeError
+    where it is beyond the float range too.  Exact powers of more than
+    MAX_EXACT_BITS bits in all raise SizeLimitError before they are
+    computed.  Each factor keeps its powers (see ``Factor._power``), so
+    other evidence that holds it at the same count reuses them.  The result is kept in
     ``psi``, so later calls return the same object.
     """
     _require_nonempty(psi)
@@ -344,22 +344,15 @@ def _and_conj(space: SampleSpace, items: Sequence[tuple[Factor, int]], what: str
     if exact == len(items):
         return Factor._from_ints(space, nums, den)
     try:
-        try:
-            values = list(map(truediv, nums, repeat(den))) if exact else None
-            for factor, count in items[exact:]:
-                if factor._nums is None:
-                    powers = factor._power(count)
-                else:
-                    powers = map(truediv, factor._power(count), repeat(factor._den**count))
-                values = powers if values is None else list(map(mul, values, powers))
-        except OverflowError:  # an exact value too large for a float: each value's product by _product
-            columns = [[Fraction(n, den) for n in nums]] if exact else []
-            for factor, count in items[exact:]:
+        values = list(map(truediv, nums, repeat(den))) if exact else None
+        for factor, count in items[exact:]:
+            if factor._nums is None:
                 powers = factor._power(count)
-                columns.append(powers if factor._nums is None else [Fraction(n, factor._den**count) for n in powers])
-            values = list(map(_product, zip(*columns)))
-    except OverflowError:
-        raise FloatRangeError(f"{what} overflows the float range") from None
+            else:
+                powers = map(truediv, factor._power(count), repeat(factor._den**count))
+            values = powers if values is None else list(map(mul, values, powers))
+    except OverflowError:  # a value or power beyond the float range: each value's product by _product
+        values = [_product([(f(x), count) for f, count in items], what) for x in space]
     return Factor._from_floats(space, values)
 
 

@@ -13,7 +13,7 @@ import math
 import reprlib
 from typing import Sequence
 
-from .core import Scalar, _check_finite, _fsum, _product, _require_operands
+from .core import Scalar, _fsum, _product, _require_operands
 from .distribution import Dist, _mix, _Weights
 from .divergence import kl_divergence
 from .errors import EmptyEvidenceError, ZeroValidityError
@@ -61,13 +61,9 @@ def iterated_pearl_validity(omega: Dist, ps: Sequence[Factor]) -> Scalar:
             raise ZeroValidityError(
                 f"validity vanished at factor #{index} after updating with the first {index}"
             )
-        validities.append(val)
+        validities.append((val, 1))
         current = posterior
-    try:
-        result = _product(validities)
-    except OverflowError:
-        result = math.inf
-    return _check_finite(result, "iterated validity")
+    return _product(validities, "iterated validity")
 
 
 def jeffrey_update(omega: Dist, psi: Evidence) -> Dist:

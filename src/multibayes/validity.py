@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, truediv
@@ -32,21 +33,16 @@ def _norm(omega: Dist, p: Factor) -> int | float:
     both are exact, else a float (inf when the sum overflows)."""
     if omega._nums is not None and p._nums is not None:
         return sum(map(mul, omega._nums, p._nums))
+    return _fsum(_products(omega, p))
+
+
+def _products(omega: Dist, p: Factor) -> list[float]:
+    """Each ``omega(x) * p(x)`` as a float, on the float views, or each by
+    :func:`_product` where a value of ``p`` is beyond the float range."""
     try:
-        return _fsum(map(mul, omega._floats(), p._floats()))
+        return list(map(mul, omega._floats(), p._floats()))
     except FloatRangeError:  # a value of p beyond the float range
-        return _fsum(_rounded_products(omega, p))
-
-
-def _rounded_products(omega: Dist, p: Factor) -> list[float]:
-    """Each ``omega(x) * p(x)`` as a float where a value of ``p`` is beyond
-    the float range: taken exactly and rounded once by :func:`_product`,
-    so a finite product is not refused.  One beyond the float range too
-    raises FloatRangeError, as its validity would."""
-    try:
-        return list(map(_product, zip(omega._floats(), p._scalars())))
-    except OverflowError:
-        raise FloatRangeError("validity overflows the float range") from None
+        return [_product(((w, 1), (v, 1)), "validity") for w, v in zip(omega._floats(), p._scalars())]
 
 
 def _read(omega: Dist, p: Factor, norm: int | float) -> Scalar:
@@ -62,10 +58,7 @@ def _update(omega: Dist, p: Factor) -> tuple[Dist | None, int | float]:
         products = list(map(mul, omega._nums, p._nums))
         total = sum(products)
         return (Dist._from_ints(omega._space, products, total) if total else None), total
-    try:
-        products = list(map(mul, omega._floats(), p._floats()))
-    except FloatRangeError:  # a value of p beyond the float range
-        products = _rounded_products(omega, p)
+    products = _products(omega, p)
     norm = _fsum(products)
     if not 0 < norm < math.inf:
         return None, norm
@@ -120,9 +113,11 @@ def _per_factor(omega: Dist, psi: Evidence, posteriors: bool) -> list:
 def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> Scalar:
     """The multinomial coefficient of ``psi`` times ``prod base**count``;
     exact when every base is, on the ints with one reduction at the end
-    (not one gcd per factor).  A float product that overflows raises
-    FloatRangeError; an exact one estimated at more than MAX_EXACT_BITS
-    bits raises SizeLimitError before it is computed."""
+    (not one gcd per factor), else by :func:`_product`.  An exact one
+    estimated at more than MAX_EXACT_BITS bits raises SizeLimitError
+    before it is computed.  A float one raises FloatRangeError beyond
+    the float range, and where a coefficient beyond it meets a float
+    base of 0.0, which may be a value that underflowed."""
     powers = list(powers)
     tops = [(max(b.numerator, b.denominator), count) for b, count in powers if type(b) is Fraction]
     _require_bits("validity of the evidence", tops, psi.counts)
@@ -133,11 +128,9 @@ def _coefficient_times(psi: Evidence, powers: Iterable[tuple[Scalar, int]]) -> S
             result *= base.numerator**count
             den *= base.denominator**count
         return Fraction(result, den)
-    try:
-        result = _product([result, *[base**count for base, count in powers]])
-    except OverflowError:
-        result = math.inf
-    return _check_finite(result, "validity of the evidence")
+    if result > sys.float_info.max and any(type(base) is float and not base for base, _ in powers):
+        raise FloatRangeError("validity of the evidence overflows the float range")
+    return _product([(result, 1), *powers], "validity of the evidence")
 
 
 def jeffrey_validity(omega: Dist, psi: Evidence) -> Scalar:
@@ -161,11 +154,7 @@ def covariance(omega: Dist, p1: Factor, p2: Factor) -> Scalar:
     that is not finite raises FloatRangeError."""
     _require_operands((p1, p2), Factor, "covariance arguments", _require_operands((omega,), Dist, "priors"))
     joint = validity(omega, p1 & p2)
-    try:
-        product = _product((validity(omega, p1), validity(omega, p2)))
-    except OverflowError:
-        product = math.inf
-    return _check_finite(joint - product, "covariance")
+    return joint - _product(((validity(omega, p1), 1), (validity(omega, p2), 1)), "covariance")
 
 
 def log_likelihood_score(omega: Dist, omega_prime: Dist, psi: Evidence) -> float:

@@ -323,6 +323,21 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == "" and "float" in captured.err
 
+    @pytest.mark.parametrize("rule", ["jeffrey", "pearl"])
+    def test_float_evidence_at_large_counts_is_input_error(self, rule, tmp_path, capsys):
+        # 1000|pt> + 1000|nt> in floats: C(2000, 1000) is beyond the float range, and the validities'
+        # powers (Jeffrey) or the conjunction (Pearl) underflow as floats; an error, not 0.0
+        model = json.loads(serialize_model(builtin_medical_model()))
+        model["distributions"]["prior"]["weights"] = [0.05, 0.95]
+        model["factors"]["pt"]["values"] = [0.9, 0.4]
+        model["factors"]["nt"]["values"] = [0.1, 0.6]
+        model["evidence"]["many"] = [{"factor": "pt", "count": 1000}, {"factor": "nt", "count": 1000}]
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        assert main(["eval", "--model", str(path), "--expr", f"{rule}_validity(prior, many)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: validity of the evidence overflows the float range\n"
+
 
 def _composed_cell(spec, i: int, j: int):
     """A grid cell from the composition written out: point-predicate

@@ -407,6 +407,20 @@ class TestFloatOverflow:
         else:  # the orders agree exactly, but here the float chain's middle validity, 1e400, leaves the float range
             with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
                 iterated_pearl_validity(uniform(ab), pair)
+        # tiny at count 2: its float power, 1e-600, underflows to 0.0, so the exact product must read tiny itself
+        items = ((big, 1), (tiny, 2)) if order == "exact first" else ((tiny, 2), (big, 1))
+        psi = Evidence(items)
+        assert and_conj(psi).values == (1e-200, 1e-200)
+        value = float(3 * Fraction(10**400) * Fraction(1e-300) ** 2)
+        assert jeffrey_validity(uniform(ab), psi) == pearl_validity(uniform(ab), psi) == value
+
+    def test_a_tensor_product_of_an_exact_value_and_a_float(self):
+        # as the conjunction: each product taken exactly and rounded once where a value is beyond the float range
+        ab = SampleSpace("ab")
+        big, tiny = Factor(ab, (10**400, 10**400)), Factor(ab, (1e-300, 1e-300))
+        assert tensor_factor(big, tiny).values == (1e100,) * 4
+        with pytest.raises(FloatRangeError, match="^tensor product overflows the float range$"):
+            tensor_factor(big, Factor(ab, (1.0, 0.5)))
 
     def test_a_float_prior_times_an_exact_value_beyond_the_float_range(self):
         # 1e-300 * 10**400 is finite: the validity, the update and the pull take it exactly and round it once
@@ -423,10 +437,22 @@ class TestFloatOverflow:
             with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
                 read(half, bigger)
 
+    @pytest.mark.parametrize("top", [1.7976931348623157e308, 3 * 10**308], ids=["float", "exact"])
+    def test_a_pull_beyond_the_float_range(self, top):
+        # each row's validity is a sum of finite products that overflows, on the float views (the weights
+        # sum to 1 + 1e-10, within the float tolerance) and where each product is taken exactly alike
+        ab = SampleSpace("ab")
+        heavy = Dist(ab, (0.5000000001, 0.5))
+        with pytest.raises(FloatRangeError, match="^validity overflows the float range$"):
+            pull(Channel(ab, ab, (heavy, heavy)), Factor(ab, (top, top)))
+
     def test_large_but_finite_results_pass(self):
         psi = Evidence(((Factor(D, (1e100, 1.0)), 3),))
         assert and_conj(psi).values == (1e300, 1.0)
         assert jeffrey_validity(self.OMEGA, psi) == (0.5e100 + 0.5) ** 3
+        # a float power beyond the float range, 1e400, times 1e-300: taken exactly and rounded once
+        psi = Evidence(((Factor(D, (1e200, 1.0)), 2), (Factor(D, (1e-300, 1.0)), 1)))
+        assert and_conj(psi).values == (float(Fraction(1e200) ** 2 * Fraction(1e-300)), 1.0)
 
 
 class TestMatchStatus:

@@ -15,6 +15,7 @@ import cProfile
 import math
 import pstats
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -59,9 +60,11 @@ from multibayes import (
     vfe_update,
     vfe_update_softmax,
 )
+from multibayes import core
 from multibayes.core import FLOAT_SUM_TOL, _Vector
 from multibayes.distribution import push_function
 from multibayes.evidence import add, scale
+from multibayes.models import medical_model
 from multibayes.multiset import coefm
 
 import reference
@@ -291,6 +294,51 @@ def test_float_route_agrees_with_exact_route(seed):
             assert close(vfe_update(fomega, fpsi), vfe_update(omega, psi))
     if validity(omega, and_conj(psi)):
         assert close(pearl_update(fomega, fpsi), pearl_update(omega, psi))
+
+
+#: The relative error of a float evidence validity against its exact twin, the
+#: same float inputs read exactly.  With u = 2**-53, n roundings of relative
+#: error at most u each err by at most n*u / (1 - n*u) in all.  Counted for k
+#: factors at counts c_i:
+#: - Jeffrey: each validity is one fsum of the products w*p, 2 roundings, and
+#:   raising it to c_i carries them c_i times; C's pow() is within one ulp, 2
+#:   roundings; the coefficient's float and the k products 1 each:
+#:   2*sum(c_i) + 2*k + k + 1 = 2*sum(c_i) + 3*k + 1.
+#: - Pearl: each element's powers (2 each) and their k - 1 products, then the
+#:   product with w and the fsum, then the coefficient's float and one product:
+#:   3*k + 3, no more than Jeffrey's.
+#: This holds while every intermediate is a normal float.  One that falls below
+#: the normal range errs by up to 2**-1075 instead, which the bound does not
+#: cover: a 0.0 or subnormal result where the exact one is normal fails it.
+def large_count_bound(counts):
+    n = 2 * sum(counts) + 3 * len(counts) + 1
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+@pytest.mark.parametrize("c", [10, 100, 300, 1000])
+def test_float_route_agrees_with_exact_route_at_large_counts(c, monkeypatch):
+    # the medical model in floats with c|pt> + c|nt>: each float validity lies within the bound
+    # of the exact one or raises FloatRangeError, never 0.0
+    medical = medical_model()
+    fomega = medical.prior.to_float()
+    fpsi = Evidence(((as_floats(medical.pos_test), c), (as_floats(medical.neg_test), c)))
+    # the float weights read exactly sum to s, not one: the twin prior is normalised, and the
+    # validities, linear in the prior, are scaled back (each factor's validity by s)
+    weights = [Fraction(w) for w in fomega.weights]
+    s = sum(weights)
+    omega = Dist(fomega.space, [w / s for w in weights])
+    psi = Evidence((Factor(f.space, map(Fraction, f.values)), n) for f, n in fpsi.items())
+    bound = large_count_bound(fpsi.counts)
+    for rule, scale_back in ((jeffrey_validity, s ** (2 * c)), (pearl_validity, s)):
+        with monkeypatch.context() as patch:  # the oracle only: the float route keeps the limit
+            patch.setattr(core, "MAX_EXACT_BITS", 10**7)
+            exact = rule(omega, psi) * scale_back
+        assert exact >= sys.float_info.min
+        try:
+            value = rule(fomega, fpsi)
+        except FloatRangeError:
+            continue
+        assert value >= sys.float_info.min and abs(Fraction(value) - exact) <= bound * exact
 
 
 # -- no Fraction fallbacks on float inputs ---------------------------------------
