@@ -15,8 +15,10 @@ exact factors in front of the first float one on their ints.  One
 helper, :func:`_product`, is the only product across the float/exact
 boundary: left to right as ``*`` takes it and, only where that raises
 OverflowError (an exact value too large for a float meets a float),
-exactly, each float read exactly, and rounded once; FloatRangeError
-beyond the float range, or beyond MAX_EXACT_BITS.  The evidence
+exactly and rounded once, each float power read as it was rounded
+unless it left the float range, and then its base read exactly
+(bounded by MAX_EXACT_BITS); FloatRangeError beyond the float range
+or the bound.  The evidence
 validities, ``iterated_pearl_validity`` and ``covariance`` take their
 products by it.  The conjunction, the tensor products, the validity,
 the Bayes normaliser and ``pull`` take each value's product by it where
@@ -298,23 +300,32 @@ def _product(pairs: Sequence[tuple[Scalar, int]], what: str) -> Scalar:
     ``*`` takes it: the one product across the float/exact boundary.
     Only where that raises OverflowError (an exact value too large for a
     float meets a float, or a float power overflows) is it taken exactly
-    instead, each float read exactly, and rounded once.  A float result
-    beyond the float range raises FloatRangeError ("``what`` overflows
-    the float range"), and so does an exact product estimated, as
-    :func:`_require_bits` estimates, at more than MAX_EXACT_BITS bits."""
+    and rounded once, each float power read as it was rounded unless it
+    overflowed or underflowed to 0.0: then its base is raised exactly,
+    those bases bounded by MAX_EXACT_BITS in all.  Beyond the float range
+    or the bound it raises FloatRangeError ("``what`` overflows the float range")."""
     result = 1
     try:
         for base, count in pairs:
             result = result * (base if count == 1 else base**count)  # a Fraction's **1 builds a new Fraction
     except OverflowError:
-        exact = [(Fraction(base), count) for base, count in pairs]
-        result = math.inf
-        bits = sum([abs(count) * (max(b.numerator, b.denominator) - 1).bit_length() for b, count in exact])
-        if bits <= MAX_EXACT_BITS:
+        exact, bits = [], 0
+        for base, count in pairs:
             try:
-                result = float(math.prod([b**count for b, count in exact]))
+                power = Fraction(base**count)
             except OverflowError:
-                pass
+                power = 0
+            if base and not power:  # a float power that left the float range: its base, raised exactly
+                base = Fraction(base)
+                bits += abs(count) * (max(base.numerator, base.denominator) - 1).bit_length()
+                if bits > MAX_EXACT_BITS:
+                    raise FloatRangeError(f"{what} overflows the float range")
+                power = base**count
+            exact.append(power)
+        try:
+            result = float(math.prod(exact))
+        except OverflowError:
+            result = math.inf
     return _check_finite(result, what)
 
 

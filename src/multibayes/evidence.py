@@ -321,8 +321,8 @@ def and_conj(psi: Evidence) -> Factor:
     where it is beyond the float range too.  Exact powers of more than
     MAX_EXACT_BITS bits in all raise SizeLimitError before they are
     computed.  Each factor keeps its powers (see ``Factor._power``), so
-    other evidence that holds it at the same count reuses them.  The result is kept in
-    ``psi``, so later calls return the same object.
+    other evidence that holds it at the same count reuses them.  The
+    result is kept in ``psi``, so later calls return the same object.
     """
     _require_nonempty(psi)
     if psi._conj is None:

@@ -453,6 +453,10 @@ class TestFloatOverflow:
         # a float power beyond the float range, 1e400, times 1e-300: taken exactly and rounded once
         psi = Evidence(((Factor(D, (1e200, 1.0)), 2), (Factor(D, (1e-300, 1.0)), 1)))
         assert and_conj(psi).values == (float(Fraction(1e200) ** 2 * Fraction(1e-300)), 1.0)
+        # an exact value beyond the float range times a float power that is a normal float, 0.7**1000:
+        # the power is read as it was rounded, with no bound on the bits of 0.7 raised exactly
+        psi = Evidence(((Factor(D, (10**400, 1)), 1), (Factor(D, (0.7, 0.7)), 1000)))
+        assert and_conj(psi).values == (float(10**400 * Fraction(0.7**1000)), 0.7**1000)
 
 
 class TestMatchStatus:
